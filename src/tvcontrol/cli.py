@@ -67,8 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", choices=("csv", "json"), default="csv")
     parser.add_argument("--dump-fields", metavar="DIR", default=None,
                         help="write final control (and reference, if any) as field dumps")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for property-test utilities; the solver itself is deterministic")
     parser.add_argument("--no-warm-start", action="store_true")
     return parser
 

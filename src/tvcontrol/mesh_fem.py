@@ -354,11 +354,6 @@ def l2_error_p0(mesh: Mesh, u, v) -> float:
     return l2_norm_p0(mesh, a - b)
 
 
-def l2_norm_p1(mesh: Mesh, mass_p1: sp.csr_matrix, y) -> float:
-    v = y.values if isinstance(y, P1ScalarField) else np.asarray(y, dtype=float)
-    return float(np.sqrt(v @ (mass_p1 @ v)))
-
-
 @dataclass(frozen=True)
 class Forms:
     """All assembled operators for one mesh, shared by the solvers.
@@ -369,7 +364,6 @@ class Forms:
 
     mesh: Mesh
     interior_nodes: np.ndarray
-    stiffness_full: sp.csr_matrix    # all nodes, rows sum to 0
     stiffness: sp.csr_matrix         # interior x interior, SPD
     mass_p1: sp.csr_matrix           # all nodes
     mass_interior: sp.csr_matrix     # interior rows x all nodes
@@ -435,7 +429,6 @@ def build_forms(mesh: Mesh, E: float = 2900.0, nu: float = 0.4) -> Forms:
     return Forms(
         mesh=mesh,
         interior_nodes=interior,
-        stiffness_full=stiffness_full,
         stiffness=stiffness_full[np.ix_(interior, interior)].tocsr(),
         mass_p1=mass_p1,
         mass_interior=mass_p1[interior].tocsr(),

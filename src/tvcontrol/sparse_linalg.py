@@ -46,18 +46,6 @@ class SparseSymMatrix:
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def row_offsets(self) -> np.ndarray:
-        return self.matrix.indptr
-
-    @property
-    def column_indices(self) -> np.ndarray:
-        return self.matrix.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.matrix.data
-
     def spd_factor(self):
         """Cholesky-equivalent factorization; fails on any nonpositive pivot."""
         if self._spd_factor is None:

@@ -246,3 +246,21 @@ def tv_lower_bound(result: OracleResult, eps: float) -> float:
     if not result.converged:
         raise ValueError("lower bound requires a converged oracle result")
     return result.value + 0.5 * eps * result.energy
+
+
+def tv_upper_bound(u, result: OracleResult, eps: float, forms: Forms) -> float:
+    """Upper bound for tv_eps(u) by weak duality, at the cost of one SPD solve.
+
+    For any nodal multipliers lambda >= 0 the Lagrangian of the ball
+    constraints gives
+
+        tv_eps(u) <= sum(lambda) + (1/2) b^T (eps * A + 2 diag(lambda))^{-1} b.
+
+    Uses the nonnegative part of the multipliers in ``result``, which need
+    not be converged; at a converged result the bound equals its value.
+    """
+    lam = np.maximum(result.ball_state.multipliers, 0.0)
+    b = forms.dual_load(u)
+    h = (eps * forms.elasticity.matrix + sp.diags(np.repeat(2.0 * lam, 2))).tocsr()
+    x = solve_spd(SparseSymMatrix(h, check=False), b)
+    return float(lam.sum() + 0.5 * (b @ x))

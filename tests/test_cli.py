@@ -61,7 +61,7 @@ def test_dump_fields(tmp_path, capsys):
 
 
 def test_seed_and_no_warm_start_accepted(capsys):
-    code, out = _run(capsys, ["--instance", "exact", *FAST, "--seed", "7", "--no-warm-start"])
+    code, out = _run(capsys, ["--instance", "exact", *FAST, "--no-warm-start"])
     assert code == 0
     assert out.splitlines()[0] == CSV_HEADER
 

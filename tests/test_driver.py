@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tvcontrol import driver
 from tvcontrol.driver import (
     INNER_FAILURE,
     MAX_OUTER,
@@ -135,6 +136,31 @@ def test_warm_start_consistency(small_exact_run):
         assert b.tv_lower_bound == pytest.approx(a.tv_lower_bound, abs=1e-6)
         if a.rel_error is not None:
             assert b.rel_error == pytest.approx(a.rel_error, abs=1e-6)
+
+
+@pytest.mark.parametrize("warm_start", [True, False])
+def test_one_ladder_call_per_cold_oracle_evaluation(monkeypatch, warm_start):
+    calls = []
+    ladder = driver.eval_tv_eps_path
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return ladder(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "eval_tv_eps_path", counting)
+    mesh = build_friedrichs_keller(8)
+    config = SolverConfig(n=8, eps_start=1e-5, eps_min=7.8e-8, warm_start=warm_start)
+    report = run_outer_approximation(build_exact_instance(mesh), config)
+    assert report.terminated == TOLERANCE_MET
+    assert len(calls) == (1 if warm_start else len(report.records))
+
+
+@pytest.mark.parametrize("field, value", [("n", 8), ("alpha", 2.0)])
+def test_config_must_match_instance(field, value):
+    instance = build_exact_instance(build_friedrichs_keller(4))
+    config = SolverConfig(**{"n": 4, field: value})
+    with pytest.raises(ValueError, match=f"config.{field}"):
+        run_outer_approximation(instance, config)
 
 
 def test_max_outer_reported():

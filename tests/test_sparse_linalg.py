@@ -116,5 +116,3 @@ def test_bordered_rhs_length_checked():
 def test_csr_storage_exposed():
     a = SparseSymMatrix(sp.csr_matrix(_random_spd(4, seed=9)))
     assert a.dimension == 4
-    assert a.row_offsets.size == 5
-    assert a.column_indices.size == a.values.size

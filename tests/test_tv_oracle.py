@@ -11,6 +11,7 @@ from tvcontrol.tv_oracle import (
     eval_tv_eps,
     eval_tv_eps_path,
     tv_lower_bound,
+    tv_upper_bound,
 )
 
 
@@ -84,6 +85,30 @@ def test_lower_bound_requires_convergence(forms4):
     if not res.converged:
         with pytest.raises(ValueError):
             tv_lower_bound(res, 1e-6)
+
+
+def test_upper_bound_dominates_value(forms4):
+    rng = np.random.default_rng(21)
+    for seed in range(5):
+        u = _random_p0(forms4.mesh, 20 + seed)
+        for eps in (1e-5, 1e-6):
+            res = eval_tv_eps_path(u, eps, forms4)
+            # res.value is exact only up to the oracle's KKT tolerance
+            assert tv_upper_bound(u, res, eps, forms4) >= res.value - 1e-9
+            # weak duality: any nonnegative multipliers bound the maximum
+            res.ball_state.multipliers = rng.exponential(size=forms4.n_interior)
+            res.ball_state.multipliers[rng.random(forms4.n_interior) < 0.5] = 0.0
+            assert tv_upper_bound(u, res, eps, forms4) >= res.value - 1e-9
+
+
+def test_upper_bound_tight_at_converged_result(forms4):
+    for seed, eps in ((30, 1e-5), (31, 1e-6), (32, 2e-7)):
+        u = _random_p0(forms4.mesh, seed)
+        res = eval_tv_eps_path(u, eps, forms4)
+        assert res.converged
+        assert res.ball_state.active_nodes.any()
+        bound = tv_upper_bound(u, res, eps, forms4)
+        assert bound == pytest.approx(res.value, rel=1e-10)
 
 
 def test_shift_invariance_including_phi(forms4):
