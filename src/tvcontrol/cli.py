@@ -2,8 +2,8 @@
 
 Builds one of the two instances, runs the outer approximation, and writes
 the report (CSV or JSON) to stdout. Exit status: 0 when the tolerance was
-met, 2 on an inner-solver failure, 3 when the outer iteration cap was hit,
-1 on usage errors.
+met, 2 on an inner-solver failure (explained on stderr), 3 when the outer
+iteration cap was hit, 1 on usage errors.
 """
 
 from __future__ import annotations
@@ -103,6 +103,8 @@ def main(argv=None) -> int:
     report = run_outer_approximation(instance, config)
     sys.stdout.buffer.write(serialize_report(report, args.output))
     sys.stdout.buffer.flush()
+    if report.failure is not None:
+        print(f"{parser.prog}: {report.failure}", file=sys.stderr)
 
     if args.dump_fields is not None and report.final_control is not None:
         out_dir = Path(args.dump_fields)

@@ -78,6 +78,7 @@ class RunReport:
     final_control: P0Field | None
     planes: list[CuttingPlane]
     config: SolverConfig | None = None
+    failure: str | None = None  # which inner solver failed, where, and how far off
 
 
 def rel_error(mesh, u, reference) -> float:
@@ -127,6 +128,14 @@ def _is_duplicate(plane: CuttingPlane, planes: list[CuttingPlane], mesh) -> bool
     )
 
 
+def _failure_message(solver: str, k: int, eps: float, steps: int, unit: str,
+                     residual: float) -> str:
+    return (
+        f"{solver} did not converge at outer iteration k = {k}, eps = {eps:.5e}: "
+        f"{steps} {unit}, final residual {residual:.3e}"
+    )
+
+
 def run_outer_approximation(
     instance, config: SolverConfig, forms: Forms | None = None
 ) -> RunReport:
@@ -135,7 +144,10 @@ def run_outer_approximation(
     Each iteration makes one oracle call. ``tolerance_met`` is returned only
     when the weak-duality bound ``tv_upper_bound`` at the final eps is at
     most 1 + tol, so the returned control is certified feasible; otherwise
-    the loop goes on cutting with the plane just computed. Raises
+    the loop goes on cutting with the plane just computed. An
+    ``inner_failure`` exit sets ``RunReport.failure`` to a message naming
+    the solver, the outer iteration, eps, the steps taken and the final
+    residual. Raises
     ValueError when ``config.n`` or ``config.alpha`` disagrees with the
     instance, since the report echoes the config.
     """
@@ -157,6 +169,7 @@ def run_outer_approximation(
     oracle_warm: OracleResult | None = None
     final_control: P0Field | None = None
     terminated = MAX_OUTER
+    failure: str | None = None
 
     for k in range(config.max_outer):
         master = master_op.solve(
@@ -167,6 +180,10 @@ def run_outer_approximation(
         )
         if not master.converged:
             terminated = INNER_FAILURE
+            failure = _failure_message(
+                "master problem", k, eps, master.inner_iterations, "active-set iterations",
+                master.residual,
+            )
             break
         final_control = master.u
 
@@ -190,6 +207,9 @@ def run_outer_approximation(
             )
         if not oracle.converged:
             terminated = INNER_FAILURE
+            failure = _failure_message(
+                "TV oracle", k, eps, oracle.inner_iterations, "Newton steps", oracle.residual
+            )
             break
 
         err = (
@@ -232,4 +252,5 @@ def run_outer_approximation(
         final_control=final_control,
         planes=planes,
         config=config,
+        failure=failure,
     )

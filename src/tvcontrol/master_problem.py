@@ -72,6 +72,7 @@ class MasterSolution:
     objective: float
     inner_iterations: int
     converged: bool
+    residual: float               # feasibility/complementarity residual, last iteration
 
 
 class MasterOperator:
@@ -176,6 +177,7 @@ class MasterOperator:
             objective=objective,
             inner_iterations=iterations,
             converged=converged,
+            residual=residual,
         )
 
     def objective_value(self, u, y: P1ScalarField) -> float:

@@ -139,25 +139,25 @@ def build_friedrichs_keller(n: int) -> Mesh:
 
 
 def _collect_interior_edges(nodes, triangles) -> InteriorEdges:
-    seen: dict[tuple[int, int], list[int]] = {}
-    order: list[tuple[int, int]] = []
-    for t, tri in enumerate(triangles):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (int(min(a, b)), int(max(a, b)))
-            if key in seen:
-                seen[key].append(t)
-            else:
-                seen[key] = [t]
-                order.append(key)
+    """Edges shared by two triangles, in order of first appearance.
 
-    pairs, cells = [], []
-    for key in order:
-        tris = seen[key]
-        if len(tris) == 2:
-            pairs.append(key)
-            cells.append(tris)
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+    Each triangle contributes its edges (0,1), (1,2), (2,0); an edge's left
+    cell is the first triangle that has it, its right cell the second.
+    """
+    ends = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys = ends[:, 0] * nodes.shape[0] + ends[:, 1]
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    # occurrences grouped by edge and, within an edge, in triangle order
+    occurrences = np.argsort(inverse.ravel(), kind="stable")
+    starts = np.cumsum(counts) - counts
+    shared = np.flatnonzero(counts == 2)
+    shared = shared[np.argsort(first[shared])]
+    pairs = ends[first[shared]]
+    cells = np.column_stack(
+        [occurrences[starts[shared]], occurrences[starts[shared] + 1]]
+    ) // 3
 
     vec = nodes[pairs[:, 1]] - nodes[pairs[:, 0]]
     lengths = np.hypot(vec[:, 0], vec[:, 1])

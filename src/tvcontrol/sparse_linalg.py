@@ -2,8 +2,10 @@
 
 Direct factorizations only: SuperLU in symmetric mode doubles as a Cholesky
 equivalent for positive definite systems (static diagonal pivoting exposes
-pivot signs), and a pivoted LU handles the symmetric indefinite bases of
-bordered KKT systems. Every solve is checked against its residual bound.
+pivot signs), and serves the state solves, the TV oracle's reduced Newton
+steps and its duality certificate. A pivoted LU serves only the symmetric
+indefinite base [[-M, K], [K, B/alpha]] of the master problem's bordered
+KKT systems. Every solve is checked against its residual bound.
 """
 
 from __future__ import annotations
@@ -165,15 +167,3 @@ def _border_message(system: BorderedSystem) -> str:
         return f"border columns {list(np.asarray(system.ids))}"
     return f"{system.n_border} border columns"
 
-
-def solve_symmetric(a, b: np.ndarray) -> np.ndarray:
-    """Solve a symmetric (possibly indefinite) sparse system by pivoted LU."""
-    a = _as_sym(a)
-    b = np.asarray(b, dtype=float)
-    if a.dimension == 0:
-        return np.zeros_like(b)
-    x = a.lu_factor().solve(b)
-    residual = np.abs(a.matrix @ x - b).max(initial=0.0)
-    if not residual <= 1e-8 * (1.0 + np.abs(b).max(initial=0.0)):
-        raise np.linalg.LinAlgError(f"symmetric solve residual {residual:.3e} too large")
-    return x

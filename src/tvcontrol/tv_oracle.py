@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh_fem import Forms, Mesh, P1VectorField, _p0_values
-from .sparse_linalg import SparseSymMatrix, solve_spd, solve_symmetric
+from .sparse_linalg import SparseSymMatrix, solve_spd
 
 
 @dataclass
@@ -41,6 +41,7 @@ class OracleResult:
     inner_iterations: int
     converged: bool
     ball_state: BallConstraintState
+    residual: float  # KKT residual after the last Newton step
 
 
 def eval_tv_eps(
@@ -85,6 +86,7 @@ def eval_tv_eps(
             ball_state=BallConstraintState(
                 active_nodes=np.zeros(0, dtype=bool), multipliers=np.zeros(0)
             ),
+            residual=0.0,
         )
 
     a_mat = forms.elasticity.matrix
@@ -101,6 +103,7 @@ def eval_tv_eps(
 
     converged = False
     iterations = 0
+    residual = np.inf
     for _ in range(max_inner_iterations):
         iterations += 1
         lam = np.where(active, lam, 0.0)
@@ -124,47 +127,67 @@ def eval_tv_eps(
         inner_iterations=iterations,
         converged=converged,
         ball_state=BallConstraintState(active_nodes=active, multipliers=lam),
+        residual=residual,
     )
 
 
 def _newton_step(a_mat, b, eps, x, lam, active):
     """One Newton step on the coupled stationarity/active-constraint system.
 
+    The step solves the saddle system
+
+        H x + C lambda = b + 2 diag(lambda) p,   C^T x = 1 + |p|^2,
+        H = eps * A + 2 diag(lambda),
+
+    whose column of C for active node i is 2 p_i on that node's dofs, by the
+    null-space method: the linearized circle constraint 2 p_i . x_i = 1 +
+    |p_i|^2 fixes the radial component of x_i at (1 + |p_i|^2) / (2 |p_i|)
+    along p_i / |p_i|. With x = x_fixed + Z y, where Z is the identity on
+    inactive dofs and the unit tangent (-p_i2, p_i1) / |p_i| on each active
+    node, the tangential and inactive unknowns solve the SPD system
+    Z^T H Z y = Z^T (rhs - H x_fixed). Each multiplier then comes from its
+    node's radial row: lambda_i = (p_i / |p_i|) . (rhs - H x)_i / (2 |p_i|).
+
     Two stabilizations of the plain linearization: the operator uses the
     nonnegative part of the multipliers (it stays positive definite while
     transiently negative multipliers would let iterates escape), and active
-    circles are linearized at the radially projected point, so overshooting
-    warm starts return to the constraint in one step instead of halving.
+    circles are linearized at the radially projected point p, so
+    overshooting warm starts return to the constraint in one step instead
+    of halving.
     """
     idx = np.flatnonzero(active)
-    m = idx.size
-    xhat = x
-    if m:
-        xhat = x.copy()
-        rows = np.column_stack([2 * idx, 2 * idx + 1]).ravel()
-        points = xhat[rows].reshape(m, 2)
-        radii = np.linalg.norm(points, axis=1)
-        points[radii > 1.0] /= radii[radii > 1.0, None]
-        xhat[rows] = points.ravel()
+    points = x.reshape(-1, 2)[idx]
+    radii = np.linalg.norm(points, axis=1)
+    outside = radii > 1.0
+    points[outside] /= radii[outside, None]
+    xhat = x.copy()
+    xhat.reshape(-1, 2)[idx] = points
 
     lam_dof = np.repeat(np.maximum(lam, 0.0), 2)
     h = (eps * a_mat + sp.diags(2.0 * lam_dof)).tocsr()
-    rhs1 = b + 2.0 * lam_dof * xhat
+    rhs = b + 2.0 * lam_dof * xhat
 
-    if m == 0:
-        x_new = solve_spd(SparseSymMatrix(h, check=False), rhs1)
-        return x_new, np.zeros_like(lam)
+    radii = np.linalg.norm(points, axis=1)
+    unit = points / radii[:, None]
+    x_fixed = np.zeros_like(x)
+    x_fixed.reshape(-1, 2)[idx] = unit * ((1.0 + radii**2) / (2.0 * radii))[:, None]
 
-    cols = np.repeat(np.arange(m), 2)
-    c = sp.coo_matrix((2.0 * points.ravel(), (rows, cols)), shape=(x.size, m))
-    saddle = sp.bmat([[h, c], [c.T, None]], format="csr")
-    norms2 = np.sum(points**2, axis=1)
-    rhs = np.concatenate([rhs1, 1.0 + norms2])
+    # one nonzero per row: both dofs of an active node map to its tangent column
+    kept = np.ones(x.size, dtype=bool)
+    kept[2 * idx] = False
+    tangent = np.ones(x.size)
+    tangent[2 * idx] = -unit[:, 1]
+    tangent[2 * idx + 1] = unit[:, 0]
+    z = sp.csr_matrix(
+        (tangent, np.cumsum(kept) - kept, np.arange(x.size + 1)),
+        shape=(x.size, np.count_nonzero(kept)),
+    )
+    reduced = SparseSymMatrix((z.T @ h @ z).tocsr(), check=False)
+    x_new = x_fixed + z @ solve_spd(reduced, z.T @ (rhs - h @ x_fixed))
 
-    sol = solve_symmetric(SparseSymMatrix(saddle, check=False), rhs)
-    x_new = sol[: x.size]
     lam_new = np.zeros_like(lam)
-    lam_new[idx] = sol[x.size:]
+    radial_rows = (rhs - h @ x_new).reshape(-1, 2)[idx]
+    lam_new[idx] = np.sum(unit * radial_rows, axis=1) / (2.0 * radii)
     return x_new, lam_new
 
 

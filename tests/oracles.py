@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the code paths under test: dense
 Gaussian elimination instead of sparse factorizations, projected gradient
-ascent instead of the active-set iteration, and active-set enumeration on
-dense KKT systems instead of the bordered solver.
+ascent instead of the active-set iteration, the full dense saddle system
+instead of the oracle's null-space reduction, active-set enumeration on
+dense KKT systems instead of the bordered solver, and a dictionary walk
+over the triangles instead of the vectorized interior-edge construction.
 """
 
 from __future__ import annotations
@@ -37,6 +39,15 @@ def dense_gaussian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def interior_edge_cells_by_loop(triangles) -> np.ndarray:
+    """(left, right) cells of each edge shared by two triangles, by first appearance."""
+    seen: dict[tuple[int, int], list[int]] = {}
+    for t, tri in enumerate(triangles):
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            seen.setdefault((min(a, b), max(a, b)), []).append(t)
+    return np.array([c for c in seen.values() if len(c) == 2], dtype=np.int64).reshape(-1, 2)
+
+
 def projected_ascent_tv(u, eps: float, forms: Forms, iterations: int = 100_000) -> float:
     """Maximize the regularized dual objective by projected gradient ascent.
 
@@ -54,6 +65,34 @@ def projected_ascent_tv(u, eps: float, forms: Forms, iterations: int = 100_000) 
         pts /= np.maximum(norms, 1.0)[:, None]
         x = pts.ravel()
     return float(-0.5 * eps * (x @ a @ x) + b @ x)
+
+
+def dense_newton_step(a_mat, b, eps, x, lam, active):
+    """The TV oracle's Newton step from the full saddle system, solved densely.
+
+    Active circles are linearized at the radially projected point p; the
+    operator uses the nonnegative part of the multipliers:
+
+        [[eps*A + 2 diag(lam+), C], [C^T, 0]] [x; mu] = [b + 2 diag(lam+) p; 1 + |p|^2],
+
+    with one column 2 p_i per active node i. Returns (x, multipliers), the
+    multipliers zero off the active set.
+    """
+    n = b.size
+    idx = np.flatnonzero(active)
+    p = np.array(x, dtype=float).reshape(-1, 2)
+    p[idx] /= np.maximum(np.linalg.norm(p[idx], axis=1), 1.0)[:, None]
+    lam_dof = np.repeat(np.maximum(lam, 0.0), 2)
+    h = eps * a_mat.toarray() + np.diag(2.0 * lam_dof)
+    c = np.zeros((n, idx.size))
+    for col, i in enumerate(idx):
+        c[2 * i : 2 * i + 2, col] = 2.0 * p[i]
+    saddle = np.block([[h, c], [c.T, np.zeros((idx.size, idx.size))]])
+    rhs = np.concatenate([b + 2.0 * lam_dof * p.ravel(), 1.0 + np.sum(p[idx] ** 2, axis=1)])
+    sol = np.linalg.solve(saddle, rhs)
+    multipliers = np.zeros(len(active))
+    multipliers[idx] = sol[n:]
+    return sol[:n], multipliers
 
 
 def dense_master_qp(instance, forms: Forms, planes, eps: float):

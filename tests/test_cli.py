@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from tvcontrol import cli
 from tvcontrol.cli import main
+from tvcontrol.driver import INNER_FAILURE, RunReport
 from tvcontrol.reporting import CSV_HEADER, load_field
 
 FAST = ["--n", "6", "--eps-start", "1e-5", "--eps-min", "1e-5"]
@@ -70,3 +72,15 @@ def test_small_runs_are_byte_identical(capsys):
     _, first = _run(capsys, ["--instance", "exact", *FAST])
     _, second = _run(capsys, ["--instance", "exact", *FAST])
     assert first == second
+
+
+def test_inner_failure_explained_on_stderr(capsys, monkeypatch):
+    message = "TV oracle did not converge at outer iteration k = 0"
+    failed = RunReport(records=[], terminated=INNER_FAILURE, final_control=None,
+                       planes=[], failure=message)
+    monkeypatch.setattr(cli, "run_outer_approximation", lambda instance, config: failed)
+    code = main(["--instance", "exact", *FAST])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == CSV_HEADER + "\n"
+    assert captured.err == f"tvcontrol: {message}\n"

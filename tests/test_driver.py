@@ -181,3 +181,26 @@ def test_inner_failure_reported():
     )
     report = run_outer_approximation(instance, config)
     assert report.terminated == INNER_FAILURE
+    assert not report.records
+    assert report.failure.startswith(
+        "TV oracle did not converge at outer iteration k = 0, eps = 1.00000e-05: "
+        "2 Newton steps, final residual "
+    )
+    residual = float(report.failure.rsplit(" ", 1)[1])
+    assert 1e-9 < residual < np.inf
+
+
+def test_master_failure_reported():
+    mesh = build_friedrichs_keller(8)
+    config = SolverConfig(n=8, eps_start=1e-5, eps_min=7.8e-8, max_master_iterations=1)
+    report = run_outer_approximation(build_exact_instance(mesh), config)
+    assert report.terminated == INNER_FAILURE
+    k = len(report.records)
+    assert report.failure.startswith(
+        f"master problem did not converge at outer iteration k = {k}, eps = "
+    )
+    assert "1 active-set iterations, final residual" in report.failure
+
+
+def test_no_failure_message_on_success(small_exact_run):
+    assert small_exact_run[2].failure is None

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import interior_edge_cells_by_loop
 from tvcontrol.mesh_fem import (
     P0Field,
     P1VectorField,
@@ -40,6 +41,24 @@ def test_n2_by_hand():
 def test_paper_mesh_size():
     mesh = build_friedrichs_keller(50)
     assert mesh.interior_edges.lengths.max() == pytest.approx(np.sqrt(2.0) / 50, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_interior_edges_join_their_two_cells(n):
+    mesh = build_friedrichs_keller(n)
+    edges = mesh.interior_edges
+    assert np.array_equal(edges.cells, interior_edge_cells_by_loop(mesh.triangles))
+    assert np.all(edges.cells[:, 0] < edges.cells[:, 1])
+    assert np.unique(edges.cells, axis=0).shape == edges.cells.shape
+    centroids = mesh.nodes[mesh.triangles].mean(axis=1)
+    for (left, right), length, normal in zip(edges.cells, edges.lengths, edges.normals):
+        shared = np.intersect1d(mesh.triangles[left], mesh.triangles[right])
+        assert shared.size == 2
+        a, b = mesh.nodes[shared]
+        assert length == pytest.approx(np.linalg.norm(b - a), abs=1e-15)
+        assert normal @ (b - a) == pytest.approx(0.0, abs=1e-15)
+        assert np.linalg.norm(normal) == pytest.approx(1.0, abs=1e-15)
+        assert normal @ (centroids[right] - centroids[left]) > 0.0
 
 
 def test_zero_subdivisions_rejected():

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import projected_ascent_tv
+from oracles import dense_newton_step, projected_ascent_tv
 from tvcontrol.instances import exact_u_bar
 from tvcontrol.mesh_fem import P0Field, build_forms, build_friedrichs_keller, project_p0
 from tvcontrol.tv_oracle import (
+    _newton_step,
     discrete_tv,
     dual_objective,
     eval_tv_eps,
@@ -21,8 +22,57 @@ def forms4():
     return build_forms(build_friedrichs_keller(4))
 
 
+@pytest.fixture(scope="module")
+def forms8():
+    return build_forms(build_friedrichs_keller(8))
+
+
 def _random_p0(mesh, seed):
     return P0Field(np.random.default_rng(seed).standard_normal(mesh.n_cells))
+
+
+def _newton_step_case(forms, case):
+    """(x, lam, active) of one Newton step's input, as eval_tv_eps passes it."""
+    n_int = forms.n_interior
+    rng = np.random.default_rng(40)
+    if case == "none_active":
+        return rng.standard_normal(2 * n_int) * 0.3, np.zeros(n_int), np.zeros(n_int, bool)
+    if case == "overshooting_warm_start":
+        res = eval_tv_eps(_random_p0(forms.mesh, 41), 1e-5, forms)
+        active = res.ball_state.active_nodes
+        lam = np.where(active, res.ball_state.multipliers, 0.0)
+        return 1.3 * forms.interior_vector(res.phi), lam, active
+    if case == "inside_circle":
+        x = np.zeros((n_int, 2))
+        active = np.zeros(n_int, bool)
+        active[n_int // 2] = True
+        x[n_int // 2] = (0.3, 0.4)
+        return x.ravel(), np.zeros(n_int), active
+    x = rng.standard_normal(2 * n_int)
+    return x, rng.exponential(size=n_int), np.ones(n_int, bool)
+
+
+@pytest.mark.parametrize(
+    "case", ["none_active", "overshooting_warm_start", "inside_circle", "all_active"]
+)
+def test_newton_step_matches_dense_saddle_solve(forms8, case):
+    x, lam, active = _newton_step_case(forms8, case)
+    if case == "overshooting_warm_start":
+        points = x.reshape(-1, 2)
+        assert 0 < active.sum() < active.size
+        assert np.all(np.linalg.norm(points[active], axis=1) > 1.0)
+    eps = 1e-5
+    a_mat = forms8.elasticity.matrix
+    b = forms8.dual_load(_random_p0(forms8.mesh, 42))
+    x_new, lam_new = _newton_step(a_mat, b, eps, x, lam, active)
+    x_ref, lam_ref = dense_newton_step(a_mat, b, eps, x, lam, active)
+    assert np.linalg.norm(x_new - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+    assert np.linalg.norm(lam_new - lam_ref) <= 1e-10 * np.linalg.norm(lam_ref)
+    assert np.all(lam_new[~active] == 0.0)
+    if case == "inside_circle":
+        # the linearized circle at |p| = 1/2 puts the new point at radius 5/4
+        node = np.flatnonzero(active)[0]
+        assert x_new.reshape(-1, 2)[node] @ [0.6, 0.8] == pytest.approx(1.25)
 
 
 def test_constant_control_has_zero_tv(forms4):
