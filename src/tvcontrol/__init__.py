@@ -23,7 +23,6 @@ from .tv_oracle import (
     OracleResult,
     discrete_tv,
     eval_tv_eps,
-    eval_tv_eps_path,
     tv_lower_bound,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "discrete_tv",
     "dump_field",
     "eval_tv_eps",
-    "eval_tv_eps_path",
     "load_field",
     "plane_slack",
     "rel_error",

@@ -67,7 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", choices=("csv", "json"), default="csv")
     parser.add_argument("--dump-fields", metavar="DIR", default=None,
                         help="write final control (and reference, if any) as field dumps")
-    parser.add_argument("--no-warm-start", action="store_true")
+    parser.add_argument("--no-warm-start", action="store_true",
+                        help="start both inner solvers from zero in every outer iteration; "
+                             "the oracle then solves directly at the current eps")
     return parser
 
 

@@ -6,8 +6,9 @@ geometrically until the target value is reached; only then is the
 termination test tv_eps(u_k) <= 1 + tol armed. It is certified by weak
 duality: the oracle's ball multipliers bound tv_eps(u_k) from above at the
 cost of one SPD solve. Every stored plane is re-tightened automatically
-because its right-hand side carries the current eps. Subproblems are
-warm-started from the previous iteration.
+because its right-hand side carries the current eps. Both subproblems are
+warm-started from the previous iteration; with ``warm_start=False`` they
+start from zero, and the oracle solves directly at the current eps.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from .master_problem import CuttingPlane, MasterOperator, MasterSolution, make_cutting_plane
 from .mesh_fem import Forms, P0Field, build_forms, l2_error_p0, l2_norm_p0
-from .tv_oracle import OracleResult, eval_tv_eps, eval_tv_eps_path, tv_lower_bound, tv_upper_bound
+from .tv_oracle import OracleResult, eval_tv_eps, tv_lower_bound, tv_upper_bound
 
 TOLERANCE_MET = "tolerance_met"
 MAX_OUTER = "max_outer"
@@ -141,7 +142,10 @@ def run_outer_approximation(
 ) -> RunReport:
     """Run the cutting-plane loop and collect one record per outer iteration.
 
-    Each iteration makes one oracle call. ``tolerance_met`` is returned only
+    Each iteration makes one oracle call, at the current eps. From the
+    second iteration on it is warm-started from the previous result when
+    ``config.warm_start`` is set; otherwise every call starts cold, from
+    phi = 0 with no active node. ``tolerance_met`` is returned only
     when the weak-duality bound ``tv_upper_bound`` at the final eps is at
     most 1 + tol, so the returned control is certified feasible; otherwise
     the loop goes on cutting with the plane just computed. An
@@ -187,24 +191,13 @@ def run_outer_approximation(
             break
         final_control = master.u
 
-        if oracle_warm is not None:
-            oracle = eval_tv_eps(
-                master.u,
-                eps,
-                forms,
-                warm_start=oracle_warm,
-                max_inner_iterations=config.max_oracle_iterations,
-            )
-        else:
-            # no warm data: continue in eps internally, from eps_start down
-            oracle = eval_tv_eps_path(
-                master.u,
-                eps,
-                forms,
-                eps_init=max(eps, config.eps_start),
-                factor=config.eps_factor,
-                max_inner_iterations=config.max_oracle_iterations,
-            )
+        oracle = eval_tv_eps(
+            master.u,
+            eps,
+            forms,
+            warm_start=oracle_warm,
+            max_inner_iterations=config.max_oracle_iterations,
+        )
         if not oracle.converged:
             terminated = INNER_FAILURE
             failure = _failure_message(

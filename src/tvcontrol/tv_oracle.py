@@ -68,6 +68,9 @@ def eval_tv_eps(
     multiplier has turned negative. Terminates once the active set repeats
     and the KKT residual drops below ``tol``; ties (|phi_i| = 1, lambda_i = 0)
     deactivate. Returns ``converged=False`` when the iteration cap is hit.
+    Without ``warm_start`` the iteration starts from phi = 0 with no active
+    node, directly at ``eps``. Raises ValueError when ``u`` or ``warm_start``
+    does not match the mesh of ``forms``.
     """
     if eps <= 0.0:
         raise ValueError(f"regularization weight must be positive, got {eps}")
@@ -75,6 +78,11 @@ def eval_tv_eps(
     mesh = forms.mesh
     if _p0_values(u).shape != (mesh.n_cells,):
         raise ValueError("control does not match the mesh of the assembled forms")
+    if warm_start is not None and warm_start.ball_state.multipliers.size != n_int:
+        raise ValueError(
+            f"warm start has {warm_start.ball_state.multipliers.size} multipliers, "
+            f"the assembled forms have {n_int} interior nodes"
+        )
 
     if n_int == 0:
         return OracleResult(
@@ -92,7 +100,7 @@ def eval_tv_eps(
     a_mat = forms.elasticity.matrix
     b = forms.dual_load(u)
 
-    if warm_start is not None and warm_start.ball_state.multipliers.size == n_int:
+    if warm_start is not None:
         x = forms.interior_vector(warm_start.phi)
         lam = warm_start.ball_state.multipliers.astype(float).copy()
         active = warm_start.ball_state.active_nodes.astype(bool).copy()
@@ -201,49 +209,6 @@ def _kkt_residual(a_mat, b, eps, x, lam, active, norms2):
     if inactive.any():
         res = max(res, float(max(0.0, (norms2[inactive] - 1.0).max())))
     return res
-
-
-def eval_tv_eps_path(
-    u,
-    eps: float,
-    forms: Forms,
-    eps_init: float = 1e-5,
-    factor: float = 0.5,
-    max_inner_iterations: int = 200,
-    tol: float = 1e-9,
-) -> OracleResult:
-    """Evaluate tv_eps without external warm-start data.
-
-    Runs a geometric continuation: solve at eps_init, halve towards the
-    target, warm-starting each leg from the previous one. A plain cold call
-    of :func:`eval_tv_eps` converges as well; this path is kept because the
-    driver's cold calls, and so their reported iteration counts, go through
-    it. Iteration counts accumulate over the legs; the reported value
-    belongs to the target eps.
-    """
-    ladder = [eps]
-    cur = eps_init
-    while cur > eps * 1.05:  # legs closer than 5% to the target add nothing
-        ladder.append(cur)
-        cur *= factor
-    ladder.sort(reverse=True)
-
-    result: OracleResult | None = None
-    total = 0
-    for leg in ladder:
-        result = eval_tv_eps(
-            u,
-            leg,
-            forms,
-            warm_start=result,
-            max_inner_iterations=max_inner_iterations,
-            tol=tol,
-        )
-        total += result.inner_iterations
-        if not result.converged:
-            break
-    result.inner_iterations = total
-    return result
 
 
 def dual_objective(u, phi, eps: float, forms: Forms) -> float:

@@ -138,21 +138,45 @@ def test_warm_start_consistency(small_exact_run):
             assert b.rel_error == pytest.approx(a.rel_error, abs=1e-6)
 
 
-@pytest.mark.parametrize("warm_start", [True, False])
-def test_one_ladder_call_per_cold_oracle_evaluation(monkeypatch, warm_start):
-    calls = []
-    ladder = driver.eval_tv_eps_path
+@pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "cold"])
+def test_one_oracle_call_per_outer_iteration(monkeypatch, warm_start):
+    calls, results = [], []
+    oracle = driver.eval_tv_eps
 
     def counting(*args, **kwargs):
-        calls.append(args)
-        return ladder(*args, **kwargs)
+        calls.append(kwargs.get("warm_start"))
+        results.append(oracle(*args, **kwargs))
+        return results[-1]
 
-    monkeypatch.setattr(driver, "eval_tv_eps_path", counting)
+    monkeypatch.setattr(driver, "eval_tv_eps", counting)
     mesh = build_friedrichs_keller(8)
     config = SolverConfig(n=8, eps_start=1e-5, eps_min=7.8e-8, warm_start=warm_start)
     report = run_outer_approximation(build_exact_instance(mesh), config)
     assert report.terminated == TOLERANCE_MET
-    assert len(calls) == (1 if warm_start else len(report.records))
+    assert len(calls) == len(report.records)
+    if warm_start:
+        assert calls[0] is None
+        assert all(warm is prev for warm, prev in zip(calls[1:], results))
+    else:
+        assert all(warm is None for warm in calls)
+
+
+def test_cold_run_solves_each_oracle_call_directly_at_its_eps():
+    # each cold oracle call solves directly at its eps, with no continuation
+    # from eps_start, so every row stays within the caps/* bound
+    mesh = build_friedrichs_keller(25)
+    instance = build_exact_instance(mesh)
+    warm = run_outer_approximation(instance, SolverConfig(n=25))
+    cold = run_outer_approximation(instance, SolverConfig(n=25, warm_start=False))
+    assert cold.terminated == warm.terminated == TOLERANCE_MET
+    assert max(r.it_oracle for r in cold.records) <= 15
+    assert len(cold.records) == len(warm.records)
+    for a, b in zip(warm.records, cold.records):
+        assert b.eps == a.eps
+        assert b.objective == pytest.approx(a.objective, abs=1e-6)
+        assert b.tv_eps == pytest.approx(a.tv_eps, abs=1e-6)
+        assert b.tv_lower_bound == pytest.approx(a.tv_lower_bound, abs=1e-6)
+        assert b.rel_error == pytest.approx(a.rel_error, abs=1e-6)
 
 
 @pytest.mark.parametrize("field, value", [("n", 8), ("alpha", 2.0)])

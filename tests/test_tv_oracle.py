@@ -11,7 +11,6 @@ from tvcontrol.tv_oracle import (
     discrete_tv,
     dual_objective,
     eval_tv_eps,
-    eval_tv_eps_path,
     tv_lower_bound,
     tv_upper_bound,
 )
@@ -143,7 +142,7 @@ def test_upper_bound_dominates_value(forms4):
     for seed in range(5):
         u = _random_p0(forms4.mesh, 20 + seed)
         for eps in (1e-5, 1e-6):
-            res = eval_tv_eps_path(u, eps, forms4)
+            res = eval_tv_eps(u, eps, forms4)
             # res.value is exact only up to the oracle's KKT tolerance
             assert tv_upper_bound(u, res, eps, forms4) >= res.value - 1e-9
             # weak duality: any nonnegative multipliers bound the maximum
@@ -155,7 +154,7 @@ def test_upper_bound_dominates_value(forms4):
 def test_upper_bound_tight_at_converged_result(forms4):
     for seed, eps in ((30, 1e-5), (31, 1e-6), (32, 2e-7)):
         u = _random_p0(forms4.mesh, seed)
-        res = eval_tv_eps_path(u, eps, forms4)
+        res = eval_tv_eps(u, eps, forms4)
         assert res.converged
         assert res.ball_state.active_nodes.any()
         bound = tv_upper_bound(u, res, eps, forms4)
@@ -228,11 +227,11 @@ def test_value_energy_consistency(forms4):
     assert res.value == pytest.approx(recomputed, abs=1e-9)
 
 
-def test_warm_start_agrees_with_path(forms4):
+def test_warm_start_agrees_with_cold_start(forms4):
     u = _random_p0(forms4.mesh, 15)
     base = eval_tv_eps(u, 1e-5, forms4)
     warm = eval_tv_eps(u, 5e-6, forms4, warm_start=base)
-    cold = eval_tv_eps_path(u, 5e-6, forms4)
+    cold = eval_tv_eps(u, 5e-6, forms4)
     assert warm.converged and cold.converged
     assert warm.value == pytest.approx(cold.value, abs=1e-8)
 
@@ -254,6 +253,13 @@ def test_invalid_inputs(forms4):
         eval_tv_eps(u, 0.0, forms4)
     with pytest.raises(ValueError):
         eval_tv_eps(P0Field(np.ones(3)), 1e-5, forms4)
+
+
+def test_warm_start_from_another_mesh_rejected(forms4, forms8):
+    u = _random_p0(forms8.mesh, 17)
+    coarse = eval_tv_eps(_random_p0(forms4.mesh, 17), 1e-5, forms4)
+    with pytest.raises(ValueError, match="warm start has 9 multipliers"):
+        eval_tv_eps(u, 1e-5, forms8, warm_start=coarse)
 
 
 def test_empty_interior_mesh():
