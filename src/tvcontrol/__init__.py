@@ -9,7 +9,7 @@ from .driver import (
     run_outer_approximation,
 )
 from .instances import ProblemInstance, build_exact_instance, build_generic_instance
-from .master_problem import CuttingPlane, MasterSolution, plane_slack, solve_master
+from .master_problem import CuttingPlane, MasterSolution
 from .mesh_fem import (
     Mesh,
     P0Field,
@@ -47,10 +47,8 @@ __all__ = [
     "dump_field",
     "eval_tv_eps",
     "load_field",
-    "plane_slack",
     "rel_error",
     "run_outer_approximation",
     "serialize_report",
-    "solve_master",
     "tv_lower_bound",
 ]

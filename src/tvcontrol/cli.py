@@ -76,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.depth < 0:
-        parser.error("--depth must be nonnegative")
     eps_min = args.eps_min if args.eps_min is not None else _DEFAULT_EPS_MIN[args.instance]
 
     try:

@@ -57,6 +57,10 @@ class SolverConfig:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.n < 1 or self.max_outer < 1:
             raise ValueError("n and max_outer must be at least 1")
+        if self.max_master_iterations < 1 or self.max_oracle_iterations < 1:
+            raise ValueError("max_master_iterations and max_oracle_iterations must be at least 1")
+        if self.subdivision_depth < 0:
+            raise ValueError(f"subdivision_depth must be nonnegative, got {self.subdivision_depth}")
 
 
 @dataclass

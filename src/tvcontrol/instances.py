@@ -12,10 +12,8 @@ constraint only admits 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .mesh_fem import Mesh, P0Field, P1ScalarField, interpolate_p1, project_p0
 
@@ -144,16 +142,9 @@ def build_exact_instance(
 
 
 #: Total variation of 2 pi^2 sin(pi x1) cos(pi x2), i.e. the integral of the
-#: Euclidean gradient norm over the unit square; evaluated by adaptive
-#: quadrature at build time and pinned by the test suite.
-@lru_cache(maxsize=1)
-def reference_profile_tv() -> float:
-    gradient_norm = lambda y, x: 2.0 * np.pi**3 * np.sqrt(
-        np.cos(np.pi * x) ** 2 * np.cos(np.pi * y) ** 2
-        + np.sin(np.pi * x) ** 2 * np.sin(np.pi * y) ** 2
-    )
-    value, _ = integrate.dblquad(gradient_norm, 0.0, 1.0, 0.0, 1.0, epsabs=1e-11, epsrel=1e-11)
-    return value
+#: Euclidean gradient norm over the unit square, by adaptive quadrature
+#: (recomputed by the test suite).
+REFERENCE_PROFILE_TV = 42.01182591224323
 
 
 def build_generic_instance(
@@ -165,7 +156,7 @@ def build_generic_instance(
     TV(u_d) = 2; y_d = c sin(pi x1) cos(pi x2) solves -Laplace y_d = u_d and
     is plain data (it does not vanish on the whole boundary), f = 0.
     """
-    c = 2.0 / reference_profile_tv()
+    c = 2.0 / REFERENCE_PROFILE_TV
     u_d = project_p0(
         lambda x1, x2: 2.0 * c * np.pi**2 * np.sin(np.pi * x1) * np.cos(np.pi * x2),
         mesh,

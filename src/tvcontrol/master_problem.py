@@ -19,17 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .mesh_fem import (
     Forms,
-    Mesh,
     P0Field,
     P1ScalarField,
     P1VectorField,
     _p0_values,
     divergence_p1_to_p0,
 )
-from .sparse_linalg import BorderedSystem, SparseSymMatrix, solve_bordered, solve_spd
+from .sparse_linalg import solve_bordered
 
 
 @dataclass
@@ -51,15 +51,9 @@ def make_cutting_plane(phi: P1VectorField, forms: Forms, plane_id: int) -> Cutti
     return CuttingPlane(
         phi=phi,
         div_phi=divergence_p1_to_p0(forms.mesh, phi),
-        energy=forms.elasticity.energy(x),
+        energy=float(x @ (forms.elasticity @ x)),
         id=plane_id,
     )
-
-
-def plane_slack(plane: CuttingPlane, u, eps: float, mesh: Mesh) -> float:
-    """1 + (eps/2) energy - int u div_phi dx; nonnegative iff u is feasible."""
-    lhs = float(np.sum(mesh.cell_areas * _p0_values(u) * plane.div_phi.values))
-    return 1.0 + 0.5 * eps * plane.energy - lhs
 
 
 @dataclass
@@ -78,30 +72,25 @@ class MasterSolution:
 class MasterOperator:
     """Caches the plane-independent blocks (and their factorization) per instance."""
 
-    def __init__(self, instance, forms: Forms, alpha: float | None = None):
+    def __init__(self, instance, forms: Forms):
         self.forms = forms
-        self.instance = instance
-        self.alpha = instance.alpha if alpha is None else alpha
-        if self.alpha <= 0.0:
-            raise ValueError(f"Tikhonov parameter must be positive, got {self.alpha}")
+        self.alpha = instance.alpha
 
-        interior = forms.interior_nodes
-        self._m_in = forms.mass_interior
-        self._m_ii = self._m_in[:, interior].tocsr()
+        m_in = forms.mass_interior
+        m_ii = m_in[:, forms.interior_nodes].tocsr()
         self._b_in = forms.load_interior
         coupled = self._b_in @ sp.diags(1.0 / forms.areas) @ self._b_in.T
         coupled = ((coupled + coupled.T) * 0.5).tocsr()
-        base = sp.bmat(
-            [[-self._m_ii, forms.stiffness], [forms.stiffness, coupled / self.alpha]],
+        self.base = sp.bmat(
+            [[-m_ii, forms.stiffness], [forms.stiffness, coupled / self.alpha]],
             format="csr",
         )
-        self.base = SparseSymMatrix(base, check=False)
+        self.factor = spla.splu(self.base.tocsc())
 
         self._u_d = _p0_values(instance.u_d)
-        self._f = _p0_values(instance.f)
         self._y_d = instance.y_d.values
         self.rhs0 = np.concatenate(
-            [-(self._m_in @ self._y_d), self._b_in @ (self._u_d + self._f)]
+            [-(m_in @ self._y_d), self._b_in @ (self._u_d + _p0_values(instance.f))]
         )
 
     def solve(
@@ -138,13 +127,14 @@ class MasterOperator:
         for _ in range(max_iterations):
             iterations += 1
             idx = np.flatnonzero(active)
-            system = BorderedSystem(
-                base=self.base,
-                border=border_full[:, idx],
-                border_block=-(div[idx] * areas) @ div[idx].T / alpha if idx.size else None,
-                ids=np.array([planes[i].id for i in idx]),
+            xy, mu_act = solve_bordered(
+                self.base,
+                self.factor,
+                border_full[:, idx],
+                -(div[idx] * areas) @ div[idx].T / alpha,
+                np.concatenate([self.rhs0, g_full[idx]]),
+                ids=[planes[i].id for i in idx],
             )
-            xy, mu_act = solve_bordered(system, np.concatenate([self.rhs0, g_full[idx]]))
             y_full = forms.full_scalar_field(xy[:n_i])
             p_full = forms.full_scalar_field(xy[n_i:])
             mu = np.zeros(k)
@@ -186,43 +176,3 @@ class MasterOperator:
         du = _p0_values(u) - self._u_d
         return tracking + 0.5 * self.alpha * float(np.sum(self.forms.areas * du * du))
 
-
-def solve_master(
-    planes: list[CuttingPlane],
-    instance,
-    eps: float,
-    alpha: float | None = None,
-    warm_start: MasterSolution | None = None,
-    forms: Forms | None = None,
-    max_iterations: int = 100,
-) -> MasterSolution:
-    """One-shot solve of the relaxed problem; see MasterOperator for the loop-friendly form."""
-    from .mesh_fem import build_forms
-
-    if forms is None:
-        forms = build_forms(instance.mesh)
-    op = MasterOperator(instance, forms, alpha=alpha)
-    return op.solve(planes, eps, warm_start=warm_start, max_iterations=max_iterations)
-
-
-def reduced_objective(u, instance, forms: Forms) -> float:
-    """J(u) via a state solve: tracking term plus control penalty."""
-    y = solve_state(u, instance, forms)
-    du = _p0_values(u) - _p0_values(instance.u_d)
-    diff = y.values - instance.y_d.values
-    tracking = 0.5 * float(diff @ (forms.mass_p1 @ diff))
-    return tracking + 0.5 * instance.alpha * float(np.sum(forms.areas * du * du))
-
-
-def solve_state(u, instance, forms: Forms) -> P1ScalarField:
-    rhs = forms.load_interior @ (_p0_values(u) + _p0_values(instance.f))
-    return forms.full_scalar_field(solve_spd(forms.stiffness, rhs))
-
-
-def reduced_gradient(u, instance, forms: Forms) -> P0Field:
-    """Gradient density alpha (u - u_d) + p of the reduced objective (two Poisson solves)."""
-    y = solve_state(u, instance, forms)
-    adjoint_rhs = forms.mass_interior @ (y.values - instance.y_d.values)
-    p = forms.full_scalar_field(solve_spd(forms.stiffness, adjoint_rhs))
-    p_bar = forms.cell_average @ p.values
-    return P0Field(instance.alpha * (_p0_values(u) - _p0_values(instance.u_d)) + p_bar)

@@ -18,6 +18,10 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
+#: Young's modulus and Poisson ratio of the elasticity energy form
+YOUNGS_MODULUS = 2900.0
+POISSON_RATIO = 0.4
+
 
 @dataclass(frozen=True)
 class InteriorEdges:
@@ -210,11 +214,6 @@ def assemble_mass_p1(mesh: Mesh) -> sp.csr_matrix:
     return _symmetrized_csr(rows, cols, data, (mesh.n_nodes, mesh.n_nodes))
 
 
-def assemble_mass_p0(mesh: Mesh) -> np.ndarray:
-    """Diagonal of the P0 mass matrix: the cell areas."""
-    return mesh.cell_areas.copy()
-
-
 def assemble_p0_p1_coupling(mesh: Mesh) -> sp.csr_matrix:
     """Map P0 coefficients to the P1 load vector: B[v, T] = integral of basis_v over T.
 
@@ -227,38 +226,16 @@ def assemble_p0_p1_coupling(mesh: Mesh) -> sp.csr_matrix:
     return sp.coo_matrix((data, (rows, cols)), shape=(mesh.n_nodes, mesh.n_cells)).tocsr()
 
 
-@dataclass(frozen=True)
-class ElasticityForm:
+def assemble_elasticity(mesh: Mesh) -> sp.csr_matrix:
     """Linear elasticity energy a[phi, psi] = int sym_grad(phi) : C sym_grad(psi) dx.
 
     C is the isotropic Lame tensor, C eps = 2 mu eps + lam tr(eps) I, with
-    mu = E / (2 (1 + nu)) and lam = E nu / ((1 + nu) (1 - 2 nu)). ``matrix``
-    is the assembled operator on interior vector degrees of freedom
-    (node-major: dof 2q and 2q+1 belong to the q-th interior node).
+    mu = E / (2 (1 + nu)) and lam = E nu / ((1 + nu) (1 - 2 nu)) for
+    E = YOUNGS_MODULUS and nu = POISSON_RATIO. The operator acts on all
+    vector dofs (node-major: dof 2q and 2q+1 belong to node q), so rigid
+    translations lie in its kernel.
     """
-
-    E: float
-    nu: float
-    mu: float
-    lam: float
-    matrix: sp.csr_matrix
-
-    def energy(self, x: np.ndarray) -> float:
-        """a[phi, phi] for the interior dof vector x of a boundary-vanishing field."""
-        x = np.asarray(x, dtype=float).ravel()
-        return float(x @ (self.matrix @ x))
-
-
-def assemble_elasticity(
-    mesh: Mesh, E: float = 2900.0, nu: float = 0.4, reduce: bool = True
-) -> ElasticityForm:
-    """Assemble the elasticity form, reduced to interior vector dofs.
-
-    With ``reduce=False`` the operator keeps all nodes (rigid translations
-    then lie in its kernel); the reduced operator is positive definite.
-    """
-    if not 0.0 < nu < 0.5:
-        raise ValueError(f"shear module must lie in (0, 0.5), got nu={nu}")
+    E, nu = YOUNGS_MODULUS, POISSON_RATIO
     mu = E / (2.0 * (1.0 + nu))
     lam = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
 
@@ -272,18 +249,7 @@ def assemble_elasticity(
     dofs = (2 * mesh.triangles[:, :, None] + np.arange(2)).reshape(-1, 6)
     rows = np.repeat(dofs, 6, axis=1).ravel()
     cols = np.tile(dofs, (1, 6)).ravel()
-    full = _symmetrized_csr(rows, cols, local.ravel(), (2 * mesh.n_nodes, 2 * mesh.n_nodes))
-
-    matrix = full
-    if reduce:
-        vec_dofs = _interior_vector_dofs(mesh)
-        matrix = full[np.ix_(vec_dofs, vec_dofs)].tocsr()
-    return ElasticityForm(E=E, nu=nu, mu=mu, lam=lam, matrix=matrix)
-
-
-def _interior_vector_dofs(mesh: Mesh) -> np.ndarray:
-    ii = mesh.interior_nodes
-    return np.column_stack([2 * ii, 2 * ii + 1]).ravel()
+    return _symmetrized_csr(rows, cols, local.ravel(), (2 * mesh.n_nodes, 2 * mesh.n_nodes))
 
 
 def divergence_p1_to_p0(mesh: Mesh, phi: P1VectorField) -> P0Field:
@@ -369,7 +335,7 @@ class Forms:
     mass_interior: sp.csr_matrix     # interior rows x all nodes
     load_interior: sp.csr_matrix     # interior nodes x cells: int u * basis dx
     cell_average: sp.csr_matrix      # cells x all nodes: P1 -> cell mean
-    elasticity: ElasticityForm       # interior vector dofs
+    elasticity: sp.csr_matrix        # interior vector dofs (node-major), SPD
     divergence: sp.csr_matrix        # cells x (2 * n_interior)
     areas: np.ndarray
 
@@ -396,13 +362,10 @@ class Forms:
         """Vector b with b_j = int u * div(basis_j) dx over interior vector dofs."""
         return self.divergence.T @ (self.areas * _p0_values(u))
 
-    def integrate_u_div(self, u, x: np.ndarray) -> float:
-        """int u * div(phi) dx for interior dof vector x."""
-        return float(self.dual_load(u) @ x)
 
-
-def build_forms(mesh: Mesh, E: float = 2900.0, nu: float = 0.4) -> Forms:
+def build_forms(mesh: Mesh) -> Forms:
     interior = mesh.interior_nodes
+    vector_dofs = np.column_stack([2 * interior, 2 * interior + 1]).ravel()
     stiffness_full = assemble_stiffness(mesh)
     mass_p1 = assemble_mass_p1(mesh)
     coupling = assemble_p0_p1_coupling(mesh)
@@ -434,7 +397,7 @@ def build_forms(mesh: Mesh, E: float = 2900.0, nu: float = 0.4) -> Forms:
         mass_interior=mass_p1[interior].tocsr(),
         load_interior=coupling[interior].tocsr(),
         cell_average=cell_average,
-        elasticity=assemble_elasticity(mesh, E=E, nu=nu),
+        elasticity=assemble_elasticity(mesh)[np.ix_(vector_dofs, vector_dofs)].tocsr(),
         divergence=divergence,
         areas=mesh.cell_areas.copy(),
     )

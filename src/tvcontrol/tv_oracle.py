@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh_fem import Forms, Mesh, P1VectorField, _p0_values
-from .sparse_linalg import SparseSymMatrix, solve_spd
+from .sparse_linalg import solve_spd
 
 
 @dataclass
@@ -97,7 +97,7 @@ def eval_tv_eps(
             residual=0.0,
         )
 
-    a_mat = forms.elasticity.matrix
+    a_mat = forms.elasticity
     b = forms.dual_load(u)
 
     if warm_start is not None:
@@ -190,8 +190,7 @@ def _newton_step(a_mat, b, eps, x, lam, active):
         (tangent, np.cumsum(kept) - kept, np.arange(x.size + 1)),
         shape=(x.size, np.count_nonzero(kept)),
     )
-    reduced = SparseSymMatrix((z.T @ h @ z).tocsr(), check=False)
-    x_new = x_fixed + z @ solve_spd(reduced, z.T @ (rhs - h @ x_fixed))
+    x_new = x_fixed + z @ solve_spd((z.T @ h @ z).tocsr(), z.T @ (rhs - h @ x_fixed))
 
     lam_new = np.zeros_like(lam)
     radial_rows = (rhs - h @ x_new).reshape(-1, 2)[idx]
@@ -209,13 +208,6 @@ def _kkt_residual(a_mat, b, eps, x, lam, active, norms2):
     if inactive.any():
         res = max(res, float(max(0.0, (norms2[inactive] - 1.0).max())))
     return res
-
-
-def dual_objective(u, phi, eps: float, forms: Forms) -> float:
-    """The regularized dual objective -(eps/2) a[phi, phi] + int u div(phi) dx."""
-    x = forms.interior_vector(phi) if isinstance(phi, P1VectorField) else np.asarray(phi)
-    energy = forms.elasticity.energy(x)
-    return -0.5 * eps * energy + forms.integrate_u_div(u, x)
 
 
 def discrete_tv(u, mesh: Mesh) -> float:
@@ -254,6 +246,6 @@ def tv_upper_bound(u, result: OracleResult, eps: float, forms: Forms) -> float:
     """
     lam = np.maximum(result.ball_state.multipliers, 0.0)
     b = forms.dual_load(u)
-    h = (eps * forms.elasticity.matrix + sp.diags(np.repeat(2.0 * lam, 2))).tocsr()
-    x = solve_spd(SparseSymMatrix(h, check=False), b)
+    h = (eps * forms.elasticity + sp.diags(np.repeat(2.0 * lam, 2))).tocsr()
+    x = solve_spd(h, b)
     return float(lam.sum() + 0.5 * (b @ x))

@@ -4,8 +4,10 @@ Everything here deliberately avoids the code paths under test: dense
 Gaussian elimination instead of sparse factorizations, projected gradient
 ascent instead of the active-set iteration, the full dense saddle system
 instead of the oracle's null-space reduction, active-set enumeration on
-dense KKT systems instead of the bordered solver, and a dictionary walk
-over the triangles instead of the vectorized interior-edge construction.
+dense KKT systems instead of the bordered solver, a dictionary walk
+over the triangles instead of the vectorized interior-edge construction,
+and the reduced objective and gradient by separate state and adjoint
+solves instead of the master's coupled KKT elimination.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from tvcontrol.mesh_fem import Forms, _p0_values
+from tvcontrol.mesh_fem import Forms, P0Field, P1ScalarField, P1VectorField, _p0_values
+from tvcontrol.sparse_linalg import solve_spd
 
 
 def dense_gaussian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -54,7 +57,7 @@ def projected_ascent_tv(u, eps: float, forms: Forms, iterations: int = 100_000) 
     Step size 1/L with L the operator norm of eps*A; the feasible set is the
     product of nodal unit balls.
     """
-    a = forms.elasticity.matrix.toarray()
+    a = forms.elasticity.toarray()
     b = forms.dual_load(u)
     step = 1.0 / (eps * np.linalg.eigvalsh(a).max())
     x = np.zeros(b.size)
@@ -159,3 +162,38 @@ def dense_qp_active_set_enumeration(hessian, grad, g_rows, h, tol: float = 1e-10
     if best is None:
         raise RuntimeError("no feasible active set found")
     return best
+
+
+def plane_slack(plane, u, eps: float, mesh) -> float:
+    """1 + (eps/2) energy - int u div_phi dx; nonnegative iff u is feasible."""
+    lhs = float(np.sum(mesh.cell_areas * _p0_values(u) * plane.div_phi.values))
+    return 1.0 + 0.5 * eps * plane.energy - lhs
+
+
+def dual_objective(u, phi, eps: float, forms: Forms) -> float:
+    """The regularized dual objective -(eps/2) a[phi, phi] + int u div(phi) dx."""
+    x = forms.interior_vector(phi) if isinstance(phi, P1VectorField) else np.asarray(phi)
+    return -0.5 * eps * float(x @ (forms.elasticity @ x)) + float(forms.dual_load(u) @ x)
+
+
+def solve_state(u, instance, forms: Forms) -> P1ScalarField:
+    rhs = forms.load_interior @ (_p0_values(u) + _p0_values(instance.f))
+    return forms.full_scalar_field(solve_spd(forms.stiffness, rhs))
+
+
+def reduced_objective(u, instance, forms: Forms) -> float:
+    """J(u) via a state solve: tracking term plus control penalty."""
+    y = solve_state(u, instance, forms)
+    du = _p0_values(u) - _p0_values(instance.u_d)
+    diff = y.values - instance.y_d.values
+    tracking = 0.5 * float(diff @ (forms.mass_p1 @ diff))
+    return tracking + 0.5 * instance.alpha * float(np.sum(forms.areas * du * du))
+
+
+def reduced_gradient(u, instance, forms: Forms) -> P0Field:
+    """Gradient density alpha (u - u_d) + p of the reduced objective (two Poisson solves)."""
+    y = solve_state(u, instance, forms)
+    adjoint_rhs = forms.mass_interior @ (y.values - instance.y_d.values)
+    p = forms.full_scalar_field(solve_spd(forms.stiffness, adjoint_rhs))
+    p_bar = forms.cell_average @ p.values
+    return P0Field(instance.alpha * (_p0_values(u) - _p0_values(instance.u_d)) + p_bar)

@@ -4,14 +4,23 @@ inconsistency (see notes in the repository root README); its assertions are
 stated faithfully and left to fail rather than being loosened.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import dense_master_qp, dense_qp_active_set_enumeration, projected_ascent_tv
+import tvcontrol
+from oracles import (
+    dense_master_qp,
+    dense_qp_active_set_enumeration,
+    projected_ascent_tv,
+    reduced_gradient,
+    reduced_objective,
+)
 from tvcontrol.driver import TOLERANCE_MET, SolverConfig, run_outer_approximation
 from tvcontrol.instances import (
     ProblemInstance,
@@ -20,12 +29,7 @@ from tvcontrol.instances import (
     psi,
     psi_prime,
 )
-from tvcontrol.master_problem import (
-    make_cutting_plane,
-    reduced_gradient,
-    reduced_objective,
-    solve_master,
-)
+from tvcontrol.master_problem import MasterOperator, make_cutting_plane
 from tvcontrol.mesh_fem import P0Field, P1ScalarField, build_forms, build_friedrichs_keller
 from tvcontrol.tv_oracle import discrete_tv, eval_tv_eps
 
@@ -163,8 +167,8 @@ def test_criterion_4_oracle_property_suite():
                 d = forms.interior_vector(by_eps[1e-5].phi) - forms.interior_vector(
                     r_prev.phi
                 )
-                lhs = 1e-5 * forms.elasticity.energy(d)
-                rhs = forms.integrate_u_div(P0Field(u.values - prev), d)
+                lhs = 1e-5 * float(d @ (forms.elasticity @ d))
+                rhs = float(forms.dual_load(P0Field(u.values - prev)) @ d)
                 if lhs > rhs + 1e-9:
                     failures.append((n, seed, "lipschitz"))
     ok = _report_line(4, not failures, f"violations={failures[:5] if failures else 'none'}")
@@ -210,7 +214,7 @@ def test_criterion_6_master_certificates():
             )
             for pid in range(2)
         ]
-        sol = solve_master(planes, instance, eps, forms=forms)
+        sol = MasterOperator(instance, forms).solve(planes, eps)
         assert sol.converged
         grad = reduced_gradient(sol.u, instance, forms).values.copy()
         slacks = []
@@ -286,8 +290,12 @@ def test_criterion_7_exact_construction():
 
 def test_criterion_8_cli_determinism():
     cmd = [sys.executable, "-m", "tvcontrol.cli", "--instance", "exact", "--output", "csv"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    # the subprocess imports the package under test, installed or not
+    src = str(Path(tvcontrol.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=env)
     lines = first.stdout.decode().splitlines()
     shape_ok = lines[0] == "k,eps,J,it_P,it_Q,tv_eps,tv_lb,err,eoc" and len(lines) == 9
     ok = _report_line(

@@ -21,6 +21,13 @@ def test_invalid_n_exits_one(capsys):
     assert exc.value.code == 1
 
 
+def test_negative_depth_exits_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--depth", "-1"])
+    assert exc.value.code == 1
+    assert "subdivision_depth" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["--frobnicate"])

@@ -29,6 +29,22 @@ def test_config_validation():
         SolverConfig(n=0)
 
 
+def test_config_rejects_zero_master_iterations():
+    with pytest.raises(ValueError, match="max_master_iterations"):
+        SolverConfig(n=4, max_master_iterations=0)
+
+
+def test_config_rejects_zero_oracle_iterations():
+    with pytest.raises(ValueError, match="max_oracle_iterations"):
+        SolverConfig(n=4, max_oracle_iterations=0)
+
+
+def test_config_rejects_negative_subdivision_depth():
+    with pytest.raises(ValueError, match="subdivision_depth"):
+        SolverConfig(subdivision_depth=-3)
+    assert SolverConfig(subdivision_depth=0).subdivision_depth == 0
+
+
 def _records(errs, epss):
     return [
         IterationRecord(

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from tvcontrol.instances import (
     BALL_PERIMETER,
+    REFERENCE_PROFILE_TV,
     ProblemInstance,
     build_exact_instance,
     build_generic_instance,
@@ -14,14 +16,13 @@ from tvcontrol.instances import (
     exact_u_bar,
     psi,
     psi_prime,
-    reference_profile_tv,
 )
 from tvcontrol.mesh_fem import P0Field, P1ScalarField, build_friedrichs_keller, project_p0
 from tvcontrol.tv_oracle import discrete_tv
 
 # total variation of 2 pi^2 sin(pi x1) cos(pi x2); adaptive quadrature against
 # composite Gauss-Legendre agreed to ~1e-10
-REFERENCE_PROFILE_TV = 42.011825912243
+GOLDEN_PROFILE_TV = 42.011825912243
 
 KNOTS = (3.0 / 16.0, 0.25, 5.0 / 16.0)
 
@@ -156,7 +157,13 @@ def test_exact_state_fields(exact50):
 
 
 def test_reference_profile_tv_golden():
-    assert reference_profile_tv() == pytest.approx(REFERENCE_PROFILE_TV, abs=1e-8)
+    gradient_norm = lambda y, x: 2.0 * np.pi**3 * np.sqrt(
+        np.cos(np.pi * x) ** 2 * np.cos(np.pi * y) ** 2
+        + np.sin(np.pi * x) ** 2 * np.sin(np.pi * y) ** 2
+    )
+    value, _ = integrate.dblquad(gradient_norm, 0.0, 1.0, 0.0, 1.0, epsabs=1e-11, epsrel=1e-11)
+    assert REFERENCE_PROFILE_TV == pytest.approx(value, abs=1e-8)
+    assert REFERENCE_PROFILE_TV == pytest.approx(GOLDEN_PROFILE_TV, abs=1e-8)
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +174,7 @@ def generic50():
 
 def test_generic_eigenfunction_identity():
     # -Laplace(c sin(pi x1) cos(pi x2)) equals the desired control analytically
-    c = 2.0 / reference_profile_tv()
+    c = 2.0 / REFERENCE_PROFILE_TV
     rng = np.random.default_rng(2)
     for x, y in rng.uniform(0.05, 0.95, size=(50, 2)):
         lap = -2.0 * np.pi**2 * c * np.sin(np.pi * x) * np.cos(np.pi * y)
@@ -181,8 +188,8 @@ def test_generic_control_statistics(generic50):
     assert np.sum(mesh.cell_areas * inst.u_d.values) == pytest.approx(0.0, abs=1e-12)
     # continuous TV(u_d) = c * TV(profile) = 2 exactly by construction; the
     # edge-jump TV of the projection sees the mesh anisotropy instead
-    c = 2.0 / reference_profile_tv()
-    assert c * reference_profile_tv() == pytest.approx(2.0, abs=1e-14)
+    c = 2.0 / REFERENCE_PROFILE_TV
+    assert c * REFERENCE_PROFILE_TV == pytest.approx(2.0, abs=1e-14)
     staircase = discrete_tv(inst.u_d, mesh)
     assert 2.5 <= staircase <= 3.0
 

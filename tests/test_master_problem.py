@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import dense_master_qp, dense_qp_active_set_enumeration
-from tvcontrol.instances import ProblemInstance
-from tvcontrol.master_problem import (
-    MasterOperator,
-    make_cutting_plane,
+from oracles import (
+    dense_master_qp,
+    dense_qp_active_set_enumeration,
     plane_slack,
     reduced_gradient,
     reduced_objective,
-    solve_master,
 )
+from tvcontrol.instances import ProblemInstance
+from tvcontrol.master_problem import MasterOperator, make_cutting_plane
 from tvcontrol.mesh_fem import P0Field, P1ScalarField, build_forms, build_friedrichs_keller
 from tvcontrol.sparse_linalg import SingularBorderError
 from tvcontrol.tv_oracle import eval_tv_eps
@@ -42,7 +41,7 @@ def _plane_from(u_values, forms, eps, plane_id):
 
 def test_zero_instance_is_stationary(tiny):
     mesh, forms = tiny
-    sol = solve_master([], _instance(mesh, np.zeros(mesh.n_cells)), 1e-5, forms=forms)
+    sol = MasterOperator(_instance(mesh, np.zeros(mesh.n_cells)), forms).solve([], 1e-5)
     assert sol.converged
     assert sol.objective == pytest.approx(0.0, abs=1e-15)
     assert np.abs(sol.u.values).max() == 0.0
@@ -82,7 +81,7 @@ def test_multiple_planes_match_enumeration(tiny):
             _plane_from(8.0 * rng.standard_normal(mesh.n_cells), forms, eps, pid)
             for pid in range(3)
         ]
-        sol = solve_master(planes, inst, eps, forms=forms)
+        sol = MasterOperator(inst, forms).solve(planes, eps)
         assert sol.converged
         hess, grad, g_rows, h = dense_master_qp(inst, forms, planes, eps)
         _, u_ref, _, _ = dense_qp_active_set_enumeration(hess, grad, g_rows, h)
@@ -214,16 +213,10 @@ def test_duplicate_planes_fail_loudly(tiny):
     rng = np.random.default_rng(9)
     inst = _instance(mesh, 10.0 * rng.standard_normal(mesh.n_cells))
     eps = 1e-4
-    free = solve_master([], inst, eps, forms=forms)
+    op = MasterOperator(inst, forms)
+    free = op.solve([], eps)
     plane = _plane_from(free.u.values, forms, eps, 0)
     assert plane_slack(plane, free.u, eps, mesh) < 0
     twin = make_cutting_plane(plane.phi, forms, 1)
     with pytest.raises(SingularBorderError):
-        solve_master([plane, twin], inst, eps, forms=forms)
-
-
-def test_alpha_must_be_positive(tiny):
-    mesh, forms = tiny
-    inst = _instance(mesh, np.zeros(mesh.n_cells))
-    with pytest.raises(ValueError):
-        MasterOperator(inst, forms, alpha=0.0)
+        op.solve([plane, twin], eps)
