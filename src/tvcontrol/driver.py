@@ -156,8 +156,9 @@ def run_outer_approximation(
     ``inner_failure`` exit sets ``RunReport.failure`` to a message naming
     the solver, the outer iteration, eps, the steps taken and the final
     residual. Raises
-    ValueError when ``config.n`` or ``config.alpha`` disagrees with the
-    instance, since the report echoes the config.
+    ValueError when ``config.n``, ``config.alpha`` or
+    ``config.subdivision_depth`` disagrees with the instance, since the
+    report echoes the config.
     """
     mesh = instance.mesh
     if config.n != mesh.n:
@@ -165,6 +166,11 @@ def run_outer_approximation(
     if config.alpha != instance.alpha:
         raise ValueError(
             f"config.alpha = {config.alpha} but the instance has alpha = {instance.alpha}"
+        )
+    if config.subdivision_depth != instance.subdivision_depth:
+        raise ValueError(
+            f"config.subdivision_depth = {config.subdivision_depth} but the instance "
+            f"was built with subdivision_depth = {instance.subdivision_depth}"
         )
     if forms is None:
         forms = build_forms(mesh)

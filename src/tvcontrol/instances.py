@@ -33,6 +33,7 @@ class ProblemInstance:
     y_d: P1ScalarField
     reference_u: P0Field | None
     label: str
+    subdivision_depth: int  # quadrature depth of the P0 projections
 
     def __post_init__(self):
         if self.alpha <= 0.0:
@@ -138,6 +139,7 @@ def build_exact_instance(
         y_d=y_d,
         reference_u=u_bar,
         label="exact",
+        subdivision_depth=subdivision_depth,
     )
 
 
@@ -173,4 +175,5 @@ def build_generic_instance(
         y_d=y_d,
         reference_u=None,
         label="generic",
+        subdivision_depth=subdivision_depth,
     )

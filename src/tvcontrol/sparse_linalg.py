@@ -1,17 +1,19 @@
 """Deterministic sparse linear algebra for the solvers.
 
-Direct factorizations only: SuperLU in symmetric mode doubles as a Cholesky
-equivalent for positive definite systems (static diagonal pivoting exposes
-pivot signs) and serves the TV oracle's reduced Newton steps and its
-duality certificate. The master problem's bordered KKT systems reuse one
-pivoted LU of their symmetric indefinite base [[-M, K], [K, B/alpha]],
-factored once per run. Every solve is checked against its residual bound.
+Direct factorizations only. The TV oracle's reduced Newton steps and its
+duality certificate solve symmetric positive definite systems by LAPACK's
+banded Cholesky (dpbtrf/dpbtrs): the interior dofs are numbered node-major,
+row by row, so these matrices have a bandwidth of about 2n + 1 in their
+natural order and need no reordering. The master problem's bordered KKT
+systems reuse one SuperLU factorization of their symmetric indefinite base
+[[-M, K], [K, B/alpha]], factored once per run. Every solve is checked
+against its residual bound.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.linalg as spla
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -25,25 +27,31 @@ class SingularBorderError(ValueError):
 def solve_spd(matrix, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for a symmetric positive definite sparse (CSR) matrix A.
 
-    Deterministic direct factorization with a fixed fill-reducing ordering;
-    fails on any nonpositive pivot, and the residual must satisfy
-    ||A x - b||_inf <= 1e-10 (1 + ||b||_inf).
+    Deterministic banded Cholesky in the given order, from the lower
+    triangle of A (duplicate entries are summed); its band is as wide as
+    the farthest nonzero from the diagonal, 2n + 1 for the node-major
+    numbering of the interior dofs. Fails on a nonpositive leading minor,
+    and the residual must satisfy ||A x - b||_inf <= 1e-10 (1 + ||b||_inf).
     """
     b = np.asarray(b, dtype=float)
-    if matrix.shape[0] == 0:
+    size = matrix.shape[0]
+    if size == 0:
         return np.zeros_like(b)
+    coo = matrix.tocoo()
+    lower = coo.row >= coo.col
+    cols = coo.col[lower].astype(np.intp)
+    offsets = coo.row[lower] - cols
+    width = int(offsets.max(initial=0))
+    # LAPACK lower band storage band[i - j, j] = A[i, j], laid out column-major
+    # so that the factorization overwrites it in place
+    band = np.bincount(
+        cols * (width + 1) + offsets, weights=coo.data[lower], minlength=size * (width + 1)
+    ).reshape(size, width + 1).T
     try:
-        factor = spla.splu(
-            matrix.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
-    except RuntimeError as exc:  # singular factor
+        factor = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:  # nonpositive leading minor
         raise NotPositiveDefiniteError(str(exc)) from exc
-    if np.any(factor.U.diagonal() <= 0.0):
-        raise NotPositiveDefiniteError("nonpositive pivot encountered")
-    x = factor.solve(b)
+    x = cho_solve_banded((factor, True), b, check_finite=False)
     residual = np.abs(matrix @ x - b).max(initial=0.0)
     bound = 1e-10 * (1.0 + np.abs(b).max(initial=0.0))
     if not residual <= bound:

@@ -202,6 +202,7 @@ def test_criterion_6_master_certificates():
             y_d=P1ScalarField(rng.standard_normal(mesh.n_nodes)),
             reference_u=None,
             label="synthetic",
+            subdivision_depth=4,
         )
         eps = 1e-4
         planes = [

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tvcontrol
 from tvcontrol import cli
 from tvcontrol.cli import main
 from tvcontrol.driver import INNER_FAILURE, RunReport
@@ -91,3 +96,18 @@ def test_inner_failure_explained_on_stderr(capsys, monkeypatch):
     assert code == 2
     assert captured.out == CSV_HEADER + "\n"
     assert captured.err == f"tvcontrol: {message}\n"
+
+
+def test_csv_independent_of_blas_threads():
+    # at the default n = 50 the banded Cholesky takes LAPACK's blocked
+    # (BLAS-3) path, whose threading must not change a digit
+    cmd = [sys.executable, "-m", "tvcontrol.cli", "--instance", "exact"]
+    src = str(Path(tvcontrol.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        outputs.append(subprocess.run(cmd, capture_output=True, check=True, env=env).stdout)
+    assert outputs[0].startswith(CSV_HEADER.encode())
+    assert outputs[0] == outputs[1]

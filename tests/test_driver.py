@@ -92,6 +92,7 @@ def test_early_exit_with_feasible_unconstrained_optimum():
         y_d=P1ScalarField(np.full(mesh.n_nodes, 1e-3)),
         reference_u=None,
         label="mild",
+        subdivision_depth=4,
     )
     config = SolverConfig(n=4, eps_start=1e-5, eps_min=1e-5)
     report = run_outer_approximation(instance, config)
@@ -195,7 +196,9 @@ def test_cold_run_solves_each_oracle_call_directly_at_its_eps():
         assert b.rel_error == pytest.approx(a.rel_error, abs=1e-6)
 
 
-@pytest.mark.parametrize("field, value", [("n", 8), ("alpha", 2.0)])
+@pytest.mark.parametrize(
+    "field, value", [("n", 8), ("alpha", 2.0), ("subdivision_depth", 0)]
+)
 def test_config_must_match_instance(field, value):
     instance = build_exact_instance(build_friedrichs_keller(4))
     config = SolverConfig(**{"n": 4, field: value})

@@ -211,6 +211,7 @@ def test_instance_alpha_validated():
             y_d=P1ScalarField(np.zeros(mesh.n_nodes)),
             reference_u=None,
             label="bad",
+            subdivision_depth=4,
         )
 
 

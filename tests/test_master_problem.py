@@ -24,6 +24,7 @@ def _instance(mesh, u_d, y_d=None, f=None, alpha=1.0, reference=None):
         y_d=P1ScalarField(np.zeros(mesh.n_nodes) if y_d is None else y_d),
         reference_u=reference,
         label="test",
+        subdivision_depth=4,
     )
 
 
