@@ -7,10 +7,12 @@ The k-th relaxation minimizes
           int u div(phi_i) dx <= 1 + (eps/2) a[phi_i, phi_i],  i = 1..k,
 
 over P0 controls and P1 states. The control is eliminated analytically from
-the gradient equation p + alpha (u - u_d) + sum_i mu_i div(phi_i) = 0, so
-each active-set iteration solves one symmetric bordered system in
-(y, p, mu_active). Right-hand sides carry the current eps, so shrinking eps
-tightens every stored plane.
+the gradient equation p + alpha (u - u_d) + sum_i mu_i div(phi_i) = 0, which
+leaves a symmetric KKT system in (y, p) bordered by one column per plane.
+Its plane-free base is factored once per instance. Each solve makes one
+base solve for the data and every border column; the primal-dual active set
+over the planes then lives on the k x k Schur complement. Right-hand sides
+carry the current eps, so shrinking eps tightens every stored plane.
 """
 
 from __future__ import annotations
@@ -21,15 +23,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh_fem import (
-    Forms,
-    P0Field,
-    P1ScalarField,
-    P1VectorField,
-    _p0_values,
-    divergence_p1_to_p0,
-)
-from .sparse_linalg import solve_bordered
+from .mesh_fem import Forms, P0Field, P1ScalarField, P1VectorField, _p0_values
+
+#: the active set is optimal once it repeats and the KKT residual is at most this
+KKT_TOL = 1e-8
+
+
+class SingularBorderError(ValueError):
+    """The planes' Schur complement is singular (e.g. duplicated cutting planes)."""
 
 
 @dataclass
@@ -50,7 +51,7 @@ def make_cutting_plane(phi: P1VectorField, forms: Forms, plane_id: int) -> Cutti
     x = forms.interior_vector(phi)
     return CuttingPlane(
         phi=phi,
-        div_phi=divergence_p1_to_p0(forms.mesh, phi),
+        div_phi=P0Field(forms.divergence @ x),
         energy=float(x @ (forms.elasticity @ x)),
         id=plane_id,
     )
@@ -99,21 +100,36 @@ class MasterOperator:
         eps: float,
         warm_start: MasterSolution | None = None,
         max_iterations: int = 100,
-        tol: float = 1e-8,
     ) -> MasterSolution:
+        """Minimize the relaxation with ``planes`` by a primal-dual active-set method.
+
+        One base solve covers the data and every plane's border column; each
+        iteration then solves the Schur complement restricted to the active
+        planes and reclassifies a plane as active iff mu_i - slack_i > 0. It
+        stops once the active set repeats and the KKT residual is at most
+        KKT_TOL, or after ``max_iterations`` with ``converged=False``.
+        Raises SingularBorderError, naming the active plane ids, when that
+        Schur block is singular or the bordered residual exceeds
+        1e-9 (1 + ||rhs||_inf).
+        """
         forms = self.forms
         n_i = forms.n_interior
         k = len(planes)
         alpha = self.alpha
         areas = forms.areas
 
-        div = np.stack([p.div_phi.values for p in planes]) if k else np.zeros((0, forms.mesh.n_cells))
+        div = np.reshape([p.div_phi.values for p in planes], (k, forms.mesh.n_cells))
         energies = np.array([p.energy for p in planes])
         rhs_targets = 1.0 + 0.5 * eps * energies                     # per-plane bound
-        border_full = np.zeros((2 * n_i, k))
-        if k:
-            border_full[n_i:] = -(self._b_in @ div.T) / alpha
-        g_full = rhs_targets - div @ (areas * self._u_d)
+        border = np.zeros((2 * n_i, k))
+        border[n_i:] = -(self._b_in @ div.T) / alpha
+        block = -(div * areas) @ div.T / alpha
+        g = rhs_targets - div @ (areas * self._u_d)
+
+        solved = self.factor.solve(np.column_stack([self.rhs0, border]))
+        x0, xc = solved[:, 0], solved[:, 1:]
+        schur = block - border.T @ xc
+        r = g - border.T @ x0
 
         active = np.zeros(k, dtype=bool)
         if warm_start is not None:
@@ -127,32 +143,37 @@ class MasterOperator:
         for _ in range(max_iterations):
             iterations += 1
             idx = np.flatnonzero(active)
-            xy, mu_act = solve_bordered(
-                self.base,
-                self.factor,
-                border_full[:, idx],
-                -(div[idx] * areas) @ div[idx].T / alpha,
-                np.concatenate([self.rhs0, g_full[idx]]),
-                ids=[planes[i].id for i in idx],
+            ids = [planes[i].id for i in idx]
+            try:
+                mu_act = np.linalg.solve(schur[np.ix_(idx, idx)], r[idx])
+            except np.linalg.LinAlgError as exc:
+                raise SingularBorderError(f"cutting planes {ids}") from exc
+            xy = x0 - xc[:, idx] @ mu_act
+            border_act, block_act = border[:, idx], block[np.ix_(idx, idx)]
+            res = max(
+                np.abs(self.base @ xy + border_act @ mu_act - self.rhs0).max(initial=0.0),
+                np.abs(border_act.T @ xy + block_act @ mu_act - g[idx]).max(initial=0.0),
             )
+            bound = 1e-9 * (1.0 + np.abs(np.concatenate([self.rhs0, g[idx]])).max(initial=0.0))
+            if not res <= bound:
+                raise SingularBorderError(
+                    f"bordered solve residual {res:.3e} exceeds bound {bound:.3e}; "
+                    f"cutting planes {ids}"
+                )
+
             y_full = forms.full_scalar_field(xy[:n_i])
             p_full = forms.full_scalar_field(xy[n_i:])
             mu = np.zeros(k)
             mu[idx] = mu_act
 
             p_bar = forms.cell_average @ p_full.values
-            u = self._u_d - (p_bar + (mu @ div if k else 0.0)) / alpha
-            slack = rhs_targets - div @ (areas * u) if k else np.zeros(0)
+            u = self._u_d - (p_bar + mu @ div) / alpha
+            slack = rhs_targets - div @ (areas * u)
             active_next = (mu - slack) > 0.0
 
-            residual = 0.0
-            if k:
-                residual = max(
-                    float(max(0.0, -slack.min())),
-                    float(max(0.0, -mu.min())),
-                    float(np.abs(mu * slack).max()),
-                )
-            if np.array_equal(active_next, active) and residual <= tol:
+            # primal infeasibility, dual infeasibility and complementarity
+            residual = np.concatenate([-slack, -mu, np.abs(mu * slack)]).max(initial=0.0)
+            if np.array_equal(active_next, active) and residual <= KKT_TOL:
                 converged = True
                 break
             active = active_next

@@ -27,13 +27,11 @@ POISSON_RATIO = 0.4
 class InteriorEdges:
     """Edges shared by exactly two triangles.
 
-    ``cells[e] = (left, right)`` are the adjacent triangle indices,
-    ``normals[e]`` is the unit normal pointing from left to right.
+    ``cells[e] = (left, right)`` are the adjacent triangle indices.
     """
 
     cells: np.ndarray    # (m, 2) int
     lengths: np.ndarray  # (m,)
-    normals: np.ndarray  # (m, 2)
 
 
 @dataclass(frozen=True)
@@ -164,13 +162,7 @@ def _collect_interior_edges(nodes, triangles) -> InteriorEdges:
     ) // 3
 
     vec = nodes[pairs[:, 1]] - nodes[pairs[:, 0]]
-    lengths = np.hypot(vec[:, 0], vec[:, 1])
-    normals = np.column_stack([vec[:, 1], -vec[:, 0]]) / lengths[:, None]
-    centroids = nodes[triangles].mean(axis=1)
-    towards_right = centroids[cells[:, 1]] - centroids[cells[:, 0]]
-    flip = np.sum(normals * towards_right, axis=1) < 0
-    normals[flip] *= -1.0
-    return InteriorEdges(cells=cells, lengths=lengths, normals=normals)
+    return InteriorEdges(cells=cells, lengths=np.hypot(vec[:, 0], vec[:, 1]))
 
 
 def basis_gradients(mesh: Mesh) -> np.ndarray:
@@ -186,10 +178,17 @@ def basis_gradients(mesh: Mesh) -> np.ndarray:
     return grads
 
 
-def _symmetrized_csr(rows, cols, data, shape) -> sp.csr_matrix:
+def _summed_csr_without_zeros(rows, cols, data, shape) -> sp.csr_matrix:
+    """Sum the element contributions into CSR and drop entries that cancel to 0.0.
+
+    The stiffness couplings across square diagonals, for one, cancel exactly.
+    A stored zero would still count as structure: in SuperLU's fill-reducing
+    ordering and in the band width that ``solve_spd`` reads off the entries.
+    """
     m = sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
     m.sum_duplicates()
-    return (m + m.T) * 0.5
+    m.eliminate_zeros()
+    return m
 
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
@@ -202,7 +201,7 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     local = np.einsum("tad,tbd->tab", grads, grads) * mesh.cell_areas[:, None, None]
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    return _symmetrized_csr(rows, cols, local.ravel(), (mesh.n_nodes, mesh.n_nodes))
+    return _summed_csr_without_zeros(rows, cols, local.ravel(), (mesh.n_nodes, mesh.n_nodes))
 
 
 def assemble_mass_p1(mesh: Mesh) -> sp.csr_matrix:
@@ -211,7 +210,7 @@ def assemble_mass_p1(mesh: Mesh) -> sp.csr_matrix:
     data = (mesh.cell_areas[:, None, None] * local).ravel()
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    return _symmetrized_csr(rows, cols, data, (mesh.n_nodes, mesh.n_nodes))
+    return _summed_csr_without_zeros(rows, cols, data, (mesh.n_nodes, mesh.n_nodes))
 
 
 def assemble_p0_p1_coupling(mesh: Mesh) -> sp.csr_matrix:
@@ -249,19 +248,8 @@ def assemble_elasticity(mesh: Mesh) -> sp.csr_matrix:
     dofs = (2 * mesh.triangles[:, :, None] + np.arange(2)).reshape(-1, 6)
     rows = np.repeat(dofs, 6, axis=1).ravel()
     cols = np.tile(dofs, (1, 6)).ravel()
-    return _symmetrized_csr(rows, cols, local.ravel(), (2 * mesh.n_nodes, 2 * mesh.n_nodes))
-
-
-def divergence_p1_to_p0(mesh: Mesh, phi: P1VectorField) -> P0Field:
-    """Cellwise divergence of a P1 vector field (constant per triangle).
-
-    For boundary-vanishing fields the result satisfies the discrete
-    divergence identity: sum_T area_T * div|_T = 0.
-    """
-    vals = phi.values if isinstance(phi, P1VectorField) else np.asarray(phi, dtype=float)
-    grads = basis_gradients(mesh)
-    div = np.einsum("tad,tad->t", grads, vals[mesh.triangles])
-    return P0Field(div)
+    shape = (2 * mesh.n_nodes, 2 * mesh.n_nodes)
+    return _summed_csr_without_zeros(rows, cols, local.ravel(), shape)
 
 
 @lru_cache(maxsize=None)

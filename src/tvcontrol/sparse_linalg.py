@@ -1,13 +1,10 @@
-"""Deterministic sparse linear algebra for the solvers.
+"""Deterministic banded Cholesky solves for the TV oracle.
 
-Direct factorizations only. The TV oracle's reduced Newton steps and its
-duality certificate solve symmetric positive definite systems by LAPACK's
-banded Cholesky (dpbtrf/dpbtrs): the interior dofs are numbered node-major,
-row by row, so these matrices have a bandwidth of about 2n + 1 in their
-natural order and need no reordering. The master problem's bordered KKT
-systems reuse one SuperLU factorization of their symmetric indefinite base
-[[-M, K], [K, B/alpha]], factored once per run. Every solve is checked
-against its residual bound.
+The TV oracle's reduced Newton steps and its duality certificate solve
+symmetric positive definite systems by LAPACK's banded Cholesky
+(dpbtrf/dpbtrs): the interior dofs are numbered node-major, row by row, so
+these matrices have a bandwidth of about 2n + 1 in their natural order and
+need no reordering. Every solve is checked against its residual bound.
 """
 
 from __future__ import annotations
@@ -18,10 +15,6 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 class NotPositiveDefiniteError(ValueError):
     pass
-
-
-class SingularBorderError(ValueError):
-    """Schur complement of the border is singular (e.g. duplicated cutting planes)."""
 
 
 def solve_spd(matrix, b: np.ndarray) -> np.ndarray:
@@ -59,44 +52,3 @@ def solve_spd(matrix, b: np.ndarray) -> np.ndarray:
             f"solve residual {residual:.3e} exceeds bound {bound:.3e}"
         )
     return x
-
-
-def solve_bordered(base, factor, border, border_block, rhs, ids):
-    """Solve [[base, border], [border^T, border_block]] [x; mu] = rhs.
-
-    ``factor`` is a SuperLU factorization of the sparse symmetric invertible
-    ``base``; ``border`` holds one dense column per active constraint
-    multiplier, ``border_block`` the dense coupling between multipliers, and
-    ``ids`` labels the columns. Block elimination with a dense Schur
-    complement; rhs stacks the base right-hand side and one entry per border
-    column. Returns (primal, multipliers); raises SingularBorderError, naming
-    the ids, when the Schur complement is singular, which signals degenerate
-    or duplicated borders.
-    """
-    n, m = base.shape[0], border.shape[1]
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (n + m,):
-        raise ValueError(f"rhs must have length {n + m}, got {rhs.shape}")
-    b, g = rhs[:n], rhs[n:]
-
-    x0 = factor.solve(b)
-    if m == 0:
-        return x0, np.zeros(0)
-
-    xc = factor.solve(border)
-    schur = border_block - border.T @ xc
-    try:
-        mu = np.linalg.solve(schur, g - border.T @ x0)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBorderError(f"border columns {list(ids)}") from exc
-    x = x0 - xc @ mu
-
-    res_base = np.abs(base @ x + border @ mu - b).max(initial=0.0)
-    res_border = np.abs(border.T @ x + border_block @ mu - g).max(initial=0.0)
-    scale = 1.0 + np.abs(rhs).max(initial=0.0)
-    if not max(res_base, res_border) <= 1e-9 * scale:
-        raise SingularBorderError(
-            f"bordered solve residual {max(res_base, res_border):.3e} "
-            f"exceeds 1e-9 relative bound; border columns {list(ids)}"
-        )
-    return x, mu

@@ -24,6 +24,9 @@ import scipy.sparse as sp
 from .mesh_fem import Forms, Mesh, P1VectorField, _p0_values
 from .sparse_linalg import solve_spd
 
+#: the active set is optimal once it repeats and the KKT residual is at most this
+KKT_TOL = 1e-9
+
 
 @dataclass
 class BallConstraintState:
@@ -50,7 +53,6 @@ def eval_tv_eps(
     forms: Forms,
     warm_start: OracleResult | None = None,
     max_inner_iterations: int = 200,
-    tol: float = 1e-9,
 ) -> OracleResult:
     """Maximize the regularized dual objective by a primal-dual active-set method.
 
@@ -66,7 +68,7 @@ def eval_tv_eps(
     is not used: on the active set the linearized circle constraint leaves
     |phi_i|^2 - 1 = |phi_i - phi_hat_i|^2 >= 0, which would keep nodes whose
     multiplier has turned negative. Terminates once the active set repeats
-    and the KKT residual drops below ``tol``; ties (|phi_i| = 1, lambda_i = 0)
+    and the KKT residual drops to KKT_TOL; ties (|phi_i| = 1, lambda_i = 0)
     deactivate. Returns ``converged=False`` when the iteration cap is hit.
     Without ``warm_start`` the iteration starts from phi = 0 with no active
     node, directly at ``eps``. Raises ValueError when ``u`` or ``warm_start``
@@ -120,7 +122,7 @@ def eval_tv_eps(
         norms2 = np.sum(x.reshape(-1, 2) ** 2, axis=1)
         residual = _kkt_residual(a_mat, b, eps, x, lam, active, norms2)
         active_next = np.where(active, lam > 0.0, norms2 > 1.0)
-        if np.array_equal(active_next, active) and residual <= tol:
+        if np.array_equal(active_next, active) and residual <= KKT_TOL:
             converged = True
             break
         active = active_next

@@ -9,9 +9,8 @@ from oracles import (
     reduced_objective,
 )
 from tvcontrol.instances import ProblemInstance
-from tvcontrol.master_problem import MasterOperator, make_cutting_plane
+from tvcontrol.master_problem import MasterOperator, SingularBorderError, make_cutting_plane
 from tvcontrol.mesh_fem import P0Field, P1ScalarField, build_forms, build_friedrichs_keller
-from tvcontrol.sparse_linalg import SingularBorderError
 from tvcontrol.tv_oracle import eval_tv_eps
 
 
@@ -219,5 +218,35 @@ def test_duplicate_planes_fail_loudly(tiny):
     plane = _plane_from(free.u.values, forms, eps, 0)
     assert plane_slack(plane, free.u, eps, mesh) < 0
     twin = make_cutting_plane(plane.phi, forms, 1)
-    with pytest.raises(SingularBorderError):
+    with pytest.raises(SingularBorderError, match=r"\[0, 1\]"):
         op.solve([plane, twin], eps)
+
+
+class _CountingFactor:
+    """Stands in for the base factorization and counts its solves."""
+
+    def __init__(self, factor):
+        self.factor = factor
+        self.solves = 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.factor.solve(rhs)
+
+
+def test_base_factor_solved_once_per_call(tiny):
+    mesh, forms = tiny
+    rng = np.random.default_rng(10)
+    inst = _instance(mesh, 10.0 * rng.standard_normal(mesh.n_cells))
+    eps = 1e-4
+    op = MasterOperator(inst, forms)
+    free = op.solve([], eps)
+    planes = [_plane_from(free.u.values, forms, eps, 0)]
+    op.factor = counting = _CountingFactor(op.factor)
+    sol = op.solve(planes, eps)
+    assert sol.converged
+    assert sol.active_planes.tolist() == [0]
+    assert sol.inner_iterations >= 2
+    assert counting.solves == 1
+    op.solve(planes, eps, warm_start=sol)
+    assert counting.solves == 2
