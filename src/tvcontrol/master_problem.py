@@ -80,8 +80,7 @@ class MasterOperator:
         m_in = forms.mass_interior
         m_ii = m_in[:, forms.interior_nodes].tocsr()
         self._b_in = forms.load_interior
-        coupled = self._b_in @ sp.diags(1.0 / forms.areas) @ self._b_in.T
-        coupled = ((coupled + coupled.T) * 0.5).tocsr()
+        coupled = (self._b_in @ sp.diags(1.0 / forms.areas) @ self._b_in.T).tocsr()
         self.base = sp.bmat(
             [[-m_ii, forms.stiffness], [forms.stiffness, coupled / self.alpha]],
             format="csr",

@@ -6,8 +6,8 @@ forms used by the solvers: Poisson stiffness, masses, the P0-P1 coupling,
 the linear-elasticity energy form, and the P1 -> P0 divergence.
 
 All integrands appearing in the forms are piecewise polynomial, so assembly
-is exact. Discontinuous data is projected to P0 by recursive midpoint
-quadrature (see :func:`project_p0`).
+is exact. Discontinuous data is projected to P0 by midpoint quadrature on
+4^depth subtriangles, evaluated in chunks of cells (see :func:`project_p0`).
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ import scipy.sparse as sp
 #: Young's modulus and Poisson ratio of the elasticity energy form
 YOUNGS_MODULUS = 2900.0
 POISSON_RATIO = 0.4
+
+#: Quadrature points per call of the integrand in :func:`project_p0`
+P0_CHUNK_POINTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -272,13 +275,20 @@ def project_p0(f, mesh: Mesh, subdivision_depth: int = 4) -> P0Field:
     """Approximate cell averages of f by the midpoint rule on 4^depth subtriangles.
 
     Exact for affine f at any depth; O(h^2)-accurate away from
-    discontinuities of f. ``f(x, y)`` must accept numpy arrays.
+    discontinuities of f. ``f(x, y)`` must accept numpy arrays; it is called
+    per chunk of about ``P0_CHUNK_POINTS`` points, on two contiguous
+    (cells, 4^depth) coordinate arrays, so memory does not grow with the mesh.
     """
-    bary = _subtriangle_centroids(subdivision_depth)
-    pts = np.einsum("qc,tcd->tqd", bary, mesh.nodes[mesh.triangles])
-    vals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
-    vals = np.broadcast_to(vals, pts.shape[:2])
-    return P0Field(vals.mean(axis=1))
+    b0, b1, b2 = _subtriangle_centroids(subdivision_depth).T
+    corners = mesh.nodes[mesh.triangles][..., None]  # (n_tri, 3, 2, 1)
+    step = max(1, P0_CHUNK_POINTS // b0.size)
+    out = np.empty(mesh.n_cells)
+    for start in range(0, mesh.n_cells, step):
+        c = corners[start : start + step]
+        x, y = (b0 * c[:, 0, d] + b1 * c[:, 1, d] + b2 * c[:, 2, d] for d in (0, 1))
+        vals = np.asarray(f(x, y), dtype=float)
+        out[start : start + step] = np.broadcast_to(vals, x.shape).mean(axis=1)
+    return P0Field(out)
 
 
 def interpolate_p1(f, mesh: Mesh, dirichlet: bool = False) -> P1ScalarField:

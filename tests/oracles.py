@@ -6,8 +6,9 @@ ascent instead of the active-set iteration, the full dense saddle system
 instead of the oracle's null-space reduction, active-set enumeration on
 dense KKT systems instead of the bordered solver, a dictionary walk
 over the triangles instead of the vectorized interior-edge construction,
-and the reduced objective and gradient by separate state and adjoint
-solves instead of the master's coupled KKT elimination.
+one ``einsum`` over every quadrature point of the mesh instead of the
+chunked P0 projection, and the reduced objective and gradient by separate
+state and adjoint solves instead of the master's coupled KKT elimination.
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ from itertools import combinations
 
 import numpy as np
 
-from tvcontrol.mesh_fem import Forms, P0Field, P1ScalarField, P1VectorField, _p0_values
+from tvcontrol.mesh_fem import (
+    Forms,
+    P0Field,
+    P1ScalarField,
+    P1VectorField,
+    _p0_values,
+    _subtriangle_centroids,
+)
 from tvcontrol.sparse_linalg import solve_spd
 
 
@@ -49,6 +57,15 @@ def interior_edge_cells_by_loop(triangles) -> np.ndarray:
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
             seen.setdefault((min(a, b), max(a, b)), []).append(t)
     return np.array([c for c in seen.values() if len(c) == 2], dtype=np.int64).reshape(-1, 2)
+
+
+def project_p0_by_einsum(f, mesh, subdivision_depth: int = 4) -> P0Field:
+    """Midpoint-rule cell averages with all (cells, 4^depth, 2) points built at once."""
+    bary = _subtriangle_centroids(subdivision_depth)
+    pts = np.einsum("qc,tcd->tqd", bary, mesh.nodes[mesh.triangles])
+    vals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
+    vals = np.broadcast_to(vals, pts.shape[:2])
+    return P0Field(vals.mean(axis=1))
 
 
 def projected_ascent_tv(u, eps: float, forms: Forms, iterations: int = 100_000) -> float:

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,3 +221,41 @@ def test_instance_alpha_validated():
 def test_indicator_profile():
     assert exact_u_bar(0.5, 0.5) == pytest.approx(1.0 / BALL_PERIMETER)
     assert exact_u_bar(0.9, 0.9) == 0.0
+
+
+# sha256 of f, u_d, y_d[, reference_u] (concatenated tobytes(), default depth),
+# as built with the all-points projection of oracles.project_p0_by_einsum
+INSTANCE_SHA256 = {
+    (16, "exact"): "84cd8918b8d2d03ac91af6045ba1e7a74f2ad4e516cf4c150022a9f0c50e1c7b",
+    (16, "generic"): "20a3a17066ec3fa37a2badf319bbc37a4edbcee8f88c10b404acc28246042784",
+    (50, "exact"): "976a4b1681e479c6b7ab240bd6eba0c46becf7371e80d083aaf2c6d4f26fe506",
+    (50, "generic"): "67015661cdf0cdba593122d00386b353a4e9885ac12c41f7e9a2fa1dda96b274",
+}
+
+
+@pytest.mark.parametrize("n, label", sorted(INSTANCE_SHA256))
+def test_instance_bytes_are_pinned(n, label):
+    build = {"exact": build_exact_instance, "generic": build_generic_instance}[label]
+    inst = build(build_friedrichs_keller(n))
+    fields = [inst.f, inst.u_d, inst.y_d]
+    if inst.reference_u is not None:
+        fields.append(inst.reference_u)
+    digest = hashlib.sha256(b"".join(field.values.tobytes() for field in fields))
+    assert digest.hexdigest() == INSTANCE_SHA256[n, label]
+
+
+def _build_peak_bytes(n):
+    mesh = build_friedrichs_keller(n)
+    tracemalloc.start()
+    try:
+        build_exact_instance(mesh)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_build_memory_does_not_grow_with_quadrature_points():
+    # the all-points projection peaked at 351 MB at n = 100, 4x its n = 50 peak
+    peak50, peak100 = _build_peak_bytes(50), _build_peak_bytes(100)
+    assert peak100 < 16e6
+    assert peak100 <= 2 * peak50

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import interior_edge_cells_by_loop
+from oracles import interior_edge_cells_by_loop, project_p0_by_einsum
 from tvcontrol.mesh_fem import (
+    P0_CHUNK_POINTS,
     P0Field,
     assemble_elasticity,
     assemble_mass_p1,
@@ -233,6 +234,39 @@ def test_projection_exact_for_affine():
     exact = f(centroids[:, 0], centroids[:, 1])
     for depth in (0, 2):
         assert np.allclose(project_p0(f, mesh, depth).values, exact, atol=1e-13)
+
+
+PROJECTION_INTEGRANDS = {
+    "disc": lambda x, y: ((x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.25**2).astype(float),
+    "smooth": lambda x, y: np.sin(3.0 * x) * np.cos(2.0 * y),
+    "scalar": lambda x, y: 2.5,
+}
+
+
+@pytest.mark.parametrize("integrand", sorted(PROJECTION_INTEGRANDS))
+@pytest.mark.parametrize("depth", [0, 1, 4])
+@pytest.mark.parametrize("n", [1, 3, 16, 50])
+def test_projection_matches_einsum_bitwise(n, depth, integrand):
+    mesh = build_friedrichs_keller(n)
+    f = PROJECTION_INTEGRANDS[integrand]
+    chunked = project_p0(f, mesh, depth).values
+    assert chunked.tobytes() == project_p0_by_einsum(f, mesh, depth).values.tobytes()
+
+
+def test_projection_evaluates_contiguous_chunks_of_whole_cells():
+    # n = 50 at depth 4 (one of the bitwise cases above): 5000 cells in
+    # chunks of 128, so the last chunk holds only 8
+    calls = []
+
+    def f(x, y):
+        calls.append((x.shape, y.shape, x.flags.c_contiguous, y.flags.c_contiguous))
+        return x + y
+
+    project_p0(f, build_friedrichs_keller(50), 4)
+    assert P0_CHUNK_POINTS // 4**4 == 128
+    assert calls == [((128, 256), (128, 256), True, True)] * 39 + [
+        ((8, 256), (8, 256), True, True)
+    ]
 
 
 def test_interpolation_dirichlet_forcing():
