@@ -31,35 +31,36 @@ _EPS_SNAP = 0.05
 #: planes whose divergence is this close in L2 to a stored one are dropped
 _DUPLICATE_TOL = 1e-12
 
+#: the run ends with ``max_outer`` after this many outer iterations
+MAX_OUTER_ITERATIONS = 50
+
 
 @dataclass
 class SolverConfig:
+    """The settings a run varies, with the CLI's defaults and checks (NaN fails each)."""
+
     eps_start: float = 1e-5
     eps_factor: float = 0.5
     eps_min: float = 7.8e-8
     tol: float = 1e-2
     alpha: float = 1.0
     n: int = 50
-    max_outer: int = 50
     subdivision_depth: int = 4
-    max_master_iterations: int = 100
-    max_oracle_iterations: int = 200
     warm_start: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.eps_factor < 1.0:
             raise ValueError(f"eps_factor must lie in (0, 1), got {self.eps_factor}")
-        if self.eps_min <= 0.0 or self.eps_min > self.eps_start:
-            raise ValueError("need 0 < eps_min <= eps_start")
-        if self.tol <= 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.n < 1 or self.max_outer < 1:
-            raise ValueError("n and max_outer must be at least 1")
-        if self.max_master_iterations < 1 or self.max_oracle_iterations < 1:
-            raise ValueError("max_master_iterations and max_oracle_iterations must be at least 1")
-        if self.subdivision_depth < 0:
+        if not 0.0 < self.eps_min <= self.eps_start < math.inf:
+            raise ValueError(f"need 0 < eps_min <= eps_start < inf, got eps_min = {self.eps_min}, "
+                             f"eps_start = {self.eps_start}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not self.n >= 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
+        if not self.subdivision_depth >= 0:
             raise ValueError(f"subdivision_depth must be nonnegative, got {self.subdivision_depth}")
 
 
@@ -185,13 +186,8 @@ def run_outer_approximation(
     terminated = MAX_OUTER
     failure: str | None = None
 
-    for k in range(config.max_outer):
-        master = master_op.solve(
-            planes,
-            eps,
-            warm_start=master_warm,
-            max_iterations=config.max_master_iterations,
-        )
+    for k in range(MAX_OUTER_ITERATIONS):
+        master = master_op.solve(planes, eps, warm_start=master_warm)
         if not master.converged:
             terminated = INNER_FAILURE
             failure = _failure_message(
@@ -201,13 +197,7 @@ def run_outer_approximation(
             break
         final_control = master.u
 
-        oracle = eval_tv_eps(
-            master.u,
-            eps,
-            forms,
-            warm_start=oracle_warm,
-            max_inner_iterations=config.max_oracle_iterations,
-        )
+        oracle = eval_tv_eps(master.u, eps, forms, warm_start=oracle_warm)
         if not oracle.converged:
             terminated = INNER_FAILURE
             failure = _failure_message(

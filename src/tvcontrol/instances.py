@@ -21,6 +21,9 @@ BALL_RADIUS = 0.25
 BALL_CENTER = (0.5, 0.5)
 BALL_PERIMETER = 2.0 * np.pi * BALL_RADIUS
 
+#: sup-norm s of the exact instance's dual certificate, attained on the interface
+CERTIFICATE_SCALE = 0.01
+
 
 @dataclass
 class ProblemInstance:
@@ -36,8 +39,8 @@ class ProblemInstance:
     subdivision_depth: int  # quadrature depth of the P0 projections
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError(f"Tikhonov parameter must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
 
 def psi(r):
@@ -83,27 +86,29 @@ def exact_state(x1, x2):
     return 0.1 * np.sin(2.0 * np.pi * x1) * np.sin(2.0 * np.pi * x2)
 
 
-def exact_phi_bar(x1, x2, s: float = 0.01):
-    """Dual certificate: inward radial field -s psi(rho) e_rho on the annulus."""
+def exact_phi_bar(x1, x2):
+    """Dual certificate: inward radial field -s psi(rho) e_rho on the annulus.
+
+    s = CERTIFICATE_SCALE, the sup-norm, attained on the interface rho = 1/4."""
     dx = np.asarray(x1, dtype=float) - BALL_CENTER[0]
     dy = np.asarray(x2, dtype=float) - BALL_CENTER[1]
     rho = np.hypot(dx, dy)
     safe = np.where(rho > 0.0, rho, 1.0)
-    scale = -s * psi(rho) / safe
+    scale = -CERTIFICATE_SCALE * psi(rho) / safe
     return np.stack([scale * dx, scale * dy], axis=-1)
 
 
-def exact_div_phi_bar(x1, x2, s: float = 0.01):
-    """Divergence of the certificate: -s (psi'(rho) + psi(rho)/rho), radially."""
+def exact_div_phi_bar(x1, x2):
+    """Divergence of the certificate: -s (psi'(rho) + psi(rho)/rho), s = CERTIFICATE_SCALE."""
     dx = np.asarray(x1, dtype=float) - BALL_CENTER[0]
     dy = np.asarray(x2, dtype=float) - BALL_CENTER[1]
     rho = np.hypot(dx, dy)
     safe = np.where(rho > 0.0, rho, 1.0)
-    return -s * (psi_prime(rho) + psi(rho) / safe)
+    return -CERTIFICATE_SCALE * (psi_prime(rho) + psi(rho) / safe)
 
 
 def build_exact_instance(
-    mesh: Mesh, s: float = 0.01, alpha: float = 1.0, subdivision_depth: int = 4
+    mesh: Mesh, alpha: float = 1.0, subdivision_depth: int = 4
 ) -> ProblemInstance:
     """Instance whose exact optimal control is the normalized disc indicator.
 
@@ -125,9 +130,7 @@ def build_exact_instance(
         lambda x1, x2: (0.1 - eight_pi_sq) * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2),
         mesh,
     )
-    div_phi = project_p0(
-        lambda x1, x2: exact_div_phi_bar(x1, x2, s=s), mesh, subdivision_depth
-    )
+    div_phi = project_p0(exact_div_phi_bar, mesh, subdivision_depth)
     p_bar_cells = p_bar.values[mesh.triangles].mean(axis=1)
     u_d = P0Field(u_bar.values + (p_bar_cells - div_phi.values) / alpha)
 

@@ -28,6 +28,9 @@ from .mesh_fem import Forms, P0Field, P1ScalarField, P1VectorField, _p0_values
 #: the active set is optimal once it repeats and the KKT residual is at most this
 KKT_TOL = 1e-8
 
+#: a master solve that has not converged after this many iterations fails
+MAX_ACTIVE_SET_ITERATIONS = 100
+
 
 class SingularBorderError(ValueError):
     """The planes' Schur complement is singular (e.g. duplicated cutting planes)."""
@@ -94,11 +97,7 @@ class MasterOperator:
         )
 
     def solve(
-        self,
-        planes: list[CuttingPlane],
-        eps: float,
-        warm_start: MasterSolution | None = None,
-        max_iterations: int = 100,
+        self, planes: list[CuttingPlane], eps: float, warm_start: MasterSolution | None = None
     ) -> MasterSolution:
         """Minimize the relaxation with ``planes`` by a primal-dual active-set method.
 
@@ -106,7 +105,7 @@ class MasterOperator:
         iteration then solves the Schur complement restricted to the active
         planes and reclassifies a plane as active iff mu_i - slack_i > 0. It
         stops once the active set repeats and the KKT residual is at most
-        KKT_TOL, or after ``max_iterations`` with ``converged=False``.
+        KKT_TOL, or after MAX_ACTIVE_SET_ITERATIONS with ``converged=False``.
         Raises SingularBorderError, naming the active plane ids, when that
         Schur block is singular or the bordered residual exceeds
         1e-9 (1 + ||rhs||_inf).
@@ -139,7 +138,7 @@ class MasterOperator:
         iterations = 0
         u = y_full = p_full = None
         mu = np.zeros(k)
-        for _ in range(max_iterations):
+        for _ in range(MAX_ACTIVE_SET_ITERATIONS):
             iterations += 1
             idx = np.flatnonzero(active)
             ids = [planes[i].id for i in idx]

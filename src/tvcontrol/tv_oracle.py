@@ -27,6 +27,9 @@ from .sparse_linalg import solve_spd
 #: the active set is optimal once it repeats and the KKT residual is at most this
 KKT_TOL = 1e-9
 
+#: an oracle call that has not converged after this many Newton steps fails
+MAX_NEWTON_STEPS = 200
+
 
 @dataclass
 class BallConstraintState:
@@ -48,11 +51,7 @@ class OracleResult:
 
 
 def eval_tv_eps(
-    u,
-    eps: float,
-    forms: Forms,
-    warm_start: OracleResult | None = None,
-    max_inner_iterations: int = 200,
+    u, eps: float, forms: Forms, warm_start: OracleResult | None = None
 ) -> OracleResult:
     """Maximize the regularized dual objective by a primal-dual active-set method.
 
@@ -69,7 +68,7 @@ def eval_tv_eps(
     |phi_i|^2 - 1 = |phi_i - phi_hat_i|^2 >= 0, which would keep nodes whose
     multiplier has turned negative. Terminates once the active set repeats
     and the KKT residual drops to KKT_TOL; ties (|phi_i| = 1, lambda_i = 0)
-    deactivate. Returns ``converged=False`` when the iteration cap is hit.
+    deactivate. Returns ``converged=False`` after MAX_NEWTON_STEPS steps.
     Without ``warm_start`` the iteration starts from phi = 0 with no active
     node, directly at ``eps``. Raises ValueError when ``u`` or ``warm_start``
     does not match the mesh of ``forms``.
@@ -114,7 +113,7 @@ def eval_tv_eps(
     converged = False
     iterations = 0
     residual = np.inf
-    for _ in range(max_inner_iterations):
+    for _ in range(MAX_NEWTON_STEPS):
         iterations += 1
         lam = np.where(active, lam, 0.0)
         x, lam = _newton_step(a_mat, b, eps, x, lam, active)

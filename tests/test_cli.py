@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 import tvcontrol
 from tvcontrol import cli
 from tvcontrol.cli import main
-from tvcontrol.driver import INNER_FAILURE, RunReport
+from tvcontrol.driver import INNER_FAILURE, RunReport, SolverConfig
 from tvcontrol.reporting import CSV_HEADER, load_field
 
 FAST = ["--n", "6", "--eps-start", "1e-5", "--eps-min", "1e-5"]
@@ -31,6 +32,38 @@ def test_negative_depth_exits_one(capsys):
         main(["--depth", "-1"])
     assert exc.value.code == 1
     assert "subdivision_depth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--tol", "nan", "tol"),
+    ("--alpha", "nan", "alpha"),
+    ("--eps-start", "nan", "eps_start"),
+    ("--eps-min", "inf", "eps_min"),
+])
+def test_nonfinite_setting_exits_one(capsys, flag, value, field):
+    with pytest.raises(SystemExit) as exc:
+        main(["--n", "4", flag, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert field in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param(["--instance", "exact", *FAST],
+                 SolverConfig(n=6, eps_start=1e-5, eps_min=1e-5), id="fast-exact"),
+    pytest.param(["--instance", "generic", "--n", "4"],
+                 SolverConfig(n=4, eps_min=1.6e-7), id="generic-eps-min"),
+    pytest.param(["--instance", "exact", *FAST, "--no-warm-start"],
+                 SolverConfig(n=6, eps_start=1e-5, eps_min=1e-5, warm_start=False),
+                 id="no-warm-start"),
+    pytest.param(["--instance", "exact", *FAST, "--depth", "2"],
+                 SolverConfig(n=6, eps_start=1e-5, eps_min=1e-5, subdivision_depth=2),
+                 id="depth"),
+])
+def test_cli_passes_settings_to_config(capsys, argv, expected):
+    main([*argv, "--output", "json"])
+    assert json.loads(capsys.readouterr().out)["config"] == dataclasses.asdict(expected)
 
 
 def test_unknown_flag_exits_one():

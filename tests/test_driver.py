@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tvcontrol import driver
+from tvcontrol import driver, master_problem, tv_oracle
 from tvcontrol.driver import (
     INNER_FAILURE,
     MAX_OUTER,
@@ -29,14 +29,11 @@ def test_config_validation():
         SolverConfig(n=0)
 
 
-def test_config_rejects_zero_master_iterations():
-    with pytest.raises(ValueError, match="max_master_iterations"):
-        SolverConfig(n=4, max_master_iterations=0)
-
-
-def test_config_rejects_zero_oracle_iterations():
-    with pytest.raises(ValueError, match="max_oracle_iterations"):
-        SolverConfig(n=4, max_oracle_iterations=0)
+@pytest.mark.parametrize("field", ["eps_start", "eps_min", "tol", "alpha", "eps_factor"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_config_rejects_nonfinite(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
 
 
 def test_config_rejects_negative_subdivision_depth():
@@ -206,22 +203,22 @@ def test_config_must_match_instance(field, value):
         run_outer_approximation(instance, config)
 
 
-def test_max_outer_reported():
+def test_max_outer_reported(monkeypatch):
+    monkeypatch.setattr(driver, "MAX_OUTER_ITERATIONS", 3)
     mesh = build_friedrichs_keller(8)
     instance = build_exact_instance(mesh)
-    config = SolverConfig(n=8, eps_start=1e-5, eps_min=7.8e-8, max_outer=3)
+    config = SolverConfig(n=8, eps_start=1e-5, eps_min=7.8e-8)
     report = run_outer_approximation(instance, config)
     assert report.terminated == MAX_OUTER
     assert len(report.records) == 3
     assert report.final_control is not None
 
 
-def test_inner_failure_reported():
+def test_inner_failure_reported(monkeypatch):
+    monkeypatch.setattr(tv_oracle, "MAX_NEWTON_STEPS", 2)
     mesh = build_friedrichs_keller(8)
     instance = build_exact_instance(mesh)
-    config = SolverConfig(
-        n=8, eps_start=1e-5, eps_min=7.8e-8, max_oracle_iterations=2
-    )
+    config = SolverConfig(n=8, eps_start=1e-5, eps_min=7.8e-8)
     report = run_outer_approximation(instance, config)
     assert report.terminated == INNER_FAILURE
     assert not report.records
@@ -233,9 +230,10 @@ def test_inner_failure_reported():
     assert 1e-9 < residual < np.inf
 
 
-def test_master_failure_reported():
+def test_master_failure_reported(monkeypatch):
+    monkeypatch.setattr(master_problem, "MAX_ACTIVE_SET_ITERATIONS", 1)
     mesh = build_friedrichs_keller(8)
-    config = SolverConfig(n=8, eps_start=1e-5, eps_min=7.8e-8, max_master_iterations=1)
+    config = SolverConfig(n=8, eps_start=1e-5, eps_min=7.8e-8)
     report = run_outer_approximation(build_exact_instance(mesh), config)
     assert report.terminated == INNER_FAILURE
     k = len(report.records)

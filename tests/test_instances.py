@@ -9,6 +9,7 @@ from scipy import integrate
 
 from tvcontrol.instances import (
     BALL_PERIMETER,
+    CERTIFICATE_SCALE,
     REFERENCE_PROFILE_TV,
     ProblemInstance,
     build_exact_instance,
@@ -109,17 +110,17 @@ def test_certificate_divergence_matches_fd():
 
 
 def test_certificate_on_interface_is_scaled_inward_normal():
-    s = 0.01
+    s = CERTIFICATE_SCALE
     angles = np.linspace(0.0, 2 * np.pi, 10_000, endpoint=False)
     x = 0.5 + 0.25 * np.cos(angles)
     y = 0.5 + 0.25 * np.sin(angles)
-    phi = exact_phi_bar(x, y, s=s)
+    phi = exact_phi_bar(x, y)
     normal = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     assert np.abs(phi + s * normal).max() < 1e-12
     # the interface is where the sup-norm is attained
     rng = np.random.default_rng(1)
     xs, ys = rng.uniform(0.0, 1.0, size=(2, 10_000))
-    norms = np.linalg.norm(exact_phi_bar(xs, ys, s=s), axis=-1)
+    norms = np.linalg.norm(exact_phi_bar(xs, ys), axis=-1)
     assert norms.max() <= s + 1e-12
 
 
@@ -216,6 +217,12 @@ def test_instance_alpha_validated():
             label="bad",
             subdivision_depth=4,
         )
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_instance_rejects_nonfinite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        build_generic_instance(build_friedrichs_keller(2), alpha=alpha)
 
 
 def test_indicator_profile():

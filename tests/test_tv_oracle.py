@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_newton_step, dual_objective, projected_ascent_tv
+from tvcontrol import tv_oracle
 from tvcontrol.instances import exact_u_bar
 from tvcontrol.mesh_fem import P0Field, build_forms, build_friedrichs_keller, project_p0
 from tvcontrol.tv_oracle import (
@@ -128,12 +129,13 @@ def test_lower_bound_trivial_cases(forms4):
     assert gap >= 0.0
 
 
-def test_lower_bound_requires_convergence(forms4):
+def test_lower_bound_requires_convergence(forms4, monkeypatch):
+    monkeypatch.setattr(tv_oracle, "MAX_NEWTON_STEPS", 1)
     u = _random_p0(forms4.mesh, 6)
-    res = eval_tv_eps(u, 1e-6, forms4, max_inner_iterations=1)
-    if not res.converged:
-        with pytest.raises(ValueError):
-            tv_lower_bound(res, 1e-6)
+    res = eval_tv_eps(u, 1e-6, forms4)
+    assert not res.converged
+    with pytest.raises(ValueError):
+        tv_lower_bound(res, 1e-6)
 
 
 def test_upper_bound_dominates_value(forms4):
@@ -241,7 +243,7 @@ def test_cold_start_converges_at_eps_min(n):
     # iteration sheds them a few per step and cycles at small eps
     mesh = build_friedrichs_keller(n)
     u = project_p0(exact_u_bar, mesh, 4)
-    res = eval_tv_eps(u, 7.8e-8, build_forms(mesh), max_inner_iterations=60)
+    res = eval_tv_eps(u, 7.8e-8, build_forms(mesh))
     assert res.converged
     assert res.inner_iterations <= 15
 
