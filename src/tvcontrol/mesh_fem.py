@@ -13,10 +13,12 @@ is exact. Discontinuous data is projected to P0 by midpoint quadrature on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+
+from .sparse_linalg import NodeBlocks
 
 #: Young's modulus and Poisson ratio of the elasticity energy form
 YOUNGS_MODULUS = 2900.0
@@ -185,8 +187,9 @@ def _summed_csr_without_zeros(rows, cols, data, shape) -> sp.csr_matrix:
     """Sum the element contributions into CSR and drop entries that cancel to 0.0.
 
     The stiffness couplings across square diagonals, for one, cancel exactly.
-    A stored zero would still count as structure: in SuperLU's fill-reducing
-    ordering and in the band width that ``solve_spd`` reads off the entries.
+    A stored zero would still count as structure in SuperLU's fill-reducing
+    ordering. The banded solves need no such care: ``lower_band`` skips zero
+    entries, so the band is as wide as the farthest nonzero one.
     """
     m = sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
     m.sum_duplicates()
@@ -336,6 +339,11 @@ class Forms:
     elasticity: sp.csr_matrix        # interior vector dofs (node-major), SPD
     divergence: sp.csr_matrix        # cells x (2 * n_interior)
     areas: np.ndarray
+
+    @cached_property
+    def elasticity_blocks(self) -> NodeBlocks:
+        """The lower 2×2 node blocks of ``elasticity``, gathered on first use."""
+        return NodeBlocks.from_csr(self.elasticity)
 
     @property
     def n_interior(self) -> int:

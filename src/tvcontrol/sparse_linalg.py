@@ -1,52 +1,149 @@
-"""Deterministic banded Cholesky solves for the TV oracle.
+"""Deterministic banded SPD solves for the TV oracle.
 
 The TV oracle's reduced Newton steps and its duality certificate solve
 symmetric positive definite systems by LAPACK's banded Cholesky
 (dpbtrf/dpbtrs): the interior dofs are numbered node-major, row by row, so
 these matrices have a bandwidth of about 2n + 1 in their natural order and
-need no reordering. Every solve is checked against its residual bound.
+need no reordering. :class:`NodeBlocks` holds the lower 2×2 node blocks of
+the elasticity matrix, gathered once, and fills the band of each system
+straight from them, so no sparse matrix is built per solve.
+:func:`solve_spd` factors a band, solves, and checks the residual through a
+matrix-vector product.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
+
+#: a solve fails unless ||A x - b||_inf <= RESIDUAL_TOL (1 + ||b||_inf)
+RESIDUAL_TOL = 1e-10
 
 
 class NotPositiveDefiniteError(ValueError):
     pass
 
 
-def solve_spd(matrix, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for a symmetric positive definite sparse (CSR) matrix A.
+@dataclass(frozen=True)
+class NodeBlocks:
+    """The lower 2×2 node blocks of a symmetric matrix A on node-major dofs.
 
-    Deterministic banded Cholesky in the given order, from the lower
-    triangle of A (duplicate entries are summed); its band is as wide as
-    the farthest nonzero from the diagonal, 2n + 1 for the node-major
-    numbering of the interior dofs. Fails on a nonpositive leading minor,
-    and the residual must satisfy ||A x - b||_inf <= 1e-10 (1 + ||b||_inf).
+    Dofs 2q and 2q + 1 belong to node q. Block k holds the entries in rows
+    of node ``rows[k]`` and columns of node ``cols[k] <= rows[k]``; entries
+    A does not store are 0.0. Entry (p, q) of block k is
+    ``values[p, q, k]``, so each entry of all blocks is one contiguous
+    array. The first blocks are the diagonal ones, block q for node q, and
+    each holds both of its off-diagonal entries.
+    """
+
+    rows: np.ndarray    # (blocks,) int32
+    cols: np.ndarray    # (blocks,) int32
+    values: np.ndarray  # (2, 2, blocks)
+
+    @classmethod
+    def from_csr(cls, matrix) -> NodeBlocks:
+        """The blocks of a symmetric CSR matrix, summing duplicate entries."""
+        nodes = matrix.shape[0] // 2
+        row = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+        col = matrix.indices.astype(np.int64)
+        lower = row // 2 >= col // 2
+        row, col = row[lower], col[lower]
+        keys, block = np.unique((row // 2) * nodes + col // 2, return_inverse=True)
+        # diagonal blocks first, in node order
+        order = np.argsort(keys // nodes != keys % nodes, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        values = np.zeros((2, 2, keys.size))
+        np.add.at(values, (row % 2, col % 2, rank[block]), matrix.data[lower])
+        keys = keys[order]
+        return cls(
+            rows=(keys // nodes).astype(np.int32),
+            cols=(keys % nodes).astype(np.int32),
+            values=values,
+        )
+
+    def reduced_band(self, scale, diagonal, nodes, unit) -> np.ndarray:
+        """Lower band of Z^T (scale * A + D) Z.
+
+        D adds ``diagonal[q]`` to both dofs of node q. Z keeps both dofs of
+        every node except ``nodes[k]``, of which it keeps only the unit
+        tangent (-unit[k, 1], unit[k, 0]); its columns follow the kept dofs
+        in order. The blocks that touch such a node are rotated into its
+        (radial, tangent) frame; the entries of a dropped radial dof get
+        the index -1, which ``lower_band`` skips.
+        """
+        size = diagonal.size
+        h = scale * self.values
+        # blocks 0 .. size - 1 are the diagonal ones
+        h[0, 0, :size] += diagonal
+        h[1, 1, :size] += diagonal
+
+        rotated = np.zeros(size, dtype=bool)
+        rotated[nodes] = True
+        # each node's frame: columns (radial, tangent), the identity off ``nodes``
+        basis = np.zeros((2, 2, size))
+        basis[0, 0] = basis[1, 1] = 1.0
+        basis[0, 0, nodes] = basis[1, 1, nodes] = unit[:, 0]
+        basis[1, 0, nodes] = unit[:, 1]
+        basis[0, 1, nodes] = -unit[:, 1]
+        touched = np.flatnonzero(np.take(rotated, self.rows) | np.take(rotated, self.cols))
+        t = np.take(h, touched, axis=2)
+        z = np.take(basis, np.take(self.rows, touched), axis=2)
+        t = np.stack([z[0, 0] * t[0] + z[1, 0] * t[1], z[0, 1] * t[0] + z[1, 1] * t[1]])
+        z = np.take(basis, np.take(self.cols, touched), axis=2)
+        h[:, :, touched] = np.stack(
+            [z[0, 0] * t[:, 0] + z[1, 0] * t[:, 1], z[0, 1] * t[:, 0] + z[1, 1] * t[:, 1]],
+            axis=1,
+        )
+
+        kept = np.ones((size, 2), dtype=bool)
+        kept[nodes, 0] = False
+        # each dof's column of Z, or -1 for a dropped radial dof
+        column = np.where(kept, np.cumsum(kept).reshape(size, 2) - 1, -1).T
+        rows = np.take(column, self.rows, axis=1)[:, None]
+        cols = np.take(column, self.cols, axis=1)
+        return lower_band(rows, cols, h, np.count_nonzero(kept))
+
+
+def lower_band(rows, cols, values, size: int) -> np.ndarray:
+    """LAPACK lower band storage of the entries (rows, cols, values), broadcast together.
+
+    Only entries with 0 <= col <= row and a nonzero value count, so a
+    negative index marks an entry to skip: ``band[i - j, j]`` sums the
+    values at (i, j), and the band is as wide as the farthest of them from
+    the diagonal. It is laid out column-major so that the factorization
+    overwrites it in place.
+    """
+    rows, cols, values = np.broadcast_arrays(rows, cols, values)
+    offsets = rows - cols
+    entries = np.flatnonzero((cols >= 0) & (offsets >= 0) & (values != 0.0))
+    offsets = offsets.ravel()[entries]
+    width = int(offsets.max(initial=0))
+    flat = cols.ravel()[entries].astype(np.intp, copy=False) * (width + 1) + offsets
+    return np.bincount(
+        flat, weights=values.ravel()[entries], minlength=size * (width + 1)
+    ).reshape(size, width + 1).T
+
+
+def solve_spd(band: np.ndarray, b: np.ndarray, matvec) -> np.ndarray:
+    """Solve A x = b from the lower band of an SPD matrix A, given ``matvec(x) = A x``.
+
+    Deterministic banded Cholesky in the given order. Fails on a
+    nonpositive leading minor, and unless the residual satisfies
+    ||A x - b||_inf <= RESIDUAL_TOL (1 + ||b||_inf). Overwrites ``band``.
     """
     b = np.asarray(b, dtype=float)
-    size = matrix.shape[0]
-    if size == 0:
+    if b.size == 0:
         return np.zeros_like(b)
-    coo = matrix.tocoo()
-    lower = coo.row >= coo.col
-    cols = coo.col[lower].astype(np.intp)
-    offsets = coo.row[lower] - cols
-    width = int(offsets.max(initial=0))
-    # LAPACK lower band storage band[i - j, j] = A[i, j], laid out column-major
-    # so that the factorization overwrites it in place
-    band = np.bincount(
-        cols * (width + 1) + offsets, weights=coo.data[lower], minlength=size * (width + 1)
-    ).reshape(size, width + 1).T
     try:
         factor = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:  # nonpositive leading minor
         raise NotPositiveDefiniteError(str(exc)) from exc
     x = cho_solve_banded((factor, True), b, check_finite=False)
-    residual = np.abs(matrix @ x - b).max(initial=0.0)
-    bound = 1e-10 * (1.0 + np.abs(b).max(initial=0.0))
+    residual = np.abs(matvec(x) - b).max(initial=0.0)
+    bound = RESIDUAL_TOL * (1.0 + np.abs(b).max(initial=0.0))
     if not residual <= bound:
         raise NotPositiveDefiniteError(
             f"solve residual {residual:.3e} exceeds bound {bound:.3e}"

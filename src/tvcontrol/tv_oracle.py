@@ -16,13 +16,13 @@ above.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh_fem import Forms, Mesh, P1VectorField, _p0_values
-from .sparse_linalg import solve_spd
+from .sparse_linalg import RESIDUAL_TOL, solve_spd
 
 #: the active set is optimal once it repeats and the KKT residual is at most this
 KKT_TOL = 1e-9
@@ -116,7 +116,7 @@ def eval_tv_eps(
     for _ in range(MAX_NEWTON_STEPS):
         iterations += 1
         lam = np.where(active, lam, 0.0)
-        x, lam = _newton_step(a_mat, b, eps, x, lam, active)
+        x, lam = _newton_step(forms, b, eps, x, lam, active)
 
         norms2 = np.sum(x.reshape(-1, 2) ** 2, axis=1)
         residual = _kkt_residual(a_mat, b, eps, x, lam, active, norms2)
@@ -140,7 +140,7 @@ def eval_tv_eps(
     )
 
 
-def _newton_step(a_mat, b, eps, x, lam, active):
+def _newton_step(forms, b, eps, x, lam, active):
     """One Newton step on the coupled stationarity/active-constraint system.
 
     The step solves the saddle system
@@ -157,6 +157,10 @@ def _newton_step(a_mat, b, eps, x, lam, active):
     Z^T H Z y = Z^T (rhs - H x_fixed). Each multiplier then comes from its
     node's radial row: lambda_i = (p_i / |p_i|) . (rhs - H x)_i / (2 |p_i|).
 
+    No sparse matrix is built: Z^T H Z goes straight into band storage from
+    the 2×2 node blocks of A (``NodeBlocks.reduced_band``), and the products
+    with H and Z are taken node by node around ``forms.elasticity @ v``.
+
     Two stabilizations of the plain linearization: the operator uses the
     nonnegative part of the multipliers (it stays positive definite while
     transiently negative multipliers would let iterates escape), and active
@@ -172,31 +176,52 @@ def _newton_step(a_mat, b, eps, x, lam, active):
     xhat = x.copy()
     xhat.reshape(-1, 2)[idx] = points
 
-    lam_dof = np.repeat(np.maximum(lam, 0.0), 2)
-    h = (eps * a_mat + sp.diags(2.0 * lam_dof)).tocsr()
-    rhs = b + 2.0 * lam_dof * xhat
+    node_diagonal = 2.0 * np.maximum(lam, 0.0)
+    diagonal = np.repeat(node_diagonal, 2)
+    rhs = b + diagonal * xhat
+
+    def apply_h(v):
+        return eps * (forms.elasticity @ v) + diagonal * v
 
     radii = np.linalg.norm(points, axis=1)
     unit = points / radii[:, None]
-    x_fixed = np.zeros_like(x)
-    x_fixed.reshape(-1, 2)[idx] = unit * ((1.0 + radii**2) / (2.0 * radii))[:, None]
+    # each node's frame (radial, tangent) as the rows (cos, sin); the identity off
+    # the active set. Z keeps the dofs ``kept``: all but the active radial ones.
+    frame = np.zeros((2, lam.size))
+    frame[0] = 1.0
+    frame[:, idx] = unit.T
+    kept = np.ones((lam.size, 2), dtype=bool)
+    kept[idx, 0] = False
+    x_frame = np.zeros((lam.size, 2))
+    x_frame[idx, 0] = (1.0 + radii**2) / (2.0 * radii)
+    x_fixed = _from_frame(x_frame, frame)
 
-    # one nonzero per row: both dofs of an active node map to its tangent column
-    kept = np.ones(x.size, dtype=bool)
-    kept[2 * idx] = False
-    tangent = np.ones(x.size)
-    tangent[2 * idx] = -unit[:, 1]
-    tangent[2 * idx + 1] = unit[:, 0]
-    z = sp.csr_matrix(
-        (tangent, np.cumsum(kept) - kept, np.arange(x.size + 1)),
-        shape=(x.size, np.count_nonzero(kept)),
-    )
-    x_new = x_fixed + z @ solve_spd((z.T @ h @ z).tocsr(), z.T @ (rhs - h @ x_fixed))
+    def reduced_matvec(y):
+        v = np.zeros((lam.size, 2))
+        v[kept] = y
+        return _to_frame(apply_h(_from_frame(v, frame)), frame)[kept]
+
+    band = forms.elasticity_blocks.reduced_band(eps, node_diagonal, idx, unit)
+    reduced_rhs = _to_frame(rhs - apply_h(x_fixed), frame)[kept]
+    x_frame[kept] = solve_spd(band, reduced_rhs, reduced_matvec)
+    x_new = _from_frame(x_frame, frame)
 
     lam_new = np.zeros_like(lam)
-    radial_rows = (rhs - h @ x_new).reshape(-1, 2)[idx]
-    lam_new[idx] = np.sum(unit * radial_rows, axis=1) / (2.0 * radii)
+    lam_new[idx] = _to_frame(rhs - apply_h(x_new), frame)[idx, 0] / (2.0 * radii)
     return x_new, lam_new
+
+
+def _to_frame(v, frame):
+    """Per node, the (radial, tangent) components of the node-major vector v."""
+    v = v.reshape(-1, 2)
+    cos, sin = frame
+    return np.column_stack([cos * v[:, 0] + sin * v[:, 1], cos * v[:, 1] - sin * v[:, 0]])
+
+
+def _from_frame(w, frame):
+    """The node-major vector whose per-node (radial, tangent) components are w."""
+    cos, sin = frame
+    return np.column_stack([cos * w[:, 0] - sin * w[:, 1], sin * w[:, 0] + cos * w[:, 1]]).ravel()
 
 
 def _kkt_residual(a_mat, b, eps, x, lam, active, norms2):
@@ -247,6 +272,31 @@ def tv_upper_bound(u, result: OracleResult, eps: float, forms: Forms) -> float:
     """
     lam = np.maximum(result.ball_state.multipliers, 0.0)
     b = forms.dual_load(u)
-    h = (eps * forms.elasticity + sp.diags(np.repeat(2.0 * lam, 2))).tocsr()
-    x = solve_spd(h, b)
+    diagonal = np.repeat(2.0 * lam, 2)
+    band = forms.elasticity_blocks.reduced_band(eps, 2.0 * lam, [], np.zeros((0, 2)))
+    x = solve_spd(band, b, lambda v: eps * (forms.elasticity @ v) + diagonal * v)
     return float(lam.sum() + 0.5 * (b @ x))
+
+
+def certificate_floor(u, result: OracleResult, forms: Forms) -> float:
+    """A floor under ``tv_upper_bound`` at a converged result, without its SPD solve.
+
+    At convergence |phi_i|^2 <= 1 + KKT_TOL, so phi / sqrt(1 + KKT_TOL) is
+    feasible; since a[phi, phi] >= 0 its objective is at least
+    value / sqrt(1 + KKT_TOL), and the exact weak-duality bound is at least
+    tv_eps(u). The computed bound falls short of the exact one by
+    (1/2) |x*^T r|, with x* = H^{-1} b the exact solution of the
+    certificate's system and r the solve's residual, ||r||_inf <=
+    RESIDUAL_TOL (1 + ||b||_inf). The floor subtracts that for
+    ||x*||_1 <= 2 dofs, which holds: at convergence the multipliers are
+    nonnegative and H phi = b + s with ||s||_inf <= KKT_TOL, so
+    ||x* - phi||_1 <= dofs ||H^{-1}||_2 KKT_TOL, while ||phi||_1 <= 0.71
+    dofs. H >= eps A, and the smallest eigenvalue of A is about
+    5.4e4 / n^2, so ||H^{-1}||_2 KKT_TOL stays below the slack of 1.29 up
+    to n = 2000 at eps = 7.8e-8, the smallest eps_min of the instances.
+    """
+    if not result.converged:
+        raise ValueError("the certificate floor requires a converged oracle result")
+    b = forms.dual_load(u)
+    margin = RESIDUAL_TOL * (1.0 + np.abs(b).max(initial=0.0)) * b.size
+    return result.value / math.sqrt(1.0 + KKT_TOL) - margin

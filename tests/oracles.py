@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: dense
 Gaussian elimination instead of sparse factorizations, projected gradient
 ascent instead of the active-set iteration, the full dense saddle system
-instead of the oracle's null-space reduction, active-set enumeration on
+instead of the oracle's null-space reduction, dense products instead of
+its band filled from node blocks, active-set enumeration on
 dense KKT systems instead of the bordered solver, a dictionary walk
 over the triangles instead of the vectorized interior-edge construction,
 one ``einsum`` over every quadrature point of the mesh instead of the
@@ -25,7 +26,18 @@ from tvcontrol.mesh_fem import (
     _p0_values,
     _subtriangle_centroids,
 )
-from tvcontrol.sparse_linalg import solve_spd
+from tvcontrol.sparse_linalg import lower_band, solve_spd
+
+
+def solve_sparse_spd(matrix, b) -> np.ndarray:
+    """Solve with a symmetric positive definite sparse matrix by the banded core.
+
+    Its stored entries on or below the diagonal (duplicates summed) go into
+    LAPACK band storage by ``lower_band``, then ``solve_spd`` factors it.
+    """
+    coo = matrix.tocoo()
+    band = lower_band(coo.row, coo.col, coo.data, matrix.shape[0])
+    return solve_spd(band, b, matrix.__matmul__)
 
 
 def dense_gaussian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -115,6 +127,35 @@ def dense_newton_step(a_mat, b, eps, x, lam, active):
     return sol[:n], multipliers
 
 
+def dense_reduced_newton_band(a_mat, eps, x, lam, active) -> np.ndarray:
+    """Lower band of the Newton step's reduced matrix Z^T H Z, from dense products.
+
+    H = eps*A + 2 diag(lam+); Z keeps both dofs of an inactive node and the
+    unit tangent (-p_2, p_1) / |p| of each active node's point p. The band
+    is as wide as the farthest nonzero entry: band[d, j] = M[j + d, j].
+    """
+    n = x.size
+    points = np.asarray(x, dtype=float).reshape(-1, 2)
+    columns = []
+    for node, is_active in enumerate(active):
+        if is_active:
+            p = points[node] / np.linalg.norm(points[node])
+            column = np.zeros(n)
+            column[2 * node : 2 * node + 2] = (-p[1], p[0])
+            columns.append(column)
+        else:
+            columns.extend(np.eye(n)[2 * node : 2 * node + 2])
+    z = np.array(columns).T
+    h = eps * a_mat.toarray() + np.diag(np.repeat(2.0 * np.maximum(lam, 0.0), 2))
+    m = z.T @ h @ z
+    rows, cols = np.nonzero(np.tril(m))
+    width = int((rows - cols).max(initial=0))
+    band = np.zeros((width + 1, m.shape[0]))
+    for d in range(width + 1):
+        band[d, : m.shape[0] - d] = np.diagonal(m, -d)
+    return band
+
+
 def dense_master_qp(instance, forms: Forms, planes, eps: float):
     """Reduced dense QP data for the relaxed control problem.
 
@@ -195,7 +236,7 @@ def dual_objective(u, phi, eps: float, forms: Forms) -> float:
 
 def solve_state(u, instance, forms: Forms) -> P1ScalarField:
     rhs = forms.load_interior @ (_p0_values(u) + _p0_values(instance.f))
-    return forms.full_scalar_field(solve_spd(forms.stiffness, rhs))
+    return forms.full_scalar_field(solve_sparse_spd(forms.stiffness, rhs))
 
 
 def reduced_objective(u, instance, forms: Forms) -> float:
@@ -211,6 +252,6 @@ def reduced_gradient(u, instance, forms: Forms) -> P0Field:
     """Gradient density alpha (u - u_d) + p of the reduced objective (two Poisson solves)."""
     y = solve_state(u, instance, forms)
     adjoint_rhs = forms.mass_interior @ (y.values - instance.y_d.values)
-    p = forms.full_scalar_field(solve_spd(forms.stiffness, adjoint_rhs))
+    p = forms.full_scalar_field(solve_sparse_spd(forms.stiffness, adjoint_rhs))
     p_bar = forms.cell_average @ p.values
     return P0Field(instance.alpha * (_p0_values(u) - _p0_values(instance.u_d)) + p_bar)

@@ -12,7 +12,7 @@ from tvcontrol.driver import (
     rel_error,
     run_outer_approximation,
 )
-from tvcontrol.instances import ProblemInstance, build_exact_instance
+from tvcontrol.instances import ProblemInstance, build_exact_instance, build_generic_instance
 from tvcontrol.mesh_fem import P0Field, P1ScalarField, build_friedrichs_keller
 
 
@@ -173,6 +173,34 @@ def test_one_oracle_call_per_outer_iteration(monkeypatch, warm_start):
         assert all(warm is prev for warm, prev in zip(calls[1:], results))
     else:
         assert all(warm is None for warm in calls)
+
+
+def test_certificate_solve_skipped_when_it_cannot_pass(monkeypatch):
+    # generic n = 16 with tol 1e-3: the first eps_min row has tv_eps 1.00129,
+    # so its certificate exceeds 1 + tol without being solved
+    bounds = []
+    upper_bound = driver.tv_upper_bound
+
+    def counting(*args):
+        bounds.append(upper_bound(*args))
+        return bounds[-1]
+
+    monkeypatch.setattr(driver, "tv_upper_bound", counting)
+    mesh = build_friedrichs_keller(16)
+    instance = build_generic_instance(mesh)
+    config = SolverConfig(n=16, eps_min=1.6e-7, tol=1e-3)
+    report = run_outer_approximation(instance, config)
+    at_eps_min = [r for r in report.records if r.eps == config.eps_min]
+    assert report.terminated == TOLERANCE_MET
+    assert len(at_eps_min) == 2 and at_eps_min[0].tv_eps > 1.0 + config.tol
+    assert len(bounds) == 1 and bounds[0] <= 1.0 + config.tol
+
+    # solving every certificate takes the same decisions
+    monkeypatch.setattr(driver, "certificate_floor", lambda *args: -np.inf)
+    always = run_outer_approximation(instance, config)
+    assert len(bounds) == 3 and bounds[1] > 1.0 + config.tol
+    assert always.terminated == report.terminated
+    assert always.records == report.records
 
 
 def test_cold_run_solves_each_oracle_call_directly_at_its_eps():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import interior_edge_cells_by_loop, project_p0_by_einsum
+from oracles import interior_edge_cells_by_loop, project_p0_by_einsum, solve_sparse_spd
 from tvcontrol.mesh_fem import (
     P0_CHUNK_POINTS,
     P0Field,
@@ -19,7 +19,6 @@ from tvcontrol.mesh_fem import (
     l2_norm_p0,
     project_p0,
 )
-from tvcontrol.sparse_linalg import solve_spd
 
 
 def test_smallest_mesh():
@@ -99,7 +98,7 @@ def _poisson_max_error(n):
     load = project_p0(
         lambda x, y: 2 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y), mesh
     )
-    y_int = solve_spd(forms.stiffness, forms.load_interior @ load.values)
+    y_int = solve_sparse_spd(forms.stiffness, forms.load_interior @ load.values)
     y = forms.full_scalar_field(y_int)
     exact = np.sin(np.pi * mesh.nodes[:, 0]) * np.sin(np.pi * mesh.nodes[:, 1])
     return np.abs(y.values - exact).max()
@@ -115,7 +114,7 @@ def test_empty_interior_solve():
     mesh = build_friedrichs_keller(1)
     forms = build_forms(mesh)
     rhs = forms.load_interior @ np.ones(mesh.n_cells)
-    y = forms.full_scalar_field(solve_spd(forms.stiffness, rhs))
+    y = forms.full_scalar_field(solve_sparse_spd(forms.stiffness, rhs))
     assert np.all(y.values == 0.0)
 
 
@@ -168,7 +167,7 @@ def test_translation_has_zero_energy_before_reduction():
 def test_reduced_elasticity_positive_definite():
     a = build_forms(build_friedrichs_keller(6)).elasticity
     # factorization succeeding is the positive-pivot check
-    x = solve_spd(a, np.ones(a.shape[0]))
+    x = solve_sparse_spd(a, np.ones(a.shape[0]))
     assert np.isfinite(x).all()
     rng = np.random.default_rng(3)
     for _ in range(100):

@@ -3,20 +3,21 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from oracles import dense_gaussian_solve
+from oracles import dense_gaussian_solve, dense_reduced_newton_band, solve_sparse_spd
 from tvcontrol import tv_oracle
 from tvcontrol.mesh_fem import build_forms, build_friedrichs_keller
-from tvcontrol.sparse_linalg import NotPositiveDefiniteError, solve_spd
+from tvcontrol.sparse_linalg import NodeBlocks, NotPositiveDefiniteError, lower_band, solve_spd
 
 
 def test_identity_solve():
     b = np.array([3.0, -1.0, 0.5])
-    assert np.array_equal(solve_spd(sp.eye(3, format="csr"), b), b)
+    band = lower_band(np.arange(3), np.arange(3), np.ones(3), 3)
+    assert band.shape == (1, 3)
+    assert np.array_equal(solve_spd(band, b, lambda x: x), b)
 
 
 def test_diagonal_solve():
-    a = sp.diags([2.0, 4.0]).tocsr()
-    x = solve_spd(a, np.array([2.0, 8.0]))
+    x = solve_sparse_spd(sp.diags([2.0, 4.0]).tocsr(), np.array([2.0, 8.0]))
     assert np.allclose(x, [1.0, 2.0], atol=1e-14)
 
 
@@ -30,22 +31,28 @@ def test_random_spd_matches_dense_elimination():
     a = _random_spd(20, seed=7)
     rng = np.random.default_rng(8)
     b = rng.standard_normal(20)
-    x = solve_spd(sp.csr_matrix(a), b)
+    x = solve_sparse_spd(sp.csr_matrix(a), b)
     assert np.abs(x - dense_gaussian_solve(a, b)).max() < 1e-9
 
 
 def test_solves_are_bitwise_deterministic():
     a = sp.csr_matrix(_random_spd(30, seed=1))
     b = np.random.default_rng(2).standard_normal(30)
-    assert np.array_equal(solve_spd(a, b), solve_spd(a, b))
+    assert np.array_equal(solve_sparse_spd(a, b), solve_sparse_spd(a, b))
     fresh = sp.csr_matrix(_random_spd(30, seed=1))
-    assert np.array_equal(solve_spd(a, b), solve_spd(fresh, b))
+    assert np.array_equal(solve_sparse_spd(a, b), solve_sparse_spd(fresh, b))
 
 
 def test_indefinite_matrix_rejected():
     a = sp.diags([1.0, -1.0]).tocsr()
     with pytest.raises(NotPositiveDefiniteError):
-        solve_spd(a, np.ones(2))
+        solve_sparse_spd(a, np.ones(2))
+
+
+def test_residual_bound_is_checked_through_the_matvec():
+    band = lower_band(np.arange(3), np.arange(3), np.full(3, 2.0), 3)
+    with pytest.raises(NotPositiveDefiniteError, match="residual"):
+        solve_spd(band, np.ones(3), lambda x: 3.0 * x)
 
 
 @pytest.fixture(scope="module")
@@ -54,38 +61,113 @@ def forms8():
 
 
 def _assert_matches_dense(a, b):
-    x = solve_spd(a, b)
+    x = solve_sparse_spd(a, b)
     expected = np.linalg.solve(a.toarray(), b)
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_oracle_operator_matches_dense(forms8):
+    # the certificate's band, filled from the node blocks with no node rotated,
+    # is bitwise the band of the lower entries of eps * A + 2 diag(lambda)
     rng = np.random.default_rng(21)
     lam = rng.exponential(size=forms8.n_interior)
-    h = (1e-5 * forms8.elasticity + sp.diags(np.repeat(2.0 * lam, 2))).tocsr()
-    _assert_matches_dense(h, rng.standard_normal(h.shape[0]))
+    h = (1e-5 * forms8.elasticity + sp.diags(np.repeat(2.0 * lam, 2))).tocoo()
+    band = forms8.elasticity_blocks.reduced_band(1e-5, 2.0 * lam, [], np.zeros((0, 2)))
+    assert np.array_equal(band, lower_band(h.row, h.col, h.data, h.shape[0]))
+    _assert_matches_dense(h.tocsr(), rng.standard_normal(h.shape[0]))
 
 
 def test_reduced_newton_system_matches_dense(forms8, monkeypatch):
-    systems = []
+    bands = []
 
-    def recording_solve(matrix, b):
-        systems.append((matrix, b))
-        return solve_spd(matrix, b)
+    def recording_solve(band, rhs, matvec):
+        bands.append(band.copy())
+        return solve_spd(band, rhs, matvec)
 
     monkeypatch.setattr(tv_oracle, "solve_spd", recording_solve)
     n_int = forms8.n_interior
     rng = np.random.default_rng(22)
-    active = np.zeros(n_int, dtype=bool)
-    active[::3] = True
     b = forms8.dual_load(rng.standard_normal(forms8.mesh.n_cells))
-    tv_oracle._newton_step(
-        forms8.elasticity, b, 1e-5, rng.standard_normal(2 * n_int),
-        np.where(active, rng.exponential(size=n_int), 0.0), active,
-    )
-    (reduced, rhs), = systems
-    assert reduced.shape[0] == 2 * n_int - active.sum()
-    _assert_matches_dense(reduced, rhs)
+    for pattern in (slice(None, None, 3), slice(0), slice(None)):  # every third, none, all
+        active = np.zeros(n_int, dtype=bool)
+        active[pattern] = True
+        x = rng.standard_normal(2 * n_int)
+        lam = np.where(active, rng.exponential(size=n_int), 0.0)
+        tv_oracle._newton_step(forms8, b, 1e-5, x, lam, active)
+        band = bands.pop()
+        # radial projection keeps each tangent, so Z can be built from x itself
+        expected = dense_reduced_newton_band(forms8.elasticity, 1e-5, x, lam, active)
+        assert band.shape == expected.shape
+        assert band.shape[1] == 2 * n_int - active.sum()
+        assert np.linalg.norm(band - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+def _public_sparse_classes():
+    return [
+        cls for cls in vars(sp).values()
+        if isinstance(cls, type) and issubclass(cls, (sp.spmatrix, sp.sparray))
+        and cls not in (sp.spmatrix, sp.sparray)
+    ]
+
+
+def test_newton_steps_build_no_sparse_matrix(forms8, monkeypatch):
+    # every public scipy.sparse class records its constructions inside a step
+    built, inside = [], []
+    newton_step = tv_oracle._newton_step
+
+    def tracked_step(*args):
+        inside.append(True)
+        try:
+            return newton_step(*args)
+        finally:
+            inside.pop()
+
+    def tracking(init):
+        def tracked_init(self, *args, **kwargs):
+            if inside:
+                built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        return tracked_init
+
+    classes = _public_sparse_classes()
+    assert sp.csr_matrix in classes and sp.dia_matrix in classes
+    for cls, init in [(cls, cls.__init__) for cls in classes]:
+        monkeypatch.setattr(cls, "__init__", tracking(init))
+    monkeypatch.setattr(tv_oracle, "_newton_step", tracked_step)
+    rng = np.random.default_rng(26)
+    res = tv_oracle.eval_tv_eps(rng.standard_normal(forms8.mesh.n_cells), 1e-6, forms8)
+    assert res.converged and res.inner_iterations > 1 and res.ball_state.active_nodes.any()
+    assert built == []
+    # the tracking sees sparse matrices where they are built
+    inside.append(True)
+    sp.diags(np.ones(3)).tocsr()
+    assert "csr_matrix" in built
+
+
+def test_node_blocks_reassemble_the_matrix(forms8):
+    a = forms8.elasticity
+    blocks = NodeBlocks.from_csr(a)
+    nodes = forms8.n_interior
+    assert np.array_equal(blocks.rows[:nodes], np.arange(nodes))
+    assert np.array_equal(blocks.cols[:nodes], np.arange(nodes))
+    assert np.all(blocks.rows >= blocks.cols)
+    dense = np.zeros(a.shape)
+    for k, (i, j) in enumerate(zip(blocks.rows, blocks.cols)):
+        dense[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = blocks.values[:, :, k]
+    assert np.array_equal(np.tril(dense), np.tril(a.toarray()))
+    assert forms8.elasticity_blocks is forms8.elasticity_blocks
+
+
+def test_node_blocks_are_compact_and_linear_in_nodes():
+    # at most four lower blocks per node (itself, left, below, below-left),
+    # each four doubles and two int32 node indices
+    for n in (8, 25, 50):
+        forms = build_forms(build_friedrichs_keller(n))
+        blocks = forms.elasticity_blocks
+        assert blocks.rows.dtype == blocks.cols.dtype == np.int32
+        nbytes = blocks.rows.nbytes + blocks.cols.nbytes + blocks.values.nbytes
+        assert nbytes <= 4 * (4 * 8 + 2 * 4) * forms.n_interior
+    assert nbytes <= 1_000_000
 
 
 def test_full_bandwidth_arrow_matrix():
@@ -106,8 +188,14 @@ def test_duplicate_entries_are_summed():
     summed = a.copy()
     summed.sum_duplicates()
     assert np.array_equal(summed.toarray(), [[4.0, 1.0, 0.0], [1.0, 5.0, 2.0], [0.0, 2.0, 6.0]])
+    coo, canonical = a.tocoo(), summed.tocoo()
+    assert coo.nnz > canonical.nnz
+    assert np.array_equal(
+        lower_band(coo.row, coo.col, coo.data, 3),
+        lower_band(canonical.row, canonical.col, canonical.data, 3),
+    )
     b = np.array([1.0, -2.0, 0.5])
-    assert np.array_equal(solve_spd(a, b), solve_spd(summed, b))
+    assert np.array_equal(solve_sparse_spd(a, b), solve_sparse_spd(summed, b))
 
 
 def _path_laplacian(size):
@@ -123,7 +211,7 @@ def _path_laplacian(size):
 def test_not_positive_definite_rejected(a):
     a = sp.csr_matrix(a)
     with pytest.raises(NotPositiveDefiniteError):
-        solve_spd(a, np.arange(1.0, a.shape[0] + 1.0))
+        solve_sparse_spd(a, np.arange(1.0, a.shape[0] + 1.0))
 
 
 def test_solve_does_not_use_superlu(monkeypatch):
@@ -133,10 +221,12 @@ def test_solve_does_not_use_superlu(monkeypatch):
     monkeypatch.setattr(spla, "splu", no_splu)
     a = sp.csr_matrix(_random_spd(10, seed=24))
     b = np.random.default_rng(25).standard_normal(10)
-    assert np.abs(a @ solve_spd(a, b) - b).max() < 1e-10
+    assert np.abs(a @ solve_sparse_spd(a, b) - b).max() < 1e-10
 
 
 def test_empty_system():
-    x = solve_spd(sp.csr_matrix((0, 0)), np.zeros(0))
+    empty = np.zeros(0, dtype=int)
+    band = lower_band(empty, empty, np.zeros(0), 0)
+    x = solve_spd(band, np.zeros(0), lambda x: x)
     assert x.size == 0
 
