@@ -4,9 +4,9 @@ Each iteration solves the current relaxation, evaluates the regularized TV
 of its minimizer (which yields the next cutting plane), and shrinks eps
 geometrically until the target value is reached; only then is the
 termination test tv_eps(u_k) <= 1 + tol armed. It is certified by weak
-duality: the oracle's ball multipliers bound tv_eps(u_k) from above at the
-cost of one SPD solve, skipped when the oracle's value alone shows that the
-bound exceeds 1 + tol (``tv_oracle.certificate_floor``). Every stored plane
+duality: the oracle's ball multipliers and maximizer bound tv_eps(u_k) from
+above in closed form, at the cost of one product with the elasticity
+matrix (``tv_oracle.tv_upper_bound``). Every stored plane
 is re-tightened automatically because its right-hand side carries the
 current eps. Both subproblems are warm-started from the previous
 iteration; with ``warm_start=False`` they start from zero, and the oracle
@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 from .master_problem import CuttingPlane, MasterOperator, MasterSolution, make_cutting_plane
 from .mesh_fem import Forms, P0Field, build_forms, l2_error_p0, l2_norm_p0
-from .tv_oracle import (
-    OracleResult,
-    certificate_floor,
-    eval_tv_eps,
-    tv_lower_bound,
-    tv_upper_bound,
-)
+from .tv_oracle import OracleResult, eval_tv_eps, tv_lower_bound, tv_upper_bound
 
 TOLERANCE_MET = "tolerance_met"
 MAX_OUTER = "max_outer"
@@ -233,7 +227,6 @@ def run_outer_approximation(
 
         if (
             _at_eps_min(eps, config)
-            and certificate_floor(master.u, oracle, forms) <= 1.0 + config.tol
             and tv_upper_bound(master.u, oracle, eps, forms) <= 1.0 + config.tol
         ):
             terminated = TOLERANCE_MET

@@ -83,7 +83,7 @@ class MasterOperator:
         m_in = forms.mass_interior
         m_ii = m_in[:, forms.interior_nodes].tocsr()
         self._b_in = forms.load_interior
-        coupled = (self._b_in @ sp.diags(1.0 / forms.areas) @ self._b_in.T).tocsr()
+        coupled = (self._b_in @ sp.diags(1.0 / forms.mesh.cell_areas) @ self._b_in.T).tocsr()
         self.base = sp.bmat(
             [[-m_ii, forms.stiffness], [forms.stiffness, coupled / self.alpha]],
             format="csr",
@@ -114,7 +114,7 @@ class MasterOperator:
         n_i = forms.n_interior
         k = len(planes)
         alpha = self.alpha
-        areas = forms.areas
+        areas = forms.mesh.cell_areas
 
         div = np.reshape([p.div_phi.values for p in planes], (k, forms.mesh.n_cells))
         energies = np.array([p.energy for p in planes])
@@ -193,5 +193,5 @@ class MasterOperator:
         diff = y.values - self._y_d
         tracking = 0.5 * float(diff @ (self.forms.mass_p1 @ diff))
         du = _p0_values(u) - self._u_d
-        return tracking + 0.5 * self.alpha * float(np.sum(self.forms.areas * du * du))
+        return tracking + 0.5 * self.alpha * float(np.sum(self.forms.mesh.cell_areas * du * du))
 

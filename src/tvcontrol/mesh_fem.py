@@ -12,6 +12,7 @@ is exact. Discontinuous data is projected to P0 by midpoint quadrature on
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -23,6 +24,8 @@ from .sparse_linalg import NodeBlocks
 #: Young's modulus and Poisson ratio of the elasticity energy form
 YOUNGS_MODULUS = 2900.0
 POISSON_RATIO = 0.4
+#: the shear modulus mu, the Lame parameter of the symmetric gradient
+SHEAR_MODULUS = YOUNGS_MODULUS / (2.0 * (1.0 + POISSON_RATIO))
 
 #: Quadrature points per call of the integrand in :func:`project_p0`
 P0_CHUNK_POINTS = 2**15
@@ -241,7 +244,7 @@ def assemble_elasticity(mesh: Mesh) -> sp.csr_matrix:
     translations lie in its kernel.
     """
     E, nu = YOUNGS_MODULUS, POISSON_RATIO
-    mu = E / (2.0 * (1.0 + nu))
+    mu = SHEAR_MODULUS
     lam = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
 
     grads = basis_gradients(mesh)
@@ -256,6 +259,18 @@ def assemble_elasticity(mesh: Mesh) -> sp.csr_matrix:
     cols = np.tile(dofs, (1, 6)).ravel()
     shape = (2 * mesh.n_nodes, 2 * mesh.n_nodes)
     return _summed_csr_without_zeros(rows, cols, local.ravel(), shape)
+
+
+def elasticity_floor(mesh: Mesh) -> float:
+    """theta = mu 8 sin^2(pi / 2n), at most the smallest eigenvalue of the interior elasticity.
+
+    On fields that vanish on the boundary, integrating by parts gives
+    a[phi, phi] = mu ||grad phi||^2 + (mu + lam) ||div phi||^2 >= mu ||grad phi||^2,
+    and on the Friedrichs-Keller mesh the P1 stiffness matrix of the interior
+    nodes is the 5-point Laplacian (4 on the diagonal, -1 for each grid
+    neighbour), whose smallest eigenvalue is 8 sin^2(pi / 2n).
+    """
+    return SHEAR_MODULUS * 8.0 * math.sin(math.pi / (2 * mesh.n)) ** 2
 
 
 @lru_cache(maxsize=None)
@@ -338,7 +353,6 @@ class Forms:
     cell_average: sp.csr_matrix      # cells x all nodes: P1 -> cell mean
     elasticity: sp.csr_matrix        # interior vector dofs (node-major), SPD
     divergence: sp.csr_matrix        # cells x (2 * n_interior)
-    areas: np.ndarray
 
     @cached_property
     def elasticity_blocks(self) -> NodeBlocks:
@@ -366,7 +380,7 @@ class Forms:
 
     def dual_load(self, u) -> np.ndarray:
         """Vector b with b_j = int u * div(basis_j) dx over interior vector dofs."""
-        return self.divergence.T @ (self.areas * _p0_values(u))
+        return self.divergence.T @ (self.mesh.cell_areas * _p0_values(u))
 
 
 def build_forms(mesh: Mesh) -> Forms:
@@ -405,5 +419,4 @@ def build_forms(mesh: Mesh) -> Forms:
         cell_average=cell_average,
         elasticity=assemble_elasticity(mesh)[np.ix_(vector_dofs, vector_dofs)].tocsr(),
         divergence=divergence,
-        areas=mesh.cell_areas.copy(),
     )

@@ -1,12 +1,12 @@
 """Deterministic banded SPD solves for the TV oracle.
 
-The TV oracle's reduced Newton steps and its duality certificate solve
-symmetric positive definite systems by LAPACK's banded Cholesky
-(dpbtrf/dpbtrs): the interior dofs are numbered node-major, row by row, so
-these matrices have a bandwidth of about 2n + 1 in their natural order and
-need no reordering. :class:`NodeBlocks` holds the lower 2×2 node blocks of
-the elasticity matrix, gathered once, and fills the band of each system
-straight from them, so no sparse matrix is built per solve.
+The TV oracle's reduced Newton steps solve symmetric positive definite
+systems by LAPACK's banded Cholesky (dpbtrf/dpbtrs): the interior dofs are
+numbered node-major, row by row, so these matrices have a bandwidth of
+about 2n + 1 in their natural order and need no reordering.
+:class:`NodeBlocks` holds the lower 2×2 node blocks of the elasticity
+matrix, gathered once, and fills the band of each system straight from
+them, so no sparse matrix is built per solve.
 :func:`solve_spd` factors a band, solves, and checks the residual through a
 matrix-vector product.
 """
@@ -64,15 +64,16 @@ class NodeBlocks:
             values=values,
         )
 
-    def reduced_band(self, scale, diagonal, nodes, unit) -> np.ndarray:
+    def reduced_band(self, scale, diagonal, frame, kept) -> np.ndarray:
         """Lower band of Z^T (scale * A + D) Z.
 
-        D adds ``diagonal[q]`` to both dofs of node q. Z keeps both dofs of
-        every node except ``nodes[k]``, of which it keeps only the unit
-        tangent (-unit[k, 1], unit[k, 0]); its columns follow the kept dofs
-        in order. The blocks that touch such a node are rotated into its
-        (radial, tangent) frame; the entries of a dropped radial dof get
-        the index -1, which ``lower_band`` skips.
+        D adds ``diagonal[q]`` to both dofs of node q. Z rotates the dofs of
+        node q into its (radial, tangent) frame, with (cos, sin) =
+        ``frame[:, q]`` giving the radial direction, and keeps the rotated
+        dofs ``kept[q]``; its columns follow the kept dofs in order. Only
+        the blocks that touch a node whose frame is not the identity are
+        rotated; the entries of a dropped dof get the index -1, which
+        ``lower_band`` skips.
         """
         size = diagonal.size
         h = scale * self.values
@@ -80,14 +81,10 @@ class NodeBlocks:
         h[0, 0, :size] += diagonal
         h[1, 1, :size] += diagonal
 
-        rotated = np.zeros(size, dtype=bool)
-        rotated[nodes] = True
-        # each node's frame: columns (radial, tangent), the identity off ``nodes``
-        basis = np.zeros((2, 2, size))
-        basis[0, 0] = basis[1, 1] = 1.0
-        basis[0, 0, nodes] = basis[1, 1, nodes] = unit[:, 0]
-        basis[1, 0, nodes] = unit[:, 1]
-        basis[0, 1, nodes] = -unit[:, 1]
+        cos, sin = frame
+        rotated = (cos != 1.0) | (sin != 0.0)
+        # each node's rotation: columns (radial, tangent)
+        basis = np.array([[cos, -sin], [sin, cos]])
         touched = np.flatnonzero(np.take(rotated, self.rows) | np.take(rotated, self.cols))
         t = np.take(h, touched, axis=2)
         z = np.take(basis, np.take(self.rows, touched), axis=2)
@@ -98,9 +95,7 @@ class NodeBlocks:
             axis=1,
         )
 
-        kept = np.ones((size, 2), dtype=bool)
-        kept[nodes, 0] = False
-        # each dof's column of Z, or -1 for a dropped radial dof
+        # each dof's column of Z, or -1 for a dropped dof
         column = np.where(kept, np.cumsum(kept).reshape(size, 2) - 1, -1).T
         rows = np.take(column, self.rows, axis=1)[:, None]
         cols = np.take(column, self.cols, axis=1)

@@ -16,13 +16,12 @@ above.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_fem import Forms, Mesh, P1VectorField, _p0_values
-from .sparse_linalg import RESIDUAL_TOL, solve_spd
+from .mesh_fem import Forms, Mesh, P1VectorField, _p0_values, elasticity_floor
+from .sparse_linalg import solve_spd
 
 #: the active set is optimal once it repeats and the KKT residual is at most this
 KKT_TOL = 1e-9
@@ -98,7 +97,6 @@ def eval_tv_eps(
             residual=0.0,
         )
 
-    a_mat = forms.elasticity
     b = forms.dual_load(u)
 
     if warm_start is not None:
@@ -116,10 +114,10 @@ def eval_tv_eps(
     for _ in range(MAX_NEWTON_STEPS):
         iterations += 1
         lam = np.where(active, lam, 0.0)
-        x, lam = _newton_step(forms, b, eps, x, lam, active)
+        x, lam, ax = _newton_step(forms, b, eps, x, lam, active)
 
         norms2 = np.sum(x.reshape(-1, 2) ** 2, axis=1)
-        residual = _kkt_residual(a_mat, b, eps, x, lam, active, norms2)
+        residual = _kkt_residual(ax, b, eps, x, lam, active, norms2)
         active_next = np.where(active, lam > 0.0, norms2 > 1.0)
         if np.array_equal(active_next, active) and residual <= KKT_TOL:
             converged = True
@@ -127,7 +125,7 @@ def eval_tv_eps(
         active = active_next
         lam = np.where(active, lam, 0.0)
 
-    energy = float(x @ (a_mat @ x))
+    energy = float(x @ ax)
     value = -0.5 * eps * energy + float(b @ x)
     return OracleResult(
         phi=forms.full_vector_field(x),
@@ -156,6 +154,7 @@ def _newton_step(forms, b, eps, x, lam, active):
     node, the tangential and inactive unknowns solve the SPD system
     Z^T H Z y = Z^T (rhs - H x_fixed). Each multiplier then comes from its
     node's radial row: lambda_i = (p_i / |p_i|) . (rhs - H x)_i / (2 |p_i|).
+    Returns the new x and lambda, and A x, which the caller reuses.
 
     No sparse matrix is built: Z^T H Z goes straight into band storage from
     the 2×2 node blocks of A (``NodeBlocks.reduced_band``), and the products
@@ -201,14 +200,15 @@ def _newton_step(forms, b, eps, x, lam, active):
         v[kept] = y
         return _to_frame(apply_h(_from_frame(v, frame)), frame)[kept]
 
-    band = forms.elasticity_blocks.reduced_band(eps, node_diagonal, idx, unit)
+    band = forms.elasticity_blocks.reduced_band(eps, node_diagonal, frame, kept)
     reduced_rhs = _to_frame(rhs - apply_h(x_fixed), frame)[kept]
     x_frame[kept] = solve_spd(band, reduced_rhs, reduced_matvec)
     x_new = _from_frame(x_frame, frame)
 
+    ax_new = forms.elasticity @ x_new
     lam_new = np.zeros_like(lam)
-    lam_new[idx] = _to_frame(rhs - apply_h(x_new), frame)[idx, 0] / (2.0 * radii)
-    return x_new, lam_new
+    lam_new[idx] = _to_frame(rhs - (eps * ax_new + diagonal * x_new), frame)[idx, 0] / (2.0 * radii)
+    return x_new, lam_new, ax_new
 
 
 def _to_frame(v, frame):
@@ -224,8 +224,9 @@ def _from_frame(w, frame):
     return np.column_stack([cos * w[:, 0] - sin * w[:, 1], sin * w[:, 0] + cos * w[:, 1]]).ravel()
 
 
-def _kkt_residual(a_mat, b, eps, x, lam, active, norms2):
-    stationarity = eps * (a_mat @ x) + 2.0 * np.repeat(lam, 2) * x - b
+def _kkt_residual(ax, b, eps, x, lam, active, norms2):
+    """The largest violation of the KKT conditions at x, given ax = A x."""
+    stationarity = eps * ax + 2.0 * np.repeat(lam, 2) * x - b
     res = float(np.abs(stationarity).max(initial=0.0))
     if active.any():
         res = max(res, float(np.abs(norms2[active] - 1.0).max()))
@@ -260,43 +261,25 @@ def tv_lower_bound(result: OracleResult, eps: float) -> float:
 
 
 def tv_upper_bound(u, result: OracleResult, eps: float, forms: Forms) -> float:
-    """Upper bound for tv_eps(u) by weak duality, at the cost of one SPD solve.
+    """Upper bound for tv_eps(u) by weak duality, at the cost of one product with A.
 
     For any nodal multipliers lambda >= 0 the Lagrangian of the ball
-    constraints gives
+    constraints gives tv_eps(u) <= g(lambda) = sum(lambda) + (1/2) b^T H^{-1} b,
+    H = eps * A + 2 diag(lambda). Writing r = b - H phi for any phi,
 
-        tv_eps(u) <= sum(lambda) + (1/2) b^T (eps * A + 2 diag(lambda))^{-1} b.
+        g(lambda) = sum(lambda) + (1/2) (b + r)^T phi + (1/2) r^T H^{-1} r,
 
-    Uses the nonnegative part of the multipliers in ``result``, which need
-    not be converged; at a converged result the bound equals its value.
+    and H >= eps * theta I with theta = mu 8 sin^2(pi / 2n)
+    (``mesh_fem.elasticity_floor``): the shear part of a[., .] alone is mu
+    times the 5-point Laplacian, whose smallest eigenvalue is 8 sin^2(pi / 2n),
+    so theta <= the smallest eigenvalue of A and the last term is at most
+    |r|^2 / (2 eps theta). Uses the result's phi and the nonnegative part
+    of its multipliers, which need not be converged; at a converged result
+    r is at the KKT tolerance and the bound equals the value to within it.
     """
     lam = np.maximum(result.ball_state.multipliers, 0.0)
     b = forms.dual_load(u)
-    diagonal = np.repeat(2.0 * lam, 2)
-    band = forms.elasticity_blocks.reduced_band(eps, 2.0 * lam, [], np.zeros((0, 2)))
-    x = solve_spd(band, b, lambda v: eps * (forms.elasticity @ v) + diagonal * v)
-    return float(lam.sum() + 0.5 * (b @ x))
-
-
-def certificate_floor(u, result: OracleResult, forms: Forms) -> float:
-    """A floor under ``tv_upper_bound`` at a converged result, without its SPD solve.
-
-    At convergence |phi_i|^2 <= 1 + KKT_TOL, so phi / sqrt(1 + KKT_TOL) is
-    feasible; since a[phi, phi] >= 0 its objective is at least
-    value / sqrt(1 + KKT_TOL), and the exact weak-duality bound is at least
-    tv_eps(u). The computed bound falls short of the exact one by
-    (1/2) |x*^T r|, with x* = H^{-1} b the exact solution of the
-    certificate's system and r the solve's residual, ||r||_inf <=
-    RESIDUAL_TOL (1 + ||b||_inf). The floor subtracts that for
-    ||x*||_1 <= 2 dofs, which holds: at convergence the multipliers are
-    nonnegative and H phi = b + s with ||s||_inf <= KKT_TOL, so
-    ||x* - phi||_1 <= dofs ||H^{-1}||_2 KKT_TOL, while ||phi||_1 <= 0.71
-    dofs. H >= eps A, and the smallest eigenvalue of A is about
-    5.4e4 / n^2, so ||H^{-1}||_2 KKT_TOL stays below the slack of 1.29 up
-    to n = 2000 at eps = 7.8e-8, the smallest eps_min of the instances.
-    """
-    if not result.converged:
-        raise ValueError("the certificate floor requires a converged oracle result")
-    b = forms.dual_load(u)
-    margin = RESIDUAL_TOL * (1.0 + np.abs(b).max(initial=0.0)) * b.size
-    return result.value / math.sqrt(1.0 + KKT_TOL) - margin
+    x = forms.interior_vector(result.phi)
+    r = b - (eps * (forms.elasticity @ x) + np.repeat(2.0 * lam, 2) * x)
+    theta = elasticity_floor(forms.mesh)
+    return float(lam.sum() + 0.5 * ((b + r) @ x) + 0.5 * (r @ r) / (eps * theta))

@@ -166,7 +166,7 @@ def dense_master_qp(instance, forms: Forms, planes, eps: float):
     k_dense = forms.stiffness.toarray()
     b_in = forms.load_interior.toarray()
     m_full = forms.mass_p1.toarray()
-    areas = forms.areas
+    areas = forms.mesh.cell_areas
     alpha = instance.alpha
     u_d = _p0_values(instance.u_d)
     f = _p0_values(instance.f)
@@ -245,7 +245,7 @@ def reduced_objective(u, instance, forms: Forms) -> float:
     du = _p0_values(u) - _p0_values(instance.u_d)
     diff = y.values - instance.y_d.values
     tracking = 0.5 * float(diff @ (forms.mass_p1 @ diff))
-    return tracking + 0.5 * instance.alpha * float(np.sum(forms.areas * du * du))
+    return tracking + 0.5 * instance.alpha * float(np.sum(forms.mesh.cell_areas * du * du))
 
 
 def reduced_gradient(u, instance, forms: Forms) -> P0Field:

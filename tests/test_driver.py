@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tvcontrol import driver, master_problem, tv_oracle
+from tvcontrol import driver, master_problem, sparse_linalg, tv_oracle
 from tvcontrol.driver import (
     INNER_FAILURE,
     MAX_OUTER,
@@ -175,32 +175,41 @@ def test_one_oracle_call_per_outer_iteration(monkeypatch, warm_start):
         assert all(warm is None for warm in calls)
 
 
-def test_certificate_solve_skipped_when_it_cannot_pass(monkeypatch):
-    # generic n = 16 with tol 1e-3: the first eps_min row has tv_eps 1.00129,
-    # so its certificate exceeds 1 + tol without being solved
+def test_certificate_checked_at_each_eps_min_row(monkeypatch):
+    # generic n = 16 with tol 1e-3 reaches eps_min twice: the first row has
+    # tv_eps 1.00129, so its bound exceeds 1 + tol and the loop cuts once more
     bounds = []
     upper_bound = driver.tv_upper_bound
 
-    def counting(*args):
+    def recording(*args):
         bounds.append(upper_bound(*args))
         return bounds[-1]
 
-    monkeypatch.setattr(driver, "tv_upper_bound", counting)
+    monkeypatch.setattr(driver, "tv_upper_bound", recording)
     mesh = build_friedrichs_keller(16)
-    instance = build_generic_instance(mesh)
     config = SolverConfig(n=16, eps_min=1.6e-7, tol=1e-3)
-    report = run_outer_approximation(instance, config)
+    report = run_outer_approximation(build_generic_instance(mesh), config)
     at_eps_min = [r for r in report.records if r.eps == config.eps_min]
     assert report.terminated == TOLERANCE_MET
-    assert len(at_eps_min) == 2 and at_eps_min[0].tv_eps > 1.0 + config.tol
-    assert len(bounds) == 1 and bounds[0] <= 1.0 + config.tol
+    assert len(at_eps_min) == len(bounds) == 2
+    assert bounds[0] > 1.0 + config.tol >= bounds[1]
+    assert all(bound >= r.tv_eps - 1e-9 for bound, r in zip(bounds, at_eps_min))
 
-    # solving every certificate takes the same decisions
-    monkeypatch.setattr(driver, "certificate_floor", lambda *args: -np.inf)
-    always = run_outer_approximation(instance, config)
-    assert len(bounds) == 3 and bounds[1] > 1.0 + config.tol
-    assert always.terminated == report.terminated
-    assert always.records == report.records
+
+def test_one_band_factorization_per_newton_step(monkeypatch):
+    # the certificate factors nothing: every banded Cholesky is a Newton step's
+    factorizations = []
+    cholesky = sparse_linalg.cholesky_banded
+
+    def counting(*args, **kwargs):
+        factorizations.append(None)
+        return cholesky(*args, **kwargs)
+
+    monkeypatch.setattr(sparse_linalg, "cholesky_banded", counting)
+    mesh = build_friedrichs_keller(8)
+    report = run_outer_approximation(build_exact_instance(mesh), SolverConfig(n=8))
+    assert report.terminated == TOLERANCE_MET
+    assert len(factorizations) == sum(r.it_oracle for r in report.records)
 
 
 def test_cold_run_solves_each_oracle_call_directly_at_its_eps():

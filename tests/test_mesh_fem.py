@@ -14,6 +14,7 @@ from tvcontrol.mesh_fem import (
     basis_gradients,
     build_forms,
     build_friedrichs_keller,
+    elasticity_floor,
     interpolate_p1,
     l2_error_p0,
     l2_norm_p0,
@@ -175,6 +176,16 @@ def test_reduced_elasticity_positive_definite():
         assert v @ (a @ v) >= 0.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+def test_elasticity_floor_is_below_smallest_eigenvalue(n):
+    # tv_upper_bound divides by theta, so theta must not exceed lambda_min(A),
+    # and a floor far below lambda_min(A) would loosen the certificate
+    mesh = build_friedrichs_keller(n)
+    smallest = np.linalg.eigvalsh(build_forms(mesh).elasticity.toarray())[0]
+    theta = elasticity_floor(mesh)
+    assert 0.0 < theta <= smallest <= 3.0 * theta
+
+
 def test_divergence_of_zero_field():
     forms = build_forms(build_friedrichs_keller(3))
     div = forms.divergence @ np.zeros(2 * forms.n_interior)
@@ -204,7 +215,7 @@ def test_divergence_compatibility(seed):
     forms = build_forms(build_friedrichs_keller(4))
     x = np.random.default_rng(seed).standard_normal(2 * forms.n_interior)
     div = forms.divergence @ x
-    assert abs(np.sum(forms.areas * div)) < 1e-12
+    assert abs(np.sum(forms.mesh.cell_areas * div)) < 1e-12
 
 
 def test_projection_of_constant():

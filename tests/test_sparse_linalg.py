@@ -67,12 +67,15 @@ def _assert_matches_dense(a, b):
 
 
 def test_oracle_operator_matches_dense(forms8):
-    # the certificate's band, filled from the node blocks with no node rotated,
-    # is bitwise the band of the lower entries of eps * A + 2 diag(lambda)
+    # the band filled from the node blocks with no node rotated and every dof
+    # kept is bitwise the band of the lower entries of eps * A + 2 diag(lambda)
     rng = np.random.default_rng(21)
-    lam = rng.exponential(size=forms8.n_interior)
+    n_int = forms8.n_interior
+    lam = rng.exponential(size=n_int)
     h = (1e-5 * forms8.elasticity + sp.diags(np.repeat(2.0 * lam, 2))).tocoo()
-    band = forms8.elasticity_blocks.reduced_band(1e-5, 2.0 * lam, [], np.zeros((0, 2)))
+    identity = np.array([np.ones(n_int), np.zeros(n_int)])
+    kept = np.ones((n_int, 2), dtype=bool)
+    band = forms8.elasticity_blocks.reduced_band(1e-5, 2.0 * lam, identity, kept)
     assert np.array_equal(band, lower_band(h.row, h.col, h.data, h.shape[0]))
     _assert_matches_dense(h.tocsr(), rng.standard_normal(h.shape[0]))
 
