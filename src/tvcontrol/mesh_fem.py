@@ -7,7 +7,9 @@ the linear-elasticity energy form, and the P1 -> P0 divergence.
 
 All integrands appearing in the forms are piecewise polynomial, so assembly
 is exact. Discontinuous data is projected to P0 by midpoint quadrature on
-4^depth subtriangles, evaluated in chunks of cells (see :func:`project_p0`).
+4^depth subtriangles, on quadrature coordinates built once per grid column
+and once per grid row and evaluated a few grid rows at a time (see
+:func:`project_p0`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ POISSON_RATIO = 0.4
 #: the shear modulus mu, the Lame parameter of the symmetric gradient
 SHEAR_MODULUS = YOUNGS_MODULUS / (2.0 * (1.0 + POISSON_RATIO))
 
-#: Quadrature points per call of the integrand in :func:`project_p0`
+#: Most quadrature points, after broadcasting x against y, in one call of the
+#: integrand in :func:`project_p0`: whole grid rows, or pieces of one row
 P0_CHUNK_POINTS = 2**15
 
 
@@ -293,20 +296,37 @@ def project_p0(f, mesh: Mesh, subdivision_depth: int = 4) -> P0Field:
     """Approximate cell averages of f by the midpoint rule on 4^depth subtriangles.
 
     Exact for affine f at any depth; O(h^2)-accurate away from
-    discontinuities of f. ``f(x, y)`` must accept numpy arrays; it is called
-    per chunk of about ``P0_CHUNK_POINTS`` points, on two contiguous
-    (cells, 4^depth) coordinate arrays, so memory does not grow with the mesh.
+    discontinuities of f. ``f(x, y)`` must accept numpy arrays that
+    broadcast against each other: x has shape (1, columns, 2, 4^depth) and
+    varies only along the grid columns, y has shape (rows, 1, 2, 4^depth)
+    and varies only along the grid rows; axis 2 is the lower and upper
+    triangle of a grid square. On the Friedrichs-Keller mesh a quadrature
+    point's x depends only on its column and y only on its row, so terms in
+    one coordinate are evaluated once per column or row, not per cell. f is
+    called on whole grid rows, or on pieces of one row, of at most
+    ``P0_CHUNK_POINTS`` points after broadcasting (unless one column alone
+    holds more), so memory does not grow with the mesh.
     """
+    if subdivision_depth < 0:
+        raise ValueError(f"subdivision_depth must be nonnegative, got {subdivision_depth}")
+    n = mesh.n
     b0, b1, b2 = _subtriangle_centroids(subdivision_depth).T
-    corners = mesh.nodes[mesh.triangles][..., None]  # (n_tri, 3, 2, 1)
-    step = max(1, P0_CHUNK_POINTS // b0.size)
-    out = np.empty(mesh.n_cells)
-    for start in range(0, mesh.n_cells, step):
-        c = corners[start : start + step]
-        x, y = (b0 * c[:, 0, d] + b1 * c[:, 1, d] + b2 * c[:, 2, d] for d in (0, 1))
-        vals = np.asarray(f(x, y), dtype=float)
-        out[start : start + step] = np.broadcast_to(vals, x.shape).mean(axis=1)
-    return P0Field(out)
+    # corners of the cells of grid row 0 and of grid column 0, (n, 2, 3, 2, 1)
+    cells = mesh.triangles.reshape(n, n, 2, 3)
+    row, col = mesh.nodes[cells[0]][..., None], mesh.nodes[cells[:, 0]][..., None]
+    x = (b0 * row[:, :, 0, 0] + b1 * row[:, :, 1, 0] + b2 * row[:, :, 2, 0])[None]
+    y = (b0 * col[:, :, 0, 1] + b1 * col[:, :, 1, 1] + b2 * col[:, :, 2, 1])[:, None]
+    column_points = 2 * b0.size
+    rows = max(1, P0_CHUNK_POINTS // (n * column_points))
+    columns = max(1, P0_CHUNK_POINTS // column_points)
+    out = np.empty((n, n, 2))  # cells in mesh order: row j, column i, triangle t
+    for j in range(0, n, rows):
+        for i in range(0, n, columns):
+            xs, ys = x[:, i : i + columns], y[j : j + rows]
+            vals = np.asarray(f(xs, ys), dtype=float)
+            shape = np.broadcast_shapes(xs.shape, ys.shape)
+            out[j : j + rows, i : i + columns] = np.broadcast_to(vals, shape).mean(axis=-1)
+    return P0Field(out.ravel())
 
 
 def interpolate_p1(f, mesh: Mesh, dirichlet: bool = False) -> P1ScalarField:

@@ -225,6 +225,12 @@ def test_instance_rejects_nonfinite_alpha(alpha):
         build_generic_instance(build_friedrichs_keller(2), alpha=alpha)
 
 
+@pytest.mark.parametrize("build", [build_exact_instance, build_generic_instance])
+def test_instance_rejects_negative_depth(build):
+    with pytest.raises(ValueError, match="subdivision_depth.*-1"):
+        build(build_friedrichs_keller(2), subdivision_depth=-1)
+
+
 def test_indicator_profile():
     assert exact_u_bar(0.5, 0.5) == pytest.approx(1.0 / BALL_PERIMETER)
     assert exact_u_bar(0.9, 0.9) == 0.0
@@ -237,6 +243,8 @@ INSTANCE_SHA256 = {
     (16, "generic"): "20a3a17066ec3fa37a2badf319bbc37a4edbcee8f88c10b404acc28246042784",
     (50, "exact"): "976a4b1681e479c6b7ab240bd6eba0c46becf7371e80d083aaf2c6d4f26fe506",
     (50, "generic"): "67015661cdf0cdba593122d00386b353a4e9885ac12c41f7e9a2fa1dda96b274",
+    (100, "exact"): "df931e64d4b64135041d733dc22ac196e746f483adaf6d2c10d72819d7ffa7d7",
+    (100, "generic"): "6e4cb78a88f222ddc1c3570e6efdbb81b08880652091d49f42a958d10d0627ad",
 }
 
 

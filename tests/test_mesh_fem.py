@@ -1,9 +1,12 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import interior_edge_cells_by_loop, project_p0_by_einsum, solve_sparse_spd
+from tvcontrol import instances
 from tvcontrol.mesh_fem import (
     P0_CHUNK_POINTS,
     P0Field,
@@ -246,17 +249,41 @@ def test_projection_exact_for_affine():
         assert np.allclose(project_p0(f, mesh, depth).values, exact, atol=1e-13)
 
 
+def _instance_integrands():
+    """The integrands the instance builders hand to project_p0, in call order."""
+    passed = []
+
+    def record(f, mesh, depth):
+        passed.append(f)
+        return project_p0(f, mesh, depth)
+
+    mesh = build_friedrichs_keller(1)
+    with patch.object(instances, "project_p0", record):
+        instances.build_exact_instance(mesh)
+        instances.build_generic_instance(mesh)
+    u_bar, exact_f, div_phi, generic_u_d = passed
+    assert u_bar is instances.exact_u_bar and div_phi is instances.exact_div_phi_bar
+    return {
+        "exact_u_bar": u_bar,
+        "exact_f": exact_f,
+        "exact_div_phi_bar": div_phi,
+        "generic_u_d": generic_u_d,
+    }
+
+
 PROJECTION_INTEGRANDS = {
     "disc": lambda x, y: ((x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.25**2).astype(float),
     "smooth": lambda x, y: np.sin(3.0 * x) * np.cos(2.0 * y),
     "scalar": lambda x, y: 2.5,
+    **_instance_integrands(),
 }
 
 
 @pytest.mark.parametrize("integrand", sorted(PROJECTION_INTEGRANDS))
 @pytest.mark.parametrize("depth", [0, 1, 4])
-@pytest.mark.parametrize("n", [1, 3, 16, 50])
+@pytest.mark.parametrize("n", [1, 3, 16, 50, 100])
 def test_projection_matches_einsum_bitwise(n, depth, integrand):
+    # n = 100 at depth 4 splits every grid row into pieces of 64 and 36 columns
     mesh = build_friedrichs_keller(n)
     f = PROJECTION_INTEGRANDS[integrand]
     chunked = project_p0(f, mesh, depth).values
@@ -264,19 +291,31 @@ def test_projection_matches_einsum_bitwise(n, depth, integrand):
 
 
 def test_projection_evaluates_contiguous_chunks_of_whole_cells():
-    # n = 50 at depth 4 (one of the bitwise cases above): 5000 cells in
-    # chunks of 128, so the last chunk holds only 8
-    calls = []
+    # at depth 4 a grid column holds 2 * 256 points, so one call takes at
+    # most 64 columns: one whole row at n = 50, two pieces of a row at n = 100
+    assert P0_CHUNK_POINTS // (2 * 4**4) == 64
+    for n, pieces in [(50, [50]), (100, [64, 36])]:
+        shapes, centroids = [], []
 
-    def f(x, y):
-        calls.append((x.shape, y.shape, x.flags.c_contiguous, y.flags.c_contiguous))
-        return x + y
+        def f(x, y):
+            assert np.prod(np.broadcast_shapes(x.shape, y.shape)) <= P0_CHUNK_POINTS
+            shapes.append((x.shape, y.shape, x.flags.c_contiguous, y.flags.c_contiguous))
+            centroids.append(np.stack(np.broadcast_arrays(x, y), axis=-1).mean(axis=-2))
+            return x + y
 
-    project_p0(f, build_friedrichs_keller(50), 4)
-    assert P0_CHUNK_POINTS // 4**4 == 128
-    assert calls == [((128, 256), (128, 256), True, True)] * 39 + [
-        ((8, 256), (8, 256), True, True)
-    ]
+        mesh = build_friedrichs_keller(n)
+        project_p0(f, mesh, 4)
+        assert shapes == [
+            ((1, c, 2, 256), (1, 1, 2, 256), True, True) for _ in range(n) for c in pieces
+        ]
+        # every cell once, in mesh order
+        visited = np.concatenate([c.reshape(-1, 2) for c in centroids])
+        assert np.allclose(visited, mesh.nodes[mesh.triangles].mean(axis=1), rtol=0, atol=1e-14)
+
+
+def test_projection_rejects_negative_depth():
+    with pytest.raises(ValueError, match="subdivision_depth.*-1"):
+        project_p0(lambda x, y: x + y, build_friedrichs_keller(2), -1)
 
 
 def test_interpolation_dirichlet_forcing():
