@@ -6,17 +6,19 @@ forms used by the solvers: Poisson stiffness, masses, the P0-P1 coupling,
 the linear-elasticity energy form, and the P1 -> P0 divergence.
 
 All integrands appearing in the forms are piecewise polynomial, so assembly
-is exact. Discontinuous data is projected to P0 by midpoint quadrature on
-4^depth subtriangles, on quadrature coordinates built once per grid column
-and once per grid row and evaluated a few grid rows at a time (see
-:func:`project_p0`).
+is exact. All operators but the interior elasticity are assembled cell by
+cell; that one is built from a constant stencil of 2x2 node blocks (see
+:func:`build_forms`). Discontinuous data is projected to P0 by midpoint
+quadrature on 4^depth subtriangles, on quadrature coordinates built once
+per grid column and once per grid row and evaluated a few grid rows at a
+time (see :func:`project_p0`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -372,12 +374,9 @@ class Forms:
     load_interior: sp.csr_matrix     # interior nodes x cells: int u * basis dx
     cell_average: sp.csr_matrix      # cells x all nodes: P1 -> cell mean
     elasticity: sp.csr_matrix        # interior vector dofs (node-major), SPD
+    #: the lower 2×2 node blocks of ``elasticity``, from which it is built
+    elasticity_blocks: NodeBlocks
     divergence: sp.csr_matrix        # cells x (2 * n_interior)
-
-    @cached_property
-    def elasticity_blocks(self) -> NodeBlocks:
-        """The lower 2×2 node blocks of ``elasticity``, gathered on first use."""
-        return NodeBlocks.from_csr(self.elasticity)
 
     @property
     def n_interior(self) -> int:
@@ -403,9 +402,46 @@ class Forms:
         return self.divergence.T @ (self.mesh.cell_areas * _p0_values(u))
 
 
+def _interior_elasticity_blocks(n: int) -> NodeBlocks:
+    """The lower 2×2 node blocks of the elasticity on the (n - 1)^2 interior nodes.
+
+    Every interior node has all six triangles around it, so its blocks are
+    the same four for every node: itself and its left, below and below-left
+    neighbours, where those are interior. The one interior node of the
+    n = 2 mesh, node 4, has all four, with neighbours 3, 1 and 0; its
+    coordinates are exact. The blocks follow the ``NodeBlocks`` contract:
+    diagonal blocks first, then by row and column.
+    """
+    row = assemble_elasticity(build_friedrichs_keller(2))[8:10].toarray().reshape(2, 9, 2)
+    stencil = row[:, [4, 0, 1, 3]].transpose(0, 2, 1)  # itself, below-left, below, left
+    m = n - 1
+    node = np.arange(m * m, dtype=np.int32)
+    i, j = node % m, node // m
+    has = np.column_stack([(i > 0) & (j > 0), j > 0, i > 0])
+    neighbour = node[:, None] - np.array([m + 1, m, 1], dtype=np.int32)
+    block, kind = np.nonzero(has)
+    return NodeBlocks(
+        rows=np.concatenate([node, node[block]]),
+        cols=np.concatenate([node, neighbour[has]]),
+        values=np.take(stencil, np.concatenate([np.zeros(node.size, dtype=np.intp), kind + 1]), 2),
+    )
+
+
 def build_forms(mesh: Mesh) -> Forms:
+    """All operators for one mesh. ``elasticity`` is built from its node blocks
+    (:func:`_interior_elasticity_blocks`) and the mirror images of the
+    off-diagonal ones, without stored zeros."""
     interior = mesh.interior_nodes
-    vector_dofs = np.column_stack([2 * interior, 2 * interior + 1]).ravel()
+    blocks = _interior_elasticity_blocks(mesh.n)
+    # row and column dof of every block entry, (2, 2, 2, blocks)
+    dof = 2 * np.stack([blocks.rows, blocks.cols])[:, None, None] + np.indices((2, 2))[..., None]
+    mirrored = (slice(None), slice(None), slice(interior.size, None))
+    elasticity = _summed_csr_without_zeros(
+        np.concatenate([dof[0].ravel(), dof[1][mirrored].ravel()]),
+        np.concatenate([dof[1].ravel(), dof[0][mirrored].ravel()]),
+        np.concatenate([blocks.values.ravel(), blocks.values[mirrored].ravel()]),
+        (2 * interior.size, 2 * interior.size),
+    )
     stiffness_full = assemble_stiffness(mesh)
     mass_p1 = assemble_mass_p1(mesh)
     coupling = assemble_p0_p1_coupling(mesh)
@@ -437,6 +473,7 @@ def build_forms(mesh: Mesh) -> Forms:
         mass_interior=mass_p1[interior].tocsr(),
         load_interior=coupling[interior].tocsr(),
         cell_average=cell_average,
-        elasticity=assemble_elasticity(mesh)[np.ix_(vector_dofs, vector_dofs)].tocsr(),
+        elasticity=elasticity,
+        elasticity_blocks=blocks,
         divergence=divergence,
     )

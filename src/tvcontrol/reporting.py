@@ -81,14 +81,14 @@ def dump_field(field, path) -> None:
 def load_field(path):
     path = Path(path)
     lines = path.read_text().strip().splitlines()
-    header = lines[0].split()
-    body = lines[1:]
-    if header[0] == "p0":
+    head = lines[0] if lines else ""
+    header, body = head.split(), lines[1:]
+    if len(header) == 2 and header[0] == "p0":
         values = np.array([float(s) for s in body])
         if values.size != int(header[1]):
             raise ValueError(f"p0 dump announces {header[1]} cells, has {values.size}")
         return P0Field(values)
-    if header[0] == "p1":
+    if len(header) == 3 and header[0] == "p1":
         count, components = int(header[1]), int(header[2])
         rows = [[float(s) for s in line.split()] for line in body]
         values = np.array(rows)
@@ -97,4 +97,4 @@ def load_field(path):
         if components == 1:
             return P1ScalarField(values[:, 0])
         return P1VectorField(values)
-    raise ValueError(f"unknown field dump header: {lines[0]!r}")
+    raise ValueError(f"malformed field dump header in {path}: {head!r}")

@@ -5,8 +5,9 @@ systems by LAPACK's banded Cholesky (dpbtrf/dpbtrs): the interior dofs are
 numbered node-major, row by row, so these matrices have a bandwidth of
 about 2n + 1 in their natural order and need no reordering.
 :class:`NodeBlocks` holds the lower 2×2 node blocks of the elasticity
-matrix, gathered once, and fills the band of each system straight from
-them, so no sparse matrix is built per solve.
+matrix, which ``build_forms`` builds from the mesh's constant stencil, and
+fills the band of each system straight from them, so no sparse matrix is
+built per solve.
 :func:`solve_spd` factors a band, solves, and checks the residual through a
 matrix-vector product.
 """
@@ -41,28 +42,6 @@ class NodeBlocks:
     rows: np.ndarray    # (blocks,) int32
     cols: np.ndarray    # (blocks,) int32
     values: np.ndarray  # (2, 2, blocks)
-
-    @classmethod
-    def from_csr(cls, matrix) -> NodeBlocks:
-        """The blocks of a symmetric CSR matrix, summing duplicate entries."""
-        nodes = matrix.shape[0] // 2
-        row = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-        col = matrix.indices.astype(np.int64)
-        lower = row // 2 >= col // 2
-        row, col = row[lower], col[lower]
-        keys, block = np.unique((row // 2) * nodes + col // 2, return_inverse=True)
-        # diagonal blocks first, in node order
-        order = np.argsort(keys // nodes != keys % nodes, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        values = np.zeros((2, 2, keys.size))
-        np.add.at(values, (row % 2, col % 2, rank[block]), matrix.data[lower])
-        keys = keys[order]
-        return cls(
-            rows=(keys // nodes).astype(np.int32),
-            cols=(keys % nodes).astype(np.int32),
-            values=values,
-        )
 
     def reduced_band(self, scale, diagonal, frame, kept) -> np.ndarray:
         """Lower band of Z^T (scale * A + D) Z.

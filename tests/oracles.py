@@ -4,12 +4,14 @@ Everything here deliberately avoids the code paths under test: dense
 Gaussian elimination instead of sparse factorizations, projected gradient
 ascent instead of the active-set iteration, the full dense saddle system
 instead of the oracle's null-space reduction, dense products instead of
-its band filled from node blocks, active-set enumeration on
-dense KKT systems instead of the bordered solver, a dictionary walk
-over the triangles instead of the vectorized interior-edge construction,
-one ``einsum`` over every quadrature point of the mesh instead of the
-chunked P0 projection, and the reduced objective and gradient by separate
-state and adjoint solves instead of the master's coupled KKT elimination.
+its band filled from node blocks, node blocks gathered from the per-cell
+elasticity matrix instead of the mesh's constant stencil, active-set
+enumeration on dense KKT systems instead of the bordered solver, a
+dictionary walk over the triangles instead of the vectorized interior-edge
+construction, one ``einsum`` over every quadrature point of the mesh
+instead of the chunked P0 projection, and the reduced objective and
+gradient by separate state and adjoint solves instead of the master's
+coupled KKT elimination.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from tvcontrol.mesh_fem import (
     _p0_values,
     _subtriangle_centroids,
 )
-from tvcontrol.sparse_linalg import lower_band, solve_spd
+from tvcontrol.sparse_linalg import NodeBlocks, lower_band, solve_spd
 
 
 def solve_sparse_spd(matrix, b) -> np.ndarray:
@@ -60,6 +62,32 @@ def dense_gaussian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
     return x
+
+
+def from_csr(matrix) -> NodeBlocks:
+    """The lower 2×2 node blocks of a symmetric CSR matrix, summing duplicate entries.
+
+    Gathered from the matrix's stored entries, in the ``NodeBlocks`` order:
+    diagonal blocks first, then by row and column.
+    """
+    nodes = matrix.shape[0] // 2
+    row = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    col = matrix.indices.astype(np.int64)
+    lower = row // 2 >= col // 2
+    row, col = row[lower], col[lower]
+    keys, block = np.unique((row // 2) * nodes + col // 2, return_inverse=True)
+    # diagonal blocks first, in node order
+    order = np.argsort(keys // nodes != keys % nodes, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    values = np.zeros((2, 2, keys.size))
+    np.add.at(values, (row % 2, col % 2, rank[block]), matrix.data[lower])
+    keys = keys[order]
+    return NodeBlocks(
+        rows=(keys // nodes).astype(np.int32),
+        cols=(keys % nodes).astype(np.int32),
+        values=values,
+    )
 
 
 def interior_edge_cells_by_loop(triangles) -> np.ndarray:

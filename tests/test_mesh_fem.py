@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import interior_edge_cells_by_loop, project_p0_by_einsum, solve_sparse_spd
+from oracles import (
+    from_csr,
+    interior_edge_cells_by_loop,
+    project_p0_by_einsum,
+    solve_sparse_spd,
+)
 from tvcontrol import instances
 from tvcontrol.mesh_fem import (
     P0_CHUNK_POINTS,
@@ -177,6 +183,54 @@ def test_reduced_elasticity_positive_definite():
     for _ in range(100):
         v = rng.standard_normal(a.shape[0])
         assert v @ (a @ v) >= 0.0
+
+
+def _assembled_interior_elasticity(mesh):
+    interior = mesh.interior_nodes
+    dofs = np.column_stack([2 * interior, 2 * interior + 1]).ravel()
+    return assemble_elasticity(mesh)[np.ix_(dofs, dofs)].tocsr()
+
+
+@pytest.mark.parametrize("n, rel_tol", [(2, 0.0), (8, 0.0), (16, 0.0),
+                                        (3, 1e-14), (50, 1e-14), (100, 1e-14)])
+def test_stencil_elasticity_equals_the_per_cell_assembly(n, rel_tol):
+    # at n = 50 and 100 the per-cell sums round differently: 14500.000000000018
+    # and 14499.999999999993 on the diagonal where the stencil has 14500.000000000004
+    mesh = build_friedrichs_keller(n)
+    forms = build_forms(mesh)
+    a, ref = forms.elasticity, _assembled_interior_elasticity(mesh)
+    assert np.all(a.data != 0.0)
+    assert np.array_equal(a.indptr, ref.indptr) and np.array_equal(a.indices, ref.indices)
+    scale = np.abs(ref.data).max()
+    assert np.abs(a.data - ref.data).max() <= rel_tol * scale
+
+    blocks, expected = forms.elasticity_blocks, from_csr(ref)
+    # each entry of all blocks is one contiguous array, as reduced_band expects
+    assert blocks.values.flags.c_contiguous
+    assert np.array_equal(blocks.rows, expected.rows)
+    assert np.array_equal(blocks.cols, expected.cols)
+    assert np.abs(blocks.values - expected.values).max() <= rel_tol * scale
+
+
+def test_smallest_mesh_has_empty_elasticity_blocks():
+    forms = build_forms(build_friedrichs_keller(1))
+    blocks = forms.elasticity_blocks
+    assert blocks.rows.size == blocks.cols.size == 0
+    assert blocks.values.shape == (2, 2, 0)
+    assert forms.elasticity.shape == (0, 0)
+
+
+def test_build_forms_memory_at_n100():
+    # with the per-cell elasticity assembly (720 000 COO entries at n = 100)
+    # this peaked at 68.9 MB; the stencil-built forms trace about 20 MB
+    mesh = build_friedrichs_keller(100)
+    tracemalloc.start()
+    try:
+        build_forms(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])

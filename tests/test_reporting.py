@@ -82,6 +82,16 @@ def test_field_dump_round_trip(tmp_path, field):
     assert np.array_equal(loaded.values, field.values)
 
 
+@pytest.mark.parametrize("text, head", [("", ""), ("p1 2\n0.5\n1.5\n", "p1 2")],
+                         ids=["empty", "short_header"])
+def test_load_rejects_malformed_header(tmp_path, text, head):
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="header") as info:
+        load_field(path)
+    assert str(path) in str(info.value) and repr(head) in str(info.value)
+
+
 def test_dump_headers(tmp_path):
     path = tmp_path / "f.txt"
     dump_field(P0Field(np.zeros(3)), path)

@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 from oracles import dense_gaussian_solve, dense_reduced_newton_band, solve_sparse_spd
 from tvcontrol import tv_oracle
 from tvcontrol.mesh_fem import build_forms, build_friedrichs_keller
-from tvcontrol.sparse_linalg import NodeBlocks, NotPositiveDefiniteError, lower_band, solve_spd
+from tvcontrol.sparse_linalg import NotPositiveDefiniteError, lower_band, solve_spd
 
 
 def test_identity_solve():
@@ -149,7 +149,7 @@ def test_newton_steps_build_no_sparse_matrix(forms8, monkeypatch):
 
 def test_node_blocks_reassemble_the_matrix(forms8):
     a = forms8.elasticity
-    blocks = NodeBlocks.from_csr(a)
+    blocks = forms8.elasticity_blocks
     nodes = forms8.n_interior
     assert np.array_equal(blocks.rows[:nodes], np.arange(nodes))
     assert np.array_equal(blocks.cols[:nodes], np.arange(nodes))
@@ -158,7 +158,6 @@ def test_node_blocks_reassemble_the_matrix(forms8):
     for k, (i, j) in enumerate(zip(blocks.rows, blocks.cols)):
         dense[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = blocks.values[:, :, k]
     assert np.array_equal(np.tril(dense), np.tril(a.toarray()))
-    assert forms8.elasticity_blocks is forms8.elasticity_blocks
 
 
 def test_node_blocks_are_compact_and_linear_in_nodes():
