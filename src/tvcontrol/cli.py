@@ -67,6 +67,11 @@ def main(argv=None) -> int:
         config = SolverConfig(**given)
     except ValueError as exc:
         parser.error(str(exc))
+    if dump_dir is not None:
+        try:
+            Path(dump_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            parser.error(f"cannot create --dump-fields directory {dump_dir!r}: {exc.strerror}")
 
     mesh = build_friedrichs_keller(config.n)
     build = build_exact_instance if instance_name == "exact" else build_generic_instance
@@ -80,7 +85,6 @@ def main(argv=None) -> int:
 
     if dump_dir is not None and report.final_control is not None:
         out_dir = Path(dump_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         dump_field(report.final_control, out_dir / "control.txt")
         if instance.reference_u is not None:
             dump_field(instance.reference_u, out_dir / "reference_control.txt")

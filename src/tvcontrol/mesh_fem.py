@@ -6,12 +6,13 @@ forms used by the solvers: Poisson stiffness, masses, the P0-P1 coupling,
 the linear-elasticity energy form, and the P1 -> P0 divergence.
 
 All integrands appearing in the forms are piecewise polynomial, so assembly
-is exact. All operators but the interior elasticity are assembled cell by
-cell; that one is built from a constant stencil of 2x2 node blocks (see
-:func:`build_forms`). Discontinuous data is projected to P0 by midpoint
-quadrature on 4^depth subtriangles, on quadrature coordinates built once
-per grid column and once per grid row and evaluated a few grid rows at a
-time (see :func:`project_p0`).
+is exact. The interior stiffness and elasticity come from the mesh's constant
+stencils: the 5-point Laplacian and four 2x2 node blocks per node (see
+:func:`build_forms`). The masses, the coupling, the divergence and the cell
+averages are assembled cell by cell. Discontinuous data is projected to P0
+by midpoint quadrature on 4^depth subtriangles, on quadrature coordinates
+built once per grid column and once per grid row and evaluated a few grid
+rows at a time (see :func:`project_p0`).
 """
 
 from __future__ import annotations
@@ -37,29 +38,19 @@ P0_CHUNK_POINTS = 2**15
 
 
 @dataclass(frozen=True)
-class InteriorEdges:
-    """Edges shared by exactly two triangles.
-
-    ``cells[e] = (left, right)`` are the adjacent triangle indices.
-    """
-
-    cells: np.ndarray    # (m, 2) int
-    lengths: np.ndarray  # (m,)
-
-
-@dataclass(frozen=True)
 class Mesh:
     """Friedrichs-Keller triangulation of the unit square.
 
     ``n`` subdivisions per side give ``(n+1)**2`` nodes and ``2*n**2``
     congruent right triangles; every grid square is split along the
-    lower-left to upper-right diagonal.
+    lower-left to upper-right diagonal. Node (i, j) of the grid is
+    ``j*(n+1) + i``; cells are stored by grid row j, then column i, then the
+    lower and upper triangle of the square, so cell values reshape to (n, n, 2).
     """
 
     n: int
     nodes: np.ndarray               # (n_nodes, 2)
     triangles: np.ndarray           # (n_tri, 3) int, counterclockwise
-    interior_edges: InteriorEdges
     boundary_node_mask: np.ndarray  # (n_nodes,) bool
     cell_areas: np.ndarray          # (n_tri,)
 
@@ -141,41 +132,13 @@ def build_friedrichs_keller(n: int) -> Mesh:
     gj = np.repeat(np.arange(n + 1), n + 1)
     boundary = (gi == 0) | (gi == n) | (gj == 0) | (gj == n)
 
-    interior_edges = _collect_interior_edges(nodes, triangles)
-
     return Mesh(
         n=n,
         nodes=nodes,
         triangles=triangles,
-        interior_edges=interior_edges,
         boundary_node_mask=boundary,
         cell_areas=areas,
     )
-
-
-def _collect_interior_edges(nodes, triangles) -> InteriorEdges:
-    """Edges shared by two triangles, in order of first appearance.
-
-    Each triangle contributes its edges (0,1), (1,2), (2,0); an edge's left
-    cell is the first triangle that has it, its right cell the second.
-    """
-    ends = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    keys = ends[:, 0] * nodes.shape[0] + ends[:, 1]
-    _, first, inverse, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
-    # occurrences grouped by edge and, within an edge, in triangle order
-    occurrences = np.argsort(inverse.ravel(), kind="stable")
-    starts = np.cumsum(counts) - counts
-    shared = np.flatnonzero(counts == 2)
-    shared = shared[np.argsort(first[shared])]
-    pairs = ends[first[shared]]
-    cells = np.column_stack(
-        [occurrences[starts[shared]], occurrences[starts[shared] + 1]]
-    ) // 3
-
-    vec = nodes[pairs[:, 1]] - nodes[pairs[:, 0]]
-    return InteriorEdges(cells=cells, lengths=np.hypot(vec[:, 0], vec[:, 1]))
 
 
 def basis_gradients(mesh: Mesh) -> np.ndarray:
@@ -194,7 +157,8 @@ def basis_gradients(mesh: Mesh) -> np.ndarray:
 def _summed_csr_without_zeros(rows, cols, data, shape) -> sp.csr_matrix:
     """Sum the element contributions into CSR and drop entries that cancel to 0.0.
 
-    The stiffness couplings across square diagonals, for one, cancel exactly.
+    The elasticity's node blocks, for one, hold exact zeros: a node's own x-y
+    coupling, and the x-x and y-y couplings across a square's diagonal.
     A stored zero would still count as structure in SuperLU's fill-reducing
     ordering. The banded solves need no such care: ``lower_band`` skips zero
     entries, so the band is as wide as the farthest nonzero one.
@@ -203,19 +167,6 @@ def _summed_csr_without_zeros(rows, cols, data, shape) -> sp.csr_matrix:
     m.sum_duplicates()
     m.eliminate_zeros()
     return m
-
-
-def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
-    """P1 Galerkin matrix of the Laplacian on all nodes (no boundary conditions).
-
-    Rows sum to zero (constants lie in the kernel); the restriction to
-    interior nodes is symmetric positive definite.
-    """
-    grads = basis_gradients(mesh)
-    local = np.einsum("tad,tbd->tab", grads, grads) * mesh.cell_areas[:, None, None]
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    return _summed_csr_without_zeros(rows, cols, local.ravel(), (mesh.n_nodes, mesh.n_nodes))
 
 
 def assemble_mass_p1(mesh: Mesh) -> sp.csr_matrix:
@@ -271,9 +222,9 @@ def elasticity_floor(mesh: Mesh) -> float:
 
     On fields that vanish on the boundary, integrating by parts gives
     a[phi, phi] = mu ||grad phi||^2 + (mu + lam) ||div phi||^2 >= mu ||grad phi||^2,
-    and on the Friedrichs-Keller mesh the P1 stiffness matrix of the interior
-    nodes is the 5-point Laplacian (4 on the diagonal, -1 for each grid
-    neighbour), whose smallest eigenvalue is 8 sin^2(pi / 2n).
+    and the P1 stiffness matrix of the interior nodes is the 5-point Laplacian
+    (``Forms.stiffness``, see :func:`build_forms`), whose smallest eigenvalue
+    is 8 sin^2(pi / 2n).
     """
     return SHEAR_MODULUS * 8.0 * math.sin(math.pi / (2 * mesh.n)) ** 2
 
@@ -368,7 +319,7 @@ class Forms:
 
     mesh: Mesh
     interior_nodes: np.ndarray
-    stiffness: sp.csr_matrix         # interior x interior, SPD
+    stiffness: sp.csr_matrix         # interior x interior: the 5-point Laplacian, SPD
     mass_p1: sp.csr_matrix           # all nodes
     mass_interior: sp.csr_matrix     # interior rows x all nodes
     load_interior: sp.csr_matrix     # interior nodes x cells: int u * basis dx
@@ -428,10 +379,16 @@ def _interior_elasticity_blocks(n: int) -> NodeBlocks:
 
 
 def build_forms(mesh: Mesh) -> Forms:
-    """All operators for one mesh. ``elasticity`` is built from its node blocks
+    """All operators for one mesh. ``stiffness`` is the 5-point Laplacian of
+    the interior nodes, numbered row by row: the couplings across square
+    diagonals cancel. ``elasticity`` is built from its node blocks
     (:func:`_interior_elasticity_blocks`) and the mirror images of the
-    off-diagonal ones, without stored zeros."""
+    off-diagonal ones. Neither stores a zero."""
     interior = mesh.interior_nodes
+    # the differences of n - 1 grid values with zero ends: difference^T difference
+    # is the 1-D second difference tridiag(-1, 2, -1), and 0 x 0 when n = 1
+    difference = sp.eye(mesh.n, mesh.n - 1) - sp.eye(mesh.n, mesh.n - 1, k=-1)
+    second = difference.T @ difference
     blocks = _interior_elasticity_blocks(mesh.n)
     # row and column dof of every block entry, (2, 2, 2, blocks)
     dof = 2 * np.stack([blocks.rows, blocks.cols])[:, None, None] + np.indices((2, 2))[..., None]
@@ -442,7 +399,6 @@ def build_forms(mesh: Mesh) -> Forms:
         np.concatenate([blocks.values.ravel(), blocks.values[mirrored].ravel()]),
         (2 * interior.size, 2 * interior.size),
     )
-    stiffness_full = assemble_stiffness(mesh)
     mass_p1 = assemble_mass_p1(mesh)
     coupling = assemble_p0_p1_coupling(mesh)
 
@@ -468,7 +424,7 @@ def build_forms(mesh: Mesh) -> Forms:
     return Forms(
         mesh=mesh,
         interior_nodes=interior,
-        stiffness=stiffness_full[np.ix_(interior, interior)].tocsr(),
+        stiffness=sp.kronsum(second, second, format="csr"),
         mass_p1=mass_p1,
         mass_interior=mass_p1[interior].tocsr(),
         load_interior=coupling[interior].tocsr(),

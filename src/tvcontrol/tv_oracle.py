@@ -16,12 +16,13 @@ above.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mesh_fem import Forms, Mesh, P1VectorField, _p0_values, elasticity_floor
-from .sparse_linalg import solve_spd
+from .sparse_linalg import RESIDUAL_TOL, NotPositiveDefiniteError, solve_spd
 
 #: the active set is optimal once it repeats and the KKT residual is at most this
 KKT_TOL = 1e-9
@@ -154,7 +155,10 @@ def _newton_step(forms, b, eps, x, lam, active):
     node, the tangential and inactive unknowns solve the SPD system
     Z^T H Z y = Z^T (rhs - H x_fixed). Each multiplier then comes from its
     node's radial row: lambda_i = (p_i / |p_i|) . (rhs - H x)_i / (2 |p_i|).
-    Returns the new x and lambda, and A x, which the caller reuses.
+    Its other rows, Z^T (rhs - H x), are the reduced solve's residual; the
+    step raises ``NotPositiveDefiniteError`` if that exceeds RESIDUAL_TOL
+    (1 + ||Z^T (rhs - H x_fixed)||_inf). Returns the new x and lambda, and
+    A x, which the caller reuses.
 
     No sparse matrix is built: Z^T H Z goes straight into band storage from
     the 2×2 node blocks of A (``NodeBlocks.reduced_band``), and the products
@@ -170,8 +174,10 @@ def _newton_step(forms, b, eps, x, lam, active):
     idx = np.flatnonzero(active)
     points = x.reshape(-1, 2)[idx]
     radii = np.linalg.norm(points, axis=1)
+    unit = points / radii[:, None]
     outside = radii > 1.0
-    points[outside] /= radii[outside, None]
+    points[outside] = unit[outside]
+    radii[outside] = 1.0
     xhat = x.copy()
     xhat.reshape(-1, 2)[idx] = points
 
@@ -179,11 +185,6 @@ def _newton_step(forms, b, eps, x, lam, active):
     diagonal = np.repeat(node_diagonal, 2)
     rhs = b + diagonal * xhat
 
-    def apply_h(v):
-        return eps * (forms.elasticity @ v) + diagonal * v
-
-    radii = np.linalg.norm(points, axis=1)
-    unit = points / radii[:, None]
     # each node's frame (radial, tangent) as the rows (cos, sin); the identity off
     # the active set. Z keeps the dofs ``kept``: all but the active radial ones.
     frame = np.zeros((2, lam.size))
@@ -195,19 +196,22 @@ def _newton_step(forms, b, eps, x, lam, active):
     x_frame[idx, 0] = (1.0 + radii**2) / (2.0 * radii)
     x_fixed = _from_frame(x_frame, frame)
 
-    def reduced_matvec(y):
-        v = np.zeros((lam.size, 2))
-        v[kept] = y
-        return _to_frame(apply_h(_from_frame(v, frame)), frame)[kept]
-
     band = forms.elasticity_blocks.reduced_band(eps, node_diagonal, frame, kept)
-    reduced_rhs = _to_frame(rhs - apply_h(x_fixed), frame)[kept]
-    x_frame[kept] = solve_spd(band, reduced_rhs, reduced_matvec)
+    h_fixed = eps * (forms.elasticity @ x_fixed) + diagonal * x_fixed
+    reduced_rhs = _to_frame(rhs - h_fixed, frame)[kept]
+    x_frame[kept] = solve_spd(band, reduced_rhs)
     x_new = _from_frame(x_frame, frame)
 
     ax_new = forms.elasticity @ x_new
+    remainder = _to_frame(rhs - (eps * ax_new + diagonal * x_new), frame)
+    residual = np.abs(remainder[kept]).max(initial=0.0)
+    bound = RESIDUAL_TOL * (1.0 + np.abs(reduced_rhs).max(initial=0.0))
+    if not residual <= bound:
+        raise NotPositiveDefiniteError(
+            f"Newton step solve residual {residual:.3e} exceeds bound {bound:.3e}"
+        )
     lam_new = np.zeros_like(lam)
-    lam_new[idx] = _to_frame(rhs - (eps * ax_new + diagonal * x_new), frame)[idx, 0] / (2.0 * radii)
+    lam_new[idx] = remainder[idx, 0] / (2.0 * radii)
     return x_new, lam_new, ax_new
 
 
@@ -242,11 +246,20 @@ def discrete_tv(u, mesh: Mesh) -> float:
 
     The distributional gradient concentrates on the edges, so
     TV(u) = sum over interior edges of length(e) * |jump of u across e|.
+    With U = u.reshape(n, n, 2) in the ``Mesh`` cell order, the 3n^2 - 2n
+    interior edges are the square diagonals, of length sqrt(2)/n, between
+    U[..., 0] and U[..., 1], and the legs, of length 1/n, between
+    U[:, :-1, 0] and U[:, 1:, 1] (vertical) and U[:-1, :, 1] and U[1:, :, 0]
+    (horizontal). Raises ValueError unless u has one value per cell.
     """
     v = _p0_values(u)
-    edges = mesh.interior_edges
-    jumps = np.abs(v[edges.cells[:, 0]] - v[edges.cells[:, 1]])
-    return float(np.sum(edges.lengths * jumps))
+    if v.shape != (mesh.n_cells,):
+        raise ValueError(f"expected {mesh.n_cells} cell values, got shape {v.shape}")
+    cells = v.reshape(mesh.n, mesh.n, 2)
+    diagonals = np.abs(cells[..., 0] - cells[..., 1]).sum()
+    vertical = np.abs(cells[:, :-1, 0] - cells[:, 1:, 1]).sum()
+    horizontal = np.abs(cells[:-1, :, 1] - cells[1:, :, 0]).sum()
+    return float((math.sqrt(2.0) * diagonals + vertical + horizontal) / mesh.n)
 
 
 def tv_lower_bound(result: OracleResult, eps: float) -> float:

@@ -7,8 +7,9 @@ instead of the oracle's null-space reduction, dense products instead of
 its band filled from node blocks, node blocks gathered from the per-cell
 elasticity matrix instead of the mesh's constant stencil, active-set
 enumeration on dense KKT systems instead of the bordered solver, a
-dictionary walk over the triangles instead of the vectorized interior-edge
-construction, one ``einsum`` over every quadrature point of the mesh
+dictionary walk over the triangles instead of the edge families read off
+the cell grid, the stiffness summed cell by cell instead of the 5-point
+Laplacian, one ``einsum`` over every quadrature point of the mesh
 instead of the chunked P0 projection, and the reduced objective and
 gradient by separate state and adjoint solves instead of the master's
 coupled KKT elimination.
@@ -22,13 +23,22 @@ import numpy as np
 
 from tvcontrol.mesh_fem import (
     Forms,
+    Mesh,
     P0Field,
     P1ScalarField,
     P1VectorField,
     _p0_values,
     _subtriangle_centroids,
+    _summed_csr_without_zeros,
+    basis_gradients,
 )
-from tvcontrol.sparse_linalg import NodeBlocks, lower_band, solve_spd
+from tvcontrol.sparse_linalg import (
+    RESIDUAL_TOL,
+    NodeBlocks,
+    NotPositiveDefiniteError,
+    lower_band,
+    solve_spd,
+)
 
 
 def solve_sparse_spd(matrix, b) -> np.ndarray:
@@ -36,10 +46,32 @@ def solve_sparse_spd(matrix, b) -> np.ndarray:
 
     Its stored entries on or below the diagonal (duplicates summed) go into
     LAPACK band storage by ``lower_band``, then ``solve_spd`` factors it.
+    Like the Newton step, it fails unless ||A x - b||_inf <= RESIDUAL_TOL
+    (1 + ||b||_inf).
     """
+    b = np.asarray(b, dtype=float)
     coo = matrix.tocoo()
     band = lower_band(coo.row, coo.col, coo.data, matrix.shape[0])
-    return solve_spd(band, b, matrix.__matmul__)
+    x = solve_spd(band, b)
+    residual = np.abs(matrix @ x - b).max(initial=0.0)
+    bound = RESIDUAL_TOL * (1.0 + np.abs(b).max(initial=0.0))
+    if not residual <= bound:
+        raise NotPositiveDefiniteError(f"solve residual {residual:.3e} exceeds bound {bound:.3e}")
+    return x
+
+
+def assemble_stiffness(mesh: Mesh):
+    """P1 Galerkin matrix of the Laplacian on all nodes, summed cell by cell.
+
+    Rows sum to zero (constants lie in the kernel); the restriction to
+    interior nodes is the 5-point Laplacian that ``build_forms`` builds
+    from the grid.
+    """
+    grads = basis_gradients(mesh)
+    local = np.einsum("tad,tbd->tab", grads, grads) * mesh.cell_areas[:, None, None]
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    return _summed_csr_without_zeros(rows, cols, local.ravel(), (mesh.n_nodes, mesh.n_nodes))
 
 
 def dense_gaussian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

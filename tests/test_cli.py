@@ -107,6 +107,21 @@ def test_dump_fields(tmp_path, capsys):
     assert control.values.shape == reference.values.shape
 
 
+def test_dump_fields_into_a_file_exits_one_before_the_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the dump directory is checked before the solve")
+
+    monkeypatch.setattr(cli, "run_outer_approximation", no_solve)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(["--instance", "exact", *FAST, "--dump-fields", str(taken)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert str(taken) in captured.err and "--dump-fields" in captured.err
+    assert captured.out == ""
+
+
 def test_seed_and_no_warm_start_accepted(capsys):
     code, out = _run(capsys, ["--instance", "exact", *FAST, "--no-warm-start"])
     assert code == 0

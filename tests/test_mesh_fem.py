@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    assemble_stiffness,
     from_csr,
-    interior_edge_cells_by_loop,
     project_p0_by_einsum,
     solve_sparse_spd,
 )
@@ -19,7 +19,6 @@ from tvcontrol.mesh_fem import (
     assemble_elasticity,
     assemble_mass_p1,
     assemble_p0_p1_coupling,
-    assemble_stiffness,
     basis_gradients,
     build_forms,
     build_friedrichs_keller,
@@ -35,8 +34,6 @@ def test_smallest_mesh():
     mesh = build_friedrichs_keller(1)
     assert mesh.n_nodes == 4
     assert mesh.n_cells == 2
-    assert mesh.interior_edges.lengths.size == 1
-    assert mesh.interior_edges.lengths[0] == pytest.approx(np.sqrt(2.0), abs=1e-15)
 
 
 def test_n2_by_hand():
@@ -47,22 +44,12 @@ def test_n2_by_hand():
 
 
 def test_paper_mesh_size():
+    # the mesh size h is the longest edge, the square diagonal from corner 0 to 2
     mesh = build_friedrichs_keller(50)
-    assert mesh.interior_edges.lengths.max() == pytest.approx(np.sqrt(2.0) / 50, abs=1e-15)
-
-
-@pytest.mark.parametrize("n", [1, 3, 7])
-def test_interior_edges_join_their_two_cells(n):
-    mesh = build_friedrichs_keller(n)
-    edges = mesh.interior_edges
-    assert np.array_equal(edges.cells, interior_edge_cells_by_loop(mesh.triangles))
-    assert np.all(edges.cells[:, 0] < edges.cells[:, 1])
-    assert np.unique(edges.cells, axis=0).shape == edges.cells.shape
-    for (left, right), length in zip(edges.cells, edges.lengths):
-        shared = np.intersect1d(mesh.triangles[left], mesh.triangles[right])
-        assert shared.size == 2
-        a, b = mesh.nodes[shared]
-        assert length == pytest.approx(np.linalg.norm(b - a), abs=1e-15)
+    corners = mesh.nodes[mesh.triangles]
+    edges = corners - np.roll(corners, 1, axis=1)
+    longest = np.hypot(edges[..., 0], edges[..., 1]).max()
+    assert longest == pytest.approx(np.sqrt(2.0) / 50, abs=1e-15)
 
 
 def test_zero_subdivisions_rejected():
@@ -77,7 +64,6 @@ def test_mesh_invariants(n):
     assert np.all(mesh.cell_areas > 0)
     assert mesh.cell_areas.sum() == pytest.approx(1.0, abs=1e-12)
     assert mesh.boundary_node_mask.sum() == 4 * n
-    assert mesh.interior_edges.cells.shape[0] == 3 * n * n - 2 * n
     on_edge = (mesh.nodes == 0.0) | (mesh.nodes == 1.0)
     assert np.array_equal(mesh.boundary_node_mask, on_edge.any(axis=1))
 
@@ -89,17 +75,29 @@ def test_stiffness_rows_sum_to_zero():
 
 
 def test_stiffness_five_point_stencil():
-    n = 4
-    mesh = build_friedrichs_keller(n)
-    k = assemble_stiffness(mesh).toarray()
-    center = 2 * (n + 1) + 2
+    # interior node (2, 2) of the n = 4 mesh sits in the middle of the 3 x 3 interior nodes
+    k = build_forms(build_friedrichs_keller(4)).stiffness.toarray()
+    center, m = 4, 3
     row = k[center]
-    assert row[center] == pytest.approx(4.0, abs=1e-12)
-    for neighbor in (center - 1, center + 1, center - (n + 1), center + (n + 1)):
-        assert row[neighbor] == pytest.approx(-1.0, abs=1e-12)
+    assert row[center] == 4.0
+    for neighbor in (center - 1, center + 1, center - m, center + m):
+        assert row[neighbor] == -1.0
     # entries across the square diagonals cancel on this triangulation
-    assert row[center + n + 2] == pytest.approx(0.0, abs=1e-12)
-    assert row[center - n - 2] == pytest.approx(0.0, abs=1e-12)
+    assert row[center + m + 1] == 0.0
+    assert row[center - m - 1] == 0.0
+
+
+@pytest.mark.parametrize("n, rel_tol", [(2, 0.0), (3, 0.0), (8, 0.0), (16, 0.0),
+                                        (50, 1e-14), (100, 1e-14)])
+def test_stiffness_equals_the_per_cell_assembly(n, rel_tol):
+    # at n = 50 and 100 the per-cell sums carry rounding noise of a few ulps
+    mesh = build_friedrichs_keller(n)
+    interior = mesh.interior_nodes
+    k = build_forms(mesh).stiffness
+    ref = assemble_stiffness(mesh)[np.ix_(interior, interior)].tocsr()
+    assert np.all(k.data != 0.0)
+    assert np.array_equal(k.indptr, ref.indptr) and np.array_equal(k.indices, ref.indices)
+    assert np.abs(k.data - ref.data).max() <= rel_tol * np.abs(ref.data).max()
 
 
 def _poisson_max_error(n):
@@ -148,7 +146,8 @@ def test_coupling_single_cell():
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_operators_are_symmetric_without_stored_zeros(n):
     mesh = build_friedrichs_keller(n)
-    for a in (assemble_stiffness(mesh), assemble_mass_p1(mesh), assemble_elasticity(mesh)):
+    stiffness = build_forms(mesh).stiffness
+    for a in (stiffness, assemble_mass_p1(mesh), assemble_elasticity(mesh)):
         assert (a != a.T).nnz == 0
         assert np.all(a.data != 0.0)
 
@@ -218,6 +217,7 @@ def test_smallest_mesh_has_empty_elasticity_blocks():
     assert blocks.rows.size == blocks.cols.size == 0
     assert blocks.values.shape == (2, 2, 0)
     assert forms.elasticity.shape == (0, 0)
+    assert forms.stiffness.shape == (0, 0)
 
 
 def test_build_forms_memory_at_n100():

@@ -13,7 +13,7 @@ def test_identity_solve():
     b = np.array([3.0, -1.0, 0.5])
     band = lower_band(np.arange(3), np.arange(3), np.ones(3), 3)
     assert band.shape == (1, 3)
-    assert np.array_equal(solve_spd(band, b, lambda x: x), b)
+    assert np.array_equal(solve_spd(band, b), b)
 
 
 def test_diagonal_solve():
@@ -49,15 +49,28 @@ def test_indefinite_matrix_rejected():
         solve_sparse_spd(a, np.ones(2))
 
 
-def test_residual_bound_is_checked_through_the_matvec():
-    band = lower_band(np.arange(3), np.arange(3), np.full(3, 2.0), 3)
-    with pytest.raises(NotPositiveDefiniteError, match="residual"):
-        solve_spd(band, np.ones(3), lambda x: 3.0 * x)
-
-
 @pytest.fixture(scope="module")
 def forms8():
     return build_forms(build_friedrichs_keller(8))
+
+
+@pytest.mark.parametrize("pattern", [slice(None, None, 3), slice(0)], ids=["third", "none"])
+def test_newton_step_checks_the_reduced_residual(forms8, monkeypatch, pattern):
+    # a band solve that is off by 1e-6 in every entry must not pass unnoticed
+    def wrong_solve(*args):
+        return solve_spd(*args) + 1e-6
+
+    n_int = forms8.n_interior
+    rng = np.random.default_rng(27)
+    b = forms8.dual_load(rng.standard_normal(forms8.mesh.n_cells))
+    active = np.zeros(n_int, dtype=bool)
+    active[pattern] = True
+    x = rng.standard_normal(2 * n_int)
+    lam = np.where(active, rng.exponential(size=n_int), 0.0)
+    tv_oracle._newton_step(forms8, b, 1e-5, x, lam, active)
+    monkeypatch.setattr(tv_oracle, "solve_spd", wrong_solve)
+    with pytest.raises(NotPositiveDefiniteError, match="residual"):
+        tv_oracle._newton_step(forms8, b, 1e-5, x, lam, active)
 
 
 def _assert_matches_dense(a, b):
@@ -83,9 +96,9 @@ def test_oracle_operator_matches_dense(forms8):
 def test_reduced_newton_system_matches_dense(forms8, monkeypatch):
     bands = []
 
-    def recording_solve(band, rhs, matvec):
+    def recording_solve(band, rhs):
         bands.append(band.copy())
-        return solve_spd(band, rhs, matvec)
+        return solve_spd(band, rhs)
 
     monkeypatch.setattr(tv_oracle, "solve_spd", recording_solve)
     n_int = forms8.n_interior
@@ -229,6 +242,6 @@ def test_solve_does_not_use_superlu(monkeypatch):
 def test_empty_system():
     empty = np.zeros(0, dtype=int)
     band = lower_band(empty, empty, np.zeros(0), 0)
-    x = solve_spd(band, np.zeros(0), lambda x: x)
+    x = solve_spd(band, np.zeros(0))
     assert x.size == 0
 

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_newton_step, dual_objective, projected_ascent_tv
+from oracles import (
+    dense_newton_step,
+    dual_objective,
+    interior_edge_cells_by_loop,
+    projected_ascent_tv,
+)
 from tvcontrol import tv_oracle
 from tvcontrol.instances import exact_u_bar
 from tvcontrol.mesh_fem import P0Field, build_forms, build_friedrichs_keller, project_p0
@@ -117,6 +122,20 @@ def test_discrete_tv_single_triangle():
 def test_discrete_tv_single_jump():
     mesh = build_friedrichs_keller(1)
     assert discrete_tv(P0Field([1.0, 0.0]), mesh) == pytest.approx(np.sqrt(2.0), abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
+def test_discrete_tv_matches_an_edge_walk(n):
+    mesh = build_friedrichs_keller(n)
+    cells = interior_edge_cells_by_loop(mesh.triangles)
+    assert cells.shape == (3 * n * n - 2 * n, 2)
+    ends = mesh.nodes[[np.intersect1d(*mesh.triangles[pair]) for pair in cells]]
+    lengths = np.hypot(*(ends[:, 1] - ends[:, 0]).T)
+    u = np.random.default_rng(n).standard_normal(mesh.n_cells)
+    walked = np.sum(lengths * np.abs(u[cells[:, 0]] - u[cells[:, 1]]))
+    assert abs(discrete_tv(P0Field(u), mesh) - walked) <= 1e-14 * walked
+    with pytest.raises(ValueError, match=f"{mesh.n_cells} cell values"):
+        discrete_tv(u[:-1], mesh)
 
 
 def test_lower_bound_trivial_cases(forms4):
