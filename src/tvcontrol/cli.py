@@ -3,7 +3,8 @@
 Builds one of the two instances, runs the outer approximation, and writes
 the report (CSV or JSON) to stdout. Exit status: 0 when the tolerance was
 met, 2 on an inner-solver failure (explained on stderr), 3 when the outer
-iteration cap was hit, 1 on usage errors.
+iteration cap was hit, 1 on usage errors and on a field dump that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -85,9 +86,13 @@ def main(argv=None) -> int:
 
     if dump_dir is not None and report.final_control is not None:
         out_dir = Path(dump_dir)
-        dump_field(report.final_control, out_dir / "control.txt")
-        if instance.reference_u is not None:
-            dump_field(instance.reference_u, out_dir / "reference_control.txt")
+        try:
+            dump_field(report.final_control, out_dir / "control.txt")
+            if instance.reference_u is not None:
+                dump_field(instance.reference_u, out_dir / "reference_control.txt")
+        except OSError as exc:
+            print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+            return 1
 
     return _EXIT_BY_REASON[report.terminated]
 

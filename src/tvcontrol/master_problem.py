@@ -83,7 +83,7 @@ class MasterOperator:
         m_in = forms.mass_interior
         m_ii = m_in[:, forms.interior_nodes].tocsr()
         self._b_in = forms.load_interior
-        coupled = (self._b_in @ sp.diags(1.0 / forms.mesh.cell_areas) @ self._b_in.T).tocsr()
+        coupled = ((self._b_in * (1.0 / forms.mesh.cell_area)) @ self._b_in.T).tocsr()
         self.base = sp.bmat(
             [[-m_ii, forms.stiffness], [forms.stiffness, coupled / self.alpha]],
             format="csr",
@@ -114,15 +114,15 @@ class MasterOperator:
         n_i = forms.n_interior
         k = len(planes)
         alpha = self.alpha
-        areas = forms.mesh.cell_areas
+        area = forms.mesh.cell_area
 
         div = np.reshape([p.div_phi.values for p in planes], (k, forms.mesh.n_cells))
         energies = np.array([p.energy for p in planes])
         rhs_targets = 1.0 + 0.5 * eps * energies                     # per-plane bound
         border = np.zeros((2 * n_i, k))
         border[n_i:] = -(self._b_in @ div.T) / alpha
-        block = -(div * areas) @ div.T / alpha
-        g = rhs_targets - div @ (areas * self._u_d)
+        block = -(div * area) @ div.T / alpha
+        g = rhs_targets - div @ (area * self._u_d)
 
         solved = self.factor.solve(np.column_stack([self.rhs0, border]))
         x0, xc = solved[:, 0], solved[:, 1:]
@@ -166,7 +166,7 @@ class MasterOperator:
 
             p_bar = forms.cell_average @ p_full.values
             u = self._u_d - (p_bar + mu @ div) / alpha
-            slack = rhs_targets - div @ (areas * u)
+            slack = rhs_targets - div @ (area * u)
             active_next = (mu - slack) > 0.0
 
             # primal infeasibility, dual infeasibility and complementarity
@@ -190,8 +190,11 @@ class MasterOperator:
         )
 
     def objective_value(self, u, y: P1ScalarField) -> float:
-        diff = y.values - self._y_d
-        tracking = 0.5 * float(diff @ (self.forms.mass_p1 @ diff))
+        mesh = self.forms.mesh
+        # on a cell T the P1 mass gives int d^2 = |T|/12 ((sum_a d_a)^2 + sum_a d_a^2)
+        d = (y.values - self._y_d)[mesh.triangles]
+        squares = float(np.sum(d.sum(axis=1) ** 2 + np.sum(d * d, axis=1)))
+        tracking = mesh.cell_area / 12.0 * squares
         du = _p0_values(u) - self._u_d
-        return tracking + 0.5 * self.alpha * float(np.sum(self.forms.mesh.cell_areas * du * du))
+        return 0.5 * tracking + 0.5 * self.alpha * float(np.sum(mesh.cell_area * du * du))
 

@@ -2,14 +2,15 @@
 
 Provides the Friedrichs-Keller triangulation of (0,1)^2, piecewise-constant
 (P0) and continuous piecewise-linear (P1) fields, and the bilinear/linear
-forms used by the solvers: Poisson stiffness, masses, the P0-P1 coupling,
-the linear-elasticity energy form, and the P1 -> P0 divergence.
+forms used by the solvers: Poisson stiffness, mass, the P0-P1 load, the
+linear-elasticity energy form, and the P1 -> P0 divergence.
 
 All integrands appearing in the forms are piecewise polynomial, so assembly
-is exact. The interior stiffness and elasticity come from the mesh's constant
-stencils: the 5-point Laplacian and four 2x2 node blocks per node (see
-:func:`build_forms`). The masses, the coupling, the divergence and the cell
-averages are assembled cell by cell. Discontinuous data is projected to P0
+is exact. Every cell of the mesh is a right triangle with legs 1/n, so every
+form comes from the grid's constants: one cell area 1/(2n^2), one table of
+basis gradients (``CELL_GRADIENTS``, times n), and the stencils they give,
+the 5-point Laplacian, the 7-point mass and four 2x2 elasticity node blocks
+per node (see :func:`build_forms`). Discontinuous data is projected to P0
 by midpoint quadrature on 4^depth subtriangles, on quadrature coordinates
 built once per grid column and once per grid row and evaluated a few grid
 rows at a time (see :func:`project_p0`).
@@ -31,6 +32,17 @@ YOUNGS_MODULUS = 2900.0
 POISSON_RATIO = 0.4
 #: the shear modulus mu, the Lame parameter of the symmetric gradient
 SHEAR_MODULUS = YOUNGS_MODULUS / (2.0 * (1.0 + POISSON_RATIO))
+#: the Lame parameter lambda, of the trace of the strain
+LAME_LAMBDA = (YOUNGS_MODULUS * POISSON_RATIO
+               / ((1.0 + POISSON_RATIO) * (1.0 - 2.0 * POISSON_RATIO)))
+
+#: Gradients of the three basis functions of a cell with legs 1, (2, 3, 2):
+#: the lower triangle (a, a+1, a+n+2) and the upper one (a, a+n+2, a+n+1) of
+#: the grid square with lower-left corner a. Times n, those of every cell.
+CELL_GRADIENTS = np.array([
+    [[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]],
+    [[0.0, -1.0], [1.0, 0.0], [-1.0, 1.0]],
+])
 
 #: Most quadrature points, after broadcasting x against y, in one call of the
 #: integrand in :func:`project_p0`: whole grid rows, or pieces of one row
@@ -52,7 +64,11 @@ class Mesh:
     nodes: np.ndarray               # (n_nodes, 2)
     triangles: np.ndarray           # (n_tri, 3) int, counterclockwise
     boundary_node_mask: np.ndarray  # (n_nodes,) bool
-    cell_areas: np.ndarray          # (n_tri,)
+
+    @property
+    def cell_area(self) -> float:
+        """The area of every cell, 1/(2n^2)."""
+        return 0.5 / self.n**2
 
     @property
     def n_nodes(self) -> int:
@@ -123,42 +139,19 @@ def build_friedrichs_keller(n: int) -> Mesh:
     triangles[0::2] = lower
     triangles[1::2] = upper
 
-    coords = nodes[triangles]
-    e1 = coords[:, 1] - coords[:, 0]
-    e2 = coords[:, 2] - coords[:, 0]
-    areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-
     gi = np.tile(np.arange(n + 1), n + 1)
     gj = np.repeat(np.arange(n + 1), n + 1)
     boundary = (gi == 0) | (gi == n) | (gj == 0) | (gj == n)
 
-    return Mesh(
-        n=n,
-        nodes=nodes,
-        triangles=triangles,
-        boundary_node_mask=boundary,
-        cell_areas=areas,
-    )
-
-
-def basis_gradients(mesh: Mesh) -> np.ndarray:
-    """Gradients of the three barycentric basis functions per triangle, (n_tri, 3, 2)."""
-    coords = mesh.nodes[mesh.triangles]
-    x, y = coords[..., 0], coords[..., 1]
-    two_a = 2.0 * mesh.cell_areas
-    grads = np.empty_like(coords)
-    for a in range(3):
-        b, c = (a + 1) % 3, (a + 2) % 3
-        grads[:, a, 0] = (y[:, b] - y[:, c]) / two_a
-        grads[:, a, 1] = (x[:, c] - x[:, b]) / two_a
-    return grads
+    return Mesh(n=n, nodes=nodes, triangles=triangles, boundary_node_mask=boundary)
 
 
 def _summed_csr_without_zeros(rows, cols, data, shape) -> sp.csr_matrix:
-    """Sum the element contributions into CSR and drop entries that cancel to 0.0.
+    """Sum the triplets into CSR and drop entries that are, or cancel to, 0.0.
 
-    The elasticity's node blocks, for one, hold exact zeros: a node's own x-y
-    coupling, and the x-x and y-y couplings across a square's diagonal.
+    The elasticity's node blocks hold exact zeros, the x-x and y-y couplings
+    across a square's diagonal, and so does ``CELL_GRADIENTS``, which the
+    divergence is built from.
     A stored zero would still count as structure in SuperLU's fill-reducing
     ordering. The banded solves need no such care: ``lower_band`` skips zero
     entries, so the band is as wide as the farthest nonzero one.
@@ -167,54 +160,6 @@ def _summed_csr_without_zeros(rows, cols, data, shape) -> sp.csr_matrix:
     m.sum_duplicates()
     m.eliminate_zeros()
     return m
-
-
-def assemble_mass_p1(mesh: Mesh) -> sp.csr_matrix:
-    """Consistent P1 mass matrix on all nodes (exact integration)."""
-    local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    data = (mesh.cell_areas[:, None, None] * local).ravel()
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    return _summed_csr_without_zeros(rows, cols, data, (mesh.n_nodes, mesh.n_nodes))
-
-
-def assemble_p0_p1_coupling(mesh: Mesh) -> sp.csr_matrix:
-    """Map P0 coefficients to the P1 load vector: B[v, T] = integral of basis_v over T.
-
-    Each triangle contributes area/3 to each of its vertices (exact for the
-    linear basis).
-    """
-    rows = mesh.triangles.ravel()
-    cols = np.repeat(np.arange(mesh.n_cells), 3)
-    data = np.repeat(mesh.cell_areas / 3.0, 3)
-    return sp.coo_matrix((data, (rows, cols)), shape=(mesh.n_nodes, mesh.n_cells)).tocsr()
-
-
-def assemble_elasticity(mesh: Mesh) -> sp.csr_matrix:
-    """Linear elasticity energy a[phi, psi] = int sym_grad(phi) : C sym_grad(psi) dx.
-
-    C is the isotropic Lame tensor, C eps = 2 mu eps + lam tr(eps) I, with
-    mu = E / (2 (1 + nu)) and lam = E nu / ((1 + nu) (1 - 2 nu)) for
-    E = YOUNGS_MODULUS and nu = POISSON_RATIO. The operator acts on all
-    vector dofs (node-major: dof 2q and 2q+1 belong to node q), so rigid
-    translations lie in its kernel.
-    """
-    E, nu = YOUNGS_MODULUS, POISSON_RATIO
-    mu = SHEAR_MODULUS
-    lam = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
-
-    grads = basis_gradients(mesh)
-    dots = np.einsum("tad,tbd->tab", grads, grads)
-    t1 = np.einsum("tab,ij->taibj", dots, np.eye(2))
-    t2 = np.einsum("taj,tbi->taibj", grads, grads)
-    t3 = np.einsum("tai,tbj->taibj", grads, grads)
-    local = mesh.cell_areas[:, None, None, None, None] * (mu * (t1 + t2) + lam * t3)
-
-    dofs = (2 * mesh.triangles[:, :, None] + np.arange(2)).reshape(-1, 6)
-    rows = np.repeat(dofs, 6, axis=1).ravel()
-    cols = np.tile(dofs, (1, 6)).ravel()
-    shape = (2 * mesh.n_nodes, 2 * mesh.n_nodes)
-    return _summed_csr_without_zeros(rows, cols, local.ravel(), shape)
 
 
 def elasticity_floor(mesh: Mesh) -> float:
@@ -299,7 +244,7 @@ def l2_norm_p0(mesh: Mesh, u) -> float:
     v = _p0_values(u)
     if v.shape != (mesh.n_cells,):
         raise ValueError(f"expected {mesh.n_cells} cell values, got shape {v.shape}")
-    return float(np.sqrt(np.sum(mesh.cell_areas * v * v)))
+    return float(np.sqrt(np.sum(mesh.cell_area * v * v)))
 
 
 def l2_error_p0(mesh: Mesh, u, v) -> float:
@@ -311,7 +256,7 @@ def l2_error_p0(mesh: Mesh, u, v) -> float:
 
 @dataclass(frozen=True)
 class Forms:
-    """All assembled operators for one mesh, shared by the solvers.
+    """All operators for one mesh, built by :func:`build_forms`, shared by the solvers.
 
     Interior reductions eliminate homogeneous Dirichlet dofs by deletion,
     preserving exact symmetric positive definiteness.
@@ -320,7 +265,6 @@ class Forms:
     mesh: Mesh
     interior_nodes: np.ndarray
     stiffness: sp.csr_matrix         # interior x interior: the 5-point Laplacian, SPD
-    mass_p1: sp.csr_matrix           # all nodes
     mass_interior: sp.csr_matrix     # interior rows x all nodes
     load_interior: sp.csr_matrix     # interior nodes x cells: int u * basis dx
     cell_average: sp.csr_matrix      # cells x all nodes: P1 -> cell mean
@@ -350,7 +294,7 @@ class Forms:
 
     def dual_load(self, u) -> np.ndarray:
         """Vector b with b_j = int u * div(basis_j) dx over interior vector dofs."""
-        return self.divergence.T @ (self.mesh.cell_areas * _p0_values(u))
+        return self.divergence.T @ (self.mesh.cell_area * _p0_values(u))
 
 
 def _interior_elasticity_blocks(n: int) -> NodeBlocks:
@@ -358,13 +302,23 @@ def _interior_elasticity_blocks(n: int) -> NodeBlocks:
 
     Every interior node has all six triangles around it, so its blocks are
     the same four for every node: itself and its left, below and below-left
-    neighbours, where those are interior. The one interior node of the
-    n = 2 mesh, node 4, has all four, with neighbours 3, 1 and 0; its
-    coordinates are exact. The blocks follow the ``NodeBlocks`` contract:
-    diagonal blocks first, then by row and column.
+    neighbours, where those are interior. Squared gradients scale as n^2
+    and cell areas as 1/n^2, so with kappa = mu + lam the blocks are, for any n,
+
+        itself      [[4 mu + 2 kappa, -kappa], [-kappa, 4 mu + 2 kappa]]
+        below-left  [[0, -kappa/2], [-kappa/2, 0]]
+        below       [[-mu, kappa/2], [kappa/2, -mu - kappa]]
+        left        [[-mu - kappa, kappa/2], [kappa/2, -mu]]
+
+    in the ``NodeBlocks`` order: diagonal blocks first, then by row and column.
     """
-    row = assemble_elasticity(build_friedrichs_keller(2))[8:10].toarray().reshape(2, 9, 2)
-    stencil = row[:, [4, 0, 1, 3]].transpose(0, 2, 1)  # itself, below-left, below, left
+    mu, kappa = SHEAR_MODULUS, SHEAR_MODULUS + LAME_LAMBDA
+    stencil = np.array([
+        [[4 * mu + 2 * kappa, -kappa], [-kappa, 4 * mu + 2 * kappa]],
+        [[0.0, -kappa / 2], [-kappa / 2, 0.0]],
+        [[-mu, kappa / 2], [kappa / 2, -mu - kappa]],
+        [[-mu - kappa, kappa / 2], [kappa / 2, -mu]],
+    ]).transpose(1, 2, 0)
     m = n - 1
     node = np.arange(m * m, dtype=np.int32)
     i, j = node % m, node // m
@@ -379,17 +333,20 @@ def _interior_elasticity_blocks(n: int) -> NodeBlocks:
 
 
 def build_forms(mesh: Mesh) -> Forms:
-    """All operators for one mesh. ``stiffness`` is the 5-point Laplacian of
-    the interior nodes, numbered row by row: the couplings across square
-    diagonals cancel. ``elasticity`` is built from its node blocks
-    (:func:`_interior_elasticity_blocks`) and the mirror images of the
-    off-diagonal ones. Neither stores a zero."""
-    interior = mesh.interior_nodes
+    """All operators for one mesh, from the grid's constants; none stores a zero.
+
+    ``stiffness`` is the 5-point Laplacian of the interior nodes, numbered
+    row by row: the couplings across square diagonals cancel. ``elasticity``
+    is built from its node blocks (:func:`_interior_elasticity_blocks`) and
+    the mirror images of the off-diagonal ones.
+    """
+    n, interior = mesh.n, mesh.interior_nodes
+    area = mesh.cell_area
     # the differences of n - 1 grid values with zero ends: difference^T difference
     # is the 1-D second difference tridiag(-1, 2, -1), and 0 x 0 when n = 1
-    difference = sp.eye(mesh.n, mesh.n - 1) - sp.eye(mesh.n, mesh.n - 1, k=-1)
+    difference = sp.eye(n, n - 1) - sp.eye(n, n - 1, k=-1)
     second = difference.T @ difference
-    blocks = _interior_elasticity_blocks(mesh.n)
+    blocks = _interior_elasticity_blocks(n)
     # row and column dof of every block entry, (2, 2, 2, blocks)
     dof = 2 * np.stack([blocks.rows, blocks.cols])[:, None, None] + np.indices((2, 2))[..., None]
     mirrored = (slice(None), slice(None), slice(interior.size, None))
@@ -399,10 +356,17 @@ def build_forms(mesh: Mesh) -> Forms:
         np.concatenate([blocks.values.ravel(), blocks.values[mirrored].ravel()]),
         (2 * interior.size, 2 * interior.size),
     )
-    mass_p1 = assemble_mass_p1(mesh)
-    coupling = assemble_p0_p1_coupling(mesh)
+    # the 7-point mass stencil: the cell area at the node, a sixth of it at the
+    # neighbours along the grid lines and across the square diagonals
+    offsets = np.array([-(n + 2), -(n + 1), -1, 0, 1, n + 1, n + 2])
+    weights = np.array([1, 1, 1, 6, 1, 1, 1]) / 6.0
+    mass_interior = sp.csr_matrix(
+        (np.tile(area * weights, interior.size), (interior[:, None] + offsets).ravel(),
+         np.arange(0, offsets.size * interior.size + 1, offsets.size)),
+        shape=(interior.size, mesh.n_nodes),
+    )
 
-    grads = basis_gradients(mesh)
+    grads = np.tile(n * CELL_GRADIENTS, (n * n, 1, 1))
     pos = np.full(mesh.n_nodes, -1, dtype=np.int64)
     pos[interior] = np.arange(interior.size)
     tri_pos = pos[mesh.triangles]                       # (n_tri, 3), -1 on boundary
@@ -411,9 +375,7 @@ def build_forms(mesh: Mesh) -> Forms:
     rows = np.repeat(t_idx, 2)
     cols = (2 * tri_pos[t_idx, a_idx][:, None] + np.arange(2)).ravel()
     data = grads[t_idx, a_idx].ravel()
-    divergence = sp.coo_matrix(
-        (data, (rows, cols)), shape=(mesh.n_cells, 2 * interior.size)
-    ).tocsr()
+    divergence = _summed_csr_without_zeros(rows, cols, data, (mesh.n_cells, 2 * interior.size))
 
     rows3 = np.repeat(np.arange(mesh.n_cells), 3)
     cell_average = sp.coo_matrix(
@@ -425,9 +387,8 @@ def build_forms(mesh: Mesh) -> Forms:
         mesh=mesh,
         interior_nodes=interior,
         stiffness=sp.kronsum(second, second, format="csr"),
-        mass_p1=mass_p1,
-        mass_interior=mass_p1[interior].tocsr(),
-        load_interior=coupling[interior].tocsr(),
+        mass_interior=mass_interior,
+        load_interior=(area * cell_average[:, interior]).T.tocsr(),
         cell_average=cell_average,
         elasticity=elasticity,
         elasticity_blocks=blocks,

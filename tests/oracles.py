@@ -5,14 +5,20 @@ Gaussian elimination instead of sparse factorizations, projected gradient
 ascent instead of the active-set iteration, the full dense saddle system
 instead of the oracle's null-space reduction, dense products instead of
 its band filled from node blocks, node blocks gathered from the per-cell
-elasticity matrix instead of the mesh's constant stencil, active-set
+elasticity matrix instead of the closed-form stencil, active-set
 enumeration on dense KKT systems instead of the bordered solver, a
 dictionary walk over the triangles instead of the edge families read off
-the cell grid, the stiffness summed cell by cell instead of the 5-point
-Laplacian, one ``einsum`` over every quadrature point of the mesh
+the cell grid, one ``einsum`` over every quadrature point of the mesh
 instead of the chunked P0 projection, and the reduced objective and
 gradient by separate state and adjoint solves instead of the master's
 coupled KKT elimination.
+
+The finite element forms are summed cell by cell from the node
+coordinates (:func:`cell_areas`, :func:`basis_gradients`) instead of
+built from the grid's constants: the stiffness instead of the 5-point
+Laplacian, the mass instead of its 7-point stencil, the P0-P1 coupling
+instead of the scaled cell average, and the elasticity from the Lame
+tensor instead of its closed-form node blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +27,11 @@ from itertools import combinations
 
 import numpy as np
 
+import scipy.sparse as sp
+
 from tvcontrol.mesh_fem import (
+    LAME_LAMBDA,
+    SHEAR_MODULUS,
     Forms,
     Mesh,
     P0Field,
@@ -30,7 +40,6 @@ from tvcontrol.mesh_fem import (
     _p0_values,
     _subtriangle_centroids,
     _summed_csr_without_zeros,
-    basis_gradients,
 )
 from tvcontrol.sparse_linalg import (
     RESIDUAL_TOL,
@@ -60,6 +69,27 @@ def solve_sparse_spd(matrix, b) -> np.ndarray:
     return x
 
 
+def cell_areas(mesh: Mesh) -> np.ndarray:
+    """Signed area of every triangle from its corner coordinates, (n_tri,)."""
+    coords = mesh.nodes[mesh.triangles]
+    e1 = coords[:, 1] - coords[:, 0]
+    e2 = coords[:, 2] - coords[:, 0]
+    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+
+
+def basis_gradients(mesh: Mesh) -> np.ndarray:
+    """Gradients of the three barycentric basis functions per triangle, (n_tri, 3, 2)."""
+    coords = mesh.nodes[mesh.triangles]
+    x, y = coords[..., 0], coords[..., 1]
+    two_a = 2.0 * cell_areas(mesh)
+    grads = np.empty_like(coords)
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        grads[:, a, 0] = (y[:, b] - y[:, c]) / two_a
+        grads[:, a, 1] = (x[:, c] - x[:, b]) / two_a
+    return grads
+
+
 def assemble_stiffness(mesh: Mesh):
     """P1 Galerkin matrix of the Laplacian on all nodes, summed cell by cell.
 
@@ -68,10 +98,68 @@ def assemble_stiffness(mesh: Mesh):
     from the grid.
     """
     grads = basis_gradients(mesh)
-    local = np.einsum("tad,tbd->tab", grads, grads) * mesh.cell_areas[:, None, None]
+    local = np.einsum("tad,tbd->tab", grads, grads) * cell_areas(mesh)[:, None, None]
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
     return _summed_csr_without_zeros(rows, cols, local.ravel(), (mesh.n_nodes, mesh.n_nodes))
+
+
+def assemble_mass_p1(mesh: Mesh):
+    """Consistent P1 mass matrix on all nodes (exact integration), summed cell by cell."""
+    local = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    data = (cell_areas(mesh)[:, None, None] * local).ravel()
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    return _summed_csr_without_zeros(rows, cols, data, (mesh.n_nodes, mesh.n_nodes))
+
+
+def assemble_p0_p1_coupling(mesh: Mesh):
+    """Map P0 coefficients to the P1 load vector: B[v, T] = integral of basis_v over T.
+
+    Each triangle contributes area/3 to each of its vertices (exact for the
+    linear basis).
+    """
+    rows = mesh.triangles.ravel()
+    cols = np.repeat(np.arange(mesh.n_cells), 3)
+    data = np.repeat(cell_areas(mesh) / 3.0, 3)
+    return sp.coo_matrix((data, (rows, cols)), shape=(mesh.n_nodes, mesh.n_cells)).tocsr()
+
+
+def assemble_elasticity(mesh: Mesh):
+    """Linear elasticity energy a[phi, psi] = int sym_grad(phi) : C sym_grad(psi) dx.
+
+    C is the isotropic Lame tensor, C eps = 2 mu eps + lam tr(eps) I, summed
+    cell by cell on all vector dofs (node-major: dof 2q and 2q+1 belong to
+    node q), so rigid translations lie in its kernel.
+    """
+    mu, lam = SHEAR_MODULUS, LAME_LAMBDA
+    grads = basis_gradients(mesh)
+    dots = np.einsum("tad,tbd->tab", grads, grads)
+    t1 = np.einsum("tab,ij->taibj", dots, np.eye(2))
+    t2 = np.einsum("taj,tbi->taibj", grads, grads)
+    t3 = np.einsum("tai,tbj->taibj", grads, grads)
+    local = cell_areas(mesh)[:, None, None, None, None] * (mu * (t1 + t2) + lam * t3)
+
+    dofs = (2 * mesh.triangles[:, :, None] + np.arange(2)).reshape(-1, 6)
+    rows = np.repeat(dofs, 6, axis=1).ravel()
+    cols = np.tile(dofs, (1, 6)).ravel()
+    shape = (2 * mesh.n_nodes, 2 * mesh.n_nodes)
+    return _summed_csr_without_zeros(rows, cols, local.ravel(), shape)
+
+
+def assemble_divergence(mesh: Mesh):
+    """P1 -> P0 divergence on the interior vector dofs, cells x (2 * n_interior).
+
+    Cell T's row holds the basis gradients of its interior corners.
+    """
+    interior = mesh.interior_nodes
+    pos = np.full(mesh.n_nodes, -1, dtype=np.int64)
+    pos[interior] = np.arange(interior.size)
+    cells, corners = np.nonzero(pos[mesh.triangles] >= 0)
+    rows = np.repeat(cells, 2)
+    cols = (2 * pos[mesh.triangles[cells, corners]][:, None] + np.arange(2)).ravel()
+    data = basis_gradients(mesh)[cells, corners].ravel()
+    return _summed_csr_without_zeros(rows, cols, data, (mesh.n_cells, 2 * interior.size))
 
 
 def dense_gaussian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -225,8 +313,8 @@ def dense_master_qp(instance, forms: Forms, planes, eps: float):
     mesh = forms.mesh
     k_dense = forms.stiffness.toarray()
     b_in = forms.load_interior.toarray()
-    m_full = forms.mass_p1.toarray()
-    areas = forms.mesh.cell_areas
+    m_full = assemble_mass_p1(mesh).toarray()
+    areas = cell_areas(mesh)
     alpha = instance.alpha
     u_d = _p0_values(instance.u_d)
     f = _p0_values(instance.f)
@@ -284,7 +372,7 @@ def dense_qp_active_set_enumeration(hessian, grad, g_rows, h, tol: float = 1e-10
 
 def plane_slack(plane, u, eps: float, mesh) -> float:
     """1 + (eps/2) energy - int u div_phi dx; nonnegative iff u is feasible."""
-    lhs = float(np.sum(mesh.cell_areas * _p0_values(u) * plane.div_phi.values))
+    lhs = float(np.sum(cell_areas(mesh) * _p0_values(u) * plane.div_phi.values))
     return 1.0 + 0.5 * eps * plane.energy - lhs
 
 
@@ -304,8 +392,8 @@ def reduced_objective(u, instance, forms: Forms) -> float:
     y = solve_state(u, instance, forms)
     du = _p0_values(u) - _p0_values(instance.u_d)
     diff = y.values - instance.y_d.values
-    tracking = 0.5 * float(diff @ (forms.mass_p1 @ diff))
-    return tracking + 0.5 * instance.alpha * float(np.sum(forms.mesh.cell_areas * du * du))
+    tracking = 0.5 * float(diff @ (assemble_mass_p1(forms.mesh) @ diff))
+    return tracking + 0.5 * instance.alpha * float(np.sum(cell_areas(forms.mesh) * du * du))
 
 
 def reduced_gradient(u, instance, forms: Forms) -> P0Field:

@@ -224,7 +224,7 @@ def test_criterion_6_master_certificates():
             slacks.append(
                 1.0
                 + 0.5 * eps * plane.energy
-                - float(np.sum(mesh.cell_areas * sol.u.values * plane.div_phi.values))
+                - float(np.sum(mesh.cell_area * sol.u.values * plane.div_phi.values))
             )
         worst_kkt = max(worst_kkt, float(np.abs(grad).max()))
         worst_compl = max(worst_compl, float(np.abs(sol.mu * np.array(slacks)).max()))
@@ -240,7 +240,7 @@ def test_criterion_6_master_certificates():
             plus = reduced_objective(P0Field(u0.values + base_step * direction), instance, forms)
             minus = reduced_objective(P0Field(u0.values - base_step * direction), instance, forms)
             fd = (plus - minus) / (2 * base_step)
-            analytic = float(np.sum(mesh.cell_areas * g0 * direction))
+            analytic = float(np.sum(mesh.cell_area * g0 * direction))
             worst_fd = max(worst_fd, abs(fd - analytic) / max(abs(analytic), 1e-12))
     checks = {
         "kkt": worst_kkt <= 1e-8,
@@ -275,7 +275,7 @@ def test_criterion_7_exact_construction():
         abs(psi(3 / 16)), abs(psi(1 / 4) - 1.0), abs(psi(5 / 16)),
         *[abs(psi_prime(k)) for k in knots],
     )
-    mass = float(np.sum(mesh.cell_areas * instance.reference_u.values))
+    mass = float(np.sum(mesh.cell_area * instance.reference_u.values))
     checks = {
         "gradient_residual": float(np.abs(residual).max()) <= 1e-10,
         "knots": knot_dev <= 1e-12,

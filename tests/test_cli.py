@@ -122,6 +122,18 @@ def test_dump_fields_into_a_file_exits_one_before_the_solve(tmp_path, capsys, mo
     assert captured.out == ""
 
 
+def test_dump_that_fails_after_the_solve_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "control.txt").mkdir(parents=True)
+    code = main(["--instance", "exact", *FAST, "--dump-fields", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith(CSV_HEADER)
+    assert captured.err.startswith("tvcontrol: error: ")
+    assert str(out / "control.txt") in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_seed_and_no_warm_start_accepted(capsys):
     code, out = _run(capsys, ["--instance", "exact", *FAST, "--no-warm-start"])
     assert code == 0

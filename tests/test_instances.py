@@ -85,7 +85,7 @@ def exact50():
 
 def test_indicator_mass(exact50):
     mesh, inst = exact50
-    mass = np.sum(mesh.cell_areas * inst.reference_u.values)
+    mass = np.sum(mesh.cell_area * inst.reference_u.values)
     assert mass == pytest.approx(0.125, abs=1e-3)
 
 
@@ -189,7 +189,7 @@ def test_generic_eigenfunction_identity():
 def test_generic_control_statistics(generic50):
     mesh, inst = generic50
     # mean of u_d vanishes by the odd symmetry in x2 about 1/2
-    assert np.sum(mesh.cell_areas * inst.u_d.values) == pytest.approx(0.0, abs=1e-12)
+    assert np.sum(mesh.cell_area * inst.u_d.values) == pytest.approx(0.0, abs=1e-12)
     # continuous TV(u_d) = c * TV(profile) = 2 exactly by construction; the
     # edge-jump TV of the projection sees the mesh anisotropy instead
     c = 2.0 / REFERENCE_PROFILE_TV

@@ -145,7 +145,7 @@ def test_gradient_matches_finite_differences(tiny):
         plus = reduced_objective(P0Field(u.values + h * direction), inst, forms)
         minus = reduced_objective(P0Field(u.values - h * direction), inst, forms)
         fd = (plus - minus) / (2 * h)
-        analytic = float(np.sum(mesh.cell_areas * grad * direction))
+        analytic = float(np.sum(mesh.cell_area * grad * direction))
         assert fd == pytest.approx(analytic, rel=1e-5, abs=1e-10)
 
 
@@ -199,7 +199,7 @@ def test_optimality_certificate(tiny):
         # scale the step so the perturbed control stays inside the polytope
         t = 1e-2
         for plane in planes:
-            slope = float(np.sum(mesh.cell_areas * delta * plane.div_phi.values))
+            slope = float(np.sum(mesh.cell_area * delta * plane.div_phi.values))
             slack = plane_slack(plane, sol.u, eps, mesh)
             if slope > 0:
                 t = min(t, max(slack, 0.0) / (slope + 1e-30))

@@ -3,23 +3,29 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    assemble_divergence,
+    assemble_elasticity,
+    assemble_mass_p1,
+    assemble_p0_p1_coupling,
     assemble_stiffness,
+    basis_gradients,
+    cell_areas,
     from_csr,
     project_p0_by_einsum,
     solve_sparse_spd,
 )
-from tvcontrol import instances
+from tvcontrol import instances, mesh_fem
 from tvcontrol.mesh_fem import (
+    CELL_GRADIENTS,
+    LAME_LAMBDA,
     P0_CHUNK_POINTS,
+    SHEAR_MODULUS,
     P0Field,
-    assemble_elasticity,
-    assemble_mass_p1,
-    assemble_p0_p1_coupling,
-    basis_gradients,
     build_forms,
     build_friedrichs_keller,
     elasticity_floor,
@@ -40,7 +46,7 @@ def test_n2_by_hand():
     mesh = build_friedrichs_keller(2)
     assert mesh.n_nodes == 9
     assert mesh.n_cells == 8
-    assert mesh.cell_areas.sum() == pytest.approx(1.0, abs=1e-12)
+    assert mesh.cell_area * mesh.n_cells == 1.0
 
 
 def test_paper_mesh_size():
@@ -61,8 +67,11 @@ def test_zero_subdivisions_rejected():
 @given(st.integers(min_value=1, max_value=8))
 def test_mesh_invariants(n):
     mesh = build_friedrichs_keller(n)
-    assert np.all(mesh.cell_areas > 0)
-    assert mesh.cell_areas.sum() == pytest.approx(1.0, abs=1e-12)
+    # counterclockwise cells, each of the area the mesh reports
+    areas = cell_areas(mesh)
+    assert np.all(areas > 0)
+    assert np.abs(areas - mesh.cell_area).max() <= 1e-14 * mesh.cell_area
+    assert mesh.cell_area * mesh.n_cells == pytest.approx(1.0, abs=1e-15)
     assert mesh.boundary_node_mask.sum() == 4 * n
     on_edge = (mesh.nodes == 0.0) | (mesh.nodes == 1.0)
     assert np.array_equal(mesh.boundary_node_mask, on_edge.any(axis=1))
@@ -127,29 +136,73 @@ def test_empty_interior_solve():
 
 
 def test_coupling_constant_control():
+    # a hat function integrates to a third of its six cells' area, 1/n^2
     mesh = build_friedrichs_keller(4)
-    b = assemble_p0_p1_coupling(mesh)
-    load = b @ np.ones(mesh.n_cells)
-    assert load.sum() == pytest.approx(1.0, abs=1e-12)
+    load = build_forms(mesh).load_interior @ np.ones(mesh.n_cells)
+    assert np.allclose(load, 1.0 / 16.0, rtol=1e-15, atol=0.0)
 
 
 def test_coupling_single_cell():
+    # cell 8 of the n = 3 mesh, the lower triangle (5, 6, 10), has three interior
+    # corners; cell 7, the upper triangle (4, 9, 8), has one
     mesh = build_friedrichs_keller(3)
-    b = assemble_p0_p1_coupling(mesh).toarray()
-    cell = 7
-    column = b[:, cell]
-    verts = mesh.triangles[cell]
-    assert np.flatnonzero(column).tolist() == sorted(verts.tolist())
-    assert np.allclose(column[verts], mesh.cell_areas[cell] / 3.0, atol=1e-15)
+    forms = build_forms(mesh)
+    for cell, interior_corners in [(8, [0, 1, 3]), (7, [2])]:
+        column = forms.load_interior.toarray()[:, cell]
+        corners = np.flatnonzero(np.isin(forms.interior_nodes, mesh.triangles[cell]))
+        assert corners.tolist() == interior_corners
+        assert np.flatnonzero(column).tolist() == corners.tolist()
+        assert np.allclose(column[corners], mesh.cell_area / 3.0, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_operators_are_symmetric_without_stored_zeros(n):
     mesh = build_friedrichs_keller(n)
-    stiffness = build_forms(mesh).stiffness
-    for a in (stiffness, assemble_mass_p1(mesh), assemble_elasticity(mesh)):
+    forms = build_forms(mesh)
+    mass = forms.mass_interior[:, forms.interior_nodes]
+    for a in (forms.stiffness, mass, forms.elasticity):
         assert (a != a.T).nnz == 0
+    for a in (forms.stiffness, forms.mass_interior, forms.load_interior,
+              forms.elasticity, forms.divergence):
         assert np.all(a.data != 0.0)
+
+
+def _per_cell_references(mesh):
+    interior = mesh.interior_nodes
+    return {
+        "mass_interior": assemble_mass_p1(mesh)[interior].tocsr(),
+        "load_interior": assemble_p0_p1_coupling(mesh)[interior].tocsr(),
+        "divergence": assemble_divergence(mesh),
+    }
+
+
+@pytest.mark.parametrize("n, rel_tol", [(1, 0.0), (2, 1e-15), (3, 1e-15), (4, 1e-15),
+                                        (8, 1e-15), (16, 1e-15), (50, 5e-14), (100, 5e-14)])
+def test_operators_equal_the_per_cell_assembly(n, rel_tol):
+    # n = 1 has no interior node, so every operator is empty; at n = 50 and 100
+    # the references' own cell areas, from node coordinates, spread by up to
+    # 2e-14 relative about 1/(2n^2)
+    mesh = build_friedrichs_keller(n)
+    forms = build_forms(mesh)
+    for name, ref in _per_cell_references(mesh).items():
+        a = getattr(forms, name)
+        assert np.all(a.data != 0.0) and np.all(ref.data != 0.0), name
+        assert a.shape == ref.shape, name
+        assert np.array_equal(a.indptr, ref.indptr), name
+        assert np.array_equal(a.indices, ref.indices), name
+        scale = np.abs(ref.data).max(initial=0.0)
+        assert np.abs(a.data - ref.data).max(initial=0.0) <= rel_tol * scale, name
+
+
+def test_build_forms_builds_no_mesh():
+    mesh = build_friedrichs_keller(4)
+
+    def no_mesh(n):
+        raise AssertionError(f"build_forms built a mesh with n={n}")
+
+    with patch.object(mesh_fem, "build_friedrichs_keller", no_mesh):
+        forms = build_forms(mesh)
+    assert forms.mesh is mesh
 
 
 def test_lame_constants():
@@ -190,11 +243,12 @@ def _assembled_interior_elasticity(mesh):
     return assemble_elasticity(mesh)[np.ix_(dofs, dofs)].tocsr()
 
 
-@pytest.mark.parametrize("n, rel_tol", [(2, 0.0), (8, 0.0), (16, 0.0),
+@pytest.mark.parametrize("n, rel_tol", [(2, 1e-15), (8, 1e-15), (16, 1e-15),
                                         (3, 1e-14), (50, 1e-14), (100, 1e-14)])
 def test_stencil_elasticity_equals_the_per_cell_assembly(n, rel_tol):
-    # at n = 50 and 100 the per-cell sums round differently: 14500.000000000018
-    # and 14499.999999999993 on the diagonal where the stencil has 14500.000000000004
+    # the per-cell sums round: 14500.000000000004 on the diagonal at n = 2,
+    # 14500.000000000018 at n = 50 and 14499.999999999993 at n = 100, where
+    # the closed-form stencil has 14500.000000000002
     mesh = build_friedrichs_keller(n)
     forms = build_forms(mesh)
     a, ref = forms.elasticity, _assembled_interior_elasticity(mesh)
@@ -211,6 +265,18 @@ def test_stencil_elasticity_equals_the_per_cell_assembly(n, rel_tol):
     assert np.abs(blocks.values - expected.values).max() <= rel_tol * scale
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 50, 100])
+def test_elasticity_is_shear_plus_divergence_energy(n):
+    # on fields vanishing on the boundary, a[phi, phi] = mu ||grad phi||^2
+    # + (mu + lam) ||div phi||^2: the identity elasticity_floor rests on
+    forms = build_forms(build_friedrichs_keller(n))
+    area = forms.mesh.cell_area
+    identity = (SHEAR_MODULUS * sp.kron(forms.stiffness, sp.eye(2))
+                + (SHEAR_MODULUS + LAME_LAMBDA) * area * (forms.divergence.T @ forms.divergence))
+    scale = np.abs(forms.elasticity.data).max()
+    assert np.abs(forms.elasticity - identity).max() <= 1e-14 * scale
+
+
 def test_smallest_mesh_has_empty_elasticity_blocks():
     forms = build_forms(build_friedrichs_keller(1))
     blocks = forms.elasticity_blocks
@@ -222,7 +288,7 @@ def test_smallest_mesh_has_empty_elasticity_blocks():
 
 def test_build_forms_memory_at_n100():
     # with the per-cell elasticity assembly (720 000 COO entries at n = 100)
-    # this peaked at 68.9 MB; the stencil-built forms trace about 20 MB
+    # this peaked at 68.9 MB; the stencil-built forms trace about 19 MB
     mesh = build_friedrichs_keller(100)
     tracemalloc.start()
     try:
@@ -272,7 +338,7 @@ def test_divergence_compatibility(seed):
     forms = build_forms(build_friedrichs_keller(4))
     x = np.random.default_rng(seed).standard_normal(2 * forms.n_interior)
     div = forms.divergence @ x
-    assert abs(np.sum(forms.mesh.cell_areas * div)) < 1e-12
+    assert abs(np.sum(forms.mesh.cell_area * div)) < 1e-12
 
 
 def test_projection_of_constant():
@@ -290,7 +356,7 @@ def test_projection_of_disc_indicator():
         mesh,
         subdivision_depth=4,
     )
-    mass = np.sum(mesh.cell_areas * chi.values)
+    mass = np.sum(mesh.cell_area * chi.values)
     assert mass == pytest.approx(np.pi / 16.0, abs=1e-3)
 
 
@@ -399,6 +465,9 @@ def test_p0_norm_shape_mismatch():
 
 
 def test_gradients_sum_to_zero():
+    # the basis functions of a cell sum to one; times n the table is every
+    # cell's gradients, as computed from its corner coordinates
+    assert np.array_equal(CELL_GRADIENTS.sum(axis=1), np.zeros((2, 2)))
     mesh = build_friedrichs_keller(3)
-    grads = basis_gradients(mesh)
-    assert np.abs(grads.sum(axis=1)).max() < 1e-12
+    from_coordinates = basis_gradients(mesh).reshape(-1, 2, 3, 2)
+    assert np.allclose(from_coordinates, 3 * CELL_GRADIENTS, rtol=0.0, atol=1e-14)
