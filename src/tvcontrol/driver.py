@@ -4,13 +4,12 @@ Each iteration solves the current relaxation, evaluates the regularized TV
 of its minimizer (which yields the next cutting plane), and shrinks eps
 geometrically until the target value is reached; only then is the
 termination test tv_eps(u_k) <= 1 + tol armed. It is certified by weak
-duality: the oracle's ball multipliers and maximizer bound tv_eps(u_k) from
-above in closed form, at the cost of one product with the elasticity
-matrix (``tv_oracle.tv_upper_bound``). Every stored plane
-is re-tightened automatically because its right-hand side carries the
-current eps. Both subproblems are warm-started from the previous
-iteration; with ``warm_start=False`` they start from zero, and the oracle
-solves directly at the current eps.
+duality: it reads the upper bound on tv_eps(u_k) that the oracle stopped
+on (``OracleResult.upper_bound``). Every stored plane is re-tightened
+automatically because its right-hand side carries the current eps. Both
+subproblems are warm-started from the previous iteration; with
+``warm_start=False`` they start from zero, and the oracle solves directly
+at the current eps.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 from .master_problem import CuttingPlane, MasterOperator, MasterSolution, make_cutting_plane
 from .mesh_fem import Forms, P0Field, build_forms, l2_error_p0, l2_norm_p0
-from .tv_oracle import OracleResult, eval_tv_eps, tv_lower_bound, tv_upper_bound
+from .tv_oracle import OracleResult, eval_tv_eps, tv_lower_bound
 
 TOLERANCE_MET = "tolerance_met"
 MAX_OUTER = "max_outer"
@@ -137,10 +136,10 @@ def _is_duplicate(plane: CuttingPlane, planes: list[CuttingPlane], mesh) -> bool
 
 
 def _failure_message(solver: str, k: int, eps: float, steps: int, unit: str,
-                     residual: float) -> str:
+                     measure: str, value: float) -> str:
     return (
         f"{solver} did not converge at outer iteration k = {k}, eps = {eps:.5e}: "
-        f"{steps} {unit}, final residual {residual:.3e}"
+        f"{steps} {unit}, final {measure} {value:.3e}"
     )
 
 
@@ -153,12 +152,12 @@ def run_outer_approximation(
     second iteration on it is warm-started from the previous result when
     ``config.warm_start`` is set; otherwise every call starts cold, from
     phi = 0 with no active node. ``tolerance_met`` is returned only
-    when the weak-duality bound ``tv_upper_bound`` at the final eps is at
-    most 1 + tol, so the returned control is certified feasible; otherwise
-    the loop goes on cutting with the plane just computed. An
+    when the oracle's weak-duality bound ``upper_bound`` at the final eps is
+    at most 1 + tol, so the returned control is certified feasible;
+    otherwise the loop goes on cutting with the plane just computed. An
     ``inner_failure`` exit sets ``RunReport.failure`` to a message naming
     the solver, the outer iteration, eps, the steps taken and the final
-    residual. Raises
+    residual (the master's) or duality gap (the oracle's). Raises
     ValueError when ``config.n``, ``config.alpha`` or
     ``config.subdivision_depth`` disagrees with the instance, since the
     report echoes the config.
@@ -194,7 +193,7 @@ def run_outer_approximation(
             terminated = INNER_FAILURE
             failure = _failure_message(
                 "master problem", k, eps, master.inner_iterations, "active-set iterations",
-                master.residual,
+                "residual", master.residual,
             )
             break
         final_control = master.u
@@ -203,7 +202,8 @@ def run_outer_approximation(
         if not oracle.converged:
             terminated = INNER_FAILURE
             failure = _failure_message(
-                "TV oracle", k, eps, oracle.inner_iterations, "Newton steps", oracle.residual
+                "TV oracle", k, eps, oracle.inner_iterations, "Newton steps",
+                "duality gap", oracle.upper_bound - oracle.value,
             )
             break
 
@@ -225,10 +225,7 @@ def run_outer_approximation(
             )
         )
 
-        if (
-            _at_eps_min(eps, config)
-            and tv_upper_bound(master.u, oracle, eps, forms) <= 1.0 + config.tol
-        ):
+        if _at_eps_min(eps, config) and oracle.upper_bound <= 1.0 + config.tol:
             terminated = TOLERANCE_MET
             break
 

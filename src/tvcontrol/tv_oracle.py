@@ -8,10 +8,11 @@ For a piecewise-constant control u and regularization weight eps > 0,
 
 with a[., .] the elasticity energy form. A P1 field whose nodal Euclidean
 norms are <= 1 is bounded by 1 everywhere (barycentric convexity), so the
-nodal constraints are exact for the discrete space. The maximizer doubles
-as the next cutting plane of the outer approximation, and the unregularized
-discrete TV of u (sum of edge-length-weighted jumps) bounds tv_eps from
-above.
+nodal constraints are exact for the discrete space. The oracle stops on a
+weak-duality bracket of tv_eps(u) and returns a feasible field, which
+doubles as the next cutting plane of the outer approximation. The
+unregularized discrete TV of u (sum of edge-length-weighted jumps) bounds
+tv_eps from above.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 from .mesh_fem import Forms, Mesh, P1VectorField, _p0_values, elasticity_floor
 from .sparse_linalg import RESIDUAL_TOL, NotPositiveDefiniteError, solve_spd
 
-#: the active set is optimal once it repeats and the KKT residual is at most this
-KKT_TOL = 1e-9
+#: the oracle stops once its weak-duality gap is at most this times 1 + |value|
+GAP_TOL = 1e-12
 
 #: an oracle call that has not converged after this many Newton steps fails
 MAX_NEWTON_STEPS = 200
@@ -36,7 +37,7 @@ class BallConstraintState:
     """Active nodal ball constraints and their radial multipliers."""
 
     active_nodes: np.ndarray  # bool mask over interior nodes
-    multipliers: np.ndarray   # one nonnegative real per interior node
+    multipliers: np.ndarray   # one real per interior node, zero off the active set
 
 
 @dataclass
@@ -47,7 +48,7 @@ class OracleResult:
     inner_iterations: int
     converged: bool
     ball_state: BallConstraintState
-    residual: float  # KKT residual after the last Newton step
+    upper_bound: float  # weak-duality bound on tv_eps(u) >= value, at the last Newton step
 
 
 def eval_tv_eps(
@@ -66,9 +67,18 @@ def eval_tv_eps(
     semismooth-Newton form). The combined test lambda_i + (|phi_i|^2 - 1) > 0
     is not used: on the active set the linearized circle constraint leaves
     |phi_i|^2 - 1 = |phi_i - phi_hat_i|^2 >= 0, which would keep nodes whose
-    multiplier has turned negative. Terminates once the active set repeats
-    and the KKT residual drops to KKT_TOL; ties (|phi_i| = 1, lambda_i = 0)
-    deactivate. Returns ``converged=False`` after MAX_NEWTON_STEPS steps.
+    multiplier has turned negative. Ties (|phi_i| = 1, lambda_i = 0)
+    deactivate.
+
+    After each step, weak duality brackets tv_eps(u). The iterate scaled
+    node by node into the unit ball, phi / max(|phi|, 1), is feasible, so
+    its objective ``value`` bounds it from below; ``_dual_bound`` at the
+    unscaled iterate and the nonnegative part of its multipliers bounds it
+    from above. The iteration stops once the two are within GAP_TOL *
+    (1 + |value|); otherwise it reclassifies and steps on from the unscaled
+    iterate. Returns the scaled field with its value, energy and upper bound,
+    and the last step's active set and multipliers; the same, with
+    ``converged=False``, after MAX_NEWTON_STEPS steps.
     Without ``warm_start`` the iteration starts from phi = 0 with no active
     node, directly at ``eps``. Raises ValueError when ``u`` or ``warm_start``
     does not match the mesh of ``forms``.
@@ -95,47 +105,44 @@ def eval_tv_eps(
             ball_state=BallConstraintState(
                 active_nodes=np.zeros(0, dtype=bool), multipliers=np.zeros(0)
             ),
-            residual=0.0,
+            upper_bound=0.0,
         )
 
     b = forms.dual_load(u)
 
     if warm_start is not None:
         x = forms.interior_vector(warm_start.phi)
-        lam = warm_start.ball_state.multipliers.astype(float).copy()
-        active = warm_start.ball_state.active_nodes.astype(bool).copy()
+        lam = warm_start.ball_state.multipliers.astype(float)
+        active = warm_start.ball_state.active_nodes.astype(bool)
     else:
         x = np.zeros(2 * n_int)
         lam = np.zeros(n_int)
         active = np.zeros(n_int, dtype=bool)
 
+    theta = elasticity_floor(mesh)
     converged = False
-    iterations = 0
-    residual = np.inf
-    for _ in range(MAX_NEWTON_STEPS):
-        iterations += 1
-        lam = np.where(active, lam, 0.0)
-        x, lam, ax = _newton_step(forms, b, eps, x, lam, active)
+    for iterations in range(1, MAX_NEWTON_STEPS + 1):
+        step_active = active
+        x, lam, ax = _newton_step(forms, b, eps, x, np.where(active, lam, 0.0), active)
 
         norms2 = np.sum(x.reshape(-1, 2) ** 2, axis=1)
-        residual = _kkt_residual(ax, b, eps, x, lam, active, norms2)
-        active_next = np.where(active, lam > 0.0, norms2 > 1.0)
-        if np.array_equal(active_next, active) and residual <= KKT_TOL:
+        upper_bound = _dual_bound(b, x, ax, np.maximum(lam, 0.0), eps, theta)
+        xhat = (x.reshape(-1, 2) / np.sqrt(np.maximum(norms2, 1.0))[:, None]).ravel()
+        energy = float(xhat @ (forms.elasticity @ xhat))
+        value = -0.5 * eps * energy + float(b @ xhat)
+        if upper_bound - value <= GAP_TOL * (1.0 + abs(value)):
             converged = True
             break
-        active = active_next
-        lam = np.where(active, lam, 0.0)
+        active = np.where(active, lam > 0.0, norms2 > 1.0)
 
-    energy = float(x @ ax)
-    value = -0.5 * eps * energy + float(b @ x)
     return OracleResult(
-        phi=forms.full_vector_field(x),
+        phi=forms.full_vector_field(xhat),
         value=value,
         energy=energy,
         inner_iterations=iterations,
         converged=converged,
-        ball_state=BallConstraintState(active_nodes=active, multipliers=lam),
-        residual=residual,
+        ball_state=BallConstraintState(active_nodes=step_active, multipliers=lam),
+        upper_bound=upper_bound,
     )
 
 
@@ -228,17 +235,23 @@ def _from_frame(w, frame):
     return np.column_stack([cos * w[:, 0] - sin * w[:, 1], sin * w[:, 0] + cos * w[:, 1]]).ravel()
 
 
-def _kkt_residual(ax, b, eps, x, lam, active, norms2):
-    """The largest violation of the KKT conditions at x, given ax = A x."""
-    stationarity = eps * ax + 2.0 * np.repeat(lam, 2) * x - b
-    res = float(np.abs(stationarity).max(initial=0.0))
-    if active.any():
-        res = max(res, float(np.abs(norms2[active] - 1.0).max()))
-        res = max(res, float(max(0.0, -lam[active].min())))
-    inactive = ~active
-    if inactive.any():
-        res = max(res, float(max(0.0, (norms2[inactive] - 1.0).max())))
-    return res
+def _dual_bound(b, x, ax, lam, eps, theta):
+    """Upper bound for tv_eps(u) by weak duality, given ax = A x and lam >= 0.
+
+    For any nodal multipliers lambda >= 0 the Lagrangian of the ball
+    constraints gives tv_eps(u) <= g(lambda) = sum(lambda) + (1/2) b^T H^{-1} b,
+    H = eps * A + 2 diag(lambda). Writing r = b - H x for any x,
+
+        g(lambda) = sum(lambda) + (1/2) (b + r)^T x + (1/2) r^T H^{-1} r,
+
+    and H >= eps * theta I with theta = mu 8 sin^2(pi / 2n)
+    (``mesh_fem.elasticity_floor``): the shear part of a[., .] alone is mu
+    times the 5-point Laplacian, whose smallest eigenvalue is 8 sin^2(pi / 2n),
+    so theta <= the smallest eigenvalue of A and the last term is at most
+    |r|^2 / (2 eps theta). Neither x nor lambda need be converged or feasible.
+    """
+    r = b - (eps * ax + np.repeat(2.0 * lam, 2) * x)
+    return float(lam.sum() + 0.5 * ((b + r) @ x) + 0.5 * (r @ r) / (eps * theta))
 
 
 def discrete_tv(u, mesh: Mesh) -> float:
@@ -265,34 +278,9 @@ def discrete_tv(u, mesh: Mesh) -> float:
 def tv_lower_bound(result: OracleResult, eps: float) -> float:
     """Lower bound for the unregularized TV at the evaluated control.
 
-    TV(u) >= int u div(phi) dx = tv_eps(u) + (eps/2) a[phi, phi] for the
-    maximizing phi, since phi is feasible for the exact dual representation.
+    TV(u) >= int u div(phi) dx = value + (eps/2) a[phi, phi] for the returned
+    phi, since phi is feasible for the exact dual representation.
     """
     if not result.converged:
         raise ValueError("lower bound requires a converged oracle result")
     return result.value + 0.5 * eps * result.energy
-
-
-def tv_upper_bound(u, result: OracleResult, eps: float, forms: Forms) -> float:
-    """Upper bound for tv_eps(u) by weak duality, at the cost of one product with A.
-
-    For any nodal multipliers lambda >= 0 the Lagrangian of the ball
-    constraints gives tv_eps(u) <= g(lambda) = sum(lambda) + (1/2) b^T H^{-1} b,
-    H = eps * A + 2 diag(lambda). Writing r = b - H phi for any phi,
-
-        g(lambda) = sum(lambda) + (1/2) (b + r)^T phi + (1/2) r^T H^{-1} r,
-
-    and H >= eps * theta I with theta = mu 8 sin^2(pi / 2n)
-    (``mesh_fem.elasticity_floor``): the shear part of a[., .] alone is mu
-    times the 5-point Laplacian, whose smallest eigenvalue is 8 sin^2(pi / 2n),
-    so theta <= the smallest eigenvalue of A and the last term is at most
-    |r|^2 / (2 eps theta). Uses the result's phi and the nonnegative part
-    of its multipliers, which need not be converged; at a converged result
-    r is at the KKT tolerance and the bound equals the value to within it.
-    """
-    lam = np.maximum(result.ball_state.multipliers, 0.0)
-    b = forms.dual_load(u)
-    x = forms.interior_vector(result.phi)
-    r = b - (eps * (forms.elasticity @ x) + np.repeat(2.0 * lam, 2) * x)
-    theta = elasticity_floor(forms.mesh)
-    return float(lam.sum() + 0.5 * ((b + r) @ x) + 0.5 * (r @ r) / (eps * theta))

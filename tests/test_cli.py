@@ -178,34 +178,34 @@ def test_csv_independent_of_blas_threads():
 RECORDED_EXACT_N16 = (
     "k,eps,J,it_P,it_Q,tv_eps,tv_lb,err,eoc\n"
     "0,1.00000e-05,7.40047,1,4,0.609917,1.12312,0.238011,\n"
-    "1,5.00000e-06,7.40047,1,5,0.881767,1.175,0.238011,0\n"
+    "1,5.00000e-06,7.40047,1,4,0.881767,1.175,0.238011,0\n"
     "2,2.50000e-06,7.40052,2,3,1.01409,1.20569,0.221388,0.104451\n"
-    "3,1.25000e-06,7.40097,3,4,1.00537,1.13052,0.161479,0.455231\n"
-    "4,6.25000e-07,7.40143,3,3,1.00263,1.08368,0.127973,0.335504\n"
+    "3,1.25000e-06,7.40097,3,3,1.00537,1.13052,0.161479,0.455231\n"
+    "4,6.25000e-07,7.40143,3,2,1.00263,1.08368,0.127973,0.335504\n"
     "5,3.12500e-07,7.40179,3,3,1.00117,1.05172,0.107437,0.252349\n"
     "6,1.56250e-07,7.40203,3,3,1.00081,1.03188,0.0971859,0.144671\n"
-    "7,7.80000e-08,7.40217,2,5,1.00604,1.03237,0.0932347,0.0597423\n"
+    "7,7.80000e-08,7.40217,2,4,1.00604,1.03237,0.0932347,0.0597414\n"
 )
 RECORDED_GENERIC_N16 = (
     "k,eps,J,it_P,it_Q,tv_eps,tv_lb,err,eoc\n"
     "0,1.00000e-05,0.000144101,1,6,0.989845,1.41948,,\n"
     "1,5.00000e-06,0.00194251,2,5,1.02098,1.31421,,\n"
-    "2,2.50000e-06,0.00541787,3,5,1.00819,1.18497,,\n"
-    "3,1.25000e-06,0.00805322,3,5,1.002,1.0978,,\n"
-    "4,6.25000e-07,0.00951924,2,5,1.00274,1.05119,,\n"
-    "5,3.12500e-07,0.0103221,3,4,1.00088,1.025,,\n"
-    "6,1.60000e-07,0.0107249,2,5,1.00129,1.01507,,\n"
+    "2,2.50000e-06,0.00541787,3,4,1.00819,1.18497,,\n"
+    "3,1.25000e-06,0.00805322,3,4,1.002,1.0978,,\n"
+    "4,6.25000e-07,0.00951924,2,4,1.00274,1.05119,,\n"
+    "5,3.12500e-07,0.0103221,3,3,1.00088,1.025,,\n"
+    "6,1.60000e-07,0.0107249,2,4,1.00129,1.01507,,\n"
 )
 RECORDED_EXACT_N16_COLD = (
     "k,eps,J,it_P,it_Q,tv_eps,tv_lb,err,eoc\n"
     "0,1.00000e-05,7.40047,1,4,0.609917,1.12312,0.238011,\n"
     "1,5.00000e-06,7.40047,1,6,0.881767,1.175,0.238011,0\n"
     "2,2.50000e-06,7.40052,2,6,1.01409,1.20569,0.221388,0.104451\n"
-    "3,1.25000e-06,7.40097,5,7,1.00537,1.13052,0.161479,0.455231\n"
+    "3,1.25000e-06,7.40097,5,6,1.00537,1.13052,0.161479,0.455231\n"
     "4,6.25000e-07,7.40143,7,7,1.00263,1.08368,0.127973,0.335504\n"
-    "5,3.12500e-07,7.40179,7,8,1.00117,1.05172,0.107437,0.252349\n"
+    "5,3.12500e-07,7.40179,7,7,1.00117,1.05172,0.107437,0.252349\n"
     "6,1.56250e-07,7.40203,8,8,1.00081,1.03188,0.0971859,0.144671\n"
-    "7,7.80000e-08,7.40217,6,9,1.00604,1.03237,0.0932347,0.0597423\n"
+    "7,7.80000e-08,7.40217,6,8,1.00604,1.03237,0.0932347,0.0597423\n"
 )
 
 

@@ -179,13 +179,15 @@ def test_certificate_checked_at_each_eps_min_row(monkeypatch):
     # generic n = 16 with tol 1e-3 reaches eps_min twice: the first row has
     # tv_eps 1.00129, so its bound exceeds 1 + tol and the loop cuts once more
     bounds = []
-    upper_bound = driver.tv_upper_bound
+    oracle = driver.eval_tv_eps
 
-    def recording(*args):
-        bounds.append(upper_bound(*args))
-        return bounds[-1]
+    def recording(u, eps, *args, **kwargs):
+        result = oracle(u, eps, *args, **kwargs)
+        if eps == config.eps_min:
+            bounds.append(result.upper_bound)
+        return result
 
-    monkeypatch.setattr(driver, "tv_upper_bound", recording)
+    monkeypatch.setattr(driver, "eval_tv_eps", recording)
     mesh = build_friedrichs_keller(16)
     config = SolverConfig(n=16, eps_min=1.6e-7, tol=1e-3)
     report = run_outer_approximation(build_generic_instance(mesh), config)
@@ -261,10 +263,10 @@ def test_inner_failure_reported(monkeypatch):
     assert not report.records
     assert report.failure.startswith(
         "TV oracle did not converge at outer iteration k = 0, eps = 1.00000e-05: "
-        "2 Newton steps, final residual "
+        "2 Newton steps, final duality gap "
     )
-    residual = float(report.failure.rsplit(" ", 1)[1])
-    assert 1e-9 < residual < np.inf
+    gap = float(report.failure.rsplit(" ", 1)[1])
+    assert tv_oracle.GAP_TOL < gap < np.inf
 
 
 def test_master_failure_reported(monkeypatch):

@@ -301,7 +301,7 @@ def test_build_forms_memory_at_n100():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
 def test_elasticity_floor_is_below_smallest_eigenvalue(n):
-    # tv_upper_bound divides by theta, so theta must not exceed lambda_min(A),
+    # the oracle's dual bound divides by theta, so theta must not exceed lambda_min(A),
     # and a floor far below lambda_min(A) would loosen the certificate
     mesh = build_friedrichs_keller(n)
     smallest = np.linalg.eigvalsh(build_forms(mesh).elasticity.toarray())[0]
