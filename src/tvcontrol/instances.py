@@ -43,36 +43,33 @@ class ProblemInstance:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
 
+def _psi_and_prime(r):
+    """psi and psi' from one set of branch masks; floats for a scalar r."""
+    scalar = np.ndim(r) == 0
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    lower = (r >= 3.0 / 16.0) & (r <= 0.25)
+    upper = (r > 0.25) & (r <= 5.0 / 16.0)
+    value, slope = np.zeros_like(r), np.zeros_like(r)
+    rl, ru = r[lower], r[upper]
+    value[lower] = ((-8192.0 * rl + 5376.0) * rl - 1152.0) * rl + 81.0
+    value[upper] = ((8192.0 * ru - 6912.0) * ru + 1920.0) * ru - 175.0
+    slope[lower] = (-24576.0 * rl + 10752.0) * rl - 1152.0
+    slope[upper] = (24576.0 * ru - 13824.0) * ru + 1920.0
+    return (float(value[0]), float(slope[0])) if scalar else (value, slope)
+
+
 def psi(r):
     """Radial C^1 bump profile on (0, 1/2): two cubics glued at 3/16, 1/4, 5/16.
 
     psi(3/16) = psi(5/16) = 0, psi(1/4) = 1, |psi| <= 1, and psi' vanishes
     at all three knots.
     """
-    scalar = np.ndim(r) == 0
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    lower = (r >= 3.0 / 16.0) & (r <= 0.25)
-    upper = (r > 0.25) & (r <= 5.0 / 16.0)
-    out = np.zeros_like(r)
-    rl = r[lower]
-    out[lower] = ((-8192.0 * rl + 5376.0) * rl - 1152.0) * rl + 81.0
-    ru = r[upper]
-    out[upper] = ((8192.0 * ru - 6912.0) * ru + 1920.0) * ru - 175.0
-    return float(out[0]) if scalar else out
+    return _psi_and_prime(r)[0]
 
 
 def psi_prime(r):
     """Derivative of :func:`psi`, branchwise."""
-    scalar = np.ndim(r) == 0
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    lower = (r >= 3.0 / 16.0) & (r <= 0.25)
-    upper = (r > 0.25) & (r <= 5.0 / 16.0)
-    out = np.zeros_like(r)
-    rl = r[lower]
-    out[lower] = (-24576.0 * rl + 10752.0) * rl - 1152.0
-    ru = r[upper]
-    out[upper] = (24576.0 * ru - 13824.0) * ru + 1920.0
-    return float(out[0]) if scalar else out
+    return _psi_and_prime(r)[1]
 
 
 def exact_u_bar(x1, x2):
@@ -104,7 +101,8 @@ def exact_div_phi_bar(x1, x2):
     dy = np.asarray(x2, dtype=float) - BALL_CENTER[1]
     rho = np.hypot(dx, dy)
     safe = np.where(rho > 0.0, rho, 1.0)
-    return -CERTIFICATE_SCALE * (psi_prime(rho) + psi(rho) / safe)
+    value, slope = _psi_and_prime(rho)
+    return -CERTIFICATE_SCALE * (slope + value / safe)
 
 
 def build_exact_instance(

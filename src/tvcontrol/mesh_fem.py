@@ -10,10 +10,11 @@ is exact. Every cell of the mesh is a right triangle with legs 1/n, so every
 form comes from the grid's constants: one cell area 1/(2n^2), one table of
 basis gradients (``CELL_GRADIENTS``, times n), and the stencils they give,
 the 5-point Laplacian, the 7-point mass and four 2x2 elasticity node blocks
-per node (see :func:`build_forms`). Discontinuous data is projected to P0
-by midpoint quadrature on 4^depth subtriangles, on quadrature coordinates
-built once per grid column and once per grid row and evaluated a few grid
-rows at a time (see :func:`project_p0`).
+per node (see :func:`build_forms`), each written straight into CSR from its
+stencil table. Discontinuous data is projected to P0 by midpoint quadrature
+on 4^depth subtriangles, on quadrature coordinates built once per grid
+column and once per grid row and evaluated on square blocks of cells (see
+:func:`project_p0`).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ CELL_GRADIENTS = np.array([
 ])
 
 #: Most quadrature points, after broadcasting x against y, in one call of the
-#: integrand in :func:`project_p0`: whole grid rows, or pieces of one row
+#: integrand in :func:`project_p0`: a square block of grid squares, or one square
 P0_CHUNK_POINTS = 2**15
 
 
@@ -146,22 +147,6 @@ def build_friedrichs_keller(n: int) -> Mesh:
     return Mesh(n=n, nodes=nodes, triangles=triangles, boundary_node_mask=boundary)
 
 
-def _summed_csr_without_zeros(rows, cols, data, shape) -> sp.csr_matrix:
-    """Sum the triplets into CSR and drop entries that are, or cancel to, 0.0.
-
-    The elasticity's node blocks hold exact zeros, the x-x and y-y couplings
-    across a square's diagonal, and so does ``CELL_GRADIENTS``, which the
-    divergence is built from.
-    A stored zero would still count as structure in SuperLU's fill-reducing
-    ordering. The banded solves need no such care: ``lower_band`` skips zero
-    entries, so the band is as wide as the farthest nonzero one.
-    """
-    m = sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
-    m.sum_duplicates()
-    m.eliminate_zeros()
-    return m
-
-
 def elasticity_floor(mesh: Mesh) -> float:
     """theta = mu 8 sin^2(pi / 2n), at most the smallest eigenvalue of the interior elasticity.
 
@@ -200,10 +185,12 @@ def project_p0(f, mesh: Mesh, subdivision_depth: int = 4) -> P0Field:
     and varies only along the grid rows; axis 2 is the lower and upper
     triangle of a grid square. On the Friedrichs-Keller mesh a quadrature
     point's x depends only on its column and y only on its row, so terms in
-    one coordinate are evaluated once per column or row, not per cell. f is
-    called on whole grid rows, or on pieces of one row, of at most
-    ``P0_CHUNK_POINTS`` points after broadcasting (unless one column alone
-    holds more), so memory does not grow with the mesh.
+    one coordinate are evaluated once per column or row of a block, not per
+    cell. f is called on square blocks of ``side`` x ``side`` grid squares
+    (fewer at the last columns and rows), with side^2 * 2 * 4^depth at most
+    ``P0_CHUNK_POINTS`` (side = 1 if one grid square alone holds more). So
+    memory does not grow with the mesh, and a term in x is evaluated
+    ceil(n / side) times per grid column, one in y as often per grid row.
     """
     if subdivision_depth < 0:
         raise ValueError(f"subdivision_depth must be nonnegative, got {subdivision_depth}")
@@ -214,16 +201,14 @@ def project_p0(f, mesh: Mesh, subdivision_depth: int = 4) -> P0Field:
     row, col = mesh.nodes[cells[0]][..., None], mesh.nodes[cells[:, 0]][..., None]
     x = (b0 * row[:, :, 0, 0] + b1 * row[:, :, 1, 0] + b2 * row[:, :, 2, 0])[None]
     y = (b0 * col[:, :, 0, 1] + b1 * col[:, :, 1, 1] + b2 * col[:, :, 2, 1])[:, None]
-    column_points = 2 * b0.size
-    rows = max(1, P0_CHUNK_POINTS // (n * column_points))
-    columns = max(1, P0_CHUNK_POINTS // column_points)
+    side = max(1, min(n, math.isqrt(P0_CHUNK_POINTS // (2 * b0.size))))
     out = np.empty((n, n, 2))  # cells in mesh order: row j, column i, triangle t
-    for j in range(0, n, rows):
-        for i in range(0, n, columns):
-            xs, ys = x[:, i : i + columns], y[j : j + rows]
+    for j in range(0, n, side):
+        for i in range(0, n, side):
+            xs, ys = x[:, i : i + side], y[j : j + side]
             vals = np.asarray(f(xs, ys), dtype=float)
             shape = np.broadcast_shapes(xs.shape, ys.shape)
-            out[j : j + rows, i : i + columns] = np.broadcast_to(vals, shape).mean(axis=-1)
+            out[j : j + side, i : i + side] = np.broadcast_to(vals, shape).mean(axis=-1)
     return P0Field(out.ravel())
 
 
@@ -297,8 +282,22 @@ class Forms:
         return self.divergence.T @ (self.mesh.cell_area * _p0_values(u))
 
 
-def _interior_elasticity_blocks(n: int) -> NodeBlocks:
-    """The lower 2×2 node blocks of the elasticity on the (n - 1)^2 interior nodes.
+def _stencil_csr(values, columns, keep, shape) -> sp.csr_matrix:
+    """CSR straight from a stencil table: the kept ``values`` at their ``columns``.
+
+    The three tables broadcast against each other; flattened to (rows, slots)
+    with the slots on the last axis, row r of the table is row r of the
+    matrix, and its columns must increase along the slots, so the result is
+    canonical. Callers keep no slot off the grid and no exact zero: a stored
+    zero would still count as structure in SuperLU's fill-reducing ordering.
+    """
+    values, columns = (np.broadcast_to(t, keep.shape)[keep] for t in (values, columns))
+    counts = np.count_nonzero(keep.reshape(-1, keep.shape[-1]), axis=1)
+    return sp.csr_matrix((values, columns, np.concatenate([[0], np.cumsum(counts)])), shape=shape)
+
+
+def _interior_elasticity(neighbours, present) -> tuple[sp.csr_matrix, NodeBlocks]:
+    """The elasticity on the (n - 1)^2 interior nodes, and its lower 2×2 node blocks.
 
     Every interior node has all six triangles around it, so its blocks are
     the same four for every node: itself and its left, below and below-left
@@ -311,6 +310,10 @@ def _interior_elasticity_blocks(n: int) -> NodeBlocks:
         left        [[-mu - kappa, kappa/2], [kappa/2, -mu]]
 
     in the ``NodeBlocks`` order: diagonal blocks first, then by row and column.
+    A node's two rows of the matrix hold the blocks of those of its seven
+    ``neighbours`` that are ``present`` (see :func:`build_forms`), in column
+    order; the right, above and above-right blocks are the transposes of the
+    left, below and below-left blocks those neighbours hold.
     """
     mu, kappa = SHEAR_MODULUS, SHEAR_MODULUS + LAME_LAMBDA
     stencil = np.array([
@@ -319,74 +322,70 @@ def _interior_elasticity_blocks(n: int) -> NodeBlocks:
         [[-mu, kappa / 2], [kappa / 2, -mu - kappa]],
         [[-mu - kappa, kappa / 2], [kappa / 2, -mu]],
     ]).transpose(1, 2, 0)
-    m = n - 1
-    node = np.arange(m * m, dtype=np.int32)
-    i, j = node % m, node // m
-    has = np.column_stack([(i > 0) & (j > 0), j > 0, i > 0])
-    neighbour = node[:, None] - np.array([m + 1, m, 1], dtype=np.int32)
+    node, lower, has = neighbours[:, 3], neighbours[:, :3], present[:, :3]
     block, kind = np.nonzero(has)
-    return NodeBlocks(
+    blocks = NodeBlocks(
         rows=np.concatenate([node, node[block]]),
-        cols=np.concatenate([node, neighbour[has]]),
+        cols=np.concatenate([node, lower[has]]),
         values=np.take(stencil, np.concatenate([np.zeros(node.size, dtype=np.intp), kind + 1]), 2),
     )
+    # (row component, neighbour, column component), flattened to 14 slots a row
+    seven = np.concatenate(
+        [stencil[:, :, [1, 2, 3, 0]], stencil[:, :, [3, 2, 1]].transpose(1, 0, 2)], axis=2
+    ).transpose(0, 2, 1).reshape(2, 14)
+    dofs = (2 * neighbours[:, :, None] + np.arange(2, dtype=np.int32)).reshape(-1, 1, 14)
+    keep = np.repeat(present, 2, axis=1)[:, None] & (seven != 0)
+    return _stencil_csr(seven, dofs, keep, (2 * node.size,) * 2), blocks
 
 
 def build_forms(mesh: Mesh) -> Forms:
     """All operators for one mesh, from the grid's constants; none stores a zero.
 
+    Each is written straight into CSR from its stencil table (:func:`_stencil_csr`).
     ``stiffness`` is the 5-point Laplacian of the interior nodes, numbered
     row by row: the couplings across square diagonals cancel. ``elasticity``
-    is built from its node blocks (:func:`_interior_elasticity_blocks`) and
-    the mirror images of the off-diagonal ones.
+    and its node blocks come from :func:`_interior_elasticity`.
     """
     n, interior = mesh.n, mesh.interior_nodes
     area = mesh.cell_area
-    # the differences of n - 1 grid values with zero ends: difference^T difference
-    # is the 1-D second difference tridiag(-1, 2, -1), and 0 x 0 when n = 1
-    difference = sp.eye(n, n - 1) - sp.eye(n, n - 1, k=-1)
-    second = difference.T @ difference
-    blocks = _interior_elasticity_blocks(n)
-    # row and column dof of every block entry, (2, 2, 2, blocks)
-    dof = 2 * np.stack([blocks.rows, blocks.cols])[:, None, None] + np.indices((2, 2))[..., None]
-    mirrored = (slice(None), slice(None), slice(interior.size, None))
-    elasticity = _summed_csr_without_zeros(
-        np.concatenate([dof[0].ravel(), dof[1][mirrored].ravel()]),
-        np.concatenate([dof[1].ravel(), dof[0][mirrored].ravel()]),
-        np.concatenate([blocks.values.ravel(), blocks.values[mirrored].ravel()]),
-        (2 * interior.size, 2 * interior.size),
-    )
+    # the seven grid neighbours of each interior node (numbered row by row) in
+    # column order: below-left, below, left, itself, right, above, above-right,
+    # and whether each is interior
+    m = n - 1
+    node = np.arange(m * m, dtype=np.int32)
+    i, j = node % m, node // m
+    present = np.column_stack([(i > 0) & (j > 0), j > 0, i > 0, np.ones(node.size, dtype=bool),
+                               i < m - 1, j < m - 1, (i < m - 1) & (j < m - 1)])
+    neighbours = node[:, None] + np.array([-m - 1, -m, -1, 0, 1, m, m + 1], dtype=np.int32)
+    five = slice(1, 6)  # below, left, itself, right, above
+    stiffness = _stencil_csr(np.array([-1.0, -1.0, 4.0, -1.0, -1.0]), neighbours[:, five],
+                             present[:, five], (interior.size, interior.size))
+    elasticity, blocks = _interior_elasticity(neighbours, present)
     # the 7-point mass stencil: the cell area at the node, a sixth of it at the
     # neighbours along the grid lines and across the square diagonals
     offsets = np.array([-(n + 2), -(n + 1), -1, 0, 1, n + 1, n + 2])
     weights = np.array([1, 1, 1, 6, 1, 1, 1]) / 6.0
-    mass_interior = sp.csr_matrix(
-        (np.tile(area * weights, interior.size), (interior[:, None] + offsets).ravel(),
-         np.arange(0, offsets.size * interior.size + 1, offsets.size)),
-        shape=(interior.size, mesh.n_nodes),
-    )
+    mass_interior = _stencil_csr(area * weights, interior[:, None] + offsets,
+                                 np.ones((interior.size, 7), dtype=bool), (interior.size, mesh.n_nodes))
 
-    grads = np.tile(n * CELL_GRADIENTS, (n * n, 1, 1))
+    # every cell's corners in increasing node order: the upper triangle's last two swap
+    order = np.array([[0, 1, 2], [0, 2, 1]])
+    corners = np.take_along_axis(mesh.triangles.reshape(n * n, 2, 3), order[None], axis=2)
+    cell_average = sp.csr_matrix(
+        (np.full(3 * mesh.n_cells, 1.0 / 3.0), corners.ravel(), np.arange(0, 3 * mesh.n_cells + 1, 3)),
+        shape=(mesh.n_cells, mesh.n_nodes),
+    )
     pos = np.full(mesh.n_nodes, -1, dtype=np.int64)
     pos[interior] = np.arange(interior.size)
-    tri_pos = pos[mesh.triangles]                       # (n_tri, 3), -1 on boundary
-    keep = tri_pos >= 0
-    t_idx, a_idx = np.nonzero(keep)
-    rows = np.repeat(t_idx, 2)
-    cols = (2 * tri_pos[t_idx, a_idx][:, None] + np.arange(2)).ravel()
-    data = grads[t_idx, a_idx].ravel()
-    divergence = _summed_csr_without_zeros(rows, cols, data, (mesh.n_cells, 2 * interior.size))
-
-    rows3 = np.repeat(np.arange(mesh.n_cells), 3)
-    cell_average = sp.coo_matrix(
-        (np.full(3 * mesh.n_cells, 1.0 / 3.0), (rows3, mesh.triangles.ravel())),
-        shape=(mesh.n_cells, mesh.n_nodes),
-    ).tocsr()
+    corner_dofs = (2 * pos[corners][..., None] + np.arange(2)).reshape(n * n, 2, 6)
+    gradients = np.take_along_axis(n * CELL_GRADIENTS, order[..., None], axis=1).reshape(2, 6)
+    divergence = _stencil_csr(gradients, corner_dofs, (corner_dofs >= 0) & (gradients != 0),
+                              (mesh.n_cells, 2 * interior.size))
 
     return Forms(
         mesh=mesh,
         interior_nodes=interior,
-        stiffness=sp.kronsum(second, second, format="csr"),
+        stiffness=stiffness,
         mass_interior=mass_interior,
         load_interior=(area * cell_average[:, interior]).T.tocsr(),
         cell_average=cell_average,

@@ -39,7 +39,6 @@ from tvcontrol.mesh_fem import (
     P1VectorField,
     _p0_values,
     _subtriangle_centroids,
-    _summed_csr_without_zeros,
 )
 from tvcontrol.sparse_linalg import (
     RESIDUAL_TOL,
@@ -48,6 +47,14 @@ from tvcontrol.sparse_linalg import (
     lower_band,
     solve_spd,
 )
+
+
+def _summed_csr_without_zeros(rows, cols, data, shape) -> sp.csr_matrix:
+    """Sum the per-cell triplets into CSR and drop entries that are, or cancel to, 0.0."""
+    m = sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    return m
 
 
 def solve_sparse_spd(matrix, b) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from unittest.mock import patch
 
@@ -286,9 +287,46 @@ def test_smallest_mesh_has_empty_elasticity_blocks():
     assert forms.stiffness.shape == (0, 0)
 
 
+#: sha256 of ``data``, ``indices`` and ``indptr`` of every CSR operator of
+#: ``Forms``, recorded when the elasticity and the divergence were still summed
+#: from COO triplets and the stiffness was ``sp.kronsum`` of 1-D second differences
+FORMS_SHA256 = {
+    (16, "stiffness"): "41a0e2a6e185dd665c77ab01fa7eabb702745a234e9a4195f4ad3b05a5bc0dbc",
+    (16, "mass_interior"): "9cfe0b7c5ca73ab4566d3078446901c7367ade72801d553a7657b3a4917755a6",
+    (16, "load_interior"): "7895173377d74c8a37f3f654027ece7d2976356939f7d34bc343e70c2d068c9f",
+    (16, "cell_average"): "ec9752e56d0c6010d07a29ad70bc6d31e5d25f1e56d7fb1ff0e0293df7c68097",
+    (16, "elasticity"): "4f403c601fb4e2ac7317d00c73cb52de146f1bbe0348673ac1133ea6df6583e9",
+    (16, "divergence"): "3ab18420347799210237346e01e3b0a5f5d2e83a92aac2484ebc340bc7494b5f",
+    (50, "stiffness"): "3160521cde92205e252a6b64066dde69ca6a25f2f82134c096aee42e37fc05c8",
+    (50, "mass_interior"): "3bfd5b39621d0ff07e350ccd19e307eafff707c59ba1a332dab6ddc349e89265",
+    (50, "load_interior"): "8d35a23ec406cf7bb862ce976244cc2f70173c2b15dd7643d7b9675827650f74",
+    (50, "cell_average"): "aaa49771d30b244bb0ea4b03bb5ef0a16c55d90d95641c68475e86518db270af",
+    (50, "elasticity"): "588354a5f6486ac3b62f609aa08285c70be1feb9f5f78d1bc790bce8b235e814",
+    (50, "divergence"): "9522f6ac675d2ff57fff4e10c7b60e2cf7c668c7e99c731f8ece0745176894fa",
+    (100, "stiffness"): "1465199a0df62ce36f9fa71f55940bfbf563640b52363ee70f62c3e675a98449",
+    (100, "mass_interior"): "c0caf32260caf3c3f3e50f4b940f986c1f241969abbc8471d55c9956bb6ef341",
+    (100, "load_interior"): "8bf8df73eb128f0e5ca688d707d450d60bb63c346fb2059dc7a21b8defa878f4",
+    (100, "cell_average"): "90ceee633180b19f147c2c4e965a7ea66be073be07fb487170c9d10fa539fbcd",
+    (100, "elasticity"): "de98f654bb8cf2b50260353a3477bc6a2655ae91f4fbe928a48f87dee3d41bb7",
+    (100, "divergence"): "b7d4d8682d573216e9425c064fae485aec3bb27de8c095f35b02644683587426",
+}
+
+
+@pytest.mark.parametrize("n, name", sorted(FORMS_SHA256))
+def test_forms_bytes_are_pinned(n, name):
+    a = getattr(build_forms(build_friedrichs_keller(n)), name)
+    assert a.has_canonical_format
+    assert a.indices.dtype == np.int32 and a.indptr.dtype == np.int32
+    assert np.all(a.data != 0.0)
+    digest = hashlib.sha256(b"".join(t.tobytes() for t in (a.data, a.indices, a.indptr)))
+    assert digest.hexdigest() == FORMS_SHA256[n, name]
+
+
 def test_build_forms_memory_at_n100():
     # with the per-cell elasticity assembly (720 000 COO entries at n = 100)
-    # this peaked at 68.9 MB; the stencil-built forms trace about 19 MB
+    # this peaked at 68.9 MB and with the stencils summed from COO triplets at
+    # 18.9 MB; written straight into CSR the forms trace 11.4 MB, 8.6 MB of
+    # which they return
     mesh = build_friedrichs_keller(100)
     tracemalloc.start()
     try:
@@ -296,7 +334,7 @@ def test_build_forms_memory_at_n100():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 40e6
+    assert peak <= 13e6
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
@@ -403,34 +441,57 @@ PROJECTION_INTEGRANDS = {
 @pytest.mark.parametrize("depth", [0, 1, 4])
 @pytest.mark.parametrize("n", [1, 3, 16, 50, 100])
 def test_projection_matches_einsum_bitwise(n, depth, integrand):
-    # n = 100 at depth 4 splits every grid row into pieces of 64 and 36 columns
+    # at depth 4 the blocks are 8 x 8 grid squares, narrower at the last
+    # columns and rows when 8 does not divide n (n = 3, 50, 100)
     mesh = build_friedrichs_keller(n)
     f = PROJECTION_INTEGRANDS[integrand]
     chunked = project_p0(f, mesh, depth).values
     assert chunked.tobytes() == project_p0_by_einsum(f, mesh, depth).values.tobytes()
 
 
-def test_projection_evaluates_contiguous_chunks_of_whole_cells():
-    # at depth 4 a grid column holds 2 * 256 points, so one call takes at
-    # most 64 columns: one whole row at n = 50, two pieces of a row at n = 100
-    assert P0_CHUNK_POINTS // (2 * 4**4) == 64
-    for n, pieces in [(50, [50]), (100, [64, 36])]:
-        shapes, centroids = [], []
+def _projection_calls(n, depth):
+    """The x and y of every integrand call of ``project_p0``, and how often it visits each cell."""
+    calls, visits = [], np.zeros((3 * n, 3 * n), dtype=int)
 
-        def f(x, y):
-            assert np.prod(np.broadcast_shapes(x.shape, y.shape)) <= P0_CHUNK_POINTS
-            shapes.append((x.shape, y.shape, x.flags.c_contiguous, y.flags.c_contiguous))
-            centroids.append(np.stack(np.broadcast_arrays(x, y), axis=-1).mean(axis=-2))
-            return x + y
+    def f(x, y):
+        calls.append((x, y))
+        # a cell's centroid times 3n is (3i + 2, 3j + 1) or (3i + 1, 3j + 2)
+        centroid = np.stack(np.broadcast_arrays(x, y), axis=-1).mean(axis=-2)
+        i, j = np.rint(3 * n * centroid).astype(int).reshape(-1, 2).T
+        np.add.at(visits, (i, j), 1)
+        return x + y
 
-        mesh = build_friedrichs_keller(n)
-        project_p0(f, mesh, 4)
-        assert shapes == [
-            ((1, c, 2, 256), (1, 1, 2, 256), True, True) for _ in range(n) for c in pieces
-        ]
-        # every cell once, in mesh order
-        visited = np.concatenate([c.reshape(-1, 2) for c in centroids])
-        assert np.allclose(visited, mesh.nodes[mesh.triangles].mean(axis=1), rtol=0, atol=1e-14)
+    project_p0(f, build_friedrichs_keller(n), depth)
+    return calls, visits
+
+
+@pytest.mark.parametrize("n, depth, side", [(50, 4, 8), (100, 4, 8), (3, 0, 3), (2, 8, 1)])
+def test_projection_evaluates_square_blocks_of_whole_cells(n, depth, side):
+    # a grid square holds 2 * 4^depth points: 8 x 8 squares fit in P0_CHUNK_POINTS at
+    # depth 4; at depth 8 one square alone holds more, so each call takes one square
+    assert side == max(1, min(n, int(np.sqrt(P0_CHUNK_POINTS // (2 * 4**depth)))))
+    calls, visits = _projection_calls(n, depth)
+    for x, y in calls:
+        assert x.flags.c_contiguous and y.flags.c_contiguous
+        assert x.shape[0] == 1 and x.shape[1] <= side and x.shape[2:] == (2, 4**depth)
+        assert y.shape[1] == 1 and y.shape[0] <= side and y.shape[2:] == (2, 4**depth)
+        points = np.prod(np.broadcast_shapes(x.shape, y.shape))
+        assert points <= max(P0_CHUNK_POINTS, 2 * 4**depth)
+    # every cell exactly once
+    cells = np.add.outer(3 * np.arange(n), [[2, 1], [1, 2]])
+    assert visits[cells[:, None, 0, 0], cells[None, :, 0, 1]].min() == 1  # lower triangles
+    assert visits[cells[:, None, 1, 0], cells[None, :, 1, 1]].min() == 1  # upper triangles
+    assert visits.sum() == 2 * n * n
+
+
+def test_projection_evaluates_each_coordinate_once_per_block():
+    # n = 50, depth 4: 7 blocks of 8 (the last of 2) along each axis. A term in
+    # x runs on each grid column's 2 * 256 points once per block row, 7 times,
+    # where calls on whole grid rows ran it 50 times
+    calls, _ = _projection_calls(50, 4)
+    assert len(calls) == 49
+    assert sum(x.size for x, _ in calls) == 7 * 50 * 512
+    assert sum(y.size for _, y in calls) == 7 * 50 * 512
 
 
 def test_projection_rejects_negative_depth():
