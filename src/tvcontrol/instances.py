@@ -11,11 +11,14 @@ constraint only admits 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_fem import Mesh, P0Field, P1ScalarField, interpolate_p1, project_p0
+from .mesh_fem import (
+    Mesh, P0Field, P1ScalarField, _quadrature_blocks, interpolate_p1, project_p0,
+)
 
 BALL_RADIUS = 0.25
 BALL_CENTER = (0.5, 0.5)
@@ -23,6 +26,12 @@ BALL_PERIMETER = 2.0 * np.pi * BALL_RADIUS
 
 #: sup-norm s of the exact instance's dual certificate, attained on the interface
 CERTIFICATE_SCALE = 0.01
+
+#: psi and psi' vanish outside this annulus 3/16 <= rho <= 5/16 about BALL_CENTER
+PSI_SUPPORT = (3.0 / 16.0, 5.0 / 16.0)
+
+#: -Laplace exact_state = LAPLACE_FACTOR sin(2 pi x1) sin(2 pi x2)
+LAPLACE_FACTOR = 0.8 * np.pi**2
 
 
 @dataclass
@@ -47,8 +56,8 @@ def _psi_and_prime(r):
     """psi and psi' from one set of branch masks; floats for a scalar r."""
     scalar = np.ndim(r) == 0
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    lower = (r >= 3.0 / 16.0) & (r <= 0.25)
-    upper = (r > 0.25) & (r <= 5.0 / 16.0)
+    lower = (r >= PSI_SUPPORT[0]) & (r <= 0.25)
+    upper = (r > 0.25) & (r <= PSI_SUPPORT[1])
     value, slope = np.zeros_like(r), np.zeros_like(r)
     rl, ru = r[lower], r[upper]
     value[lower] = ((-8192.0 * rl + 5376.0) * rl - 1152.0) * rl + 81.0
@@ -105,6 +114,54 @@ def exact_div_phi_bar(x1, x2):
     return -CERTIFICATE_SCALE * (slope + value / safe)
 
 
+def _exact_projections(mesh: Mesh, subdivision_depth: int):
+    """Cell averages of u_bar, f and div phi_bar in one walk over the quadrature blocks.
+
+    Bitwise equal to ``project_p0`` of :func:`exact_u_bar`, of
+    f = -Laplace exact_state - u_bar = LAPLACE_FACTOR sin(2 pi x1) sin(2 pi x2) - u_bar
+    and of :func:`exact_div_phi_bar`. The terms in one coordinate are built
+    once for the whole grid, the disc indicator once per point for u_bar and
+    f, and the divergence only on the cells that may meet PSI_SUPPORT; it is
+    -0.0 at every other point. Each block is written into buffers allocated
+    once per call.
+    """
+    n = mesh.n
+    x, y, blocks = _quadrature_blocks(mesh, subdivision_depth)
+    dx, dy = x - BALL_CENTER[0], y - BALL_CENTER[1]
+    dx2, dy2 = dx**2, dy**2
+    sin_x, sin_y = LAPLACE_FACTOR * np.sin(2 * np.pi * x), np.sin(2 * np.pi * y)
+    # rho of a cell's points lies between the hypot of the least and of the
+    # greatest |dx| and |dy| over them; the margin keeps a cell whose bound
+    # rounds by an ulp the other way from a point's rho
+    near = np.hypot(np.abs(dy).min(axis=-1)[:, None], np.abs(dx).min(axis=-1)[None])
+    far = np.hypot(np.abs(dy).max(axis=-1)[:, None], np.abs(dx).max(axis=-1)[None])
+    annulus = (far >= PSI_SUPPORT[0] - 1e-12) & (near <= PSI_SUPPORT[1] + 1e-12)
+
+    rows, cols = blocks[0]
+    size = (rows.stop - rows.start) * (cols.stop - cols.start) * x[0].size
+    inside_buf = np.empty(size, dtype=bool)
+    u_buf, f_buf, div_buf = np.empty(size), np.empty(size), np.empty(size)
+    u_bar, f, div_phi = np.empty((n, n, 2)), np.empty((n, n, 2)), np.empty((n, n, 2))
+    for rows, cols in blocks:
+        shape = (rows.stop - rows.start, cols.stop - cols.start) + x.shape[1:]
+        inside, u_pts, f_pts, div_pts = (
+            buf[: math.prod(shape)].reshape(shape) for buf in (inside_buf, u_buf, f_buf, div_buf)
+        )
+        np.add(dx2[None, cols], dy2[rows, None], out=u_pts)
+        np.less(u_pts, BALL_RADIUS**2, out=inside)
+        np.divide(inside, BALL_PERIMETER, out=u_pts)
+        np.multiply(sin_x[None, cols], sin_y[rows, None], out=f_pts)
+        np.subtract(f_pts, u_pts, out=f_pts)
+        div_pts.fill(-0.0)
+        j, i, t = np.nonzero(annulus[rows, cols])
+        if j.size:
+            div_pts[j, i, t] = exact_div_phi_bar(x[cols.start + i, t], y[rows.start + j, t])
+        u_bar[rows, cols] = u_pts.mean(axis=-1)
+        f[rows, cols] = f_pts.mean(axis=-1)
+        div_phi[rows, cols] = div_pts.mean(axis=-1)
+    return u_bar.ravel(), f.ravel(), div_phi.ravel()
+
+
 def build_exact_instance(
     mesh: Mesh, alpha: float = 1.0, subdivision_depth: int = 4
 ) -> ProblemInstance:
@@ -114,31 +171,22 @@ def build_exact_instance(
     (cell-averaged adjoint, projected indicator and certificate divergence),
     so the discrete gradient equation holds to rounding.
     """
-    eight_pi_sq = 0.8 * np.pi**2
-
-    u_bar = project_p0(exact_u_bar, mesh, subdivision_depth)
+    u_bar, f, div_phi = _exact_projections(mesh, subdivision_depth)
     p_bar = interpolate_p1(exact_state, mesh, dirichlet=True)
-    f = project_p0(
-        lambda x1, x2: eight_pi_sq * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2)
-        - exact_u_bar(x1, x2),
-        mesh,
-        subdivision_depth,
-    )
     y_d = interpolate_p1(
-        lambda x1, x2: (0.1 - eight_pi_sq) * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2),
+        lambda x1, x2: (0.1 - LAPLACE_FACTOR) * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2),
         mesh,
     )
-    div_phi = project_p0(exact_div_phi_bar, mesh, subdivision_depth)
     p_bar_cells = p_bar.values[mesh.triangles].mean(axis=1)
-    u_d = P0Field(u_bar.values + (p_bar_cells - div_phi.values) / alpha)
+    u_d = P0Field(u_bar + (p_bar_cells - div_phi) / alpha)
 
     return ProblemInstance(
         mesh=mesh,
         alpha=alpha,
-        f=f,
+        f=P0Field(f),
         u_d=u_d,
         y_d=y_d,
-        reference_u=u_bar,
+        reference_u=P0Field(u_bar),
         label="exact",
         subdivision_depth=subdivision_depth,
     )

@@ -9,10 +9,11 @@ The k-th relaxation minimizes
 over P0 controls and P1 states. The control is eliminated analytically from
 the gradient equation p + alpha (u - u_d) + sum_i mu_i div(phi_i) = 0, which
 leaves a symmetric KKT system in (y, p) bordered by one column per plane.
-Its plane-free base is factored once per instance. Each solve makes one
-base solve for the data and every border column; the primal-dual active set
-over the planes then lives on the k x k Schur complement. Right-hand sides
-carry the current eps, so shrinking eps tightens every stored plane.
+Its plane-free base is factored once per instance, and solved once per
+instance for the data and once per plane for its border column; the
+primal-dual active set over the planes then lives on the k x k Schur
+complement. The eps-dependent bounds enter only that complement, so
+shrinking eps tightens every stored plane without a new base solve.
 """
 
 from __future__ import annotations
@@ -95,13 +96,18 @@ class MasterOperator:
         self.rhs0 = np.concatenate(
             [-(m_in @ self._y_d), self._b_in @ (self._u_d + _p0_values(instance.f))]
         )
+        self._x0 = self.factor.solve(self.rhs0)
+        # base solves of the border columns by id() of their plane; each entry
+        # holds its plane, so no other plane can take that id() while it is cached
+        self._columns: dict[int, tuple[CuttingPlane, np.ndarray]] = {}
 
     def solve(
         self, planes: list[CuttingPlane], eps: float, warm_start: MasterSolution | None = None
     ) -> MasterSolution:
         """Minimize the relaxation with ``planes`` by a primal-dual active-set method.
 
-        One base solve covers the data and every plane's border column; each
+        The base solves of the data and of each plane's border column are
+        made once per operator and plane (:meth:`_border_solves`); each
         iteration then solves the Schur complement restricted to the active
         planes and reclassifies a plane as active iff mu_i - slack_i > 0. It
         stops once the active set repeats and the KKT residual is at most
@@ -124,8 +130,7 @@ class MasterOperator:
         block = -(div * area) @ div.T / alpha
         g = rhs_targets - div @ (area * self._u_d)
 
-        solved = self.factor.solve(np.column_stack([self.rhs0, border]))
-        x0, xc = solved[:, 0], solved[:, 1:]
+        x0, xc = self._x0, self._border_solves(planes, border)
         schur = block - border.T @ xc
         r = g - border.T @ x0
 
@@ -188,6 +193,24 @@ class MasterOperator:
             converged=converged,
             residual=residual,
         )
+
+    def _border_solves(self, planes: list[CuttingPlane], border: np.ndarray) -> np.ndarray:
+        """base^{-1} border, solving only the columns of planes not seen before.
+
+        The cache keeps the columns of ``planes`` alone, so a plane dropped
+        from the list, or a new list whose ids restart, is solved afresh.
+        """
+        cached = {id(p): self._columns[id(p)] for p in planes if id(p) in self._columns}
+        new = [i for i, p in enumerate(planes) if id(p) not in cached]
+        if new:
+            solved = self.factor.solve(border[:, new])
+            for col, i in enumerate(new):
+                cached[id(planes[i])] = (planes[i], solved[:, col])
+        self._columns = cached
+        xc = np.empty_like(border)
+        for i, p in enumerate(planes):
+            xc[:, i] = cached[id(p)][1]
+        return xc
 
     def objective_value(self, u, y: P1ScalarField) -> float:
         mesh = self.forms.mesh

@@ -13,8 +13,8 @@ the 5-point Laplacian, the 7-point mass and four 2x2 elasticity node blocks
 per node (see :func:`build_forms`), each written straight into CSR from its
 stencil table. Discontinuous data is projected to P0 by midpoint quadrature
 on 4^depth subtriangles, on quadrature coordinates built once per grid
-column and once per grid row and evaluated on square blocks of cells (see
-:func:`project_p0`).
+column and once per grid row and walked in square blocks of cells (see
+:func:`_quadrature_blocks`).
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ CELL_GRADIENTS = np.array([
     [[0.0, -1.0], [1.0, 0.0], [-1.0, 1.0]],
 ])
 
-#: Most quadrature points, after broadcasting x against y, in one call of the
-#: integrand in :func:`project_p0`: a square block of grid squares, or one square
+#: Most quadrature points, after broadcasting x against y, in one block of
+#: :func:`_quadrature_blocks`: a square block of grid squares, or one square
 P0_CHUNK_POINTS = 2**15
 
 
@@ -175,22 +175,16 @@ def _subtriangle_centroids(depth: int) -> np.ndarray:
     return tris.mean(axis=1)
 
 
-def project_p0(f, mesh: Mesh, subdivision_depth: int = 4) -> P0Field:
-    """Approximate cell averages of f by the midpoint rule on 4^depth subtriangles.
+def _quadrature_blocks(mesh: Mesh, subdivision_depth: int):
+    """The midpoint rule's points on 4^depth subtriangles and the square blocks that walk them.
 
-    Exact for affine f at any depth; O(h^2)-accurate away from
-    discontinuities of f. ``f(x, y)`` must accept numpy arrays that
-    broadcast against each other: x has shape (1, columns, 2, 4^depth) and
-    varies only along the grid columns, y has shape (rows, 1, 2, 4^depth)
-    and varies only along the grid rows; axis 2 is the lower and upper
-    triangle of a grid square. On the Friedrichs-Keller mesh a quadrature
-    point's x depends only on its column and y only on its row, so terms in
-    one coordinate are evaluated once per column or row of a block, not per
-    cell. f is called on square blocks of ``side`` x ``side`` grid squares
-    (fewer at the last columns and rows), with side^2 * 2 * 4^depth at most
-    ``P0_CHUNK_POINTS`` (side = 1 if one grid square alone holds more). So
-    memory does not grow with the mesh, and a term in x is evaluated
-    ceil(n / side) times per grid column, one in y as often per grid row.
+    Returns x of the grid columns and y of the grid rows, each of shape
+    (n, 2, 4^depth) with axis 1 the lower and upper triangle of a grid
+    square, and the (row slice, column slice) of every block of ``side`` x
+    ``side`` grid squares in row-major order, fewer at the last columns and
+    rows. side^2 * 2 * 4^depth is at most ``P0_CHUNK_POINTS`` (side = 1 if
+    one grid square alone holds more). On the Friedrichs-Keller mesh a
+    quadrature point's x depends only on its column and y only on its row.
     """
     if subdivision_depth < 0:
         raise ValueError(f"subdivision_depth must be nonnegative, got {subdivision_depth}")
@@ -199,16 +193,35 @@ def project_p0(f, mesh: Mesh, subdivision_depth: int = 4) -> P0Field:
     # corners of the cells of grid row 0 and of grid column 0, (n, 2, 3, 2, 1)
     cells = mesh.triangles.reshape(n, n, 2, 3)
     row, col = mesh.nodes[cells[0]][..., None], mesh.nodes[cells[:, 0]][..., None]
-    x = (b0 * row[:, :, 0, 0] + b1 * row[:, :, 1, 0] + b2 * row[:, :, 2, 0])[None]
-    y = (b0 * col[:, :, 0, 1] + b1 * col[:, :, 1, 1] + b2 * col[:, :, 2, 1])[:, None]
+    x = b0 * row[:, :, 0, 0] + b1 * row[:, :, 1, 0] + b2 * row[:, :, 2, 0]
+    y = b0 * col[:, :, 0, 1] + b1 * col[:, :, 1, 1] + b2 * col[:, :, 2, 1]
     side = max(1, min(n, math.isqrt(P0_CHUNK_POINTS // (2 * b0.size))))
+    spans = [slice(k, min(k + side, n)) for k in range(0, n, side)]
+    return x, y, [(rows, cols) for rows in spans for cols in spans]
+
+
+def project_p0(f, mesh: Mesh, subdivision_depth: int = 4) -> P0Field:
+    """Approximate cell averages of f by the midpoint rule on 4^depth subtriangles.
+
+    Exact for affine f at any depth; O(h^2)-accurate away from
+    discontinuities of f. ``f(x, y)`` must accept numpy arrays that
+    broadcast against each other: x has shape (1, columns, 2, 4^depth) and
+    varies only along the grid columns, y has shape (rows, 1, 2, 4^depth)
+    and varies only along the grid rows; axis 2 is the lower and upper
+    triangle of a grid square. So terms in one coordinate are evaluated
+    once per column or row of a block, not per cell. f is called on the
+    square blocks of :func:`_quadrature_blocks`, so memory does not grow
+    with the mesh, and a term in x is evaluated ceil(n / side) times per
+    grid column, one in y as often per grid row.
+    """
+    n = mesh.n
+    x, y, blocks = _quadrature_blocks(mesh, subdivision_depth)
     out = np.empty((n, n, 2))  # cells in mesh order: row j, column i, triangle t
-    for j in range(0, n, side):
-        for i in range(0, n, side):
-            xs, ys = x[:, i : i + side], y[j : j + side]
-            vals = np.asarray(f(xs, ys), dtype=float)
-            shape = np.broadcast_shapes(xs.shape, ys.shape)
-            out[j : j + side, i : i + side] = np.broadcast_to(vals, shape).mean(axis=-1)
+    for rows, cols in blocks:
+        xs, ys = x[None, cols], y[rows, None]
+        vals = np.asarray(f(xs, ys), dtype=float)
+        shape = np.broadcast_shapes(xs.shape, ys.shape)
+        out[rows, cols] = np.broadcast_to(vals, shape).mean(axis=-1)
     return P0Field(out.ravel())
 
 

@@ -9,9 +9,10 @@ elasticity matrix instead of the closed-form stencil, active-set
 enumeration on dense KKT systems instead of the bordered solver, a
 dictionary walk over the triangles instead of the edge families read off
 the cell grid, one ``einsum`` over every quadrature point of the mesh
-instead of the chunked P0 projection, and the reduced objective and
-gradient by separate state and adjoint solves instead of the master's
-coupled KKT elimination.
+instead of the chunked P0 projection, the exact instance's f as one
+pointwise integrand instead of its per-axis terms, and the reduced
+objective and gradient by separate state and adjoint solves instead of the
+master's coupled KKT elimination.
 
 The finite element forms are summed cell by cell from the node
 coordinates (:func:`cell_areas`, :func:`basis_gradients`) instead of
@@ -29,6 +30,7 @@ import numpy as np
 
 import scipy.sparse as sp
 
+from tvcontrol.instances import exact_u_bar
 from tvcontrol.mesh_fem import (
     LAME_LAMBDA,
     SHEAR_MODULUS,
@@ -224,6 +226,11 @@ def interior_edge_cells_by_loop(triangles) -> np.ndarray:
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
             seen.setdefault((min(a, b), max(a, b)), []).append(t)
     return np.array([c for c in seen.values() if len(c) == 2], dtype=np.int64).reshape(-1, 2)
+
+
+def exact_f_integrand(x1, x2):
+    """The exact instance's f at a point: -Laplace of its state minus the disc indicator."""
+    return 0.8 * np.pi**2 * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2) - exact_u_bar(x1, x2)
 
 
 def project_p0_by_einsum(f, mesh, subdivision_depth: int = 4) -> P0Field:

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from oracles import exact_f_integrand, project_p0_by_einsum
+from tvcontrol import instances
 from tvcontrol.instances import (
     BALL_PERIMETER,
     CERTIFICATE_SCALE,
@@ -248,15 +251,54 @@ INSTANCE_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("n, label", sorted(INSTANCE_SHA256))
-def test_instance_bytes_are_pinned(n, label):
+# the same at other quadrature depths, where the annulus' cells differ
+INSTANCE_SHA256_BY_DEPTH = {
+    (16, "exact", 0): "135ea469061af3fd2d7a66256025f057e345fa0f3dc9dbc3773186a1b6629168",
+    (16, "generic", 0): "7f68dc364192ff55f54ce2c1384d4d7760d7deada6d28a8c843a77441f6d8a6e",
+    (16, "exact", 2): "778e82500858ffc5193dbb8784f5119620fd7db1a539eba9230ea8ce4ba9e022",
+    (16, "generic", 2): "415bfc5d9b4582dd2882274b6e460aec059df3ce621e0276b508747ac2accd94",
+}
+
+
+def _instance_digest(label, n, depth=4):
     build = {"exact": build_exact_instance, "generic": build_generic_instance}[label]
-    inst = build(build_friedrichs_keller(n))
+    inst = build(build_friedrichs_keller(n), subdivision_depth=depth)
     fields = [inst.f, inst.u_d, inst.y_d]
     if inst.reference_u is not None:
         fields.append(inst.reference_u)
-    digest = hashlib.sha256(b"".join(field.values.tobytes() for field in fields))
-    assert digest.hexdigest() == INSTANCE_SHA256[n, label]
+    return hashlib.sha256(b"".join(field.values.tobytes() for field in fields)).hexdigest()
+
+
+@pytest.mark.parametrize("n, label", sorted(INSTANCE_SHA256))
+def test_instance_bytes_are_pinned(n, label):
+    assert _instance_digest(label, n) == INSTANCE_SHA256[n, label]
+
+
+@pytest.mark.parametrize("n, label, depth", sorted(INSTANCE_SHA256_BY_DEPTH))
+def test_instance_bytes_are_pinned_at_other_depths(n, label, depth):
+    assert _instance_digest(label, n, depth) == INSTANCE_SHA256_BY_DEPTH[n, label, depth]
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 50, 100])
+def test_one_pass_exact_projections_match_einsum_bitwise(n, depth):
+    mesh = build_friedrichs_keller(n)
+    one_pass = instances._exact_projections(mesh, depth)
+    for values, integrand in zip(one_pass, [exact_u_bar, exact_f_integrand, exact_div_phi_bar]):
+        assert values.tobytes() == project_p0_by_einsum(integrand, mesh, depth).values.tobytes()
+
+
+def test_divergence_evaluated_near_its_annulus_only():
+    # psi vanishes off 3/16 <= rho <= 5/16, about a fifth of the square
+    points = []
+
+    def counting(x1, x2):
+        points.append(np.broadcast(x1, x2).size)
+        return exact_div_phi_bar(x1, x2)
+
+    with patch.object(instances, "exact_div_phi_bar", counting):
+        build_exact_instance(build_friedrichs_keller(50), subdivision_depth=4)
+    assert 0 < sum(points) <= 0.25 * 2 * 50**2 * 4**4
 
 
 def _build_peak_bytes(n):

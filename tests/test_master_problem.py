@@ -223,18 +223,18 @@ def test_duplicate_planes_fail_loudly(tiny):
 
 
 class _CountingFactor:
-    """Stands in for the base factorization and counts its solves."""
+    """Stands in for the base factorization and counts the columns it solves."""
 
     def __init__(self, factor):
         self.factor = factor
-        self.solves = 0
+        self.columns = 0
 
     def solve(self, rhs):
-        self.solves += 1
+        self.columns += 1 if rhs.ndim == 1 else rhs.shape[1]
         return self.factor.solve(rhs)
 
 
-def test_base_factor_solved_once_per_call(tiny):
+def test_base_factor_solved_once_per_plane(tiny):
     mesh, forms = tiny
     rng = np.random.default_rng(10)
     inst = _instance(mesh, 10.0 * rng.standard_normal(mesh.n_cells))
@@ -247,6 +247,34 @@ def test_base_factor_solved_once_per_call(tiny):
     assert sol.converged
     assert sol.active_planes.tolist() == [0]
     assert sol.inner_iterations >= 2
-    assert counting.solves == 1
+    assert counting.columns == 1
+    op.solve(planes, eps / 2, warm_start=sol)
+    assert counting.columns == 1
+    planes.append(_plane_from(sol.u.values, forms, eps, 1))
     op.solve(planes, eps, warm_start=sol)
-    assert counting.solves == 2
+    assert counting.columns == 2
+
+
+def test_reused_operator_matches_fresh_one_on_a_new_plane_list():
+    # the second list's ids restart at 0, so a cache keyed by plane id would
+    # hand plane 0 of the second list the base solve of the first list's plane
+    mesh = build_friedrichs_keller(6)
+    forms = build_forms(mesh)
+    rng = np.random.default_rng(11)
+    inst = _instance(mesh, 10.0 * rng.standard_normal(mesh.n_cells))
+    eps = 1e-4
+    op = MasterOperator(inst, forms)
+    free = op.solve([], eps)
+    op.solve([_plane_from(free.u.values, forms, eps, 0)], eps)
+    second = [
+        _plane_from(free.u.values + 10.0 * rng.standard_normal(mesh.n_cells), forms, eps, i)
+        for i in range(2)
+    ]
+    reused = op.solve(second, eps)
+    fresh = MasterOperator(inst, forms).solve(second, eps)
+    assert reused.converged and fresh.converged
+    assert fresh.active_planes.tolist() == [0, 1]
+    assert reused.active_planes.tolist() == [0, 1]
+    assert reused.u.values.tobytes() == fresh.u.values.tobytes()
+    assert reused.mu.tobytes() == fresh.mu.tobytes()
+    assert reused.objective == fresh.objective
