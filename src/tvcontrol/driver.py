@@ -5,11 +5,12 @@ of its minimizer (which yields the next cutting plane), and shrinks eps
 geometrically until the target value is reached; only then is the
 termination test tv_eps(u_k) <= 1 + tol armed. It is certified by weak
 duality: it reads the upper bound on tv_eps(u_k) that the oracle stopped
-on (``OracleResult.upper_bound``). Every stored plane is re-tightened
-automatically because its right-hand side carries the current eps. Both
-subproblems are warm-started from the previous iteration; with
-``warm_start=False`` they start from zero, and the oracle solves directly
-at the current eps.
+on (``OracleResult.upper_bound``). The oracle's field and energy go to
+``MasterOperator.add_plane``, which owns the planes and drops a repeated
+one. Every stored plane is re-tightened automatically because its
+right-hand side carries the current eps. Both subproblems are
+warm-started from the previous iteration; with ``warm_start=False`` they
+start from zero, and the oracle solves directly at the current eps.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .master_problem import CuttingPlane, MasterOperator, MasterSolution, make_cutting_plane
+from .master_problem import CuttingPlane, MasterOperator, MasterSolution
 from .mesh_fem import Forms, P0Field, build_forms, l2_error_p0, l2_norm_p0
 from .tv_oracle import OracleResult, eval_tv_eps, tv_lower_bound
 
@@ -28,9 +29,6 @@ INNER_FAILURE = "inner_failure"
 #: eps values within 5% of eps_min snap onto it, so that rounded targets
 #: (e.g. 7.8e-8 for the geometric value 1e-5 * 0.5^7) still end the path.
 _EPS_SNAP = 0.05
-
-#: planes whose divergence is this close in L2 to a stored one are dropped
-_DUPLICATE_TOL = 1e-12
 
 #: the run ends with ``max_outer`` after this many outer iterations
 MAX_OUTER_ITERATIONS = 50
@@ -128,13 +126,6 @@ def _at_eps_min(eps: float, config: SolverConfig) -> bool:
     return eps <= config.eps_min * (1.0 + 1e-12)
 
 
-def _is_duplicate(plane: CuttingPlane, planes: list[CuttingPlane], mesh) -> bool:
-    return any(
-        l2_error_p0(mesh, plane.div_phi, existing.div_phi) < _DUPLICATE_TOL
-        for existing in planes
-    )
-
-
 def _failure_message(solver: str, k: int, eps: float, steps: int, unit: str,
                      measure: str, value: float) -> str:
     return (
@@ -178,7 +169,6 @@ def run_outer_approximation(
         forms = build_forms(mesh)
     master_op = MasterOperator(instance, forms)
 
-    planes: list[CuttingPlane] = []
     records: list[IterationRecord] = []
     eps = config.eps_start
     master_warm: MasterSolution | None = None
@@ -188,7 +178,7 @@ def run_outer_approximation(
     failure: str | None = None
 
     for k in range(MAX_OUTER_ITERATIONS):
-        master = master_op.solve(planes, eps, warm_start=master_warm)
+        master = master_op.solve(eps, warm_start=master_warm)
         if not master.converged:
             terminated = INNER_FAILURE
             failure = _failure_message(
@@ -229,9 +219,7 @@ def run_outer_approximation(
             terminated = TOLERANCE_MET
             break
 
-        plane = make_cutting_plane(oracle.phi, forms, plane_id=len(planes))
-        if not _is_duplicate(plane, planes, mesh):
-            planes.append(plane)
+        master_op.add_plane(oracle.phi, oracle.energy)
         if not _at_eps_min(eps, config):
             eps = _next_eps(eps, config)
         if config.warm_start:
@@ -242,7 +230,7 @@ def run_outer_approximation(
         records=records,
         terminated=terminated,
         final_control=final_control,
-        planes=planes,
+        planes=master_op.planes,
         config=config,
         failure=failure,
     )

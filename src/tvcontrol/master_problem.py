@@ -9,11 +9,17 @@ The k-th relaxation minimizes
 over P0 controls and P1 states. The control is eliminated analytically from
 the gradient equation p + alpha (u - u_d) + sum_i mu_i div(phi_i) = 0, which
 leaves a symmetric KKT system in (y, p) bordered by one column per plane.
-Its plane-free base is factored once per instance, and solved once per
-instance for the data and once per plane for its border column; the
-primal-dual active set over the planes then lives on the k x k Schur
-complement. The eps-dependent bounds enter only that complement, so
-shrinking eps tightens every stored plane without a new base solve.
+Its plane-free base is symmetric quasi-definite (-M negative definite, C
+positive definite), so it has an LDL^T factor in every symmetric order: it
+is factored once per instance in a minimum-degree order of A + A^T without
+pivoting, and each base solve adds one step of iterative refinement.
+The operator owns the planes: ``add_plane`` makes each from the oracle's
+field and energy, drops it when its divergence repeats a stored one, and
+otherwise solves the base for its border column, once. With the data's
+solve, made once per instance, the primal-dual active set over the planes
+then lives on the k x k Schur complement. The eps-dependent bounds enter
+only that complement, so shrinking eps tightens every stored plane without
+a new base solve.
 """
 
 from __future__ import annotations
@@ -24,13 +30,16 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh_fem import Forms, P0Field, P1ScalarField, P1VectorField, _p0_values
+from .mesh_fem import Forms, P0Field, P1ScalarField, P1VectorField, _p0_values, l2_error_p0
 
 #: the active set is optimal once it repeats and the KKT residual is at most this
 KKT_TOL = 1e-8
 
 #: a master solve that has not converged after this many iterations fails
 MAX_ACTIVE_SET_ITERATIONS = 100
+
+#: a plane whose divergence is this close in L2 to a stored one is dropped
+DUPLICATE_TOL = 1e-12
 
 
 class SingularBorderError(ValueError):
@@ -39,26 +48,17 @@ class SingularBorderError(ValueError):
 
 @dataclass
 class CuttingPlane:
-    """One dual field with cached divergence and energy.
+    """One cut int u div_phi dx <= 1 + (eps/2) energy, with eps supplied at solve time.
 
-    The induced constraint reads int u div_phi dx <= 1 + (eps/2) energy,
-    with eps supplied at solve time.
+    ``border`` is the plane's column of the bordered KKT system and
+    ``base_solve`` is base^{-1} border.
     """
 
-    phi: P1VectorField
     div_phi: P0Field
     energy: float
     id: int
-
-
-def make_cutting_plane(phi: P1VectorField, forms: Forms, plane_id: int) -> CuttingPlane:
-    x = forms.interior_vector(phi)
-    return CuttingPlane(
-        phi=phi,
-        div_phi=P0Field(forms.divergence @ x),
-        energy=float(x @ (forms.elasticity @ x)),
-        id=plane_id,
-    )
+    border: np.ndarray
+    base_solve: np.ndarray
 
 
 @dataclass
@@ -75,7 +75,7 @@ class MasterSolution:
 
 
 class MasterOperator:
-    """Caches the plane-independent blocks (and their factorization) per instance."""
+    """The plane-free blocks and their factor for one instance, and the planes added so far."""
 
     def __init__(self, instance, forms: Forms):
         self.forms = forms
@@ -89,25 +89,47 @@ class MasterOperator:
             [[-m_ii, forms.stiffness], [forms.stiffness, coupled / self.alpha]],
             format="csr",
         )
-        self.factor = spla.splu(self.base.tocsc())
+        self.factor = spla.splu(
+            self.base.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
 
         self._u_d = _p0_values(instance.u_d)
         self._y_d = instance.y_d.values
         self.rhs0 = np.concatenate(
             [-(m_in @ self._y_d), self._b_in @ (self._u_d + _p0_values(instance.f))]
         )
-        self._x0 = self.factor.solve(self.rhs0)
-        # base solves of the border columns by id() of their plane; each entry
-        # holds its plane, so no other plane can take that id() while it is cached
-        self._columns: dict[int, tuple[CuttingPlane, np.ndarray]] = {}
+        self._x0 = self._base_solve(self.rhs0)
+        self.planes: list[CuttingPlane] = []
 
-    def solve(
-        self, planes: list[CuttingPlane], eps: float, warm_start: MasterSolution | None = None
-    ) -> MasterSolution:
-        """Minimize the relaxation with ``planes`` by a primal-dual active-set method.
+    def add_plane(self, phi: P1VectorField, energy: float) -> bool:
+        """Store the cut of the oracle's field ``phi`` with its energy a[phi, phi].
+
+        Returns False, storing nothing, when the divergence is within
+        DUPLICATE_TOL in L2 of a stored plane's; otherwise the plane gets the
+        next id and its border column is solved with the base, once.
+        """
+        forms = self.forms
+        div_phi = P0Field(forms.divergence @ forms.interior_vector(phi))
+        if any(l2_error_p0(forms.mesh, div_phi, p.div_phi) < DUPLICATE_TOL for p in self.planes):
+            return False
+        border = np.zeros(2 * forms.n_interior)
+        border[forms.n_interior:] = -(self._b_in @ div_phi.values) / self.alpha
+        self.planes.append(
+            CuttingPlane(div_phi, energy, len(self.planes), border, self._base_solve(border))
+        )
+        return True
+
+    def _base_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """base^{-1} rhs: a solve with the unpivoted factor and one step of refinement."""
+        x = self.factor.solve(rhs)
+        return x + self.factor.solve(rhs - self.base @ x)
+
+    def solve(self, eps: float, warm_start: MasterSolution | None = None) -> MasterSolution:
+        """Minimize the relaxation with ``self.planes`` by a primal-dual active-set method.
 
         The base solves of the data and of each plane's border column are
-        made once per operator and plane (:meth:`_border_solves`); each
+        made once, in the constructor and in :meth:`add_plane`; each
         iteration then solves the Schur complement restricted to the active
         planes and reclassifies a plane as active iff mu_i - slack_i > 0. It
         stops once the active set repeats and the KKT residual is at most
@@ -117,6 +139,7 @@ class MasterOperator:
         1e-9 (1 + ||rhs||_inf).
         """
         forms = self.forms
+        planes = self.planes
         n_i = forms.n_interior
         k = len(planes)
         alpha = self.alpha
@@ -125,14 +148,13 @@ class MasterOperator:
         div = np.reshape([p.div_phi.values for p in planes], (k, forms.mesh.n_cells))
         energies = np.array([p.energy for p in planes])
         rhs_targets = 1.0 + 0.5 * eps * energies                     # per-plane bound
-        border = np.zeros((2 * n_i, k))
-        border[n_i:] = -(self._b_in @ div.T) / alpha
+        border = np.reshape([p.border for p in planes], (k, 2 * n_i)).T
+        xc = np.reshape([p.base_solve for p in planes], (k, 2 * n_i)).T
         block = -(div * area) @ div.T / alpha
         g = rhs_targets - div @ (area * self._u_d)
 
-        x0, xc = self._x0, self._border_solves(planes, border)
         schur = block - border.T @ xc
-        r = g - border.T @ x0
+        r = g - border.T @ self._x0
 
         active = np.zeros(k, dtype=bool)
         if warm_start is not None:
@@ -151,7 +173,7 @@ class MasterOperator:
                 mu_act = np.linalg.solve(schur[np.ix_(idx, idx)], r[idx])
             except np.linalg.LinAlgError as exc:
                 raise SingularBorderError(f"cutting planes {ids}") from exc
-            xy = x0 - xc[:, idx] @ mu_act
+            xy = self._x0 - xc[:, idx] @ mu_act
             border_act, block_act = border[:, idx], block[np.ix_(idx, idx)]
             res = max(
                 np.abs(self.base @ xy + border_act @ mu_act - self.rhs0).max(initial=0.0),
@@ -193,24 +215,6 @@ class MasterOperator:
             converged=converged,
             residual=residual,
         )
-
-    def _border_solves(self, planes: list[CuttingPlane], border: np.ndarray) -> np.ndarray:
-        """base^{-1} border, solving only the columns of planes not seen before.
-
-        The cache keeps the columns of ``planes`` alone, so a plane dropped
-        from the list, or a new list whose ids restart, is solved afresh.
-        """
-        cached = {id(p): self._columns[id(p)] for p in planes if id(p) in self._columns}
-        new = [i for i, p in enumerate(planes) if id(p) not in cached]
-        if new:
-            solved = self.factor.solve(border[:, new])
-            for col, i in enumerate(new):
-                cached[id(planes[i])] = (planes[i], solved[:, col])
-        self._columns = cached
-        xc = np.empty_like(border)
-        for i, p in enumerate(planes):
-            xc[:, i] = cached[id(p)][1]
-        return xc
 
     def objective_value(self, u, y: P1ScalarField) -> float:
         mesh = self.forms.mesh

@@ -49,10 +49,11 @@ class NodeBlocks:
         D adds ``diagonal[q]`` to both dofs of node q. Z rotates the dofs of
         node q into its (radial, tangent) frame, with (cos, sin) =
         ``frame[:, q]`` giving the radial direction, and keeps the rotated
-        dofs ``kept[q]``; its columns follow the kept dofs in order. Only
-        the blocks that touch a node whose frame is not the identity are
-        rotated; the entries of a dropped dof get the index -1, which
-        ``lower_band`` skips.
+        dofs ``kept[q]``; its columns follow the kept dofs in order. Every
+        block is rotated by the frames of its row and its column node; an
+        identity frame leaves a block's nonzero entries bitwise unchanged,
+        since 1·a + 0·b = a. The entries of a dropped dof get the index -1,
+        which ``lower_band`` skips.
         """
         size = diagonal.size
         h = scale * self.values
@@ -61,15 +62,12 @@ class NodeBlocks:
         h[1, 1, :size] += diagonal
 
         cos, sin = frame
-        rotated = (cos != 1.0) | (sin != 0.0)
         # each node's rotation: columns (radial, tangent)
         basis = np.array([[cos, -sin], [sin, cos]])
-        touched = np.flatnonzero(np.take(rotated, self.rows) | np.take(rotated, self.cols))
-        t = np.take(h, touched, axis=2)
-        z = np.take(basis, np.take(self.rows, touched), axis=2)
-        t = np.stack([z[0, 0] * t[0] + z[1, 0] * t[1], z[0, 1] * t[0] + z[1, 1] * t[1]])
-        z = np.take(basis, np.take(self.cols, touched), axis=2)
-        h[:, :, touched] = np.stack(
+        z = np.take(basis, self.rows, axis=2)
+        t = np.stack([z[0, 0] * h[0] + z[1, 0] * h[1], z[0, 1] * h[0] + z[1, 1] * h[1]])
+        z = np.take(basis, self.cols, axis=2)
+        h = np.stack(
             [z[0, 0] * t[:, 0] + z[1, 0] * t[:, 1], z[0, 1] * t[:, 0] + z[1, 1] * t[:, 1]],
             axis=1,
         )

@@ -29,7 +29,7 @@ from tvcontrol.instances import (
     psi,
     psi_prime,
 )
-from tvcontrol.master_problem import MasterOperator, make_cutting_plane
+from tvcontrol.master_problem import MasterOperator
 from tvcontrol.mesh_fem import P0Field, P1ScalarField, build_forms, build_friedrichs_keller
 from tvcontrol.tv_oracle import discrete_tv, eval_tv_eps
 
@@ -205,17 +205,12 @@ def test_criterion_6_master_certificates():
             subdivision_depth=4,
         )
         eps = 1e-4
-        planes = [
-            make_cutting_plane(
-                eval_tv_eps(
-                    P0Field(8.0 * rng.standard_normal(mesh.n_cells)), eps, forms
-                ).phi,
-                forms,
-                pid,
-            )
-            for pid in range(2)
-        ]
-        sol = MasterOperator(instance, forms).solve(planes, eps)
+        op = MasterOperator(instance, forms)
+        for _ in range(2):
+            res = eval_tv_eps(P0Field(8.0 * rng.standard_normal(mesh.n_cells)), eps, forms)
+            assert op.add_plane(res.phi, res.energy)
+        planes = op.planes
+        sol = op.solve(eps)
         assert sol.converged
         grad = reduced_gradient(sol.u, instance, forms).values.copy()
         slacks = []

@@ -13,7 +13,13 @@ from tvcontrol.driver import (
     run_outer_approximation,
 )
 from tvcontrol.instances import ProblemInstance, build_exact_instance, build_generic_instance
-from tvcontrol.mesh_fem import P0Field, P1ScalarField, build_friedrichs_keller
+from tvcontrol.mesh_fem import (
+    P0Field,
+    P1ScalarField,
+    build_forms,
+    build_friedrichs_keller,
+    l2_error_p0,
+)
 
 
 def test_config_validation():
@@ -113,6 +119,20 @@ def test_small_run_terminates(small_exact_run):
     final = report.records[-1]
     assert final.eps == config.eps_min
     assert final.tv_eps <= 1.0 + config.tol
+
+
+def test_report_planes_are_distinct_and_base_solved(small_exact_run):
+    instance, _, report = small_exact_run
+    planes = report.planes
+    assert len(planes) >= 2
+    assert [p.id for p in planes] == list(range(len(planes)))
+    mesh = instance.mesh
+    for i, a in enumerate(planes):
+        for b in planes[:i]:
+            assert l2_error_p0(mesh, a.div_phi, b.div_phi) >= master_problem.DUPLICATE_TOL
+    base = master_problem.MasterOperator(instance, build_forms(mesh)).base
+    for p in planes:
+        assert np.abs(base @ p.base_solve - p.border).max() <= 1e-12 * np.abs(p.border).max()
 
 
 def test_objective_monotone_over_run(small_exact_run):

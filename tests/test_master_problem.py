@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from oracles import (
     reduced_objective,
 )
 from tvcontrol.instances import ProblemInstance
-from tvcontrol.master_problem import MasterOperator, SingularBorderError, make_cutting_plane
+from tvcontrol.master_problem import MasterOperator, SingularBorderError
 from tvcontrol.mesh_fem import P0Field, P1ScalarField, build_forms, build_friedrichs_keller
 from tvcontrol.tv_oracle import eval_tv_eps
 
@@ -33,15 +35,22 @@ def tiny():
     return mesh, build_forms(mesh)
 
 
-def _plane_from(u_values, forms, eps, plane_id):
+def _oracle(u_values, forms, eps):
     res = eval_tv_eps(P0Field(u_values), eps, forms)
     assert res.converged
-    return make_cutting_plane(res.phi, forms, plane_id)
+    return res
+
+
+def _add_cut(op, u_values, eps):
+    """Add the oracle's cut at the control ``u_values`` and return the stored plane."""
+    res = _oracle(u_values, op.forms, eps)
+    assert op.add_plane(res.phi, res.energy)
+    return op.planes[-1]
 
 
 def test_zero_instance_is_stationary(tiny):
     mesh, forms = tiny
-    sol = MasterOperator(_instance(mesh, np.zeros(mesh.n_cells)), forms).solve([], 1e-5)
+    sol = MasterOperator(_instance(mesh, np.zeros(mesh.n_cells)), forms).solve(1e-5)
     assert sol.converged
     assert sol.objective == pytest.approx(0.0, abs=1e-15)
     assert np.abs(sol.u.values).max() == 0.0
@@ -56,10 +65,11 @@ def test_single_plane_becomes_active(tiny):
     inst = _instance(mesh, 10.0 * rng.standard_normal(mesh.n_cells))
     eps = 1e-4
     op = MasterOperator(inst, forms)
-    free = op.solve([], eps)
-    plane = _plane_from(free.u.values, forms, eps, 0)
+    free = op.solve(eps)
+    plane = _add_cut(op, free.u.values, eps)
+    assert plane.id == 0
     assert plane_slack(plane, free.u, eps, mesh) < 0  # unconstrained point is cut off
-    sol = op.solve([plane], eps)
+    sol = op.solve(eps)
     assert sol.converged
     assert sol.mu[0] > 0
     assert abs(plane_slack(plane, sol.u, eps, mesh)) < 1e-8
@@ -76,21 +86,21 @@ def test_multiple_planes_match_enumeration(tiny):
     for seed in range(5):
         rng = np.random.default_rng(200 + seed)
         inst = _instance(mesh, 8.0 * rng.standard_normal(mesh.n_cells))
+        op = MasterOperator(inst, forms)
         # cuts from independent controls so the borders stay well separated
-        planes = [
-            _plane_from(8.0 * rng.standard_normal(mesh.n_cells), forms, eps, pid)
-            for pid in range(3)
-        ]
-        sol = MasterOperator(inst, forms).solve(planes, eps)
+        for _ in range(3):
+            _add_cut(op, 8.0 * rng.standard_normal(mesh.n_cells), eps)
+        sol = op.solve(eps)
         assert sol.converged
-        hess, grad, g_rows, h = dense_master_qp(inst, forms, planes, eps)
+        hess, grad, g_rows, h = dense_master_qp(inst, forms, op.planes, eps)
         _, u_ref, _, _ = dense_qp_active_set_enumeration(hess, grad, g_rows, h)
         assert np.abs(sol.u.values - u_ref).max() < 1e-8
 
 
 def test_plane_slack_basics(tiny):
     mesh, forms = tiny
-    plane = _plane_from(np.random.default_rng(3).standard_normal(mesh.n_cells), forms, 1e-4, 0)
+    op = MasterOperator(_instance(mesh, np.zeros(mesh.n_cells)), forms)
+    plane = _add_cut(op, np.random.default_rng(3).standard_normal(mesh.n_cells), 1e-4)
     eps = 1e-4
     zero = P0Field(np.zeros(mesh.n_cells))
     assert plane_slack(plane, zero, eps, mesh) == pytest.approx(
@@ -111,18 +121,17 @@ def test_kkt_certificates(tiny):
     inst = _instance(mesh, 6.0 * rng.standard_normal(mesh.n_cells))
     eps = 1e-4
     op = MasterOperator(inst, forms)
-    planes = []
-    sol = op.solve(planes, eps)
-    for plane_id in range(2):
-        planes.append(_plane_from(sol.u.values, forms, eps, plane_id))
-        sol = op.solve(planes, eps, warm_start=sol)
+    sol = op.solve(eps)
+    for _ in range(2):
+        _add_cut(op, sol.u.values, eps)
+        sol = op.solve(eps, warm_start=sol)
     assert sol.converged
     # stationarity from an independent gradient evaluation (two Poisson solves)
     grad = reduced_gradient(sol.u, inst, forms).values
-    for i, plane in enumerate(planes):
+    for i, plane in enumerate(op.planes):
         grad = grad + sol.mu[i] * plane.div_phi.values
     assert np.abs(grad).max() < 1e-8
-    slacks = np.array([plane_slack(p, sol.u, eps, mesh) for p in planes])
+    slacks = np.array([plane_slack(p, sol.u, eps, mesh) for p in op.planes])
     assert np.all(sol.mu >= -1e-9)
     assert np.all(slacks >= -1e-8)
     assert np.abs(sol.mu * slacks).max() < 1e-8
@@ -158,18 +167,18 @@ def test_feasible_set_nesting():
     inst = _instance(mesh, 7.0 * rng.standard_normal(mesh.n_cells))
     eps = 1e-4
     op = MasterOperator(inst, forms)
-    planes = []
+    cuts = 0
     previous = -np.inf
-    sol = op.solve(planes, eps)
-    for plane_id in range(4):
+    sol = op.solve(eps)
+    for _ in range(4):
         assert sol.objective >= previous - 1e-9
         previous = sol.objective
-        plane = _plane_from(sol.u.values, forms, eps, plane_id)
+        plane = _add_cut(op, sol.u.values, eps)
         if plane_slack(plane, sol.u, eps, mesh) >= -1e-10:
             break  # current minimizer already satisfies its own cut
-        planes.append(plane)
-        sol = op.solve(planes, eps, warm_start=sol)
-    assert planes  # at least one genuine cut was exercised
+        cuts += 1
+        sol = op.solve(eps, warm_start=sol)
+    assert cuts  # at least one genuine cut was exercised
 
 
 def test_eps_tightening_monotonicity(tiny):
@@ -177,10 +186,10 @@ def test_eps_tightening_monotonicity(tiny):
     rng = np.random.default_rng(7)
     inst = _instance(mesh, 7.0 * rng.standard_normal(mesh.n_cells))
     op = MasterOperator(inst, forms)
-    free = op.solve([], 1e-4)
-    planes = [_plane_from(free.u.values, forms, 1e-4, 0)]
-    coarse = op.solve(planes, 1e-4)
-    fine = op.solve(planes, 2e-5)
+    free = op.solve(1e-4)
+    _add_cut(op, free.u.values, 1e-4)
+    coarse = op.solve(1e-4)
+    fine = op.solve(2e-5)
     assert fine.objective >= coarse.objective - 1e-9
 
 
@@ -190,9 +199,10 @@ def test_optimality_certificate(tiny):
     inst = _instance(mesh, 9.0 * rng.standard_normal(mesh.n_cells))
     eps = 1e-4
     op = MasterOperator(inst, forms)
-    sol = op.solve([], eps)
-    planes = [_plane_from(sol.u.values, forms, eps, 0)]
-    sol = op.solve(planes, eps)
+    sol = op.solve(eps)
+    _add_cut(op, sol.u.values, eps)
+    sol = op.solve(eps)
+    planes = op.planes
     base = reduced_objective(sol.u, inst, forms)
     for _ in range(20):
         delta = rng.standard_normal(mesh.n_cells)
@@ -214,12 +224,13 @@ def test_duplicate_planes_fail_loudly(tiny):
     inst = _instance(mesh, 10.0 * rng.standard_normal(mesh.n_cells))
     eps = 1e-4
     op = MasterOperator(inst, forms)
-    free = op.solve([], eps)
-    plane = _plane_from(free.u.values, forms, eps, 0)
+    free = op.solve(eps)
+    plane = _add_cut(op, free.u.values, eps)
     assert plane_slack(plane, free.u, eps, mesh) < 0
-    twin = make_cutting_plane(plane.phi, forms, 1)
+    # add_plane would drop the twin; appended directly, it makes the border singular
+    op.planes.append(dataclasses.replace(plane, id=1))
     with pytest.raises(SingularBorderError, match=r"\[0, 1\]"):
-        op.solve([plane, twin], eps)
+        op.solve(eps)
 
 
 class _CountingFactor:
@@ -234,47 +245,38 @@ class _CountingFactor:
         return self.factor.solve(rhs)
 
 
+def test_twin_plane_is_dropped_without_a_base_solve(tiny):
+    mesh, forms = tiny
+    rng = np.random.default_rng(9)
+    inst = _instance(mesh, 10.0 * rng.standard_normal(mesh.n_cells))
+    eps = 1e-4
+    op = MasterOperator(inst, forms)
+    res = _oracle(op.solve(eps).u.values, forms, eps)
+    assert op.add_plane(res.phi, res.energy)
+    op.factor = counting = _CountingFactor(op.factor)
+    assert not op.add_plane(res.phi, res.energy)
+    assert counting.columns == 0
+    assert [p.id for p in op.planes] == [0]
+
+
 def test_base_factor_solved_once_per_plane(tiny):
     mesh, forms = tiny
     rng = np.random.default_rng(10)
     inst = _instance(mesh, 10.0 * rng.standard_normal(mesh.n_cells))
     eps = 1e-4
     op = MasterOperator(inst, forms)
-    free = op.solve([], eps)
-    planes = [_plane_from(free.u.values, forms, eps, 0)]
     op.factor = counting = _CountingFactor(op.factor)
-    sol = op.solve(planes, eps)
+    free = op.solve(eps)
+    assert counting.columns == 0
+    _add_cut(op, free.u.values, eps)
+    # one refined base solve: the factor's solve and one refinement step
+    assert counting.columns == 2
+    sol = op.solve(eps)
     assert sol.converged
     assert sol.active_planes.tolist() == [0]
     assert sol.inner_iterations >= 2
-    assert counting.columns == 1
-    op.solve(planes, eps / 2, warm_start=sol)
-    assert counting.columns == 1
-    planes.append(_plane_from(sol.u.values, forms, eps, 1))
-    op.solve(planes, eps, warm_start=sol)
+    op.solve(eps / 2, warm_start=sol)
     assert counting.columns == 2
-
-
-def test_reused_operator_matches_fresh_one_on_a_new_plane_list():
-    # the second list's ids restart at 0, so a cache keyed by plane id would
-    # hand plane 0 of the second list the base solve of the first list's plane
-    mesh = build_friedrichs_keller(6)
-    forms = build_forms(mesh)
-    rng = np.random.default_rng(11)
-    inst = _instance(mesh, 10.0 * rng.standard_normal(mesh.n_cells))
-    eps = 1e-4
-    op = MasterOperator(inst, forms)
-    free = op.solve([], eps)
-    op.solve([_plane_from(free.u.values, forms, eps, 0)], eps)
-    second = [
-        _plane_from(free.u.values + 10.0 * rng.standard_normal(mesh.n_cells), forms, eps, i)
-        for i in range(2)
-    ]
-    reused = op.solve(second, eps)
-    fresh = MasterOperator(inst, forms).solve(second, eps)
-    assert reused.converged and fresh.converged
-    assert fresh.active_planes.tolist() == [0, 1]
-    assert reused.active_planes.tolist() == [0, 1]
-    assert reused.u.values.tobytes() == fresh.u.values.tobytes()
-    assert reused.mu.tobytes() == fresh.mu.tobytes()
-    assert reused.objective == fresh.objective
+    _add_cut(op, sol.u.values, eps)
+    op.solve(eps, warm_start=sol)
+    assert counting.columns == 4
