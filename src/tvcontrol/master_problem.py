@@ -9,10 +9,10 @@ The k-th relaxation minimizes
 over P0 controls and P1 states. The control is eliminated analytically from
 the gradient equation p + alpha (u - u_d) + sum_i mu_i div(phi_i) = 0, which
 leaves a symmetric KKT system in (y, p) bordered by one column per plane.
-Its plane-free base is symmetric quasi-definite (-M negative definite, C
-positive definite), so it has an LDL^T factor in every symmetric order: it
-is factored once per instance in a minimum-degree order of A + A^T without
-pivoting, and each base solve adds one step of iterative refinement.
+Its plane-free base [[-M, K], [K, G G^T]] is solved by conjugate gradients on
+the control's reduced Hessian I + G^T K^-1 M K^-1 G (alpha I plus a compact
+smoothing term, up to scale), in a number of steps that does not grow with the
+mesh; each step makes two Poisson solves with the band factor of K, made once.
 The operator owns the planes: ``add_plane`` makes each from the oracle's
 field and energy, drops it when its divergence repeats a stored one, and
 otherwise solves the base for its border column, once. With the data's
@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .mesh_fem import Forms, P0Field, P1ScalarField, P1VectorField, _p0_values, l2_error_p0
+from .sparse_linalg import factor_spd, lower_band
 
 #: the active set is optimal once it repeats and the KKT residual is at most this
 KKT_TOL = 1e-8
@@ -40,6 +40,12 @@ MAX_ACTIVE_SET_ITERATIONS = 100
 
 #: a plane whose divergence is this close in L2 to a stored one is dropped
 DUPLICATE_TOL = 1e-12
+
+#: a base solve's CG stops once its residual is this fraction of the initial one
+CG_TOL = 1e-16
+
+#: a base solve whose CG has not converged after this many steps fails
+MAX_CG_STEPS = 500
 
 
 class SingularBorderError(ValueError):
@@ -75,24 +81,19 @@ class MasterSolution:
 
 
 class MasterOperator:
-    """The plane-free blocks and their factor for one instance, and the planes added so far."""
+    """The plane-free blocks, the Laplacian's factor and the planes added so far."""
 
     def __init__(self, instance, forms: Forms):
         self.forms = forms
         self.alpha = instance.alpha
 
         m_in = forms.mass_interior
-        m_ii = m_in[:, forms.interior_nodes].tocsr()
+        self._m_ii = m_in[:, forms.interior_nodes].tocsr()
         self._b_in = forms.load_interior
-        coupled = ((self._b_in * (1.0 / forms.mesh.cell_area)) @ self._b_in.T).tocsr()
-        self.base = sp.bmat(
-            [[-m_ii, forms.stiffness], [forms.stiffness, coupled / self.alpha]],
-            format="csr",
-        )
-        self.factor = spla.splu(
-            self.base.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        self._g = g = self._b_in / np.sqrt(self.alpha * forms.mesh.cell_area)
+        k = forms.stiffness  # the 5-point Laplacian, bandwidth n - 1
+        self.base = sp.bmat([[-self._m_ii, k], [k, g @ g.T]], format="csr")
+        self._poisson = factor_spd(lower_band(*sp.find(k), forms.n_interior))
 
         self._u_d = _p0_values(instance.u_d)
         self._y_d = instance.y_d.values
@@ -121,9 +122,32 @@ class MasterOperator:
         return True
 
     def _base_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """base^{-1} rhs: a solve with the unpivoted factor and one step of refinement."""
-        x = self.factor.solve(rhs)
-        return x + self.factor.solve(rhs - self.base @ x)
+        """base^{-1} rhs by CG on the reduced Hessian; RuntimeError after MAX_CG_STEPS.
+
+        With P = K^-1 M K^-1 and q = K^-1 r1 + P r2 it solves (I + G^T P G) w = G^T q;
+        y = K^-1 (r2 - G w) and p = q - P G w come from K^-1 G w and P G w, carried along.
+        """
+        poisson, m, g, n_i = self._poisson, self._m_ii, self._g, self.forms.n_interior
+        s = poisson(rhs[n_i:])
+        q = poisson(rhs[:n_i] + m @ s)
+        r = g.T @ q
+        d, kgw, pgw = r.copy(), np.zeros(n_i), np.zeros(n_i)
+        rr = rr0 = r @ r
+        for steps in range(MAX_CG_STEPS + 1):
+            if rr <= CG_TOL**2 * rr0:
+                return np.concatenate([s - kgw, q - pgw])
+            if steps == MAX_CG_STEPS:
+                raise RuntimeError(f"base solve: CG residual {np.sqrt(rr / rr0):.3e} "
+                                   f"relative after {steps} steps")
+            kgd = poisson(g @ d)
+            pgd = poisson(m @ kgd)
+            hd = d + g.T @ pgd
+            step = rr / (d @ hd)
+            kgw += step * kgd
+            pgw += step * pgd
+            r -= step * hd
+            rr, rr_old = r @ r, rr
+            d = r + (rr / rr_old) * d
 
     def solve(self, eps: float, warm_start: MasterSolution | None = None) -> MasterSolution:
         """Minimize the relaxation with ``self.planes`` by a primal-dual active-set method.

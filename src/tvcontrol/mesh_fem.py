@@ -302,7 +302,7 @@ def _stencil_csr(values, columns, keep, shape) -> sp.csr_matrix:
     with the slots on the last axis, row r of the table is row r of the
     matrix, and its columns must increase along the slots, so the result is
     canonical. Callers keep no slot off the grid and no exact zero: a stored
-    zero would still count as structure in SuperLU's fill-reducing ordering.
+    zero would still count as structure in every sparse product built from it.
     """
     values, columns = (np.broadcast_to(t, keep.shape)[keep] for t in (values, columns))
     counts = np.count_nonzero(keep.reshape(-1, keep.shape[-1]), axis=1)

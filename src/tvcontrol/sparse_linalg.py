@@ -1,4 +1,4 @@
-"""Deterministic banded SPD solves for the TV oracle.
+"""Deterministic banded SPD solves for the TV oracle and the master.
 
 The TV oracle's reduced Newton steps solve symmetric positive definite
 systems by LAPACK's banded Cholesky (dpbtrf/dpbtrs): the interior dofs are
@@ -8,8 +8,9 @@ about 2n + 1 in their natural order and need no reordering.
 matrix, which ``build_forms`` builds from the mesh's constant stencil, and
 fills the band of each system straight from them, so no sparse matrix is
 built per solve.
-:func:`solve_spd` factors a band and solves; the Newton step checks the
-solve's residual against ``RESIDUAL_TOL`` from the products it forms anyway.
+:func:`factor_spd` factors a band once for many solves, as the master does
+with the Laplacian; :func:`solve_spd` factors for one, and the Newton step checks
+its residual against ``RESIDUAL_TOL`` from the products it forms anyway.
 """
 
 from __future__ import annotations
@@ -99,18 +100,22 @@ def lower_band(rows, cols, values, size: int) -> np.ndarray:
     ).reshape(size, width + 1).T
 
 
-def solve_spd(band: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b from the lower band of an SPD matrix A.
+def factor_spd(band: np.ndarray):
+    """The solve b -> A^{-1} b of an SPD matrix A, factored once from its lower band.
 
-    Deterministic banded Cholesky in the given order. Fails on a
-    nonpositive leading minor; the caller checks the residual against
-    ``RESIDUAL_TOL``. Overwrites ``band``.
+    Deterministic banded Cholesky in the given order; fails on a nonpositive
+    leading minor. Overwrites ``band``.
     """
-    b = np.asarray(b, dtype=float)
-    if b.size == 0:
-        return np.zeros_like(b)
     try:
         factor = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:  # nonpositive leading minor
         raise NotPositiveDefiniteError(str(exc)) from exc
-    return cho_solve_banded((factor, True), b, check_finite=False)
+    return lambda b: cho_solve_banded((factor, True), b, check_finite=False)
+
+
+def solve_spd(band: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b by :func:`factor_spd`; the caller checks it against ``RESIDUAL_TOL``."""
+    b = np.asarray(b, dtype=float)
+    if b.size == 0:
+        return np.zeros_like(b)
+    return factor_spd(band)(b)

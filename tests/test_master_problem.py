@@ -1,7 +1,12 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from oracles import (
     dense_master_qp,
@@ -10,7 +15,9 @@ from oracles import (
     reduced_gradient,
     reduced_objective,
 )
-from tvcontrol.instances import ProblemInstance
+import tvcontrol
+from tvcontrol import master_problem
+from tvcontrol.instances import ProblemInstance, build_exact_instance
 from tvcontrol.master_problem import MasterOperator, SingularBorderError
 from tvcontrol.mesh_fem import P0Field, P1ScalarField, build_forms, build_friedrichs_keller
 from tvcontrol.tv_oracle import eval_tv_eps
@@ -233,16 +240,17 @@ def test_duplicate_planes_fail_loudly(tiny):
         op.solve(eps)
 
 
-class _CountingFactor:
-    """Stands in for the base factorization and counts the columns it solves."""
+def _count_calls(op, attr):
+    """Replace ``op.attr`` by a wrapper that counts its calls; returns the count list."""
+    calls = []
+    original = getattr(op, attr)
 
-    def __init__(self, factor):
-        self.factor = factor
-        self.columns = 0
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
 
-    def solve(self, rhs):
-        self.columns += 1 if rhs.ndim == 1 else rhs.shape[1]
-        return self.factor.solve(rhs)
+    setattr(op, attr, counting)
+    return calls
 
 
 def test_twin_plane_is_dropped_without_a_base_solve(tiny):
@@ -253,9 +261,9 @@ def test_twin_plane_is_dropped_without_a_base_solve(tiny):
     op = MasterOperator(inst, forms)
     res = _oracle(op.solve(eps).u.values, forms, eps)
     assert op.add_plane(res.phi, res.energy)
-    op.factor = counting = _CountingFactor(op.factor)
+    base_solves = _count_calls(op, "_base_solve")
     assert not op.add_plane(res.phi, res.energy)
-    assert counting.columns == 0
+    assert len(base_solves) == 0
     assert [p.id for p in op.planes] == [0]
 
 
@@ -265,18 +273,77 @@ def test_base_factor_solved_once_per_plane(tiny):
     inst = _instance(mesh, 10.0 * rng.standard_normal(mesh.n_cells))
     eps = 1e-4
     op = MasterOperator(inst, forms)
-    op.factor = counting = _CountingFactor(op.factor)
+    base_solves = _count_calls(op, "_base_solve")
     free = op.solve(eps)
-    assert counting.columns == 0
+    assert len(base_solves) == 0
     _add_cut(op, free.u.values, eps)
-    # one refined base solve: the factor's solve and one refinement step
-    assert counting.columns == 2
+    assert len(base_solves) == 1
     sol = op.solve(eps)
     assert sol.converged
     assert sol.active_planes.tolist() == [0]
     assert sol.inner_iterations >= 2
     op.solve(eps / 2, warm_start=sol)
-    assert counting.columns == 2
+    assert len(base_solves) == 1
     _add_cut(op, sol.u.values, eps)
     op.solve(eps, warm_start=sol)
-    assert counting.columns == 4
+    assert len(base_solves) == 2
+
+
+def _data_base_solve(n, alpha=1.0):
+    """The data's base solve on the exact instance: its relative residual and CG steps."""
+    mesh = build_friedrichs_keller(n)
+    op = MasterOperator(build_exact_instance(mesh, alpha=alpha), build_forms(mesh))
+    poisson_solves = _count_calls(op, "_poisson")
+    x = op._base_solve(op.rhs0)
+    residual = np.abs(op.base @ x - op.rhs0).max() / np.abs(op.rhs0).max()
+    # two Poisson solves before the recursion and two per CG step
+    return residual, (len(poisson_solves) - 2) // 2
+
+
+def test_base_solve_accurate_in_mesh_independent_steps():
+    results = [_data_base_solve(n) for n in (8, 16, 32)]
+    assert all(residual <= 1e-12 for residual, _ in results)
+    steps = [s for _, s in results]
+    assert max(steps) - min(steps) <= 1
+
+
+def test_base_solve_converges_at_small_alpha():
+    residual, steps = _data_base_solve(16, alpha=1e-4)
+    assert steps < master_problem.MAX_CG_STEPS
+    assert residual <= 1e-12
+
+
+def test_base_solve_fails_loudly_at_its_step_cap(monkeypatch):
+    mesh = build_friedrichs_keller(8)
+    op = MasterOperator(build_exact_instance(mesh), build_forms(mesh))
+    monkeypatch.setattr(master_problem, "MAX_CG_STEPS", 1)
+    with pytest.raises(RuntimeError, match=r"CG residual .* relative after 1 steps"):
+        op._base_solve(op.rhs0)
+
+
+def test_plane_base_solve_matches_a_direct_solve():
+    mesh = build_friedrichs_keller(8)
+    forms = build_forms(mesh)
+    op = MasterOperator(build_exact_instance(mesh), forms)
+    plane = _add_cut(op, op.solve(1e-4).u.values, 1e-4)
+    direct = spla.spsolve(op.base.tocsc(), plane.border)
+    assert np.abs(plane.base_solve - direct).max() <= 1e-10 * np.abs(direct).max()
+
+
+def test_package_and_a_run_leave_sparse_linalg_unimported():
+    # the master's base solves need no sparse factorization, so scipy.sparse.linalg
+    # and its memory stay out of a run
+    code = (
+        "import sys, tvcontrol\n"
+        "from tvcontrol.instances import build_exact_instance\n"
+        "from tvcontrol.mesh_fem import build_friedrichs_keller\n"
+        "report = tvcontrol.run_outer_approximation(\n"
+        "    build_exact_instance(build_friedrichs_keller(4)), tvcontrol.SolverConfig(n=4))\n"
+        "assert report.records\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n"
+    )
+    src = str(Path(tvcontrol.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert done.stdout.strip() == "False"
