@@ -9,10 +9,12 @@ The k-th relaxation minimizes
 over P0 controls and P1 states. The control is eliminated analytically from
 the gradient equation p + alpha (u - u_d) + sum_i mu_i div(phi_i) = 0, which
 leaves a symmetric KKT system in (y, p) bordered by one column per plane.
-Its plane-free base [[-M, K], [K, G G^T]] is solved by conjugate gradients on
-the control's reduced Hessian I + G^T K^-1 M K^-1 G (alpha I plus a compact
-smoothing term, up to scale), in a number of steps that does not grow with the
-mesh; each step makes two Poisson solves with the band factor of K, made once.
+Its plane-free base [[-M, K], [K, G G^T]] is never stored: M, K and G are
+the forms' stencils, and the base is solved by conjugate gradients on the
+control's reduced Hessian I + G^T K^-1 M K^-1 G (alpha I plus a compact
+smoothing term, up to scale), in a number of steps that does not grow with
+the mesh; each step makes two Poisson solves with the band factor of K,
+written from the 5-point stencil and factored once.
 The operator owns the planes: ``add_plane`` makes each from the oracle's
 field and energy, drops it when its divergence repeats a stored one, and
 otherwise solves the base for its border column, once. With the data's
@@ -27,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh_fem import Forms, P0Field, P1ScalarField, P1VectorField, _p0_values, l2_error_p0
 from .sparse_linalg import factor_spd, lower_band
@@ -86,20 +87,20 @@ class MasterOperator:
     def __init__(self, instance, forms: Forms):
         self.forms = forms
         self.alpha = instance.alpha
-
-        m_in = forms.mass_interior
-        self._m_ii = m_in[:, forms.interior_nodes].tocsr()
-        self._b_in = forms.load_interior
-        self._g = g = self._b_in / np.sqrt(self.alpha * forms.mesh.cell_area)
-        k = forms.stiffness  # the 5-point Laplacian, bandwidth n - 1
-        self.base = sp.bmat([[-self._m_ii, k], [k, g @ g.T]], format="csr")
-        self._poisson = factor_spd(lower_band(*sp.find(k), forms.n_interior))
+        # G = B / sqrt(alpha |T|), and B^T is |T| times the cell average
+        area = forms.mesh.cell_area
+        scale = 1.0 / np.sqrt(self.alpha * area)
+        self._g = lambda w: scale * forms.load_interior(w)
+        self._gt = lambda q: scale * area * forms.cell_average(forms.full_scalar_field(q).values)
+        # the Laplacian's lower band: each node, its left neighbour and the one below
+        m, node = forms.mesh.n - 1, np.arange(forms.n_interior)
+        cols = np.stack([node, np.where(node % m > 0, node - 1, -1), node - m])
+        self._poisson = factor_spd(lower_band(node, cols, [[4.0], [-1.0], [-1.0]], node.size))
 
         self._u_d = _p0_values(instance.u_d)
         self._y_d = instance.y_d.values
-        self.rhs0 = np.concatenate(
-            [-(m_in @ self._y_d), self._b_in @ (self._u_d + _p0_values(instance.f))]
-        )
+        self.rhs0 = np.concatenate([-forms.mass_interior(self._y_d),
+                                    forms.load_interior(self._u_d + _p0_values(instance.f))])
         self._x0 = self._base_solve(self.rhs0)
         self.planes: list[CuttingPlane] = []
 
@@ -111,15 +112,23 @@ class MasterOperator:
         next id and its border column is solved with the base, once.
         """
         forms = self.forms
-        div_phi = P0Field(forms.divergence @ forms.interior_vector(phi))
+        div_phi = P0Field(forms.divergence(forms.interior_vector(phi)))
         if any(l2_error_p0(forms.mesh, div_phi, p.div_phi) < DUPLICATE_TOL for p in self.planes):
             return False
         border = np.zeros(2 * forms.n_interior)
-        border[forms.n_interior:] = -(self._b_in @ div_phi.values) / self.alpha
+        # the plane's row needs this column, the state rows its negative (ROADMAP.md, item 16)
+        border[forms.n_interior:] = -forms.load_interior(div_phi.values) / self.alpha
         self.planes.append(
             CuttingPlane(div_phi, energy, len(self.planes), border, self._base_solve(border))
         )
         return True
+
+    def apply_base(self, x: np.ndarray) -> np.ndarray:
+        """The plane-free base [[-M, K], [K, G G^T]] times x = (y, p), from the forms' stencils."""
+        forms, n_i = self.forms, self.forms.n_interior
+        y, p = x[:n_i], x[n_i:]
+        return np.concatenate([forms.stiffness(p) - forms.mass_interior(y),
+                               forms.stiffness(y) + self._g(self._gt(p))])
 
     def _base_solve(self, rhs: np.ndarray) -> np.ndarray:
         """base^{-1} rhs by CG on the reduced Hessian; RuntimeError after MAX_CG_STEPS.
@@ -127,10 +136,10 @@ class MasterOperator:
         With P = K^-1 M K^-1 and q = K^-1 r1 + P r2 it solves (I + G^T P G) w = G^T q;
         y = K^-1 (r2 - G w) and p = q - P G w come from K^-1 G w and P G w, carried along.
         """
-        poisson, m, g, n_i = self._poisson, self._m_ii, self._g, self.forms.n_interior
+        poisson, mass, n_i = self._poisson, self.forms.mass_interior, self.forms.n_interior
         s = poisson(rhs[n_i:])
-        q = poisson(rhs[:n_i] + m @ s)
-        r = g.T @ q
+        q = poisson(rhs[:n_i] + mass(s))
+        r = self._gt(q)
         d, kgw, pgw = r.copy(), np.zeros(n_i), np.zeros(n_i)
         rr = rr0 = r @ r
         for steps in range(MAX_CG_STEPS + 1):
@@ -139,9 +148,9 @@ class MasterOperator:
             if steps == MAX_CG_STEPS:
                 raise RuntimeError(f"base solve: CG residual {np.sqrt(rr / rr0):.3e} "
                                    f"relative after {steps} steps")
-            kgd = poisson(g @ d)
-            pgd = poisson(m @ kgd)
-            hd = d + g.T @ pgd
+            kgd = poisson(self._g(d))
+            pgd = poisson(mass(kgd))
+            hd = d + self._gt(pgd)
             step = rr / (d @ hd)
             kgw += step * kgd
             pgw += step * pgd
@@ -200,7 +209,7 @@ class MasterOperator:
             xy = self._x0 - xc[:, idx] @ mu_act
             border_act, block_act = border[:, idx], block[np.ix_(idx, idx)]
             res = max(
-                np.abs(self.base @ xy + border_act @ mu_act - self.rhs0).max(initial=0.0),
+                np.abs(self.apply_base(xy) + border_act @ mu_act - self.rhs0).max(initial=0.0),
                 np.abs(border_act.T @ xy + block_act @ mu_act - g[idx]).max(initial=0.0),
             )
             bound = 1e-9 * (1.0 + np.abs(np.concatenate([self.rhs0, g[idx]])).max(initial=0.0))
@@ -215,7 +224,7 @@ class MasterOperator:
             mu = np.zeros(k)
             mu[idx] = mu_act
 
-            p_bar = forms.cell_average @ p_full.values
+            p_bar = forms.cell_average(p_full.values)
             u = self._u_d - (p_bar + mu @ div) / alpha
             slack = rhs_targets - div @ (area * u)
             active_next = (mu - slack) > 0.0

@@ -1,20 +1,19 @@
-"""Structured triangular mesh on the unit square and finite element assembly.
+"""Structured triangular mesh on the unit square and finite element forms.
 
 Provides the Friedrichs-Keller triangulation of (0,1)^2, piecewise-constant
 (P0) and continuous piecewise-linear (P1) fields, and the bilinear/linear
 forms used by the solvers: Poisson stiffness, mass, the P0-P1 load, the
-linear-elasticity energy form, and the P1 -> P0 divergence.
+linear-elasticity energy form, and the P1 -> P0 cell average and divergence.
 
-All integrands appearing in the forms are piecewise polynomial, so assembly
-is exact. Every cell of the mesh is a right triangle with legs 1/n, so every
-form comes from the grid's constants: one cell area 1/(2n^2), one table of
-basis gradients (``CELL_GRADIENTS``, times n), and the stencils they give,
-the 5-point Laplacian, the 7-point mass and four 2x2 elasticity node blocks
-per node (see :func:`build_forms`), each written straight into CSR from its
-stencil table. Discontinuous data is projected to P0 by midpoint quadrature
-on 4^depth subtriangles, on quadrature coordinates built once per grid
-column and once per grid row and walked in square blocks of cells (see
-:func:`_quadrature_blocks`).
+All integrands appearing in the forms are piecewise polynomial, so they are
+exact. Every cell of the mesh is a right triangle with legs 1/n, so every
+form is a constant stencil of one cell area 1/(2n^2) and one table of basis
+gradients (``CELL_GRADIENTS``, times n). :class:`Forms` applies each by
+slicing grid-shaped arrays and stores no matrix, only the elasticity's 2x2
+node blocks for the oracle's bands. Discontinuous data is projected to P0 by
+midpoint quadrature on 4^depth subtriangles, on quadrature coordinates built
+once per grid column and once per grid row and walked in square blocks of
+cells (see :func:`_quadrature_blocks`).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .sparse_linalg import NodeBlocks
 
@@ -152,9 +150,9 @@ def elasticity_floor(mesh: Mesh) -> float:
 
     On fields that vanish on the boundary, integrating by parts gives
     a[phi, phi] = mu ||grad phi||^2 + (mu + lam) ||div phi||^2 >= mu ||grad phi||^2,
-    and the P1 stiffness matrix of the interior nodes is the 5-point Laplacian
-    (``Forms.stiffness``, see :func:`build_forms`), whose smallest eigenvalue
-    is 8 sin^2(pi / 2n).
+    the split ``Forms.elasticity`` applies, and the P1 stiffness of the
+    interior nodes is the 5-point Laplacian (``Forms.stiffness``), whose
+    smallest eigenvalue is 8 sin^2(pi / 2n).
     """
     return SHEAR_MODULUS * 8.0 * math.sin(math.pi / (2 * mesh.n)) ** 2
 
@@ -252,24 +250,50 @@ def l2_error_p0(mesh: Mesh, u, v) -> float:
     return l2_norm_p0(mesh, a - b)
 
 
+#: the 5-point Laplacian and the 7-point mass over the cell area as 3 x 3 stencils,
+#: rows below, through and above the node: the Laplacian's couplings across square
+#: diagonals cancel, the mass has a sixth at the six neighbours
+LAPLACIAN_STENCIL = np.array([[0.0, -1.0, 0.0], [-1.0, 4.0, -1.0], [0.0, -1.0, 0.0]])
+MASS_STENCIL = np.array([[1, 1, 0], [1, 6, 1], [0, 1, 1]]) / 6.0
+
+
+def _padded(values: np.ndarray, n: int) -> np.ndarray:
+    """Interior node values, (n_interior, ...), on the (n+1, n+1, ...) grid, 0 on the boundary."""
+    grid = np.zeros((n + 1, n + 1) + values.shape[1:])
+    grid[1:-1, 1:-1] = values.reshape((n - 1, n - 1) + values.shape[1:])
+    return grid
+
+
+def _interior_stencil(grid: np.ndarray, stencil: np.ndarray) -> np.ndarray:
+    """A 3 x 3 stencil at each interior node of a node grid (n+1, n+1, ...), (n-1, n-1, ...).
+
+    Each term is one contiguous slice of the flattened grid, from node (1, 1)
+    to node (n-1, n-1), the boundary columns between them cut off at the end.
+    """
+    side, per_node = grid.shape[0], grid[0, 0].size
+    flat, out = grid.reshape(-1), np.zeros((side - 2) * side * per_node)
+    sums = out[:max(out.size - 2 * per_node, 0)]
+    for (row, col), w in np.ndenumerate(stencil):
+        if w:
+            sums += w * flat[(row * side + col) * per_node:][:sums.size]
+    return out.reshape((side - 2, side) + grid.shape[2:])[:, :side - 2]
+
+
 @dataclass(frozen=True)
 class Forms:
     """All operators for one mesh, built by :func:`build_forms`, shared by the solvers.
 
-    Interior reductions eliminate homogeneous Dirichlet dofs by deletion,
-    preserving exact symmetric positive definiteness.
+    Each form is applied as its stencil, by slicing arrays shaped like the
+    node grid (row j, column i) or the cell grid (row j, column i, lower and
+    upper cell); none is stored as a matrix. Homogeneous Dirichlet dofs are
+    eliminated by deletion, preserving exact symmetric positive definiteness:
+    interior nodes are numbered row by row, their vector dofs node-major.
     """
 
     mesh: Mesh
     interior_nodes: np.ndarray
-    stiffness: sp.csr_matrix         # interior x interior: the 5-point Laplacian, SPD
-    mass_interior: sp.csr_matrix     # interior rows x all nodes
-    load_interior: sp.csr_matrix     # interior nodes x cells: int u * basis dx
-    cell_average: sp.csr_matrix      # cells x all nodes: P1 -> cell mean
-    elasticity: sp.csr_matrix        # interior vector dofs (node-major), SPD
-    #: the lower 2×2 node blocks of ``elasticity``, from which it is built
+    #: the lower 2×2 node blocks of the elasticity, from which the oracle fills its bands
     elasticity_blocks: NodeBlocks
-    divergence: sp.csr_matrix        # cells x (2 * n_interior)
 
     @property
     def n_interior(self) -> int:
@@ -277,40 +301,82 @@ class Forms:
 
     def interior_vector(self, phi: P1VectorField) -> np.ndarray:
         """Flatten a boundary-vanishing vector field to interior dofs (node-major)."""
-        return phi.values[self.interior_nodes].ravel()
+        n = self.mesh.n
+        return phi.values.reshape(n + 1, n + 1, 2)[1:-1, 1:-1].ravel()
 
     def full_vector_field(self, x: np.ndarray) -> P1VectorField:
         """Expand interior vector dofs to a full nodal field with zero boundary."""
-        vals = np.zeros((self.mesh.n_nodes, 2))
-        vals[self.interior_nodes] = x.reshape(-1, 2)
-        return P1VectorField(vals)
+        return P1VectorField(_padded(x.reshape(-1, 2), self.mesh.n).reshape(-1, 2))
 
     def full_scalar_field(self, y_int: np.ndarray) -> P1ScalarField:
-        vals = np.zeros(self.mesh.n_nodes)
-        vals[self.interior_nodes] = y_int
-        return P1ScalarField(vals)
+        return P1ScalarField(_padded(y_int, self.mesh.n).ravel())
+
+    def stiffness(self, y: np.ndarray) -> np.ndarray:
+        """K y on the interior nodes: the 5-point Laplacian, SPD."""
+        return _interior_stencil(_padded(y, self.mesh.n), LAPLACIAN_STENCIL).ravel()
+
+    def mass_interior(self, y: np.ndarray) -> np.ndarray:
+        """The P1 mass at the interior rows times y, on all nodes or on the interior ones only."""
+        n = self.mesh.n
+        grid = _padded(y, n) if y.size == self.n_interior else y.reshape(n + 1, n + 1)
+        return _interior_stencil(grid, self.mesh.cell_area * MASS_STENCIL).ravel()
+
+    def cell_average(self, p: np.ndarray) -> np.ndarray:
+        """Each cell's mean of p on all nodes: its square's diagonal and one more corner."""
+        n = self.mesh.n
+        g = p.reshape(n + 1, n + 1)
+        diagonal = g[:-1, :-1] + g[1:, 1:]
+        return (np.stack([diagonal + g[:-1, 1:], diagonal + g[1:, :-1]], axis=-1) / 3.0).ravel()
+
+    def load_interior(self, u) -> np.ndarray:
+        """B u = int u * basis dx at the interior nodes, the cell average's adjoint times the area.
+
+        A third of the area times u on the six cells around a node: its own
+        square, the one below-left, and one cell of the squares below and left.
+        """
+        n = self.mesh.n
+        c = _p0_values(u).reshape(n, n, 2)
+        square = c[..., 0] + c[..., 1]
+        around = square[:-1, :-1] + c[:-1, 1:, 1] + c[1:, :-1, 0] + square[1:, 1:]
+        return (self.mesh.cell_area / 3.0 * around).ravel()
+
+    def divergence(self, x: np.ndarray) -> np.ndarray:
+        """D x: div phi on each cell, from the interior vector dofs x of phi.
+
+        n times the x-difference along the lower cell's bottom edge (upper
+        cell's top edge) plus the y-difference along its right (left) edge.
+        """
+        n = self.mesh.n
+        g = _padded(x.reshape(-1, 2), n)
+        along_rows, along_columns = np.diff(g[..., 0], axis=1), np.diff(g[..., 1], axis=0)
+        lower = along_rows[:-1] + along_columns[:, 1:]
+        upper = along_columns[:, :-1] + along_rows[1:]
+        return (n * np.stack([lower, upper], axis=-1)).ravel()
 
     def dual_load(self, u) -> np.ndarray:
-        """Vector b with b_j = int u * div(basis_j) dx over interior vector dofs."""
-        return self.divergence.T @ (self.mesh.cell_area * _p0_values(u))
+        """D^T (area u): b_j = int u * div(basis_j) dx over the interior vector dofs.
+
+        At a node, n times the jumps of area * u across the grid lines through it.
+        """
+        n = self.mesh.n
+        v = (self.mesh.cell_area * _p0_values(u)).reshape(n, n, 2)
+        across_columns, across_rows = v[:, :-1] - v[:, 1:], v[:-1] - v[1:]
+        first = across_columns[:-1, :, 1] + across_columns[1:, :, 0]
+        second = across_rows[:, :-1, 0] + across_rows[:, 1:, 1]
+        return (n * np.stack([first, second], axis=-1)).ravel()
+
+    def elasticity(self, x: np.ndarray) -> np.ndarray:
+        """A x = mu (K kron I) x + (mu + lam) area D^T D x on the interior vector dofs, A SPD.
+
+        On fields that vanish on the boundary: the shear and the divergence energy.
+        """
+        shear = _interior_stencil(_padded(x.reshape(-1, 2), self.mesh.n), LAPLACIAN_STENCIL)
+        return (SHEAR_MODULUS * shear.ravel()
+                + (SHEAR_MODULUS + LAME_LAMBDA) * self.dual_load(self.divergence(x)))
 
 
-def _stencil_csr(values, columns, keep, shape) -> sp.csr_matrix:
-    """CSR straight from a stencil table: the kept ``values`` at their ``columns``.
-
-    The three tables broadcast against each other; flattened to (rows, slots)
-    with the slots on the last axis, row r of the table is row r of the
-    matrix, and its columns must increase along the slots, so the result is
-    canonical. Callers keep no slot off the grid and no exact zero: a stored
-    zero would still count as structure in every sparse product built from it.
-    """
-    values, columns = (np.broadcast_to(t, keep.shape)[keep] for t in (values, columns))
-    counts = np.count_nonzero(keep.reshape(-1, keep.shape[-1]), axis=1)
-    return sp.csr_matrix((values, columns, np.concatenate([[0], np.cumsum(counts)])), shape=shape)
-
-
-def _interior_elasticity(neighbours, present) -> tuple[sp.csr_matrix, NodeBlocks]:
-    """The elasticity on the (n - 1)^2 interior nodes, and its lower 2×2 node blocks.
+def _interior_elasticity_blocks(n: int) -> NodeBlocks:
+    """The lower 2×2 node blocks of the elasticity on the (n - 1)^2 interior nodes.
 
     Every interior node has all six triangles around it, so its blocks are
     the same four for every node: itself and its left, below and below-left
@@ -323,10 +389,6 @@ def _interior_elasticity(neighbours, present) -> tuple[sp.csr_matrix, NodeBlocks
         left        [[-mu - kappa, kappa/2], [kappa/2, -mu]]
 
     in the ``NodeBlocks`` order: diagonal blocks first, then by row and column.
-    A node's two rows of the matrix hold the blocks of those of its seven
-    ``neighbours`` that are ``present`` (see :func:`build_forms`), in column
-    order; the right, above and above-right blocks are the transposes of the
-    left, below and below-left blocks those neighbours hold.
     """
     mu, kappa = SHEAR_MODULUS, SHEAR_MODULUS + LAME_LAMBDA
     stencil = np.array([
@@ -335,74 +397,21 @@ def _interior_elasticity(neighbours, present) -> tuple[sp.csr_matrix, NodeBlocks
         [[-mu, kappa / 2], [kappa / 2, -mu - kappa]],
         [[-mu - kappa, kappa / 2], [kappa / 2, -mu]],
     ]).transpose(1, 2, 0)
-    node, lower, has = neighbours[:, 3], neighbours[:, :3], present[:, :3]
+    # each interior node, numbered row by row, and its below-left, below and left neighbours
+    m = n - 1
+    node = np.arange(m * m, dtype=np.int32)
+    i, j = node % m, node // m
+    lower = node[:, None] + np.array([-m - 1, -m, -1], dtype=np.int32)
+    has = np.column_stack([(i > 0) & (j > 0), j > 0, i > 0])
     block, kind = np.nonzero(has)
-    blocks = NodeBlocks(
+    return NodeBlocks(
         rows=np.concatenate([node, node[block]]),
         cols=np.concatenate([node, lower[has]]),
         values=np.take(stencil, np.concatenate([np.zeros(node.size, dtype=np.intp), kind + 1]), 2),
     )
-    # (row component, neighbour, column component), flattened to 14 slots a row
-    seven = np.concatenate(
-        [stencil[:, :, [1, 2, 3, 0]], stencil[:, :, [3, 2, 1]].transpose(1, 0, 2)], axis=2
-    ).transpose(0, 2, 1).reshape(2, 14)
-    dofs = (2 * neighbours[:, :, None] + np.arange(2, dtype=np.int32)).reshape(-1, 1, 14)
-    keep = np.repeat(present, 2, axis=1)[:, None] & (seven != 0)
-    return _stencil_csr(seven, dofs, keep, (2 * node.size,) * 2), blocks
 
 
 def build_forms(mesh: Mesh) -> Forms:
-    """All operators for one mesh, from the grid's constants; none stores a zero.
-
-    Each is written straight into CSR from its stencil table (:func:`_stencil_csr`).
-    ``stiffness`` is the 5-point Laplacian of the interior nodes, numbered
-    row by row: the couplings across square diagonals cancel. ``elasticity``
-    and its node blocks come from :func:`_interior_elasticity`.
-    """
-    n, interior = mesh.n, mesh.interior_nodes
-    area = mesh.cell_area
-    # the seven grid neighbours of each interior node (numbered row by row) in
-    # column order: below-left, below, left, itself, right, above, above-right,
-    # and whether each is interior
-    m = n - 1
-    node = np.arange(m * m, dtype=np.int32)
-    i, j = node % m, node // m
-    present = np.column_stack([(i > 0) & (j > 0), j > 0, i > 0, np.ones(node.size, dtype=bool),
-                               i < m - 1, j < m - 1, (i < m - 1) & (j < m - 1)])
-    neighbours = node[:, None] + np.array([-m - 1, -m, -1, 0, 1, m, m + 1], dtype=np.int32)
-    five = slice(1, 6)  # below, left, itself, right, above
-    stiffness = _stencil_csr(np.array([-1.0, -1.0, 4.0, -1.0, -1.0]), neighbours[:, five],
-                             present[:, five], (interior.size, interior.size))
-    elasticity, blocks = _interior_elasticity(neighbours, present)
-    # the 7-point mass stencil: the cell area at the node, a sixth of it at the
-    # neighbours along the grid lines and across the square diagonals
-    offsets = np.array([-(n + 2), -(n + 1), -1, 0, 1, n + 1, n + 2])
-    weights = np.array([1, 1, 1, 6, 1, 1, 1]) / 6.0
-    mass_interior = _stencil_csr(area * weights, interior[:, None] + offsets,
-                                 np.ones((interior.size, 7), dtype=bool), (interior.size, mesh.n_nodes))
-
-    # every cell's corners in increasing node order: the upper triangle's last two swap
-    order = np.array([[0, 1, 2], [0, 2, 1]])
-    corners = np.take_along_axis(mesh.triangles.reshape(n * n, 2, 3), order[None], axis=2)
-    cell_average = sp.csr_matrix(
-        (np.full(3 * mesh.n_cells, 1.0 / 3.0), corners.ravel(), np.arange(0, 3 * mesh.n_cells + 1, 3)),
-        shape=(mesh.n_cells, mesh.n_nodes),
-    )
-    pos = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    pos[interior] = np.arange(interior.size)
-    corner_dofs = (2 * pos[corners][..., None] + np.arange(2)).reshape(n * n, 2, 6)
-    gradients = np.take_along_axis(n * CELL_GRADIENTS, order[..., None], axis=1).reshape(2, 6)
-    divergence = _stencil_csr(gradients, corner_dofs, (corner_dofs >= 0) & (gradients != 0),
-                              (mesh.n_cells, 2 * interior.size))
-
-    return Forms(
-        mesh=mesh,
-        interior_nodes=interior,
-        stiffness=stiffness,
-        mass_interior=mass_interior,
-        load_interior=(area * cell_average[:, interior]).T.tocsr(),
-        cell_average=cell_average,
-        elasticity=elasticity,
-        elasticity_blocks=blocks,
-        divergence=divergence,
-    )
+    """All operators for one mesh: the stencils of :class:`Forms`, the elasticity's node blocks."""
+    return Forms(mesh=mesh, interior_nodes=mesh.interior_nodes,
+                 elasticity_blocks=_interior_elasticity_blocks(mesh.n))

@@ -4,13 +4,12 @@ The TV oracle's reduced Newton steps solve symmetric positive definite
 systems by LAPACK's banded Cholesky (dpbtrf/dpbtrs): the interior dofs are
 numbered node-major, row by row, so these matrices have a bandwidth of
 about 2n + 1 in their natural order and need no reordering.
-:class:`NodeBlocks` holds the lower 2×2 node blocks of the elasticity
-matrix, which ``build_forms`` builds from the mesh's constant stencil, and
-fills the band of each system straight from them, so no sparse matrix is
-built per solve.
+:class:`NodeBlocks` holds the lower 2×2 node blocks of the elasticity,
+which ``build_forms`` builds from the mesh's constant stencil, and fills the
+band of each system straight from them; ``scipy.sparse`` is not used.
 :func:`factor_spd` factors a band once for many solves, as the master does
-with the Laplacian; :func:`solve_spd` factors for one, and the Newton step checks
-its residual against ``RESIDUAL_TOL`` from the products it forms anyway.
+with the Laplacian's, written from its stencil; :func:`solve_spd` factors for
+one, and the Newton step checks its residual against ``RESIDUAL_TOL``.
 """
 
 from __future__ import annotations

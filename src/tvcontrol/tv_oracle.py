@@ -128,7 +128,7 @@ def eval_tv_eps(
         norms2 = np.sum(x.reshape(-1, 2) ** 2, axis=1)
         upper_bound = _dual_bound(b, x, ax, np.maximum(lam, 0.0), eps, theta)
         xhat = (x.reshape(-1, 2) / np.sqrt(np.maximum(norms2, 1.0))[:, None]).ravel()
-        energy = float(xhat @ (forms.elasticity @ xhat))
+        energy = float(xhat @ forms.elasticity(xhat))
         value = -0.5 * eps * energy + float(b @ xhat)
         if upper_bound - value <= GAP_TOL * (1.0 + abs(value)):
             converged = True
@@ -169,7 +169,7 @@ def _newton_step(forms, b, eps, x, lam, active):
 
     No sparse matrix is built: Z^T H Z goes straight into band storage from
     the 2×2 node blocks of A (``NodeBlocks.reduced_band``), and the products
-    with H and Z are taken node by node around ``forms.elasticity @ v``.
+    with H and Z are taken node by node around ``forms.elasticity(v)``.
 
     Two stabilizations of the plain linearization: the operator uses the
     nonnegative part of the multipliers (it stays positive definite while
@@ -204,12 +204,12 @@ def _newton_step(forms, b, eps, x, lam, active):
     x_fixed = _from_frame(x_frame, frame)
 
     band = forms.elasticity_blocks.reduced_band(eps, node_diagonal, frame, kept)
-    h_fixed = eps * (forms.elasticity @ x_fixed) + diagonal * x_fixed
+    h_fixed = eps * forms.elasticity(x_fixed) + diagonal * x_fixed
     reduced_rhs = _to_frame(rhs - h_fixed, frame)[kept]
     x_frame[kept] = solve_spd(band, reduced_rhs)
     x_new = _from_frame(x_frame, frame)
 
-    ax_new = forms.elasticity @ x_new
+    ax_new = forms.elasticity(x_new)
     remainder = _to_frame(rhs - (eps * ax_new + diagonal * x_new), frame)
     residual = np.abs(remainder[kept]).max(initial=0.0)
     bound = RESIDUAL_TOL * (1.0 + np.abs(reduced_rhs).max(initial=0.0))

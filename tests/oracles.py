@@ -15,11 +15,13 @@ objective and gradient by separate state and adjoint solves instead of the
 master's coupled KKT elimination.
 
 The finite element forms are summed cell by cell from the node
-coordinates (:func:`cell_areas`, :func:`basis_gradients`) instead of
-built from the grid's constants: the stiffness instead of the 5-point
-Laplacian, the mass instead of its 7-point stencil, the P0-P1 coupling
-instead of the scaled cell average, and the elasticity from the Lame
-tensor instead of its closed-form node blocks.
+coordinates (:func:`cell_areas`, :func:`basis_gradients`) into sparse
+matrices instead of applied as the grid's stencils: the stiffness instead
+of the 5-point Laplacian, the mass instead of its 7-point stencil, the
+P0-P1 coupling and the cell average instead of their six- and three-cell
+sums, the divergence instead of its edge differences, and the elasticity
+from the Lame tensor instead of the shear Laplacian plus the divergence
+energy or its closed-form node blocks.
 """
 
 from __future__ import annotations
@@ -171,6 +173,60 @@ def assemble_divergence(mesh: Mesh):
     return _summed_csr_without_zeros(rows, cols, data, (mesh.n_cells, 2 * interior.size))
 
 
+def assemble_cell_average(mesh: Mesh):
+    """P1 -> P0 cell means, cells x all nodes: a third at each corner of the cell."""
+    rows = np.repeat(np.arange(mesh.n_cells), 3)
+    data = np.full(3 * mesh.n_cells, 1.0 / 3.0)
+    return sp.csr_matrix((data, (rows, mesh.triangles.ravel())), shape=(mesh.n_cells, mesh.n_nodes))
+
+
+def interior_stiffness(mesh: Mesh):
+    """The per-cell stiffness on the interior nodes."""
+    interior = mesh.interior_nodes
+    return assemble_stiffness(mesh)[interior][:, interior].tocsr()
+
+
+def interior_load(mesh: Mesh):
+    """The per-cell P0-P1 coupling at the interior nodes, interior nodes x cells."""
+    return assemble_p0_p1_coupling(mesh)[mesh.interior_nodes].tocsr()
+
+
+def interior_elasticity(mesh: Mesh):
+    """The per-cell elasticity on the interior vector dofs (node-major)."""
+    interior = mesh.interior_nodes
+    dofs = np.column_stack([2 * interior, 2 * interior + 1]).ravel()
+    return assemble_elasticity(mesh)[np.ix_(dofs, dofs)].tocsr()
+
+
+def node_blocks_product(blocks: NodeBlocks, x: np.ndarray) -> np.ndarray:
+    """A x for the symmetric A whose lower 2×2 node blocks are ``blocks``.
+
+    Each block acts on its column node's dofs; an off-diagonal block also
+    acts transposed on its row node's.
+    """
+    v = x.reshape(-1, 2)
+    out = np.zeros_like(v)
+    off = blocks.rows != blocks.cols
+    np.add.at(out, blocks.rows, np.einsum("pqk,kq->kp", blocks.values, v[blocks.cols]))
+    np.add.at(out, blocks.cols[off],
+              np.einsum("pqk,kp->kq", blocks.values[:, :, off], v[blocks.rows[off]]))
+    return out.ravel()
+
+
+def dense_master_base(mesh: Mesh, alpha: float) -> np.ndarray:
+    """The master's plane-free base [[-M, K], [K, G G^T]] from the per-cell forms.
+
+    G = B / sqrt(alpha |T|) with B the coupling at the interior nodes, so
+    G G^T = B diag(1 / (alpha |T|)) B^T.
+    """
+    interior = mesh.interior_nodes
+    m = assemble_mass_p1(mesh)[interior][:, interior].toarray()
+    k = interior_stiffness(mesh).toarray()
+    b = interior_load(mesh).toarray()
+    gg = b @ (b.T / (alpha * cell_areas(mesh))[:, None])
+    return np.block([[-m, k], [k, gg]])
+
+
 def dense_gaussian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gaussian elimination with partial pivoting, written out longhand."""
     a = np.array(a, dtype=float)
@@ -248,8 +304,8 @@ def projected_ascent_tv(u, eps: float, forms: Forms, iterations: int = 100_000) 
     Step size 1/L with L the operator norm of eps*A; the feasible set is the
     product of nodal unit balls.
     """
-    a = forms.elasticity.toarray()
-    b = forms.dual_load(u)
+    a = interior_elasticity(forms.mesh).toarray()
+    b = assemble_divergence(forms.mesh).T @ (cell_areas(forms.mesh) * _p0_values(u))
     step = 1.0 / (eps * np.linalg.eigvalsh(a).max())
     x = np.zeros(b.size)
     for _ in range(iterations):
@@ -325,8 +381,8 @@ def dense_master_qp(instance, forms: Forms, planes, eps: float):
     for min 0.5 u'Hu + g'u + const  s.t.  Gu <= h over P0 coefficients.
     """
     mesh = forms.mesh
-    k_dense = forms.stiffness.toarray()
-    b_in = forms.load_interior.toarray()
+    k_dense = interior_stiffness(mesh).toarray()
+    b_in = interior_load(mesh).toarray()
     m_full = assemble_mass_p1(mesh).toarray()
     areas = cell_areas(mesh)
     alpha = instance.alpha
@@ -393,12 +449,12 @@ def plane_slack(plane, u, eps: float, mesh) -> float:
 def dual_objective(u, phi, eps: float, forms: Forms) -> float:
     """The regularized dual objective -(eps/2) a[phi, phi] + int u div(phi) dx."""
     x = forms.interior_vector(phi) if isinstance(phi, P1VectorField) else np.asarray(phi)
-    return -0.5 * eps * float(x @ (forms.elasticity @ x)) + float(forms.dual_load(u) @ x)
+    return -0.5 * eps * float(x @ forms.elasticity(x)) + float(forms.dual_load(u) @ x)
 
 
 def solve_state(u, instance, forms: Forms) -> P1ScalarField:
-    rhs = forms.load_interior @ (_p0_values(u) + _p0_values(instance.f))
-    return forms.full_scalar_field(solve_sparse_spd(forms.stiffness, rhs))
+    rhs = interior_load(forms.mesh) @ (_p0_values(u) + _p0_values(instance.f))
+    return forms.full_scalar_field(solve_sparse_spd(interior_stiffness(forms.mesh), rhs))
 
 
 def reduced_objective(u, instance, forms: Forms) -> float:
@@ -413,7 +469,8 @@ def reduced_objective(u, instance, forms: Forms) -> float:
 def reduced_gradient(u, instance, forms: Forms) -> P0Field:
     """Gradient density alpha (u - u_d) + p of the reduced objective (two Poisson solves)."""
     y = solve_state(u, instance, forms)
-    adjoint_rhs = forms.mass_interior @ (y.values - instance.y_d.values)
-    p = forms.full_scalar_field(solve_sparse_spd(forms.stiffness, adjoint_rhs))
-    p_bar = forms.cell_average @ p.values
+    mesh = forms.mesh
+    adjoint_rhs = assemble_mass_p1(mesh)[mesh.interior_nodes] @ (y.values - instance.y_d.values)
+    p = forms.full_scalar_field(solve_sparse_spd(interior_stiffness(mesh), adjoint_rhs))
+    p_bar = assemble_cell_average(mesh) @ p.values
     return P0Field(instance.alpha * (_p0_values(u) - _p0_values(instance.u_d)) + p_bar)

@@ -167,7 +167,7 @@ def test_criterion_4_oracle_property_suite():
                 d = forms.interior_vector(by_eps[1e-5].phi) - forms.interior_vector(
                     r_prev.phi
                 )
-                lhs = 1e-5 * float(d @ (forms.elasticity @ d))
+                lhs = 1e-5 * float(d @ forms.elasticity(d))
                 rhs = float(forms.dual_load(P0Field(u.values - prev)) @ d)
                 if lhs > rhs + 1e-9:
                     failures.append((n, seed, "lipschitz"))

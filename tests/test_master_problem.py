@@ -6,9 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from oracles import (
+    dense_master_base,
     dense_master_qp,
     dense_qp_active_set_enumeration,
     plane_slack,
@@ -66,8 +66,16 @@ def test_zero_instance_is_stationary(tiny):
     assert sol.inner_iterations == 1
 
 
-def test_single_plane_becomes_active(tiny):
-    mesh, forms = tiny
+@pytest.mark.parametrize("n", [
+    2,
+    # the border column of add_plane has the wrong sign in its state rows: once
+    # a plane is active, the returned state breaks K y = B (u + f) and J is not
+    # J(u). At n = 2 the lone interior node hides it (item 16 of ROADMAP.md)
+    pytest.param(4, marks=pytest.mark.xfail(strict=True, reason="border sign defect")),
+])
+def test_single_plane_becomes_active(n):
+    mesh = build_friedrichs_keller(n)
+    forms = build_forms(mesh)
     rng = np.random.default_rng(1)
     inst = _instance(mesh, 10.0 * rng.standard_normal(mesh.n_cells))
     eps = 1e-4
@@ -85,6 +93,7 @@ def test_single_plane_becomes_active(tiny):
     _, u_ref, active_ref, _ = dense_qp_active_set_enumeration(hess, grad, g_rows, h)
     assert np.abs(sol.u.values - u_ref).max() < 1e-8
     assert list(sol.active_planes) == list(active_ref)
+    assert sol.objective == pytest.approx(reduced_objective(sol.u, inst, forms), rel=1e-12)
 
 
 def test_multiple_planes_match_enumeration(tiny):
@@ -295,7 +304,7 @@ def _data_base_solve(n, alpha=1.0):
     op = MasterOperator(build_exact_instance(mesh, alpha=alpha), build_forms(mesh))
     poisson_solves = _count_calls(op, "_poisson")
     x = op._base_solve(op.rhs0)
-    residual = np.abs(op.base @ x - op.rhs0).max() / np.abs(op.rhs0).max()
+    residual = np.abs(op.apply_base(x) - op.rhs0).max() / np.abs(op.rhs0).max()
     # two Poisson solves before the recursion and two per CG step
     return residual, (len(poisson_solves) - 2) // 2
 
@@ -326,13 +335,14 @@ def test_plane_base_solve_matches_a_direct_solve():
     forms = build_forms(mesh)
     op = MasterOperator(build_exact_instance(mesh), forms)
     plane = _add_cut(op, op.solve(1e-4).u.values, 1e-4)
-    direct = spla.spsolve(op.base.tocsc(), plane.border)
+    direct = np.linalg.solve(dense_master_base(mesh, op.alpha), plane.border)
     assert np.abs(plane.base_solve - direct).max() <= 1e-10 * np.abs(direct).max()
 
 
 def test_package_and_a_run_leave_sparse_linalg_unimported():
-    # the master's base solves need no sparse factorization, so scipy.sparse.linalg
-    # and its memory stay out of a run
+    # the forms are stencils and the master's base solves need no sparse
+    # factorization, so neither scipy.sparse nor scipy.sparse.linalg, nor
+    # their memory, enter a run
     code = (
         "import sys, tvcontrol\n"
         "from tvcontrol.instances import build_exact_instance\n"
@@ -340,10 +350,10 @@ def test_package_and_a_run_leave_sparse_linalg_unimported():
         "report = tvcontrol.run_outer_approximation(\n"
         "    build_exact_instance(build_friedrichs_keller(4)), tvcontrol.SolverConfig(n=4))\n"
         "assert report.records\n"
-        "print('scipy.sparse.linalg' in sys.modules)\n"
+        "print('scipy.sparse.linalg' in sys.modules, 'scipy.sparse' in sys.modules)\n"
     )
     src = str(Path(tvcontrol.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"

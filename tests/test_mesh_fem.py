@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 from unittest.mock import patch
@@ -9,15 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    assemble_cell_average,
     assemble_divergence,
     assemble_elasticity,
     assemble_mass_p1,
-    assemble_p0_p1_coupling,
     assemble_stiffness,
     basis_gradients,
     cell_areas,
     exact_f_integrand,
     from_csr,
+    interior_elasticity,
+    interior_load,
+    interior_stiffness,
+    node_blocks_product,
     project_p0_by_einsum,
     solve_sparse_spd,
 )
@@ -86,29 +91,36 @@ def test_stiffness_rows_sum_to_zero():
 
 
 def test_stiffness_five_point_stencil():
-    # interior node (2, 2) of the n = 4 mesh sits in the middle of the 3 x 3 interior nodes
-    k = build_forms(build_friedrichs_keller(4)).stiffness.toarray()
+    # interior node (2, 2) of the n = 4 mesh sits in the middle of the 3 x 3
+    # interior nodes; K is symmetric, so its column is its row
     center, m = 4, 3
-    row = k[center]
+    row = build_forms(build_friedrichs_keller(4)).stiffness(np.eye(m * m)[center])
     assert row[center] == 4.0
     for neighbor in (center - 1, center + 1, center - m, center + m):
         assert row[neighbor] == -1.0
     # entries across the square diagonals cancel on this triangulation
     assert row[center + m + 1] == 0.0
     assert row[center - m - 1] == 0.0
+    assert np.count_nonzero(row) == 5
+
+
+def _matches(product, reference, v, rel_tol):
+    """Whether product = reference @ v to rel_tol times |reference| @ |v|."""
+    expected = reference @ v
+    scale = (abs(reference) @ np.abs(v)).max(initial=0.0)
+    return product.shape == expected.shape and (
+        np.abs(product - expected).max(initial=0.0) <= rel_tol * scale)
 
 
 @pytest.mark.parametrize("n, rel_tol", [(2, 0.0), (3, 0.0), (8, 0.0), (16, 0.0),
                                         (50, 1e-14), (100, 1e-14)])
 def test_stiffness_equals_the_per_cell_assembly(n, rel_tol):
-    # at n = 50 and 100 the per-cell sums carry rounding noise of a few ulps
+    # the stencil sums a row's terms in the reference's column order, so where
+    # the per-cell entries are exact, 4 and -1, so is the product; at n = 50
+    # and 100 the per-cell sums carry rounding noise of a few ulps
     mesh = build_friedrichs_keller(n)
-    interior = mesh.interior_nodes
-    k = build_forms(mesh).stiffness
-    ref = assemble_stiffness(mesh)[np.ix_(interior, interior)].tocsr()
-    assert np.all(k.data != 0.0)
-    assert np.array_equal(k.indptr, ref.indptr) and np.array_equal(k.indices, ref.indices)
-    assert np.abs(k.data - ref.data).max() <= rel_tol * np.abs(ref.data).max()
+    v = np.random.default_rng(n).standard_normal(mesh.interior_nodes.size)
+    assert _matches(build_forms(mesh).stiffness(v), interior_stiffness(mesh), v, rel_tol)
 
 
 def _poisson_max_error(n):
@@ -117,7 +129,7 @@ def _poisson_max_error(n):
     load = project_p0(
         lambda x, y: 2 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y), mesh
     )
-    y_int = solve_sparse_spd(forms.stiffness, forms.load_interior @ load.values)
+    y_int = solve_sparse_spd(interior_stiffness(mesh), forms.load_interior(load.values))
     y = forms.full_scalar_field(y_int)
     exact = np.sin(np.pi * mesh.nodes[:, 0]) * np.sin(np.pi * mesh.nodes[:, 1])
     return np.abs(y.values - exact).max()
@@ -132,15 +144,16 @@ def test_manufactured_poisson_second_order():
 def test_empty_interior_solve():
     mesh = build_friedrichs_keller(1)
     forms = build_forms(mesh)
-    rhs = forms.load_interior @ np.ones(mesh.n_cells)
-    y = forms.full_scalar_field(solve_sparse_spd(forms.stiffness, rhs))
+    rhs = forms.load_interior(np.ones(mesh.n_cells))
+    assert rhs.shape == (0,)
+    y = forms.full_scalar_field(solve_sparse_spd(interior_stiffness(mesh), rhs))
     assert np.all(y.values == 0.0)
 
 
 def test_coupling_constant_control():
     # a hat function integrates to a third of its six cells' area, 1/n^2
     mesh = build_friedrichs_keller(4)
-    load = build_forms(mesh).load_interior @ np.ones(mesh.n_cells)
+    load = build_forms(mesh).load_interior(np.ones(mesh.n_cells))
     assert np.allclose(load, 1.0 / 16.0, rtol=1e-15, atol=0.0)
 
 
@@ -150,50 +163,56 @@ def test_coupling_single_cell():
     mesh = build_friedrichs_keller(3)
     forms = build_forms(mesh)
     for cell, interior_corners in [(8, [0, 1, 3]), (7, [2])]:
-        column = forms.load_interior.toarray()[:, cell]
+        column = forms.load_interior(np.eye(mesh.n_cells)[cell])
         corners = np.flatnonzero(np.isin(forms.interior_nodes, mesh.triangles[cell]))
         assert corners.tolist() == interior_corners
         assert np.flatnonzero(column).tolist() == corners.tolist()
         assert np.allclose(column[corners], mesh.cell_area / 3.0, rtol=1e-15, atol=0.0)
 
 
+def _dense(apply, size):
+    """The matrix of a linear map of R^size to itself, column by column."""
+    return np.stack([apply(e) for e in np.eye(size)], axis=1) if size else np.zeros((0, 0))
+
+
 @pytest.mark.parametrize("n", [1, 3, 8])
-def test_operators_are_symmetric_without_stored_zeros(n):
-    mesh = build_friedrichs_keller(n)
-    forms = build_forms(mesh)
-    mass = forms.mass_interior[:, forms.interior_nodes]
-    for a in (forms.stiffness, mass, forms.elasticity):
-        assert (a != a.T).nnz == 0
-    for a in (forms.stiffness, forms.mass_interior, forms.load_interior,
-              forms.elasticity, forms.divergence):
-        assert np.all(a.data != 0.0)
+def test_operators_are_symmetric(n):
+    forms = build_forms(build_friedrichs_keller(n))
+    size = forms.n_interior
+    for apply, dofs in [(forms.stiffness, size), (forms.mass_interior, size),
+                        (forms.elasticity, 2 * size)]:
+        a = _dense(apply, dofs)
+        assert np.array_equal(a, a.T)
 
 
 def _per_cell_references(mesh):
+    """(form, its per-cell reference, input size): each form and its adjoint."""
     interior = mesh.interior_nodes
-    return {
-        "mass_interior": assemble_mass_p1(mesh)[interior].tocsr(),
-        "load_interior": assemble_p0_p1_coupling(mesh)[interior].tocsr(),
-        "divergence": assemble_divergence(mesh),
-    }
+    mass = assemble_mass_p1(mesh)[interior].tocsr()
+    divergence = assemble_divergence(mesh)
+    return [
+        ("mass_interior", mass, mesh.n_nodes),
+        ("mass_interior", mass[:, interior], interior.size),  # zero on the boundary
+        ("load_interior", interior_load(mesh), mesh.n_cells),
+        ("cell_average", assemble_cell_average(mesh), mesh.n_nodes),
+        ("divergence", divergence, 2 * interior.size),
+        ("dual_load", divergence.T.multiply(cell_areas(mesh)).tocsr(), mesh.n_cells),
+    ]
 
 
-@pytest.mark.parametrize("n, rel_tol", [(1, 0.0), (2, 1e-15), (3, 1e-15), (4, 1e-15),
+@pytest.mark.parametrize("n, rel_tol", [(1, 1e-15), (2, 1e-15), (3, 1e-15), (4, 1e-15),
                                         (8, 1e-15), (16, 1e-15), (50, 5e-14), (100, 5e-14)])
 def test_operators_equal_the_per_cell_assembly(n, rel_tol):
-    # n = 1 has no interior node, so every operator is empty; at n = 50 and 100
-    # the references' own cell areas, from node coordinates, spread by up to
-    # 2e-14 relative about 1/(2n^2)
+    # on random vectors, to rounding: the stencils sum their terms in another
+    # order. n = 1 has no interior node, so every product into or out of the
+    # interior is empty; at n = 50 and 100 the references' own cell areas, from
+    # node coordinates, spread by up to 2e-14 relative about 1/(2n^2)
     mesh = build_friedrichs_keller(n)
     forms = build_forms(mesh)
-    for name, ref in _per_cell_references(mesh).items():
-        a = getattr(forms, name)
-        assert np.all(a.data != 0.0) and np.all(ref.data != 0.0), name
-        assert a.shape == ref.shape, name
-        assert np.array_equal(a.indptr, ref.indptr), name
-        assert np.array_equal(a.indices, ref.indices), name
-        scale = np.abs(ref.data).max(initial=0.0)
-        assert np.abs(a.data - ref.data).max(initial=0.0) <= rel_tol * scale, name
+    rng = np.random.default_rng(n)
+    for name, ref, size in _per_cell_references(mesh):
+        v = rng.standard_normal(size)
+        assert _matches(getattr(forms, name)(v), ref, v, rel_tol), (name, size)
 
 
 def test_build_forms_builds_no_mesh():
@@ -229,20 +248,14 @@ def test_translation_has_zero_energy_before_reduction():
 
 
 def test_reduced_elasticity_positive_definite():
-    a = build_forms(build_friedrichs_keller(6)).elasticity
-    # factorization succeeding is the positive-pivot check
-    x = solve_sparse_spd(a, np.ones(a.shape[0]))
-    assert np.isfinite(x).all()
+    forms = build_forms(build_friedrichs_keller(6))
+    a = _dense(forms.elasticity, 2 * forms.n_interior)
+    # the Cholesky factorization succeeding is the positive-pivot check
+    assert np.isfinite(np.linalg.cholesky(a)).all()
     rng = np.random.default_rng(3)
     for _ in range(100):
         v = rng.standard_normal(a.shape[0])
-        assert v @ (a @ v) >= 0.0
-
-
-def _assembled_interior_elasticity(mesh):
-    interior = mesh.interior_nodes
-    dofs = np.column_stack([2 * interior, 2 * interior + 1]).ravel()
-    return assemble_elasticity(mesh)[np.ix_(dofs, dofs)].tocsr()
+        assert v @ forms.elasticity(v) >= 0.0
 
 
 @pytest.mark.parametrize("n, rel_tol", [(2, 1e-15), (8, 1e-15), (16, 1e-15),
@@ -253,30 +266,45 @@ def test_stencil_elasticity_equals_the_per_cell_assembly(n, rel_tol):
     # the closed-form stencil has 14500.000000000002
     mesh = build_friedrichs_keller(n)
     forms = build_forms(mesh)
-    a, ref = forms.elasticity, _assembled_interior_elasticity(mesh)
-    assert np.all(a.data != 0.0)
-    assert np.array_equal(a.indptr, ref.indptr) and np.array_equal(a.indices, ref.indices)
-    scale = np.abs(ref.data).max()
-    assert np.abs(a.data - ref.data).max() <= rel_tol * scale
+    ref = interior_elasticity(mesh)
+    v = np.random.default_rng(n).standard_normal(2 * forms.n_interior)
+    assert _matches(forms.elasticity(v), ref, v, rel_tol)
 
     blocks, expected = forms.elasticity_blocks, from_csr(ref)
     # each entry of all blocks is one contiguous array, as reduced_band expects
     assert blocks.values.flags.c_contiguous
     assert np.array_equal(blocks.rows, expected.rows)
     assert np.array_equal(blocks.cols, expected.cols)
-    assert np.abs(blocks.values - expected.values).max() <= rel_tol * scale
+    assert np.abs(blocks.values - expected.values).max() <= rel_tol * np.abs(ref.data).max()
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 16, 50, 100])
 def test_elasticity_is_shear_plus_divergence_energy(n):
     # on fields vanishing on the boundary, a[phi, phi] = mu ||grad phi||^2
-    # + (mu + lam) ||div phi||^2: the identity elasticity_floor rests on
+    # + (mu + lam) ||div phi||^2: A = mu (K kron I) + (mu + lam) area D^T D,
+    # the identity Forms.elasticity applies and elasticity_floor rests on,
+    # here between the per-cell references
+    mesh = build_friedrichs_keller(n)
+    divergence = assemble_divergence(mesh)
+    identity = (SHEAR_MODULUS * sp.kron(interior_stiffness(mesh), sp.eye(2))
+                + (SHEAR_MODULUS + LAME_LAMBDA) * (divergence.T @ sp.diags(cell_areas(mesh))
+                                                   @ divergence))
+    ref = interior_elasticity(mesh)
+    assert np.abs(ref - identity).max() <= 1e-14 * np.abs(ref.data).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 50])
+def test_elasticity_product_equals_its_node_blocks(n):
+    # the shear Laplacian plus the divergence energy, against the closed-form
+    # node blocks the oracle's bands are filled from: equal up to rounding
     forms = build_forms(build_friedrichs_keller(n))
-    area = forms.mesh.cell_area
-    identity = (SHEAR_MODULUS * sp.kron(forms.stiffness, sp.eye(2))
-                + (SHEAR_MODULUS + LAME_LAMBDA) * area * (forms.divergence.T @ forms.divergence))
-    scale = np.abs(forms.elasticity.data).max()
-    assert np.abs(forms.elasticity - identity).max() <= 1e-14 * scale
+    blocks = forms.elasticity_blocks
+    magnitudes = dataclasses.replace(blocks, values=np.abs(blocks.values))
+    for seed in range(3):
+        v = np.random.default_rng(seed).standard_normal(2 * forms.n_interior)
+        scale = node_blocks_product(magnitudes, np.abs(v)).max()
+        error = np.abs(forms.elasticity(v) - node_blocks_product(blocks, v)).max()
+        assert error <= 1e-15 * scale
 
 
 def test_smallest_mesh_has_empty_elasticity_blocks():
@@ -284,50 +312,64 @@ def test_smallest_mesh_has_empty_elasticity_blocks():
     blocks = forms.elasticity_blocks
     assert blocks.rows.size == blocks.cols.size == 0
     assert blocks.values.shape == (2, 2, 0)
-    assert forms.elasticity.shape == (0, 0)
-    assert forms.stiffness.shape == (0, 0)
+    assert forms.elasticity(np.zeros(0)).shape == (0,)
+    assert forms.stiffness(np.zeros(0)).shape == (0,)
 
 
-#: sha256 of ``data``, ``indices`` and ``indptr`` of every CSR operator of
-#: ``Forms``, recorded when the elasticity and the divergence were still summed
-#: from COO triplets and the stiffness was ``sp.kronsum`` of 1-D second differences
+def _fixed_vector(size):
+    """One exactly representable input per size, the same on every platform."""
+    return ((np.arange(size) * 7919) % 1009) / 1009 - 0.5
+
+
+#: sha256 of each form applied to ``_fixed_vector``. The CSR matrices the
+#: stencils replaced gave the same bytes for the stiffness and the mass; the
+#: others sum their terms in another order and differ by at most 4e-16 relative
 FORMS_SHA256 = {
-    (16, "stiffness"): "41a0e2a6e185dd665c77ab01fa7eabb702745a234e9a4195f4ad3b05a5bc0dbc",
-    (16, "mass_interior"): "9cfe0b7c5ca73ab4566d3078446901c7367ade72801d553a7657b3a4917755a6",
-    (16, "load_interior"): "7895173377d74c8a37f3f654027ece7d2976356939f7d34bc343e70c2d068c9f",
-    (16, "cell_average"): "ec9752e56d0c6010d07a29ad70bc6d31e5d25f1e56d7fb1ff0e0293df7c68097",
-    (16, "elasticity"): "4f403c601fb4e2ac7317d00c73cb52de146f1bbe0348673ac1133ea6df6583e9",
-    (16, "divergence"): "3ab18420347799210237346e01e3b0a5f5d2e83a92aac2484ebc340bc7494b5f",
-    (50, "stiffness"): "3160521cde92205e252a6b64066dde69ca6a25f2f82134c096aee42e37fc05c8",
-    (50, "mass_interior"): "3bfd5b39621d0ff07e350ccd19e307eafff707c59ba1a332dab6ddc349e89265",
-    (50, "load_interior"): "8d35a23ec406cf7bb862ce976244cc2f70173c2b15dd7643d7b9675827650f74",
-    (50, "cell_average"): "aaa49771d30b244bb0ea4b03bb5ef0a16c55d90d95641c68475e86518db270af",
-    (50, "elasticity"): "588354a5f6486ac3b62f609aa08285c70be1feb9f5f78d1bc790bce8b235e814",
-    (50, "divergence"): "9522f6ac675d2ff57fff4e10c7b60e2cf7c668c7e99c731f8ece0745176894fa",
-    (100, "stiffness"): "1465199a0df62ce36f9fa71f55940bfbf563640b52363ee70f62c3e675a98449",
-    (100, "mass_interior"): "c0caf32260caf3c3f3e50f4b940f986c1f241969abbc8471d55c9956bb6ef341",
-    (100, "load_interior"): "8bf8df73eb128f0e5ca688d707d450d60bb63c346fb2059dc7a21b8defa878f4",
-    (100, "cell_average"): "90ceee633180b19f147c2c4e965a7ea66be073be07fb487170c9d10fa539fbcd",
-    (100, "elasticity"): "de98f654bb8cf2b50260353a3477bc6a2655ae91f4fbe928a48f87dee3d41bb7",
-    (100, "divergence"): "b7d4d8682d573216e9425c064fae485aec3bb27de8c095f35b02644683587426",
+    (16, "stiffness"): "495c597188103282bc46e5dc5f0ff7a00cb7d8d4097dde0269623f2a5aeb87d4",
+    (16, "mass_interior"): "c78f43ebd3e65fec57108040bd18c873943a3d2b6eb915621f12bb2bdb17e272",
+    (16, "load_interior"): "ac078ac95876e4b74c27e36330f2035197b7ded7b6988598525d7da9fa5fae5d",
+    (16, "cell_average"): "ec46b0546fea27cbdb0c0187a7a9f8302665ce2d57491e93e3e6a6cd90ebbf8d",
+    (16, "elasticity"): "f4d14a9b033e27773876a962892c353287f0d0297d16462da2007953f2880bda",
+    (16, "divergence"): "15564d49d288bf5b6f5083ba2c823f63b9b5a1814d9073a0d8155544f738dd30",
+    (16, "dual_load"): "901f4f52ea1f924632d65eecf7a0089b2ade3eeadd14acfe2ef0f92a279d3697",
+    (50, "stiffness"): "4dd358f25ead3dc1806665dd7e1b7967b94a248b26e9a661d1a62c5b579f7685",
+    (50, "mass_interior"): "b12387a57e1ca5ad03772c0fa1caeb24fcd4edab822a5f35a3d92472d1cea3df",
+    (50, "load_interior"): "149a04dd6bd8d2e3b1627de05697c487d74c6a359877295d7f8f71fe867fd526",
+    (50, "cell_average"): "26bf696bc4e74cc8b6b263fe21c606d2e1e549be3b1b80897d6306edb1978e4a",
+    (50, "elasticity"): "1845d81cc9e0280d854d1a4369bce84f628ad476a09b19c842fcd747acec785b",
+    (50, "divergence"): "cd79a93ac352c2fb1a0b5ca42e94e7b918f52d2560b871c717efe5252a78f6c0",
+    (50, "dual_load"): "3a6bfd0a5458357421b0644401e1c85db492b8a86538a5f38250d322a72b2135",
+    (100, "stiffness"): "6efb2259c493cf072be90e2c7c5f36bfdf346c07fa9c35b5ac5e7646c26b77b1",
+    (100, "mass_interior"): "b0271901a7f75569d591eb68568a9b13865f8f6ed96bad0f1bfc7faf355ff589",
+    (100, "load_interior"): "20039f274e1306c702afa22c35b7ad0e0efa21d82b03683155b84c8749eb7396",
+    (100, "cell_average"): "63945dc21e2398fc50e466e635693b4c21625798c7db7f31c12ae8bb88d724f7",
+    (100, "elasticity"): "cc9f0dc15771cc9e48a45d7a9a7bd5e28087fd1e4ab8bcc0daf65d045a442f35",
+    (100, "divergence"): "af589dc3ff28d4001e887af6ca33e082a7e4b9f3d5054a14b89cdcb87608ec5d",
+    (100, "dual_load"): "1c5057e83bf14d8038c8e254479c354542f432859405b41714487fc90ca634b7",
 }
+
+
+def _pinned_inputs(forms):
+    mesh, size = forms.mesh, forms.n_interior
+    return {"stiffness": size, "mass_interior": mesh.n_nodes, "load_interior": mesh.n_cells,
+            "cell_average": mesh.n_nodes, "elasticity": 2 * size, "divergence": 2 * size,
+            "dual_load": mesh.n_cells}
 
 
 @pytest.mark.parametrize("n, name", sorted(FORMS_SHA256))
 def test_forms_bytes_are_pinned(n, name):
-    a = getattr(build_forms(build_friedrichs_keller(n)), name)
-    assert a.has_canonical_format
-    assert a.indices.dtype == np.int32 and a.indptr.dtype == np.int32
-    assert np.all(a.data != 0.0)
-    digest = hashlib.sha256(b"".join(t.tobytes() for t in (a.data, a.indices, a.indptr)))
-    assert digest.hexdigest() == FORMS_SHA256[n, name]
+    forms = build_forms(build_friedrichs_keller(n))
+    product = getattr(forms, name)(_fixed_vector(_pinned_inputs(forms)[name]))
+    assert product.dtype == np.float64 and product.flags.c_contiguous
+    assert hashlib.sha256(product.tobytes()).hexdigest() == FORMS_SHA256[n, name]
 
 
 def test_build_forms_memory_at_n100():
     # with the per-cell elasticity assembly (720 000 COO entries at n = 100)
-    # this peaked at 68.9 MB and with the stencils summed from COO triplets at
-    # 18.9 MB; written straight into CSR the forms trace 11.4 MB, 8.6 MB of
-    # which they return
+    # this peaked at 68.9 MB, with the stencils summed from COO triplets at
+    # 18.9 MB and written straight into CSR at 11.4 MB. Applied as stencils,
+    # the forms build only the elasticity's node blocks: 2.67 MB traced, 1.55
+    # MB of which they return; the bound leaves 0.8 MB of margin
     mesh = build_friedrichs_keller(100)
     tracemalloc.start()
     try:
@@ -335,7 +377,7 @@ def test_build_forms_memory_at_n100():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 13e6
+    assert peak <= 3.5e6
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
@@ -343,14 +385,15 @@ def test_elasticity_floor_is_below_smallest_eigenvalue(n):
     # the oracle's dual bound divides by theta, so theta must not exceed lambda_min(A),
     # and a floor far below lambda_min(A) would loosen the certificate
     mesh = build_friedrichs_keller(n)
-    smallest = np.linalg.eigvalsh(build_forms(mesh).elasticity.toarray())[0]
+    forms = build_forms(mesh)
+    smallest = np.linalg.eigvalsh(_dense(forms.elasticity, 2 * forms.n_interior))[0]
     theta = elasticity_floor(mesh)
     assert 0.0 < theta <= smallest <= 3.0 * theta
 
 
 def test_divergence_of_zero_field():
     forms = build_forms(build_friedrichs_keller(3))
-    div = forms.divergence @ np.zeros(2 * forms.n_interior)
+    div = forms.divergence(np.zeros(2 * forms.n_interior))
     assert np.all(div == 0.0)
 
 
@@ -368,7 +411,7 @@ def test_divergence_of_hat_field():
     cells, corners = np.nonzero(mesh.triangles == q)
     expected[cells] = basis_gradients(mesh)[cells, corners, 0]
     assert np.array_equal(np.sort(expected[cells]), [-3.0, -3.0, 0.0, 0.0, 3.0, 3.0])
-    assert np.array_equal(forms.divergence @ x, expected)
+    assert np.array_equal(forms.divergence(x), expected)
 
 
 @settings(max_examples=20, deadline=None)
@@ -376,7 +419,7 @@ def test_divergence_of_hat_field():
 def test_divergence_compatibility(seed):
     forms = build_forms(build_friedrichs_keller(4))
     x = np.random.default_rng(seed).standard_normal(2 * forms.n_interior)
-    div = forms.divergence @ x
+    div = forms.divergence(x)
     assert abs(np.sum(forms.mesh.cell_area * div)) < 1e-12
 
 
