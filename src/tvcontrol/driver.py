@@ -151,7 +151,7 @@ def run_outer_approximation(
     residual (the master's) or duality gap (the oracle's). Raises
     ValueError when ``config.n``, ``config.alpha`` or
     ``config.subdivision_depth`` disagrees with the instance, since the
-    report echoes the config.
+    report echoes the config, or when ``forms`` were built for another mesh.
     """
     mesh = instance.mesh
     if config.n != mesh.n:
@@ -167,6 +167,9 @@ def run_outer_approximation(
         )
     if forms is None:
         forms = build_forms(mesh)
+    elif forms.mesh != mesh:
+        raise ValueError(f"the forms were built for n = {forms.mesh.n} "
+                         f"but the instance mesh has n = {mesh.n}")
     master_op = MasterOperator(instance, forms)
 
     records: list[IterationRecord] = []

@@ -177,7 +177,7 @@ def build_exact_instance(
         lambda x1, x2: (0.1 - LAPLACE_FACTOR) * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2),
         mesh,
     )
-    p_bar_cells = p_bar.values[mesh.triangles].mean(axis=1)
+    p_bar_cells = mesh.corners(p_bar.values).mean(axis=1)
     u_d = P0Field(u_bar + (p_bar_cells - div_phi) / alpha)
 
     return ProblemInstance(

@@ -252,7 +252,7 @@ class MasterOperator:
     def objective_value(self, u, y: P1ScalarField) -> float:
         mesh = self.forms.mesh
         # on a cell T the P1 mass gives int d^2 = |T|/12 ((sum_a d_a)^2 + sum_a d_a^2)
-        d = (y.values - self._y_d)[mesh.triangles]
+        d = mesh.corners(y.values - self._y_d)
         squares = float(np.sum(d.sum(axis=1) ** 2 + np.sum(d * d, axis=1)))
         tracking = mesh.cell_area / 12.0 * squares
         du = _p0_values(u) - self._u_d

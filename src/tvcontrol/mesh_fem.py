@@ -1,9 +1,10 @@
 """Structured triangular mesh on the unit square and finite element forms.
 
-Provides the Friedrichs-Keller triangulation of (0,1)^2, piecewise-constant
-(P0) and continuous piecewise-linear (P1) fields, and the bilinear/linear
-forms used by the solvers: Poisson stiffness, mass, the P0-P1 load, the
-linear-elasticity energy form, and the P1 -> P0 cell average and divergence.
+Provides the Friedrichs-Keller triangulation of (0,1)^2, given by n alone,
+piecewise-constant (P0) and continuous piecewise-linear (P1) fields, and the
+bilinear/linear forms used by the solvers: Poisson stiffness, mass, the P0-P1
+load, the linear-elasticity energy form, and the P1 -> P0 cell average and
+divergence.
 
 All integrands appearing in the forms are piecewise polynomial, so they are
 exact. Every cell of the mesh is a right triangle with legs 1/n, so every
@@ -35,9 +36,12 @@ SHEAR_MODULUS = YOUNGS_MODULUS / (2.0 * (1.0 + POISSON_RATIO))
 LAME_LAMBDA = (YOUNGS_MODULUS * POISSON_RATIO
                / ((1.0 + POISSON_RATIO) * (1.0 - 2.0 * POISSON_RATIO)))
 
-#: Gradients of the three basis functions of a cell with legs 1, (2, 3, 2):
-#: the lower triangle (a, a+1, a+n+2) and the upper one (a, a+n+2, a+n+1) of
-#: the grid square with lower-left corner a. Times n, those of every cell.
+#: The corners, as (column, row) steps from the lower-left corner a of a grid
+#: square, of its lower triangle (a, a+1, a+n+2) and its upper one (a, a+n+2, a+n+1)
+CELL_CORNERS = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
+
+#: Gradients of the three basis functions at those corners of a cell with legs 1,
+#: (2, 3, 2). Times n, those of every cell.
 CELL_GRADIENTS = np.array([
     [[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]],
     [[0.0, -1.0], [1.0, 0.0], [-1.0, 1.0]],
@@ -50,19 +54,21 @@ P0_CHUNK_POINTS = 2**15
 
 @dataclass(frozen=True)
 class Mesh:
-    """Friedrichs-Keller triangulation of the unit square.
+    """Friedrichs-Keller triangulation of the unit square, given by its size alone.
 
     ``n`` subdivisions per side give ``(n+1)**2`` nodes and ``2*n**2``
     congruent right triangles; every grid square is split along the
-    lower-left to upper-right diagonal. Node (i, j) of the grid is
+    lower-left to upper-right diagonal. Node (i, j), at (i/n, j/n), is
     ``j*(n+1) + i``; cells are stored by grid row j, then column i, then the
-    lower and upper triangle of the square, so cell values reshape to (n, n, 2).
+    lower and upper triangle of the square (``CELL_CORNERS``), so node values
+    reshape to (n+1, n+1) and cell values to (n, n, 2).
     """
 
     n: int
-    nodes: np.ndarray               # (n_nodes, 2)
-    triangles: np.ndarray           # (n_tri, 3) int, counterclockwise
-    boundary_node_mask: np.ndarray  # (n_nodes,) bool
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"need at least one subdivision per side, got n={self.n}")
 
     @property
     def cell_area(self) -> float:
@@ -71,15 +77,22 @@ class Mesh:
 
     @property
     def n_nodes(self) -> int:
-        return self.nodes.shape[0]
+        return (self.n + 1) ** 2
 
     @property
     def n_cells(self) -> int:
-        return self.triangles.shape[0]
+        return 2 * self.n**2
 
     @property
-    def interior_nodes(self) -> np.ndarray:
-        return np.flatnonzero(~self.boundary_node_mask)
+    def n_interior(self) -> int:
+        return (self.n - 1) ** 2
+
+    def corners(self, values) -> np.ndarray:
+        """Node values (n_nodes, ...) at each cell's three corners, (n_cells, 3, ...)."""
+        n, v = self.n, np.asarray(values)
+        grid = v.reshape((n + 1, n + 1) + v.shape[1:])
+        at = [grid[j:j + n, i:i + n] for i, j in CELL_CORNERS.reshape(-1, 2)]
+        return np.stack(at, axis=2).reshape((self.n_cells, 3) + v.shape[1:])
 
 
 @dataclass
@@ -115,34 +128,8 @@ class P1VectorField:
 
 
 def build_friedrichs_keller(n: int) -> Mesh:
-    """Triangulate (0,1)^2 into 2*n^2 right triangles with legs 1/n.
-
-    The diagonal of every grid square runs from the lower-left to the
-    upper-right corner, so the result is deterministic in n.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one subdivision per side, got n={n}")
-
-    side = np.arange(n + 1) / n
-    xx, yy = np.meshgrid(side, side, indexing="xy")
-    nodes = np.column_stack([xx.ravel(), yy.ravel()])  # node (i, j) -> j*(n+1)+i
-
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
-    a = (jj * (n + 1) + ii).ravel()       # lower-left corner of each square
-    b = a + 1
-    c = a + n + 2                         # upper-right
-    d = a + n + 1
-    lower = np.column_stack([a, b, c])
-    upper = np.column_stack([a, c, d])
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    triangles[0::2] = lower
-    triangles[1::2] = upper
-
-    gi = np.tile(np.arange(n + 1), n + 1)
-    gj = np.repeat(np.arange(n + 1), n + 1)
-    boundary = (gi == 0) | (gi == n) | (gj == 0) | (gj == n)
-
-    return Mesh(n=n, nodes=nodes, triangles=triangles, boundary_node_mask=boundary)
+    """Triangulate (0,1)^2 into 2*n^2 right triangles with legs 1/n (see :class:`Mesh`)."""
+    return Mesh(n)
 
 
 def elasticity_floor(mesh: Mesh) -> float:
@@ -188,11 +175,11 @@ def _quadrature_blocks(mesh: Mesh, subdivision_depth: int):
         raise ValueError(f"subdivision_depth must be nonnegative, got {subdivision_depth}")
     n = mesh.n
     b0, b1, b2 = _subtriangle_centroids(subdivision_depth).T
-    # corners of the cells of grid row 0 and of grid column 0, (n, 2, 3, 2, 1)
-    cells = mesh.triangles.reshape(n, n, 2, 3)
-    row, col = mesh.nodes[cells[0]][..., None], mesh.nodes[cells[:, 0]][..., None]
-    x = b0 * row[:, :, 0, 0] + b1 * row[:, :, 1, 0] + b2 * row[:, :, 2, 0]
-    y = b0 * col[:, :, 0, 1] + b1 * col[:, :, 1, 1] + b2 * col[:, :, 2, 1]
+    # the cells' corners in grid column (x) or grid row (y) k, (n, 2, 3, 2): k/n plus a step
+    corners = (np.arange(n)[:, None, None, None] + CELL_CORNERS) / n
+    row, col = corners[..., 0, None], corners[..., 1, None]
+    x = b0 * row[:, :, 0] + b1 * row[:, :, 1] + b2 * row[:, :, 2]
+    y = b0 * col[:, :, 0] + b1 * col[:, :, 1] + b2 * col[:, :, 2]
     side = max(1, min(n, math.isqrt(P0_CHUNK_POINTS // (2 * b0.size))))
     spans = [slice(k, min(k + side, n)) for k in range(0, n, side)]
     return x, y, [(rows, cols) for rows in spans for cols in spans]
@@ -224,12 +211,16 @@ def project_p0(f, mesh: Mesh, subdivision_depth: int = 4) -> P0Field:
 
 
 def interpolate_p1(f, mesh: Mesh, dirichlet: bool = False) -> P1ScalarField:
-    """Nodal interpolation; with ``dirichlet=True`` boundary values are forced to 0."""
-    vals = np.asarray(f(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float)
-    vals = np.broadcast_to(vals, (mesh.n_nodes,)).copy()
+    """Nodal interpolation, f called on x = i/n of shape (1, n+1) and y = j/n of shape (n+1, 1).
+
+    With ``dirichlet=True`` the values on the grid's border are forced to 0.
+    """
+    side = np.arange(mesh.n + 1) / mesh.n
+    vals = np.asarray(f(side[None, :], side[:, None]), dtype=float)
+    vals = np.broadcast_to(vals, (mesh.n + 1, mesh.n + 1)).copy()
     if dirichlet:
-        vals[mesh.boundary_node_mask] = 0.0
-    return P1ScalarField(vals)
+        vals[[0, -1]] = vals[:, [0, -1]] = 0.0
+    return P1ScalarField(vals.ravel())
 
 
 def _p0_values(u) -> np.ndarray:
@@ -287,17 +278,17 @@ class Forms:
     node grid (row j, column i) or the cell grid (row j, column i, lower and
     upper cell); none is stored as a matrix. Homogeneous Dirichlet dofs are
     eliminated by deletion, preserving exact symmetric positive definiteness:
-    interior nodes are numbered row by row, their vector dofs node-major.
+    the (n-1)^2 interior nodes, off the grid's border, are numbered row by row
+    (no index array of them is kept), their vector dofs node-major.
     """
 
     mesh: Mesh
-    interior_nodes: np.ndarray
     #: the lower 2×2 node blocks of the elasticity, from which the oracle fills its bands
     elasticity_blocks: NodeBlocks
 
     @property
     def n_interior(self) -> int:
-        return self.interior_nodes.size
+        return self.mesh.n_interior
 
     def interior_vector(self, phi: P1VectorField) -> np.ndarray:
         """Flatten a boundary-vanishing vector field to interior dofs (node-major)."""
@@ -412,6 +403,5 @@ def _interior_elasticity_blocks(n: int) -> NodeBlocks:
 
 
 def build_forms(mesh: Mesh) -> Forms:
-    """All operators for one mesh: the stencils of :class:`Forms`, the elasticity's node blocks."""
-    return Forms(mesh=mesh, interior_nodes=mesh.interior_nodes,
-                 elasticity_blocks=_interior_elasticity_blocks(mesh.n))
+    """All operators for one mesh, from ``mesh.n`` alone: :class:`Forms` and its node blocks."""
+    return Forms(mesh=mesh, elasticity_blocks=_interior_elasticity_blocks(mesh.n))

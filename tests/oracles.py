@@ -14,8 +14,10 @@ pointwise integrand instead of its per-axis terms, and the reduced
 objective and gradient by separate state and adjoint solves instead of the
 master's coupled KKT elimination.
 
-The finite element forms are summed cell by cell from the node
-coordinates (:func:`cell_areas`, :func:`basis_gradients`) into sparse
+The mesh is its own Friedrichs-Keller node and triangle list
+(:func:`fk_nodes`, :func:`fk_triangles`), built from node indices instead
+of sliced off the node grid. The finite element forms are summed cell by
+cell from those coordinates (:func:`cell_areas`, :func:`basis_gradients`) into sparse
 matrices instead of applied as the grid's stencils: the stiffness instead
 of the 5-point Laplacian, the mass instead of its 7-point stencil, the
 P0-P1 coupling and the cell average instead of their six- and three-cell
@@ -80,9 +82,40 @@ def solve_sparse_spd(matrix, b) -> np.ndarray:
     return x
 
 
+def fk_nodes(n: int) -> np.ndarray:
+    """Coordinates of the Friedrichs-Keller grid's nodes, node (i, j) -> j*(n+1)+i, (n_nodes, 2)."""
+    side = np.arange(n + 1) / n
+    xx, yy = np.meshgrid(side, side, indexing="xy")
+    return np.column_stack([xx.ravel(), yy.ravel()])
+
+
+def fk_triangles(n: int) -> np.ndarray:
+    """Corner nodes of every cell, counterclockwise, (2 n^2, 3).
+
+    By grid row, then column, then the lower (a, a+1, a+n+2) and upper
+    (a, a+n+2, a+n+1) triangle of the square with lower-left corner a.
+    """
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
+    a = (jj * (n + 1) + ii).ravel()
+    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
+    triangles[0::2] = np.column_stack([a, a + 1, a + n + 2])
+    triangles[1::2] = np.column_stack([a, a + n + 2, a + n + 1])
+    return triangles
+
+
+def fk_interior_nodes(n: int) -> np.ndarray:
+    """The nodes with neither coordinate 0 or 1, in node order."""
+    nodes = fk_nodes(n)
+    return np.flatnonzero(~((nodes == 0.0) | (nodes == 1.0)).any(axis=1))
+
+
+def _corner_coordinates(mesh: Mesh) -> np.ndarray:
+    return fk_nodes(mesh.n)[fk_triangles(mesh.n)]
+
+
 def cell_areas(mesh: Mesh) -> np.ndarray:
     """Signed area of every triangle from its corner coordinates, (n_tri,)."""
-    coords = mesh.nodes[mesh.triangles]
+    coords = _corner_coordinates(mesh)
     e1 = coords[:, 1] - coords[:, 0]
     e2 = coords[:, 2] - coords[:, 0]
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
@@ -90,7 +123,7 @@ def cell_areas(mesh: Mesh) -> np.ndarray:
 
 def basis_gradients(mesh: Mesh) -> np.ndarray:
     """Gradients of the three barycentric basis functions per triangle, (n_tri, 3, 2)."""
-    coords = mesh.nodes[mesh.triangles]
+    coords = _corner_coordinates(mesh)
     x, y = coords[..., 0], coords[..., 1]
     two_a = 2.0 * cell_areas(mesh)
     grads = np.empty_like(coords)
@@ -110,8 +143,9 @@ def assemble_stiffness(mesh: Mesh):
     """
     grads = basis_gradients(mesh)
     local = np.einsum("tad,tbd->tab", grads, grads) * cell_areas(mesh)[:, None, None]
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    triangles = fk_triangles(mesh.n)
+    rows = np.repeat(triangles, 3, axis=1).ravel()
+    cols = np.tile(triangles, (1, 3)).ravel()
     return _summed_csr_without_zeros(rows, cols, local.ravel(), (mesh.n_nodes, mesh.n_nodes))
 
 
@@ -119,8 +153,9 @@ def assemble_mass_p1(mesh: Mesh):
     """Consistent P1 mass matrix on all nodes (exact integration), summed cell by cell."""
     local = (np.ones((3, 3)) + np.eye(3)) / 12.0
     data = (cell_areas(mesh)[:, None, None] * local).ravel()
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    triangles = fk_triangles(mesh.n)
+    rows = np.repeat(triangles, 3, axis=1).ravel()
+    cols = np.tile(triangles, (1, 3)).ravel()
     return _summed_csr_without_zeros(rows, cols, data, (mesh.n_nodes, mesh.n_nodes))
 
 
@@ -130,7 +165,7 @@ def assemble_p0_p1_coupling(mesh: Mesh):
     Each triangle contributes area/3 to each of its vertices (exact for the
     linear basis).
     """
-    rows = mesh.triangles.ravel()
+    rows = fk_triangles(mesh.n).ravel()
     cols = np.repeat(np.arange(mesh.n_cells), 3)
     data = np.repeat(cell_areas(mesh) / 3.0, 3)
     return sp.coo_matrix((data, (rows, cols)), shape=(mesh.n_nodes, mesh.n_cells)).tocsr()
@@ -151,7 +186,7 @@ def assemble_elasticity(mesh: Mesh):
     t3 = np.einsum("tai,tbj->taibj", grads, grads)
     local = cell_areas(mesh)[:, None, None, None, None] * (mu * (t1 + t2) + lam * t3)
 
-    dofs = (2 * mesh.triangles[:, :, None] + np.arange(2)).reshape(-1, 6)
+    dofs = (2 * fk_triangles(mesh.n)[:, :, None] + np.arange(2)).reshape(-1, 6)
     rows = np.repeat(dofs, 6, axis=1).ravel()
     cols = np.tile(dofs, (1, 6)).ravel()
     shape = (2 * mesh.n_nodes, 2 * mesh.n_nodes)
@@ -163,12 +198,12 @@ def assemble_divergence(mesh: Mesh):
 
     Cell T's row holds the basis gradients of its interior corners.
     """
-    interior = mesh.interior_nodes
+    interior, triangles = fk_interior_nodes(mesh.n), fk_triangles(mesh.n)
     pos = np.full(mesh.n_nodes, -1, dtype=np.int64)
     pos[interior] = np.arange(interior.size)
-    cells, corners = np.nonzero(pos[mesh.triangles] >= 0)
+    cells, corners = np.nonzero(pos[triangles] >= 0)
     rows = np.repeat(cells, 2)
-    cols = (2 * pos[mesh.triangles[cells, corners]][:, None] + np.arange(2)).ravel()
+    cols = (2 * pos[triangles[cells, corners]][:, None] + np.arange(2)).ravel()
     data = basis_gradients(mesh)[cells, corners].ravel()
     return _summed_csr_without_zeros(rows, cols, data, (mesh.n_cells, 2 * interior.size))
 
@@ -177,23 +212,24 @@ def assemble_cell_average(mesh: Mesh):
     """P1 -> P0 cell means, cells x all nodes: a third at each corner of the cell."""
     rows = np.repeat(np.arange(mesh.n_cells), 3)
     data = np.full(3 * mesh.n_cells, 1.0 / 3.0)
-    return sp.csr_matrix((data, (rows, mesh.triangles.ravel())), shape=(mesh.n_cells, mesh.n_nodes))
+    return sp.csr_matrix((data, (rows, fk_triangles(mesh.n).ravel())),
+                         shape=(mesh.n_cells, mesh.n_nodes))
 
 
 def interior_stiffness(mesh: Mesh):
     """The per-cell stiffness on the interior nodes."""
-    interior = mesh.interior_nodes
+    interior = fk_interior_nodes(mesh.n)
     return assemble_stiffness(mesh)[interior][:, interior].tocsr()
 
 
 def interior_load(mesh: Mesh):
     """The per-cell P0-P1 coupling at the interior nodes, interior nodes x cells."""
-    return assemble_p0_p1_coupling(mesh)[mesh.interior_nodes].tocsr()
+    return assemble_p0_p1_coupling(mesh)[fk_interior_nodes(mesh.n)].tocsr()
 
 
 def interior_elasticity(mesh: Mesh):
     """The per-cell elasticity on the interior vector dofs (node-major)."""
-    interior = mesh.interior_nodes
+    interior = fk_interior_nodes(mesh.n)
     dofs = np.column_stack([2 * interior, 2 * interior + 1]).ravel()
     return assemble_elasticity(mesh)[np.ix_(dofs, dofs)].tocsr()
 
@@ -219,7 +255,7 @@ def dense_master_base(mesh: Mesh, alpha: float) -> np.ndarray:
     G = B / sqrt(alpha |T|) with B the coupling at the interior nodes, so
     G G^T = B diag(1 / (alpha |T|)) B^T.
     """
-    interior = mesh.interior_nodes
+    interior = fk_interior_nodes(mesh.n)
     m = assemble_mass_p1(mesh)[interior][:, interior].toarray()
     k = interior_stiffness(mesh).toarray()
     b = interior_load(mesh).toarray()
@@ -292,7 +328,7 @@ def exact_f_integrand(x1, x2):
 def project_p0_by_einsum(f, mesh, subdivision_depth: int = 4) -> P0Field:
     """Midpoint-rule cell averages with all (cells, 4^depth, 2) points built at once."""
     bary = _subtriangle_centroids(subdivision_depth)
-    pts = np.einsum("qc,tcd->tqd", bary, mesh.nodes[mesh.triangles])
+    pts = np.einsum("qc,tcd->tqd", bary, _corner_coordinates(mesh))
     vals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
     vals = np.broadcast_to(vals, pts.shape[:2])
     return P0Field(vals.mean(axis=1))
@@ -393,7 +429,7 @@ def dense_master_qp(instance, forms: Forms, planes, eps: float):
     # y_full = E K^{-1} B (u + f); embed interior rows into the full node set
     t = np.linalg.solve(k_dense, b_in) if k_dense.size else np.zeros((0, mesh.n_cells))
     e = np.zeros((mesh.n_nodes, forms.n_interior))
-    e[forms.interior_nodes, np.arange(forms.n_interior)] = 1.0
+    e[fk_interior_nodes(mesh.n), np.arange(forms.n_interior)] = 1.0
     s = e @ t
 
     hessian = s.T @ m_full @ s + alpha * np.diag(areas)
@@ -470,7 +506,8 @@ def reduced_gradient(u, instance, forms: Forms) -> P0Field:
     """Gradient density alpha (u - u_d) + p of the reduced objective (two Poisson solves)."""
     y = solve_state(u, instance, forms)
     mesh = forms.mesh
-    adjoint_rhs = assemble_mass_p1(mesh)[mesh.interior_nodes] @ (y.values - instance.y_d.values)
+    adjoint_rhs = (assemble_mass_p1(mesh)[fk_interior_nodes(mesh.n)]
+                   @ (y.values - instance.y_d.values))
     p = forms.full_scalar_field(solve_sparse_spd(interior_stiffness(mesh), adjoint_rhs))
     p_bar = assemble_cell_average(mesh) @ p.values
     return P0Field(instance.alpha * (_p0_values(u) - _p0_values(instance.u_d)) + p_bar)

@@ -4,6 +4,7 @@ inconsistency (see notes in the repository root README); its assertions are
 stated faithfully and left to fail rather than being loosened.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -17,6 +18,9 @@ import tvcontrol
 from oracles import (
     dense_master_qp,
     dense_qp_active_set_enumeration,
+    fk_interior_nodes,
+    fk_nodes,
+    fk_triangles,
     projected_ascent_tv,
     reduced_gradient,
     reduced_objective,
@@ -31,7 +35,16 @@ from tvcontrol.instances import (
 )
 from tvcontrol.master_problem import MasterOperator
 from tvcontrol.mesh_fem import P0Field, P1ScalarField, build_forms, build_friedrichs_keller
+from tvcontrol.reporting import serialize_report
 from tvcontrol.tv_oracle import discrete_tv, eval_tv_eps
+
+#: sha256 of the CSV report of each n = 50 run, as ``tvcontrol.cli`` prints it
+CSV_SHA256_N50 = {
+    "exact": "f15b6d1ffe3cba75dbb4785a43b03f1145c4e8e73ab5c4207031c4a4d35edf71",
+    "generic": "6f911d468b68215b97f6e97f7aab64bffb6e5a6bdf435a29e9d8f998ae4f8d4a",
+    "exact-cold": "653728ea40388e277785cefe5ecd1852301d7f818acad3b35a434c3ee6e27d3b",
+}
+
 
 def _report_line(number, ok, detail):
     status = "PASS" if ok else "FAIL"
@@ -56,6 +69,24 @@ def generic_run():
     instance = build_generic_instance(mesh)
     config = SolverConfig(n=50, eps_start=1e-5, eps_factor=0.5, eps_min=1.6e-7)
     return run_outer_approximation(instance, config)
+
+
+def _csv_sha256(report):
+    return hashlib.sha256(serialize_report(report, "csv")).hexdigest()
+
+
+def test_exact_csv_pinned(exact_run):
+    assert _csv_sha256(exact_run[0]) == CSV_SHA256_N50["exact"]
+
+
+def test_generic_csv_pinned(generic_run):
+    assert _csv_sha256(generic_run) == CSV_SHA256_N50["generic"]
+
+
+def test_exact_cold_csv_pinned():
+    instance = build_exact_instance(build_friedrichs_keller(50))
+    report = run_outer_approximation(instance, SolverConfig(n=50, warm_start=False))
+    assert _csv_sha256(report) == CSV_SHA256_N50["exact-cold"]
 
 
 def test_criterion_1_exact_table(exact_run):
@@ -257,12 +288,12 @@ def test_criterion_7_exact_construction():
     from tvcontrol.instances import exact_div_phi_bar, exact_state
     from tvcontrol.mesh_fem import project_p0
 
-    p_bar = np.where(
-        mesh.boundary_node_mask, 0.0, exact_state(mesh.nodes[:, 0], mesh.nodes[:, 1])
-    )
+    p_bar = np.zeros(mesh.n_nodes)
+    interior = fk_interior_nodes(50)
+    p_bar[interior] = exact_state(*fk_nodes(50)[interior].T)
     residual = (
         -project_p0(exact_div_phi_bar, mesh, 4).values
-        + p_bar[mesh.triangles].mean(axis=1)
+        + p_bar[fk_triangles(50)].mean(axis=1)
         + instance.alpha * (instance.reference_u.values - instance.u_d.values)
     )
     knots = (3 / 16, 1 / 4, 5 / 16)

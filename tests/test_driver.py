@@ -264,6 +264,13 @@ def test_config_must_match_instance(field, value):
         run_outer_approximation(instance, config)
 
 
+def test_forms_must_match_instance_mesh():
+    instance = build_exact_instance(build_friedrichs_keller(16))
+    forms = build_forms(build_friedrichs_keller(8))
+    with pytest.raises(ValueError, match="forms were built for n = 8 .* mesh has n = 16"):
+        run_outer_approximation(instance, SolverConfig(n=16), forms)
+
+
 def test_max_outer_reported(monkeypatch):
     monkeypatch.setattr(driver, "MAX_OUTER_ITERATIONS", 3)
     mesh = build_friedrichs_keller(8)

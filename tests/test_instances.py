@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from oracles import exact_f_integrand, project_p0_by_einsum
+from oracles import (
+    exact_f_integrand,
+    fk_interior_nodes,
+    fk_nodes,
+    fk_triangles,
+    project_p0_by_einsum,
+)
 from tvcontrol import instances
 from tvcontrol.instances import (
     BALL_PERIMETER,
@@ -130,12 +136,10 @@ def test_certificate_on_interface_is_scaled_inward_normal():
 def test_gradient_equation_residual(exact50):
     mesh, inst = exact50
     # rebuild the pieces exactly as the constructor does
-    p_bar = np.where(
-        mesh.boundary_node_mask,
-        0.0,
-        exact_state(mesh.nodes[:, 0], mesh.nodes[:, 1]),
-    )
-    p_bar_cells = p_bar[mesh.triangles].mean(axis=1)
+    p_bar = np.zeros(mesh.n_nodes)
+    interior = fk_interior_nodes(mesh.n)
+    p_bar[interior] = exact_state(*fk_nodes(mesh.n)[interior].T)
+    p_bar_cells = p_bar[fk_triangles(mesh.n)].mean(axis=1)
     div_phi = project_p0(exact_div_phi_bar, mesh, 4)
     residual = (
         -div_phi.values
@@ -157,9 +161,8 @@ def test_exact_state_fields(exact50):
     mesh, inst = exact50
     # y_d carries the constant (0.1 - 0.8 pi^2) against the state profile
     idx = np.argmax(np.abs(inst.y_d.values))
-    coeff = inst.y_d.values[idx] / (
-        np.sin(2 * np.pi * mesh.nodes[idx, 0]) * np.sin(2 * np.pi * mesh.nodes[idx, 1])
-    )
+    x, y = fk_nodes(mesh.n)[idx]
+    coeff = inst.y_d.values[idx] / (np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))
     assert coeff == pytest.approx(0.1 - 0.8 * np.pi**2, rel=1e-9)
 
 
@@ -203,7 +206,7 @@ def test_generic_control_statistics(generic50):
 
 def test_generic_y_d_keeps_boundary_values(generic50):
     mesh, inst = generic50
-    top = mesh.boundary_node_mask & (mesh.nodes[:, 1] == 1.0)
+    top = fk_nodes(mesh.n)[:, 1] == 1.0
     assert np.abs(inst.y_d.values[top]).max() > 0.0
 
 

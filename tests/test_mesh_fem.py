@@ -18,6 +18,9 @@ from oracles import (
     basis_gradients,
     cell_areas,
     exact_f_integrand,
+    fk_interior_nodes,
+    fk_nodes,
+    fk_triangles,
     from_csr,
     interior_elasticity,
     interior_load,
@@ -30,6 +33,7 @@ from tvcontrol import instances, mesh_fem
 from tvcontrol.mesh_fem import (
     CELL_GRADIENTS,
     LAME_LAMBDA,
+    Mesh,
     P0_CHUNK_POINTS,
     SHEAR_MODULUS,
     P0Field,
@@ -56,10 +60,18 @@ def test_n2_by_hand():
     assert mesh.cell_area * mesh.n_cells == 1.0
 
 
+def test_mesh_is_its_size():
+    assert [f.name for f in dataclasses.fields(Mesh)] == ["n"]
+    mesh = build_friedrichs_keller(7)
+    assert mesh == Mesh(7) and mesh != Mesh(8)
+    assert (mesh.n_nodes, mesh.n_cells, mesh.n_interior) == (64, 98, 36)
+    assert mesh.cell_area == 0.5 / 49
+    assert not hasattr(build_forms(mesh), "interior_nodes")
+
+
 def test_paper_mesh_size():
     # the mesh size h is the longest edge, the square diagonal from corner 0 to 2
-    mesh = build_friedrichs_keller(50)
-    corners = mesh.nodes[mesh.triangles]
+    corners = fk_nodes(50)[fk_triangles(50)]
     edges = corners - np.roll(corners, 1, axis=1)
     longest = np.hypot(edges[..., 0], edges[..., 1]).max()
     assert longest == pytest.approx(np.sqrt(2.0) / 50, abs=1e-15)
@@ -70,18 +82,40 @@ def test_zero_subdivisions_rejected():
         build_friedrichs_keller(0)
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_mesh_without_subdivisions_rejected(n):
+    # a hand-built mesh is checked too, before its cell area divides by n^2
+    with pytest.raises(ValueError, match=f"at least one subdivision per side, got n={n}"):
+        Mesh(n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_corners_equal_the_triangle_list(n):
+    mesh = build_friedrichs_keller(n)
+    rng = np.random.default_rng(n)
+    for values in (rng.standard_normal(mesh.n_nodes), rng.standard_normal((mesh.n_nodes, 2))):
+        expected = values[fk_triangles(n)]
+        corners = mesh.corners(values)
+        assert corners.shape == expected.shape
+        assert corners.tobytes() == expected.tobytes()
+
+
 @settings(max_examples=8, deadline=None)
 @given(st.integers(min_value=1, max_value=8))
 def test_mesh_invariants(n):
     mesh = build_friedrichs_keller(n)
-    # counterclockwise cells, each of the area the mesh reports
+    # the reference list has the mesh's counts, with counterclockwise cells,
+    # each of the area the mesh reports
+    nodes, triangles = fk_nodes(n), fk_triangles(n)
+    assert nodes.shape == (mesh.n_nodes, 2) and triangles.shape == (mesh.n_cells, 3)
+    assert np.array_equal(np.unique(triangles), np.arange(mesh.n_nodes))
     areas = cell_areas(mesh)
     assert np.all(areas > 0)
     assert np.abs(areas - mesh.cell_area).max() <= 1e-14 * mesh.cell_area
     assert mesh.cell_area * mesh.n_cells == pytest.approx(1.0, abs=1e-15)
-    assert mesh.boundary_node_mask.sum() == 4 * n
-    on_edge = (mesh.nodes == 0.0) | (mesh.nodes == 1.0)
-    assert np.array_equal(mesh.boundary_node_mask, on_edge.any(axis=1))
+    interior = fk_interior_nodes(n)
+    assert interior.size == mesh.n_interior == mesh.n_nodes - 4 * n
+    assert np.all((nodes[interior] > 0.0) & (nodes[interior] < 1.0))
 
 
 def test_stiffness_rows_sum_to_zero():
@@ -119,7 +153,7 @@ def test_stiffness_equals_the_per_cell_assembly(n, rel_tol):
     # the per-cell entries are exact, 4 and -1, so is the product; at n = 50
     # and 100 the per-cell sums carry rounding noise of a few ulps
     mesh = build_friedrichs_keller(n)
-    v = np.random.default_rng(n).standard_normal(mesh.interior_nodes.size)
+    v = np.random.default_rng(n).standard_normal(mesh.n_interior)
     assert _matches(build_forms(mesh).stiffness(v), interior_stiffness(mesh), v, rel_tol)
 
 
@@ -131,7 +165,8 @@ def _poisson_max_error(n):
     )
     y_int = solve_sparse_spd(interior_stiffness(mesh), forms.load_interior(load.values))
     y = forms.full_scalar_field(y_int)
-    exact = np.sin(np.pi * mesh.nodes[:, 0]) * np.sin(np.pi * mesh.nodes[:, 1])
+    nodes = fk_nodes(n)
+    exact = np.sin(np.pi * nodes[:, 0]) * np.sin(np.pi * nodes[:, 1])
     return np.abs(y.values - exact).max()
 
 
@@ -164,7 +199,7 @@ def test_coupling_single_cell():
     forms = build_forms(mesh)
     for cell, interior_corners in [(8, [0, 1, 3]), (7, [2])]:
         column = forms.load_interior(np.eye(mesh.n_cells)[cell])
-        corners = np.flatnonzero(np.isin(forms.interior_nodes, mesh.triangles[cell]))
+        corners = np.flatnonzero(np.isin(fk_interior_nodes(3), fk_triangles(3)[cell]))
         assert corners.tolist() == interior_corners
         assert np.flatnonzero(column).tolist() == corners.tolist()
         assert np.allclose(column[corners], mesh.cell_area / 3.0, rtol=1e-15, atol=0.0)
@@ -187,7 +222,7 @@ def test_operators_are_symmetric(n):
 
 def _per_cell_references(mesh):
     """(form, its per-cell reference, input size): each form and its adjoint."""
-    interior = mesh.interior_nodes
+    interior = fk_interior_nodes(mesh.n)
     mass = assemble_mass_p1(mesh)[interior].tocsr()
     divergence = assemble_divergence(mesh)
     return [
@@ -233,7 +268,7 @@ def test_lame_constants():
     lam = 2900.0 * 0.4 / (1.4 * 0.2)
     mesh = build_friedrichs_keller(3)
     a = assemble_elasticity(mesh)
-    x1, x2 = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    x1, x2 = fk_nodes(3).T
     stretch = np.column_stack([x1, np.zeros_like(x1)]).ravel()  # phi = (x1, 0)
     shear = np.column_stack([x2, x1]).ravel()                    # phi = (x2, x1)
     assert stretch @ (a @ stretch) == pytest.approx(2.0 * mu + lam, rel=1e-12)
@@ -404,11 +439,11 @@ def test_divergence_of_hat_field():
     mesh = build_friedrichs_keller(3)
     forms = build_forms(mesh)
     position = 2
-    q = forms.interior_nodes[position]
+    q = fk_interior_nodes(3)[position]
     x = np.zeros(2 * forms.n_interior)
     x[2 * position] = 1.0
     expected = np.zeros(mesh.n_cells)
-    cells, corners = np.nonzero(mesh.triangles == q)
+    cells, corners = np.nonzero(fk_triangles(3) == q)
     expected[cells] = basis_gradients(mesh)[cells, corners, 0]
     assert np.array_equal(np.sort(expected[cells]), [-3.0, -3.0, 0.0, 0.0, 3.0, 3.0])
     assert np.array_equal(forms.divergence(x), expected)
@@ -445,7 +480,7 @@ def test_projection_of_disc_indicator():
 def test_projection_exact_for_affine():
     mesh = build_friedrichs_keller(4)
     f = lambda x, y: 1.0 + 2.0 * x - 3.0 * y
-    centroids = mesh.nodes[mesh.triangles].mean(axis=1)
+    centroids = fk_nodes(4)[fk_triangles(4)].mean(axis=1)
     exact = f(centroids[:, 0], centroids[:, 1])
     for depth in (0, 2):
         assert np.allclose(project_p0(f, mesh, depth).values, exact, atol=1e-13)
@@ -542,10 +577,26 @@ def test_projection_rejects_negative_depth():
 
 def test_interpolation_dirichlet_forcing():
     mesh = build_friedrichs_keller(4)
+    boundary = np.ones(mesh.n_nodes, dtype=bool)
+    boundary[fk_interior_nodes(4)] = False
     field = interpolate_p1(lambda x, y: np.cos(np.pi * y), mesh, dirichlet=True)
-    assert np.all(field.values[mesh.boundary_node_mask] == 0.0)
+    assert np.all(field.values[boundary] == 0.0)
     free = interpolate_p1(lambda x, y: np.cos(np.pi * y), mesh)
-    assert free.values[mesh.boundary_node_mask].max() == pytest.approx(1.0)
+    assert free.values[boundary].max() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_interpolation_dirichlet_zeroes_exactly_the_border(n):
+    # f is nonzero at every node, so the zeros are exactly the forced ones
+    mesh = build_friedrichs_keller(n)
+    nodes = fk_nodes(n)
+    f = lambda x, y: 2.0 + x + 3.0 * y
+    field = interpolate_p1(f, mesh, dirichlet=True).values
+    on_border = ((nodes == 0.0) | (nodes == 1.0)).any(axis=1)
+    assert np.array_equal(field == 0.0, on_border)
+    expected = f(nodes[:, 0], nodes[:, 1])
+    assert np.array_equal(field[~on_border], expected[~on_border])
+    assert np.array_equal(interpolate_p1(f, mesh).values, expected)
 
 
 def test_p0_norms():

@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 from oracles import (
     dense_newton_step,
     dual_objective,
+    fk_interior_nodes,
+    fk_nodes,
+    fk_triangles,
     interior_edge_cells_by_loop,
     interior_elasticity,
     projected_ascent_tv,
@@ -119,7 +122,7 @@ def test_discrete_tv_of_constant():
 def test_discrete_tv_single_triangle():
     mesh = build_friedrichs_keller(4)
     # a triangle near the center: all three of its edges are interior
-    centroids = mesh.nodes[mesh.triangles].mean(axis=1)
+    centroids = fk_nodes(4)[fk_triangles(4)].mean(axis=1)
     cell = int(np.argmin(np.abs(centroids[:, 0] - 0.5) + np.abs(centroids[:, 1] - 0.5)))
     u = np.zeros(mesh.n_cells)
     u[cell] = 3.0
@@ -135,9 +138,10 @@ def test_discrete_tv_single_jump():
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
 def test_discrete_tv_matches_an_edge_walk(n):
     mesh = build_friedrichs_keller(n)
-    cells = interior_edge_cells_by_loop(mesh.triangles)
+    triangles = fk_triangles(n)
+    cells = interior_edge_cells_by_loop(triangles)
     assert cells.shape == (3 * n * n - 2 * n, 2)
-    ends = mesh.nodes[[np.intersect1d(*mesh.triangles[pair]) for pair in cells]]
+    ends = fk_nodes(n)[[np.intersect1d(*triangles[pair]) for pair in cells]]
     lengths = np.hypot(*(ends[:, 1] - ends[:, 0]).T)
     u = np.random.default_rng(n).standard_normal(mesh.n_cells)
     walked = np.sum(lengths * np.abs(u[cells[:, 0]] - u[cells[:, 1]]))
@@ -263,7 +267,7 @@ def test_kkt_complementarity(forms4):
     u = _random_p0(forms4.mesh, 13)
     res = eval_tv_eps(u, 1e-5, forms4)
     assert res.converged
-    norms = np.linalg.norm(res.phi.values[forms4.interior_nodes], axis=1)
+    norms = np.linalg.norm(res.phi.values[fk_interior_nodes(4)], axis=1)
     active = res.ball_state.active_nodes
     lam = res.ball_state.multipliers
     assert np.all(norms <= 1.0 + 1e-9)
