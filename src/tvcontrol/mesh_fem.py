@@ -204,9 +204,10 @@ def project_p0(f, mesh: Mesh, subdivision_depth: int = 4) -> P0Field:
     out = np.empty((n, n, 2))  # cells in mesh order: row j, column i, triangle t
     for rows, cols in blocks:
         xs, ys = x[None, cols], y[rows, None]
-        vals = np.asarray(f(xs, ys), dtype=float)
         shape = np.broadcast_shapes(xs.shape, ys.shape)
-        out[rows, cols] = np.broadcast_to(vals, shape).mean(axis=-1)
+        # a block's values die in this statement, so the next block's
+        # integrand reuses their pages instead of faulting in fresh ones
+        out[rows, cols] = np.broadcast_to(np.asarray(f(xs, ys), dtype=float), shape).mean(axis=-1)
     return P0Field(out.ravel())
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -144,6 +145,21 @@ def test_small_runs_are_byte_identical(capsys):
     _, first = _run(capsys, ["--instance", "exact", *FAST])
     _, second = _run(capsys, ["--instance", "exact", *FAST])
     assert first == second
+
+
+# sha256 of `--n 1 --output json`: n = 1 has no interior node, so every band
+# factor and solve of the run is empty
+JSON_SHA256_N1 = {
+    "exact": "00b31cdcb84409a5d2a7dd09c20019cb026bc50cd18a994fae7e52c9d99ec633",
+    "generic": "79495942d4c7e615d6e6be8a4cd8d01d9a1b128e54be6b70df233ca925cb0fa4",
+}
+
+
+@pytest.mark.parametrize("instance", sorted(JSON_SHA256_N1))
+def test_smallest_mesh_json_pinned(capsys, instance):
+    code, out = _run(capsys, ["--instance", instance, "--n", "1", "--output", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == JSON_SHA256_N1[instance]
 
 
 def test_inner_failure_explained_on_stderr(capsys, monkeypatch):

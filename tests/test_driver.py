@@ -223,13 +223,13 @@ def test_one_band_factorization_per_newton_step(monkeypatch):
     # the certificate factors nothing: every banded Cholesky is a Newton step's,
     # apart from the master's one factor of the Laplacian per run
     factorizations = []
-    cholesky = sparse_linalg.cholesky_banded
+    dpbtrf = sparse_linalg.dpbtrf
 
     def counting(*args, **kwargs):
         factorizations.append(None)
-        return cholesky(*args, **kwargs)
+        return dpbtrf(*args, **kwargs)
 
-    monkeypatch.setattr(sparse_linalg, "cholesky_banded", counting)
+    monkeypatch.setattr(sparse_linalg, "dpbtrf", counting)
     mesh = build_friedrichs_keller(8)
     report = run_outer_approximation(build_exact_instance(mesh), SolverConfig(n=8))
     assert report.terminated == TOLERANCE_MET

@@ -339,10 +339,20 @@ def test_plane_base_solve_matches_a_direct_solve():
     assert np.abs(plane.base_solve - direct).max() <= 1e-10 * np.abs(direct).max()
 
 
+def _run_python(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports tvcontrol from this tree."""
+    src = str(Path(tvcontrol.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    return done.stdout.strip()
+
+
 def test_package_and_a_run_leave_sparse_linalg_unimported():
-    # the forms are stencils and the master's base solves need no sparse
-    # factorization, so neither scipy.sparse nor scipy.sparse.linalg, nor
-    # their memory, enter a run
+    # the forms are stencils, the master's base solves need no sparse
+    # factorization and the band Cholesky loads only SciPy's LAPACK wrappers,
+    # so neither scipy.sparse, scipy.sparse.linalg nor the scipy.linalg
+    # package, nor their memory, enter a run
     code = (
         "import sys, tvcontrol\n"
         "from tvcontrol.instances import build_exact_instance\n"
@@ -350,10 +360,35 @@ def test_package_and_a_run_leave_sparse_linalg_unimported():
         "report = tvcontrol.run_outer_approximation(\n"
         "    build_exact_instance(build_friedrichs_keller(4)), tvcontrol.SolverConfig(n=4))\n"
         "assert report.records\n"
-        "print('scipy.sparse.linalg' in sys.modules, 'scipy.sparse' in sys.modules)\n"
+        "print('scipy.sparse.linalg' in sys.modules, 'scipy.sparse' in sys.modules,\n"
+        "      'scipy.linalg' in sys.modules)\n"
     )
-    src = str(Path(tvcontrol.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), check=True)
-    assert done.stdout.strip() == "False False"
+    assert _run_python(code) == "False False False"
+
+
+@pytest.mark.parametrize("first", ["tvcontrol", "scipy.linalg"])
+def test_band_cholesky_matches_scipy_linalg_in_either_import_order(first):
+    # a scipy.linalg imported after tvcontrol still works, and one imported
+    # before lends tvcontrol its LAPACK wrappers; either way the factor and
+    # the solve are bitwise those of cholesky_banded and cho_solve_banded
+    second = {"tvcontrol": "scipy.linalg", "scipy.linalg": "tvcontrol"}[first]
+    code = (
+        "import sys, importlib\n"
+        f"importlib.import_module({first!r}); importlib.import_module({second!r})\n"
+        "import numpy as np, scipy.linalg as sl\n"
+        "from tvcontrol import sparse_linalg\n"
+        "rng = np.random.default_rng(5)\n"
+        "size, width = 40, 6\n"
+        "band = rng.uniform(-1.0, 1.0, (width + 1, size))\n"
+        "band[0] = 2.0 * width + rng.uniform(1.0, 2.0, size)\n"
+        "for k in range(1, width + 1):\n"
+        "    band[k, size - k:] = 0.0\n"
+        "b = rng.standard_normal(size)\n"
+        "factor = sl.cholesky_banded(band, lower=True)\n"
+        "expected = sl.cho_solve_banded((factor, True), b)\n"
+        "overwritten = np.asfortranarray(band)\n"
+        "x = sparse_linalg.factor_spd(overwritten)(b)\n"
+        "print(overwritten.tobytes() == factor.tobytes() and x.tobytes() == expected.tobytes(),\n"
+        "      sparse_linalg._flapack is sys.modules['scipy.linalg._flapack'])\n"
+    )
+    assert _run_python(code) == f"True {first == 'scipy.linalg'}"
