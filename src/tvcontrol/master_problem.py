@@ -14,7 +14,7 @@ the forms' stencils, and the base is solved by conjugate gradients on the
 control's reduced Hessian I + G^T K^-1 M K^-1 G (alpha I plus a compact
 smoothing term, up to scale), in a number of steps that does not grow with
 the mesh; each step makes two Poisson solves with the band factor of K,
-written from the 5-point stencil and factored once.
+which ``Forms.stiffness_band`` writes from the 5-point stencil, factored once.
 The operator owns the planes: ``add_plane`` makes each from the oracle's
 field and energy, drops it when its divergence repeats a stored one, and
 otherwise solves the base for its border column, once. With the data's
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh_fem import Forms, P0Field, P1ScalarField, P1VectorField, _p0_values, l2_error_p0
-from .sparse_linalg import factor_spd, lower_band
+from .sparse_linalg import factor_spd
 
 #: the active set is optimal once it repeats and the KKT residual is at most this
 KKT_TOL = 1e-8
@@ -92,10 +92,7 @@ class MasterOperator:
         scale = 1.0 / np.sqrt(self.alpha * area)
         self._g = lambda w: scale * forms.load_interior(w)
         self._gt = lambda q: scale * area * forms.cell_average(forms.full_scalar_field(q).values)
-        # the Laplacian's lower band: each node, its left neighbour and the one below
-        m, node = forms.mesh.n - 1, np.arange(forms.n_interior)
-        cols = np.stack([node, np.where(node % m > 0, node - 1, -1), node - m])
-        self._poisson = factor_spd(lower_band(node, cols, [[4.0], [-1.0], [-1.0]], node.size))
+        self._poisson = factor_spd(forms.stiffness_band())
 
         self._u_d = _p0_values(instance.u_d)
         self._y_d = instance.y_d.values

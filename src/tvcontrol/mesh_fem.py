@@ -10,11 +10,13 @@ All integrands appearing in the forms are piecewise polynomial, so they are
 exact. Every cell of the mesh is a right triangle with legs 1/n, so every
 form is a constant stencil of one cell area 1/(2n^2) and one table of basis
 gradients (``CELL_GRADIENTS``, times n). :class:`Forms` applies each by
-slicing grid-shaped arrays and stores no matrix, only the elasticity's 2x2
-node blocks for the oracle's bands. Discontinuous data is projected to P0 by
-midpoint quadrature on 4^depth subtriangles, on quadrature coordinates built
-once per grid column and once per grid row and walked in square blocks of
-cells (see :func:`_quadrature_blocks`).
+slicing grid-shaped arrays and stores nothing but the mesh. The bands the
+solvers factor, the 5-point Laplacian's and the oracle's Newton bands from
+the elasticity's four 2x2 node blocks, are written from the stencils too, so
+this module alone numbers the interior nodes. Discontinuous data is
+projected to P0 by midpoint quadrature on 4^depth subtriangles, on
+quadrature coordinates built once per grid column and once per grid row and
+walked in square blocks of cells (see :func:`_quadrature_blocks`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sparse_linalg import NodeBlocks
+from .sparse_linalg import lower_band
 
 #: Young's modulus and Poisson ratio of the elasticity energy form
 YOUNGS_MODULUS = 2900.0
@@ -248,6 +250,23 @@ def l2_error_p0(mesh: Mesh, u, v) -> float:
 LAPLACIAN_STENCIL = np.array([[0.0, -1.0, 0.0], [-1.0, 4.0, -1.0], [0.0, -1.0, 0.0]])
 MASS_STENCIL = np.array([[1, 1, 0], [1, 6, 1], [0, 1, 1]]) / 6.0
 
+#: the steps back, (rows, columns), from an interior node to the neighbours its
+#: lower band entries couple it to: itself, left, below and below-left. The square
+#: diagonals run from lower left to upper right, so no form couples a node to the
+#: one below-right.
+LOWER_STEPS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+#: the 5-point Laplacian's entries at ``LOWER_STEPS``
+LAPLACIAN_LOWER = np.array([LAPLACIAN_STENCIL[1 - dj, 1 - di] for dj, di in LOWER_STEPS])
+
+#: the elasticity's 2x2 node blocks at ``LOWER_STEPS``, the same at every interior node
+#: for every n (squared gradients scale as n^2, cell areas as 1/n^2): the shear, mu times
+#: the Laplacian's entries times I, plus mu + lam times the divergence energy's area D^T D
+ELASTICITY_BLOCKS = (SHEAR_MODULUS * np.multiply.outer(LAPLACIAN_LOWER, np.eye(2))
+                     + (SHEAR_MODULUS + LAME_LAMBDA) * np.array([
+                         [[2.0, -1.0], [-1.0, 2.0]], [[-1.0, 0.5], [0.5, 0.0]],
+                         [[0.0, 0.5], [0.5, -1.0]], [[0.0, -0.5], [-0.5, 0.0]]]))
+
 
 def _padded(values: np.ndarray, n: int) -> np.ndarray:
     """Interior node values, (n_interior, ...), on the (n+1, n+1, ...) grid, 0 on the boundary."""
@@ -271,6 +290,24 @@ def _interior_stencil(grid: np.ndarray, stencil: np.ndarray) -> np.ndarray:
     return out.reshape((side - 2, side) + grid.shape[2:])[:, :side - 2]
 
 
+def _stencil_band(column: np.ndarray, blocks, size: int) -> np.ndarray:
+    """The lower band, by ``lower_band``, of the matrix with the lower node blocks ``blocks``.
+
+    ``column`` (d, n-1, n-1) holds the band column of each of the d dofs of
+    every interior node, or -1 for a dropped dof; ``blocks[k]`` (d, d, ...)
+    couples each node to its neighbour at ``LOWER_STEPS[k]``, broadcast over
+    the grid of the nodes that have one.
+    """
+    d, m = column.shape[:2]
+    rows, cols, values = [], [], []
+    for (dj, di), block in zip(LOWER_STEPS, blocks):
+        row, col = column[:, dj:, di:], column[:, :m - dj, :m - di]
+        rows.append(row.reshape(d, 1, -1))
+        cols.append(col.reshape(1, d, -1))
+        values.append(np.broadcast_to(block, (d, d) + row.shape[1:]).reshape(d, d, -1))
+    return lower_band(*(np.concatenate(a, axis=-1) for a in (rows, cols, values)), size)
+
+
 @dataclass(frozen=True)
 class Forms:
     """All operators for one mesh, built by :func:`build_forms`, shared by the solvers.
@@ -280,12 +317,12 @@ class Forms:
     upper cell); none is stored as a matrix. Homogeneous Dirichlet dofs are
     eliminated by deletion, preserving exact symmetric positive definiteness:
     the (n-1)^2 interior nodes, off the grid's border, are numbered row by row
-    (no index array of them is kept), their vector dofs node-major.
+    (no index array of them is kept), their vector dofs node-major. The bands
+    the solvers factor are written from the same stencils, so the mesh is all
+    a ``Forms`` holds.
     """
 
     mesh: Mesh
-    #: the lower 2×2 node blocks of the elasticity, from which the oracle fills its bands
-    elasticity_blocks: NodeBlocks
 
     @property
     def n_interior(self) -> int:
@@ -366,43 +403,40 @@ class Forms:
         return (SHEAR_MODULUS * shear.ravel()
                 + (SHEAR_MODULUS + LAME_LAMBDA) * self.dual_load(self.divergence(x)))
 
+    def stiffness_band(self) -> np.ndarray:
+        """The lower band of ``stiffness``, written from ``LAPLACIAN_STENCIL``."""
+        m = self.mesh.n - 1
+        return _stencil_band(np.arange(m * m).reshape(1, m, m), LAPLACIAN_LOWER, m * m)
 
-def _interior_elasticity_blocks(n: int) -> NodeBlocks:
-    """The lower 2×2 node blocks of the elasticity on the (n - 1)^2 interior nodes.
+    def elasticity_band(self, scale, diagonal, frame, kept) -> np.ndarray:
+        """The lower band of Z^T (scale * A + D) Z, written from ``ELASTICITY_BLOCKS``.
 
-    Every interior node has all six triangles around it, so its blocks are
-    the same four for every node: itself and its left, below and below-left
-    neighbours, where those are interior. Squared gradients scale as n^2
-    and cell areas as 1/n^2, so with kappa = mu + lam the blocks are, for any n,
-
-        itself      [[4 mu + 2 kappa, -kappa], [-kappa, 4 mu + 2 kappa]]
-        below-left  [[0, -kappa/2], [-kappa/2, 0]]
-        below       [[-mu, kappa/2], [kappa/2, -mu - kappa]]
-        left        [[-mu - kappa, kappa/2], [kappa/2, -mu]]
-
-    in the ``NodeBlocks`` order: diagonal blocks first, then by row and column.
-    """
-    mu, kappa = SHEAR_MODULUS, SHEAR_MODULUS + LAME_LAMBDA
-    stencil = np.array([
-        [[4 * mu + 2 * kappa, -kappa], [-kappa, 4 * mu + 2 * kappa]],
-        [[0.0, -kappa / 2], [-kappa / 2, 0.0]],
-        [[-mu, kappa / 2], [kappa / 2, -mu - kappa]],
-        [[-mu - kappa, kappa / 2], [kappa / 2, -mu]],
-    ]).transpose(1, 2, 0)
-    # each interior node, numbered row by row, and its below-left, below and left neighbours
-    m = n - 1
-    node = np.arange(m * m, dtype=np.int32)
-    i, j = node % m, node // m
-    lower = node[:, None] + np.array([-m - 1, -m, -1], dtype=np.int32)
-    has = np.column_stack([(i > 0) & (j > 0), j > 0, i > 0])
-    block, kind = np.nonzero(has)
-    return NodeBlocks(
-        rows=np.concatenate([node, node[block]]),
-        cols=np.concatenate([node, lower[has]]),
-        values=np.take(stencil, np.concatenate([np.zeros(node.size, dtype=np.intp), kind + 1]), 2),
-    )
+        D adds ``diagonal[q]`` to both dofs of interior node q. Z rotates the
+        dofs of node q into its (radial, tangent) frame, with (cos, sin) =
+        ``frame[:, q]`` giving the radial direction, and keeps the rotated dofs
+        ``kept[q]``; its columns follow the kept dofs in order. Every block is
+        rotated by the frame of its row node, then of its column node; an
+        identity frame leaves a block's nonzero entries bitwise unchanged,
+        since 1·a + 0·b = a.
+        """
+        m = self.mesh.n - 1
+        cos, sin = np.reshape(frame, (2, m, m))
+        basis = np.array([[cos, -sin], [sin, cos]])
+        blocks = [scale * h[:, :, None, None] for h in ELASTICITY_BLOCKS]
+        # D on the diagonal of the own blocks; adding 0 * D leaves the rest unchanged
+        blocks[0] = blocks[0] + np.eye(2)[:, :, None, None] * diagonal.reshape(m, m)
+        for k, (dj, di) in enumerate(LOWER_STEPS):
+            h, z = blocks[k], basis[:, :, dj:, di:]
+            t = np.stack([z[0, 0] * h[0] + z[1, 0] * h[1], z[0, 1] * h[0] + z[1, 1] * h[1]])
+            z = basis[:, :, :m - dj, :m - di]
+            blocks[k] = np.stack(
+                [z[0, 0] * t[:, 0] + z[1, 0] * t[:, 1], z[0, 1] * t[:, 0] + z[1, 1] * t[:, 1]],
+                axis=1,
+            )
+        column = np.where(kept, np.cumsum(kept).reshape(-1, 2) - 1, -1).T
+        return _stencil_band(column.reshape(2, m, m), blocks, np.count_nonzero(kept))
 
 
 def build_forms(mesh: Mesh) -> Forms:
-    """All operators for one mesh, from ``mesh.n`` alone: :class:`Forms` and its node blocks."""
-    return Forms(mesh=mesh, elasticity_blocks=_interior_elasticity_blocks(mesh.n))
+    """All operators for one mesh: :class:`Forms`, which is ``mesh.n`` alone."""
+    return Forms(mesh)

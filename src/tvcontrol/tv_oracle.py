@@ -80,11 +80,11 @@ def eval_tv_eps(
     and the last step's active set and multipliers; the same, with
     ``converged=False``, after MAX_NEWTON_STEPS steps.
     Without ``warm_start`` the iteration starts from phi = 0 with no active
-    node, directly at ``eps``. Raises ValueError when ``u`` or ``warm_start``
-    does not match the mesh of ``forms``.
+    node, directly at ``eps``. Raises ValueError unless 0 < eps < inf, and
+    when ``u`` or ``warm_start`` does not match the mesh of ``forms``.
     """
-    if eps <= 0.0:
-        raise ValueError(f"regularization weight must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"regularization weight must be positive and finite, got {eps}")
     n_int = forms.n_interior
     mesh = forms.mesh
     if _p0_values(u).shape != (mesh.n_cells,):
@@ -167,9 +167,10 @@ def _newton_step(forms, b, eps, x, lam, active):
     (1 + ||Z^T (rhs - H x_fixed)||_inf). Returns the new x and lambda, and
     A x, which the caller reuses.
 
-    No sparse matrix is built: Z^T H Z goes straight into band storage from
-    the 2×2 node blocks of A (``NodeBlocks.reduced_band``), and the products
-    with H and Z are taken node by node around ``forms.elasticity(v)``.
+    No sparse matrix is built: Z^T H Z is written into band storage from the
+    stencil of A, its four constant 2×2 node blocks (``Forms.elasticity_band``),
+    and the products with H and Z are taken node by node around
+    ``forms.elasticity(v)``.
 
     Two stabilizations of the plain linearization: the operator uses the
     nonnegative part of the multipliers (it stays positive definite while
@@ -203,7 +204,7 @@ def _newton_step(forms, b, eps, x, lam, active):
     x_frame[idx, 0] = (1.0 + radii**2) / (2.0 * radii)
     x_fixed = _from_frame(x_frame, frame)
 
-    band = forms.elasticity_blocks.reduced_band(eps, node_diagonal, frame, kept)
+    band = forms.elasticity_band(eps, node_diagonal, frame, kept)
     h_fixed = eps * forms.elasticity(x_fixed) + diagonal * x_fixed
     reduced_rhs = _to_frame(rhs - h_fixed, frame)[kept]
     x_frame[kept] = solve_spd(band, reduced_rhs)

@@ -4,8 +4,8 @@ Everything here deliberately avoids the code paths under test: dense
 Gaussian elimination instead of sparse factorizations, projected gradient
 ascent instead of the active-set iteration, the full dense saddle system
 instead of the oracle's null-space reduction, dense products instead of
-its band filled from node blocks, node blocks gathered from the per-cell
-elasticity matrix instead of the closed-form stencil, active-set
+its band written from the elasticity's node blocks, a band's product
+summed diagonal by diagonal instead of the stencils', active-set
 enumeration on dense KKT systems instead of the bordered solver, a
 dictionary walk over the triangles instead of the edge families read off
 the cell grid, one ``einsum`` over every quadrature point of the mesh
@@ -48,7 +48,6 @@ from tvcontrol.mesh_fem import (
 )
 from tvcontrol.sparse_linalg import (
     RESIDUAL_TOL,
-    NodeBlocks,
     NotPositiveDefiniteError,
     lower_band,
     solve_spd,
@@ -234,19 +233,13 @@ def interior_elasticity(mesh: Mesh):
     return assemble_elasticity(mesh)[np.ix_(dofs, dofs)].tocsr()
 
 
-def node_blocks_product(blocks: NodeBlocks, x: np.ndarray) -> np.ndarray:
-    """A x for the symmetric A whose lower 2×2 node blocks are ``blocks``.
-
-    Each block acts on its column node's dofs; an off-diagonal block also
-    acts transposed on its row node's.
-    """
-    v = x.reshape(-1, 2)
-    out = np.zeros_like(v)
-    off = blocks.rows != blocks.cols
-    np.add.at(out, blocks.rows, np.einsum("pqk,kq->kp", blocks.values, v[blocks.cols]))
-    np.add.at(out, blocks.cols[off],
-              np.einsum("pqk,kp->kq", blocks.values[:, :, off], v[blocks.rows[off]]))
-    return out.ravel()
+def symmetric_band_product(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for the symmetric A whose LAPACK lower band is ``band``: band[d, j] = A[j + d, j]."""
+    out = band[0] * x
+    for d in range(1, band.shape[0]):
+        out[d:] += band[d, :-d] * x[:-d]
+        out[:-d] += band[d, :-d] * x[d:]
+    return out
 
 
 def dense_master_base(mesh: Mesh, alpha: float) -> np.ndarray:
@@ -285,32 +278,6 @@ def dense_gaussian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def from_csr(matrix) -> NodeBlocks:
-    """The lower 2×2 node blocks of a symmetric CSR matrix, summing duplicate entries.
-
-    Gathered from the matrix's stored entries, in the ``NodeBlocks`` order:
-    diagonal blocks first, then by row and column.
-    """
-    nodes = matrix.shape[0] // 2
-    row = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    col = matrix.indices.astype(np.int64)
-    lower = row // 2 >= col // 2
-    row, col = row[lower], col[lower]
-    keys, block = np.unique((row // 2) * nodes + col // 2, return_inverse=True)
-    # diagonal blocks first, in node order
-    order = np.argsort(keys // nodes != keys % nodes, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    values = np.zeros((2, 2, keys.size))
-    np.add.at(values, (row % 2, col % 2, rank[block]), matrix.data[lower])
-    keys = keys[order]
-    return NodeBlocks(
-        rows=(keys // nodes).astype(np.int32),
-        cols=(keys % nodes).astype(np.int32),
-        values=values,
-    )
-
-
 def interior_edge_cells_by_loop(triangles) -> np.ndarray:
     """(left, right) cells of each edge shared by two triangles, by first appearance."""
     seen: dict[tuple[int, int], list[int]] = {}
@@ -338,18 +305,26 @@ def projected_ascent_tv(u, eps: float, forms: Forms, iterations: int = 100_000) 
     """Maximize the regularized dual objective by projected gradient ascent.
 
     Step size 1/L with L the operator norm of eps*A; the feasible set is the
-    product of nodal unit balls.
+    product of nodal unit balls. Returns the value at the iterate after
+    ``iterations`` steps. Once an iterate equals one of the two before it
+    bitwise, the iteration only repeats a fixed point or a 2-cycle, so it
+    stops there with the iterate of the cycle that the last step reaches.
     """
     a = interior_elasticity(forms.mesh).toarray()
     b = assemble_divergence(forms.mesh).T @ (cell_areas(forms.mesh) * _p0_values(u))
     step = 1.0 / (eps * np.linalg.eigvalsh(a).max())
-    x = np.zeros(b.size)
-    for _ in range(iterations):
-        x = x + step * (b - eps * (a @ x))
-        pts = x.reshape(-1, 2)
+    x, before = np.zeros(b.size), None
+    for k in range(1, iterations + 1):
+        pts = (x + step * (b - eps * (a @ x))).reshape(-1, 2)
         norms = np.linalg.norm(pts, axis=1)
         pts /= np.maximum(norms, 1.0)[:, None]
-        x = pts.ravel()
+        if np.array_equal(pts.ravel(), x):
+            break
+        if before is not None and np.array_equal(pts.ravel(), before):
+            # the iterates alternate from here: step k, k + 2, ... land on pts
+            x = pts.ravel() if (iterations - k) % 2 == 0 else x
+            break
+        before, x = x, pts.ravel()
     return float(-0.5 * eps * (x @ a @ x) + b @ x)
 
 

@@ -21,18 +21,18 @@ from oracles import (
     fk_interior_nodes,
     fk_nodes,
     fk_triangles,
-    from_csr,
     interior_elasticity,
     interior_load,
     interior_stiffness,
-    node_blocks_product,
     project_p0_by_einsum,
     solve_sparse_spd,
+    symmetric_band_product,
 )
 from tvcontrol import instances, mesh_fem
 from tvcontrol.mesh_fem import (
     CELL_GRADIENTS,
     LAME_LAMBDA,
+    Forms,
     Mesh,
     P0_CHUNK_POINTS,
     SHEAR_MODULUS,
@@ -45,6 +45,7 @@ from tvcontrol.mesh_fem import (
     l2_norm_p0,
     project_p0,
 )
+from tvcontrol.sparse_linalg import lower_band
 
 
 def test_smallest_mesh():
@@ -155,6 +156,12 @@ def test_stiffness_equals_the_per_cell_assembly(n, rel_tol):
     mesh = build_friedrichs_keller(n)
     v = np.random.default_rng(n).standard_normal(mesh.n_interior)
     assert _matches(build_forms(mesh).stiffness(v), interior_stiffness(mesh), v, rel_tol)
+    # the master's band, written from the same stencil
+    ref = interior_stiffness(mesh).tocoo()
+    expected = lower_band(ref.row, ref.col, ref.data, mesh.n_interior)
+    band = build_forms(mesh).stiffness_band()
+    assert band.shape == expected.shape
+    assert np.abs(band - expected).max() <= rel_tol * 4.0
 
 
 def _poisson_max_error(n):
@@ -305,13 +312,6 @@ def test_stencil_elasticity_equals_the_per_cell_assembly(n, rel_tol):
     v = np.random.default_rng(n).standard_normal(2 * forms.n_interior)
     assert _matches(forms.elasticity(v), ref, v, rel_tol)
 
-    blocks, expected = forms.elasticity_blocks, from_csr(ref)
-    # each entry of all blocks is one contiguous array, as reduced_band expects
-    assert blocks.values.flags.c_contiguous
-    assert np.array_equal(blocks.rows, expected.rows)
-    assert np.array_equal(blocks.cols, expected.cols)
-    assert np.abs(blocks.values - expected.values).max() <= rel_tol * np.abs(ref.data).max()
-
 
 @pytest.mark.parametrize("n", [2, 3, 8, 16, 50, 100])
 def test_elasticity_is_shear_plus_divergence_energy(n):
@@ -328,27 +328,39 @@ def test_elasticity_is_shear_plus_divergence_energy(n):
     assert np.abs(ref - identity).max() <= 1e-14 * np.abs(ref.data).max()
 
 
+def _elasticity_band(forms):
+    """The band of A itself: no node rotated, every dof kept, no diagonal added."""
+    size = forms.n_interior
+    identity = np.array([np.ones(size), np.zeros(size)])
+    return forms.elasticity_band(1.0, np.zeros(size), identity, np.ones((size, 2), dtype=bool))
+
+
 @pytest.mark.parametrize("n", [2, 3, 8, 50])
 def test_elasticity_product_equals_its_node_blocks(n):
-    # the shear Laplacian plus the divergence energy, against the closed-form
-    # node blocks the oracle's bands are filled from: equal up to rounding
+    # the shear Laplacian plus the divergence energy, against the band written
+    # from the closed-form node blocks the oracle's bands come from: equal up
+    # to rounding
     forms = build_forms(build_friedrichs_keller(n))
-    blocks = forms.elasticity_blocks
-    magnitudes = dataclasses.replace(blocks, values=np.abs(blocks.values))
+    band = _elasticity_band(forms)
     for seed in range(3):
         v = np.random.default_rng(seed).standard_normal(2 * forms.n_interior)
-        scale = node_blocks_product(magnitudes, np.abs(v)).max()
-        error = np.abs(forms.elasticity(v) - node_blocks_product(blocks, v)).max()
+        scale = symmetric_band_product(np.abs(band), np.abs(v)).max()
+        error = np.abs(forms.elasticity(v) - symmetric_band_product(band, v)).max()
         assert error <= 1e-15 * scale
 
 
-def test_smallest_mesh_has_empty_elasticity_blocks():
+def test_smallest_mesh_has_empty_bands():
     forms = build_forms(build_friedrichs_keller(1))
-    blocks = forms.elasticity_blocks
-    assert blocks.rows.size == blocks.cols.size == 0
-    assert blocks.values.shape == (2, 2, 0)
+    assert _elasticity_band(forms).shape == forms.stiffness_band().shape == (1, 0)
     assert forms.elasticity(np.zeros(0)).shape == (0,)
     assert forms.stiffness(np.zeros(0)).shape == (0,)
+
+
+def test_forms_hold_only_the_mesh():
+    # every band is written from a stencil when it is needed, so nothing else is stored
+    mesh = build_friedrichs_keller(50)
+    assert [field.name for field in dataclasses.fields(Forms)] == ["mesh"]
+    assert build_forms(mesh) == Forms(mesh)
 
 
 def _fixed_vector(size):
@@ -400,11 +412,9 @@ def test_forms_bytes_are_pinned(n, name):
 
 
 def test_build_forms_memory_at_n100():
-    # with the per-cell elasticity assembly (720 000 COO entries at n = 100)
-    # this peaked at 68.9 MB, with the stencils summed from COO triplets at
-    # 18.9 MB and written straight into CSR at 11.4 MB. Applied as stencils,
-    # the forms build only the elasticity's node blocks: 2.67 MB traced, 1.55
-    # MB of which they return; the bound leaves 0.8 MB of margin
+    # the forms hold only the mesh, 320 bytes traced; with the per-cell
+    # elasticity assembly (720 000 COO entries at n = 100) this peaked at 68.9
+    # MB, and with the elasticity's node blocks stored at 2.67 MB
     mesh = build_friedrichs_keller(100)
     tracemalloc.start()
     try:
@@ -412,7 +422,7 @@ def test_build_forms_memory_at_n100():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5e6
+    assert peak <= 4096
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])

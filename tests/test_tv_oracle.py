@@ -316,6 +316,17 @@ def test_invalid_inputs(forms4):
         eval_tv_eps(P0Field(np.ones(3)), 1e-5, forms4)
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.inf], ids=["nan", "inf"])
+def test_nonfinite_eps_rejected_before_any_step(forms4, monkeypatch, eps):
+    # a NaN eps passes the test eps <= 0 and would take Newton steps full of NaNs
+    def no_step(*args):
+        raise AssertionError("Newton step taken")
+
+    monkeypatch.setattr(tv_oracle, "_newton_step", no_step)
+    with pytest.raises(ValueError, match="positive and finite"):
+        eval_tv_eps(_random_p0(forms4.mesh, 16), eps, forms4)
+
+
 def test_warm_start_from_another_mesh_rejected(forms4, forms8):
     u = _random_p0(forms8.mesh, 17)
     coarse = eval_tv_eps(_random_p0(forms4.mesh, 17), 1e-5, forms4)
