@@ -52,19 +52,42 @@ class ProblemInstance:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
 
-def _psi_and_prime(r):
-    """psi and psi' from one set of branch masks; floats for a scalar r."""
-    scalar = np.ndim(r) == 0
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    lower = (r >= PSI_SUPPORT[0]) & (r <= 0.25)
-    upper = (r > 0.25) & (r <= PSI_SUPPORT[1])
-    value, slope = np.zeros_like(r), np.zeros_like(r)
-    rl, ru = r[lower], r[upper]
-    value[lower] = ((-8192.0 * rl + 5376.0) * rl - 1152.0) * rl + 81.0
-    value[upper] = ((8192.0 * ru - 6912.0) * ru + 1920.0) * ru - 175.0
-    slope[lower] = (-24576.0 * rl + 10752.0) * rl - 1152.0
-    slope[upper] = (24576.0 * ru - 13824.0) * ru + 1920.0
-    return (float(value[0]), float(slope[0])) if scalar else (value, slope)
+#: psi's cubics on 3/16 <= rho <= 1/4 and on 1/4 < rho <= 5/16, highest power first,
+#: and their derivatives
+PSI_CUBICS = ((-8192.0, 5376.0, -1152.0, 81.0), (8192.0, -6912.0, 1920.0, -175.0))
+PSI_SLOPES = tuple((3.0 * a, 2.0 * b, c) for a, b, c, _ in PSI_CUBICS)
+
+
+def _horner(coefficients, r, out, where=True):
+    """The polynomial with these coefficients, highest power first, at r, into out where ``where``."""
+    np.multiply(coefficients[0], r, out=out, where=where)
+    for c in coefficients[1:-1]:
+        np.add(out, c, out=out, where=where)
+        np.multiply(out, r, out=out, where=where)
+    np.add(out, coefficients[-1], out=out, where=where)
+
+
+def _psi_and_prime(r, value, slope):
+    """psi and psi' at the radii r, written into value and slope, arrays like r.
+
+    Each is the lower cubic by Horner's rule on every point, overwritten by
+    the upper one where r > 1/4 and by 0 off PSI_SUPPORT: bitwise the
+    formulas evaluated branch by branch.
+    """
+    upper = r > 0.25
+    off = ~((r >= PSI_SUPPORT[0]) & (r <= PSI_SUPPORT[1]))
+    for out, (lower_cubic, upper_cubic) in ((value, PSI_CUBICS), (slope, PSI_SLOPES)):
+        _horner(lower_cubic, r, out)
+        _horner(upper_cubic, r, out, where=upper)
+        np.copyto(out, 0.0, where=off)
+    return value, slope
+
+
+def _psi_pair(r):
+    """psi and psi' at r; floats for a scalar r."""
+    r = np.asarray(r, dtype=float)
+    value, slope = _psi_and_prime(r, np.empty_like(r), np.empty_like(r))
+    return (float(value), float(slope)) if r.ndim == 0 else (value, slope)
 
 
 def psi(r):
@@ -73,12 +96,12 @@ def psi(r):
     psi(3/16) = psi(5/16) = 0, psi(1/4) = 1, |psi| <= 1, and psi' vanishes
     at all three knots.
     """
-    return _psi_and_prime(r)[0]
+    return _psi_pair(r)[0]
 
 
 def psi_prime(r):
     """Derivative of :func:`psi`, branchwise."""
-    return _psi_and_prime(r)[1]
+    return _psi_pair(r)[1]
 
 
 def exact_u_bar(x1, x2):
@@ -104,14 +127,22 @@ def exact_phi_bar(x1, x2):
     return np.stack([scale * dx, scale * dy], axis=-1)
 
 
-def exact_div_phi_bar(x1, x2):
-    """Divergence of the certificate: -s (psi'(rho) + psi(rho)/rho), s = CERTIFICATE_SCALE."""
-    dx = np.asarray(x1, dtype=float) - BALL_CENTER[0]
-    dy = np.asarray(x2, dtype=float) - BALL_CENTER[1]
-    rho = np.hypot(dx, dy)
-    safe = np.where(rho > 0.0, rho, 1.0)
-    value, slope = _psi_and_prime(rho)
-    return -CERTIFICATE_SCALE * (slope + value / safe)
+def exact_div_phi_bar(x1, x2, out=None):
+    """Divergence of the certificate: -s (psi'(rho) + psi(rho)/rho), s = CERTIFICATE_SCALE.
+
+    x1 and x2 broadcast against each other. With ``out``, a float array of
+    their broadcast shape, the result is written there and ``out`` returned,
+    bitwise the result without it; then the call allocates two more such
+    arrays (rho and psi) and the branch masks.
+    """
+    x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+    result = np.empty(x1.shape) if out is None else out
+    rho, value = np.empty(x1.shape), np.empty(x1.shape)
+    np.hypot(np.subtract(x1, BALL_CENTER[0], out=value), np.subtract(x2, BALL_CENTER[1], out=result), out=rho)
+    _psi_and_prime(rho, value, result)
+    np.divide(value, rho, out=value, where=rho > 0.0)  # psi = 0 at rho = 0, and 0 / 1 = 0
+    np.multiply(-CERTIFICATE_SCALE, np.add(result, value, out=result), out=result)
+    return result if out is not None else result[()]
 
 
 def _exact_projections(mesh: Mesh, subdivision_depth: int):
@@ -120,13 +151,19 @@ def _exact_projections(mesh: Mesh, subdivision_depth: int):
     Bitwise equal to ``project_p0`` of :func:`exact_u_bar`, of
     f = -Laplace exact_state - u_bar = LAPLACE_FACTOR sin(2 pi x1) sin(2 pi x2) - u_bar
     and of :func:`exact_div_phi_bar`. The terms in one coordinate are built
-    once for the whole grid, the disc indicator once per point for u_bar and
-    f, and the divergence only on the cells that may meet PSI_SUPPORT; it is
-    -0.0 at every other point. Each block is written into buffers allocated
-    once per call.
+    once for the whole grid. Bounds on each cell's rho sort the cells into
+    those wholly inside the disc, wholly outside it and cut by its circle:
+    u_bar is the mean of 4^depth values 1/perimeter or 0 on the first two
+    kinds and the indicator is evaluated point by point on cut cells only,
+    and f subtracts u_bar's point values on inside and cut cells only
+    (x - 0.0 is x). The divergence is evaluated, in place, only on the
+    cells that may meet PSI_SUPPORT, one call per block; every other cell
+    takes the mean of 4^depth values -0.0, which is +0.0. Each block is
+    written into buffers allocated once per call.
     """
     n = mesh.n
     x, y, blocks = _quadrature_blocks(mesh, subdivision_depth)
+    q = x.shape[-1]
     dx, dy = x - BALL_CENTER[0], y - BALL_CENTER[1]
     dx2, dy2 = dx**2, dy**2
     sin_x, sin_y = LAPLACE_FACTOR * np.sin(2 * np.pi * x), np.sin(2 * np.pi * y)
@@ -136,29 +173,34 @@ def _exact_projections(mesh: Mesh, subdivision_depth: int):
     near = np.hypot(np.abs(dy).min(axis=-1)[:, None], np.abs(dx).min(axis=-1)[None])
     far = np.hypot(np.abs(dy).max(axis=-1)[:, None], np.abs(dx).max(axis=-1)[None])
     annulus = (far >= PSI_SUPPORT[0] - 1e-12) & (near <= PSI_SUPPORT[1] + 1e-12)
+    inside = far < BALL_RADIUS - 1e-12
+    cut = ~inside & (near <= BALL_RADIUS + 1e-12)
 
+    # the cell means of constant point values, summed as the midpoint rule sums them
+    u_bar = np.where(inside, np.full(q, 1.0 / BALL_PERIMETER).mean(), 0.0)
+    div_phi = np.full((n, n, 2), np.full(q, -0.0).mean())
+    f = np.empty((n, n, 2))
     rows, cols = blocks[0]
-    size = (rows.stop - rows.start) * (cols.stop - cols.start) * x[0].size
-    inside_buf = np.empty(size, dtype=bool)
-    u_buf, f_buf, div_buf = np.empty(size), np.empty(size), np.empty(size)
-    u_bar, f, div_phi = np.empty((n, n, 2)), np.empty((n, n, 2)), np.empty((n, n, 2))
+    size = (rows.stop - rows.start) * (cols.stop - cols.start) * 2 * q
+    f_buf, x_buf, y_buf, div_buf = np.empty(size), np.empty(size), np.empty(size), np.empty(size)
+    x_cells, y_cells = x.reshape(-1, q), y.reshape(-1, q)  # row 2k + t: triangle t of column or row k
     for rows, cols in blocks:
-        shape = (rows.stop - rows.start, cols.stop - cols.start) + x.shape[1:]
-        inside, u_pts, f_pts, div_pts = (
-            buf[: math.prod(shape)].reshape(shape) for buf in (inside_buf, u_buf, f_buf, div_buf)
-        )
-        np.add(dx2[None, cols], dy2[rows, None], out=u_pts)
-        np.less(u_pts, BALL_RADIUS**2, out=inside)
-        np.divide(inside, BALL_PERIMETER, out=u_pts)
+        shape = (rows.stop - rows.start, cols.stop - cols.start, 2, q)
+        f_pts = f_buf[: math.prod(shape)].reshape(shape)
         np.multiply(sin_x[None, cols], sin_y[rows, None], out=f_pts)
-        np.subtract(f_pts, u_pts, out=f_pts)
-        div_pts.fill(-0.0)
-        j, i, t = np.nonzero(annulus[rows, cols])
+        np.subtract(f_pts, 1.0 / BALL_PERIMETER, out=f_pts, where=inside[rows, cols, :, None])
+        j, i, t = np.nonzero(cut[rows, cols])
         if j.size:
-            div_pts[j, i, t] = exact_div_phi_bar(x[cols.start + i, t], y[rows.start + j, t])
-        u_bar[rows, cols] = u_pts.mean(axis=-1)
+            u_pts = (dx2[cols.start + i, t] + dy2[rows.start + j, t] < BALL_RADIUS**2) / BALL_PERIMETER
+            f_pts[j, i, t] -= u_pts
+            u_bar[rows, cols][j, i, t] = u_pts.mean(axis=-1)
         f[rows, cols] = f_pts.mean(axis=-1)
-        div_phi[rows, cols] = div_pts.mean(axis=-1)
+        j, i, t = np.nonzero(annulus[rows, cols])
+        if j.size:  # the gathered points; mode="clip" lets np.take write out unbuffered
+            x_pts, y_pts, div_pts = (buf[: j.size * q].reshape(j.size, q) for buf in (x_buf, y_buf, div_buf))
+            np.take(x_cells, 2 * (cols.start + i) + t, axis=0, out=x_pts, mode="clip")
+            np.take(y_cells, 2 * (rows.start + j) + t, axis=0, out=y_pts, mode="clip")
+            div_phi[rows, cols][j, i, t] = exact_div_phi_bar(x_pts, y_pts, out=div_pts).mean(axis=-1)
     return u_bar.ravel(), f.ravel(), div_phi.ravel()
 
 

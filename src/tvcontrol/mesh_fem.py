@@ -22,6 +22,7 @@ walked in square blocks of cells (see :func:`_quadrature_blocks`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -69,6 +70,9 @@ class Mesh:
     n: int
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not hasattr(self.n, "__index__"):
+            raise TypeError(f"the number of subdivisions must be an integer, got n={self.n!r}")
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < 1:
             raise ValueError(f"need at least one subdivision per side, got n={self.n}")
 

@@ -30,7 +30,9 @@ from tvcontrol.instances import (
     psi,
     psi_prime,
 )
-from tvcontrol.mesh_fem import P0Field, P1ScalarField, build_friedrichs_keller, project_p0
+from tvcontrol.mesh_fem import (
+    P0Field, P1ScalarField, _quadrature_blocks, build_friedrichs_keller, project_p0,
+)
 from tvcontrol.tv_oracle import discrete_tv
 
 # total variation of 2 pi^2 sin(pi x1) cos(pi x2); adaptive quadrature against
@@ -46,6 +48,60 @@ def _bump_lower(r):
 
 def _bump_upper(r):
     return ((8192.0 * r - 6912.0) * r + 1920.0) * r - 175.0
+
+
+def _bump_lower_slope(r):
+    return (-24576.0 * r + 10752.0) * r - 1152.0
+
+
+def _bump_upper_slope(r):
+    return (24576.0 * r - 13824.0) * r + 1920.0
+
+
+def _branchwise_div_phi_bar(x1, x2):
+    # the divergence with each cubic evaluated on its own branch only
+    rho = np.hypot(x1 - 0.5, x2 - 0.5)
+    lower, upper = (KNOTS[0] <= rho) & (rho <= KNOTS[1]), (KNOTS[1] < rho) & (rho <= KNOTS[2])
+    value, slope = np.zeros_like(rho), np.zeros_like(rho)
+    value[lower], slope[lower] = _bump_lower(rho[lower]), _bump_lower_slope(rho[lower])
+    value[upper], slope[upper] = _bump_upper(rho[upper]), _bump_upper_slope(rho[upper])
+    return -CERTIFICATE_SCALE * (slope + value / np.where(rho > 0.0, rho, 1.0))
+
+
+def _divergence_probe_points():
+    # the centre, points on each knot and one ulp of x either side, and
+    # points off the annulus on both sides of it, on the x axis and a diagonal
+    on_axis = [0.5] + [np.nextafter(0.5 + k, side) for k in KNOTS for side in (0.0, 0.5 + k, 1.0)]
+    on_axis += [0.55, 0.6, 0.9, 1.0]
+    x1 = np.array(on_axis + on_axis)
+    x2 = np.concatenate([np.full(len(on_axis), 0.5), np.array(on_axis)])
+    return x1, x2
+
+
+def test_psi_returns_a_float_for_a_scalar_and_an_array_for_an_array():
+    assert type(psi(0.2)) is float and type(psi_prime(0.3)) is float
+    r = np.array([[0.0, 0.2], [0.25, 0.3]])
+    for values in (psi(r), psi_prime(r)):
+        assert isinstance(values, np.ndarray) and values.shape == r.shape
+    assert psi(r)[1, 0] == 1.0 and psi_prime(r)[0, 0] == 0.0
+
+
+def test_divergence_writes_into_out_bitwise():
+    x1, x2 = _divergence_probe_points()
+    rho = np.hypot(x1 - 0.5, x2 - 0.5)
+    for knot in KNOTS:  # on each knot and a hair either side
+        assert (rho == knot).any() and (rho < knot).any() and (rho > knot).any()
+        assert np.sort(np.abs(rho - knot))[2] < 1e-15
+    assert (rho == 0.0).any() and (rho > KNOTS[2]).sum() >= 4
+    expected = _branchwise_div_phi_bar(x1, x2)
+    buf = np.full(x1.shape, np.nan)
+    assert exact_div_phi_bar(x1, x2, out=buf) is buf
+    assert buf.tobytes() == exact_div_phi_bar(x1, x2).tobytes() == expected.tobytes()
+    # x broadcast against y, as the quadrature blocks pass them
+    grid = np.empty((x1.size, x1.size))
+    assert exact_div_phi_bar(x1[None], x1[:, None], out=grid) is grid
+    assert grid.tobytes() == _branchwise_div_phi_bar(x1[None], x1[:, None]).tobytes()
+    assert isinstance(exact_div_phi_bar(0.75, 0.5), np.float64)
 
 
 def test_bump_knot_values():
@@ -282,8 +338,8 @@ def test_instance_bytes_are_pinned_at_other_depths(n, label, depth):
     assert _instance_digest(label, n, depth) == INSTANCE_SHA256_BY_DEPTH[n, label, depth]
 
 
-@pytest.mark.parametrize("depth", [0, 1, 2, 4])
-@pytest.mark.parametrize("n", [1, 2, 3, 16, 50, 100])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 12, 16, 50, 100])
 def test_one_pass_exact_projections_match_einsum_bitwise(n, depth):
     mesh = build_friedrichs_keller(n)
     one_pass = instances._exact_projections(mesh, depth)
@@ -292,16 +348,19 @@ def test_one_pass_exact_projections_match_einsum_bitwise(n, depth):
 
 
 def test_divergence_evaluated_near_its_annulus_only():
-    # psi vanishes off 3/16 <= rho <= 5/16, about a fifth of the square
+    # psi vanishes off 3/16 <= rho <= 5/16. The per-axis bounds on rho put
+    # 1168 cells of the n = 50 mesh near it (1140 hold a point in it), and
+    # the divergence runs on their 4^depth points only, in one call per block
     points = []
 
-    def counting(x1, x2):
+    def counting(x1, x2, out=None):
         points.append(np.broadcast(x1, x2).size)
-        return exact_div_phi_bar(x1, x2)
+        return exact_div_phi_bar(x1, x2, out=out)
 
     with patch.object(instances, "exact_div_phi_bar", counting):
         build_exact_instance(build_friedrichs_keller(50), subdivision_depth=4)
-    assert 0 < sum(points) <= 0.25 * 2 * 50**2 * 4**4
+    assert sum(points) == 1168 * 4**4 == 299_008
+    assert len(points) <= len(_quadrature_blocks(build_friedrichs_keller(50), 4)[2])
 
 
 def _build_peak_bytes(n):

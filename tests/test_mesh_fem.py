@@ -83,11 +83,21 @@ def test_zero_subdivisions_rejected():
         build_friedrichs_keller(0)
 
 
-@pytest.mark.parametrize("n", [0, -2])
+@pytest.mark.parametrize("n", [0, -2, 2.5, 8.0, True])
 def test_mesh_without_subdivisions_rejected(n):
     # a hand-built mesh is checked too, before its cell area divides by n^2
-    with pytest.raises(ValueError, match=f"at least one subdivision per side, got n={n}"):
-        Mesh(n)
+    # and before set-up takes a float or a bool for a count
+    if type(n) is int:
+        with pytest.raises(ValueError, match=f"at least one subdivision per side, got n={n}"):
+            Mesh(n)
+    else:
+        with pytest.raises(TypeError, match=f"must be an integer, got n={n}"):
+            Mesh(n)
+
+
+def test_mesh_takes_a_numpy_integer_as_its_size():
+    mesh = Mesh(np.int64(8))
+    assert type(mesh.n) is int and mesh == Mesh(8)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
