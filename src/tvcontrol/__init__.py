@@ -15,7 +15,6 @@ from .mesh_fem import (
     P0Field,
     P1ScalarField,
     P1VectorField,
-    build_forms,
     build_friedrichs_keller,
 )
 from .reporting import dump_field, load_field, serialize_report
@@ -39,7 +38,6 @@ __all__ = [
     "RunReport",
     "SolverConfig",
     "build_exact_instance",
-    "build_forms",
     "build_friedrichs_keller",
     "build_generic_instance",
     "compute_eoc",

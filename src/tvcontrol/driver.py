@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .master_problem import CuttingPlane, MasterOperator, MasterSolution
-from .mesh_fem import Forms, P0Field, build_forms, l2_error_p0, l2_norm_p0
+from .mesh_fem import Mesh, P0Field, l2_error_p0, l2_norm_p0
 from .tv_oracle import OracleResult, eval_tv_eps, tv_lower_bound
 
 TOLERANCE_MET = "tolerance_met"
@@ -82,7 +82,7 @@ class RunReport:
     terminated: str
     final_control: P0Field | None
     planes: list[CuttingPlane]
-    config: SolverConfig | None = None
+    config: SolverConfig
     failure: str | None = None  # which inner solver failed, where, and how far off
 
 
@@ -134,9 +134,7 @@ def _failure_message(solver: str, k: int, eps: float, steps: int, unit: str,
     )
 
 
-def run_outer_approximation(
-    instance, config: SolverConfig, forms: Forms | None = None
-) -> RunReport:
+def run_outer_approximation(instance, config: SolverConfig, mesh: Mesh | None = None) -> RunReport:
     """Run the cutting-plane loop and collect one record per outer iteration.
 
     Each iteration makes one oracle call, at the current eps. From the
@@ -151,11 +149,11 @@ def run_outer_approximation(
     residual (the master's) or duality gap (the oracle's). Raises
     ValueError when ``config.n``, ``config.alpha`` or
     ``config.subdivision_depth`` disagrees with the instance, since the
-    report echoes the config, or when ``forms`` were built for another mesh.
+    report echoes the config, or when ``mesh`` is not the instance's: an
+    argument kept only for ``perfbench/sample.py``, which passes ``build_forms(mesh)``.
     """
-    mesh = instance.mesh
-    if config.n != mesh.n:
-        raise ValueError(f"config.n = {config.n} but the instance mesh has n = {mesh.n}")
+    if config.n != instance.mesh.n:
+        raise ValueError(f"config.n = {config.n} but the instance mesh has n = {instance.mesh.n}")
     if config.alpha != instance.alpha:
         raise ValueError(
             f"config.alpha = {config.alpha} but the instance has alpha = {instance.alpha}"
@@ -165,12 +163,10 @@ def run_outer_approximation(
             f"config.subdivision_depth = {config.subdivision_depth} but the instance "
             f"was built with subdivision_depth = {instance.subdivision_depth}"
         )
-    if forms is None:
-        forms = build_forms(mesh)
-    elif forms.mesh != mesh:
-        raise ValueError(f"the forms were built for n = {forms.mesh.n} "
-                         f"but the instance mesh has n = {mesh.n}")
-    master_op = MasterOperator(instance, forms)
+    if mesh is not None and mesh != instance.mesh:
+        raise ValueError(f"the forms were built for n = {mesh.n} "
+                         f"but the instance mesh has n = {instance.mesh.n}")
+    master_op = MasterOperator(instance)
 
     records: list[IterationRecord] = []
     eps = config.eps_start
@@ -191,7 +187,7 @@ def run_outer_approximation(
             break
         final_control = master.u
 
-        oracle = eval_tv_eps(master.u, eps, forms, warm_start=oracle_warm)
+        oracle = eval_tv_eps(master.u, eps, instance.mesh, warm_start=oracle_warm)
         if not oracle.converged:
             terminated = INNER_FAILURE
             failure = _failure_message(
@@ -201,7 +197,7 @@ def run_outer_approximation(
             break
 
         err = (
-            rel_error(mesh, master.u, instance.reference_u)
+            rel_error(instance.mesh, master.u, instance.reference_u)
             if instance.reference_u is not None
             else None
         )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh_fem import (
-    Mesh, P0Field, P1ScalarField, _quadrature_blocks, interpolate_p1, project_p0,
+    Mesh, P0Field, P1ScalarField, _integer, _quadrature_blocks, interpolate_p1, project_p0,
 )
 
 BALL_RADIUS = 0.25
@@ -50,6 +50,8 @@ class ProblemInstance:
     def __post_init__(self):
         if not 0.0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        self.subdivision_depth = _integer(self.subdivision_depth, "subdivision_depth",
+                                          "the quadrature depth")
 
 
 #: psi's cubics on 3/16 <= rho <= 1/4 and on 1/4 < rho <= 5/16, highest power first,

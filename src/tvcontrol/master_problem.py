@@ -10,11 +10,11 @@ over P0 controls and P1 states. The control is eliminated analytically from
 the gradient equation p + alpha (u - u_d) + sum_i mu_i div(phi_i) = 0, which
 leaves a symmetric KKT system in (y, p) bordered by one column per plane.
 Its plane-free base [[-M, K], [K, G G^T]] is never stored: M, K and G are
-the forms' stencils, and the base is solved by conjugate gradients on the
+the mesh's stencils, and the base is solved by conjugate gradients on the
 control's reduced Hessian I + G^T K^-1 M K^-1 G (alpha I plus a compact
 smoothing term, up to scale), in a number of steps that does not grow with
 the mesh; each step makes two Poisson solves with the band factor of K,
-which ``Forms.stiffness_band`` writes from the 5-point stencil, factored once.
+which ``Mesh.stiffness_band`` writes from the 5-point stencil, factored once.
 The operator owns the planes: ``add_plane`` makes each from the oracle's
 field and energy, drops it when its divergence repeats a stored one, and
 otherwise solves the base for its border column, once. With the data's
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_fem import Forms, P0Field, P1ScalarField, P1VectorField, _p0_values, l2_error_p0
+from .mesh_fem import P0Field, P1ScalarField, _p0_values, l2_error_p0
 from .sparse_linalg import factor_spd
 
 #: the active set is optimal once it repeats and the KKT residual is at most this
@@ -63,7 +63,6 @@ class CuttingPlane:
 
     div_phi: P0Field
     energy: float
-    id: int
     border: np.ndarray
     base_solve: np.ndarray
 
@@ -84,48 +83,46 @@ class MasterSolution:
 class MasterOperator:
     """The plane-free blocks, the Laplacian's factor and the planes added so far."""
 
-    def __init__(self, instance, forms: Forms):
-        self.forms = forms
+    def __init__(self, instance):
+        self.mesh = mesh = instance.mesh
         self.alpha = instance.alpha
         # G = B / sqrt(alpha |T|), and B^T is |T| times the cell average
-        area = forms.mesh.cell_area
+        area = mesh.cell_area
         scale = 1.0 / np.sqrt(self.alpha * area)
-        self._g = lambda w: scale * forms.load_interior(w)
-        self._gt = lambda q: scale * area * forms.cell_average(forms.full_scalar_field(q).values)
-        self._poisson = factor_spd(forms.stiffness_band())
+        self._g = lambda w: scale * mesh.load_interior(w)
+        self._gt = lambda q: scale * area * mesh.cell_average(mesh.full_scalar_field(q).values)
+        self._poisson = factor_spd(mesh.stiffness_band())
 
         self._u_d = _p0_values(instance.u_d)
         self._y_d = instance.y_d.values
-        self.rhs0 = np.concatenate([-forms.mass_interior(self._y_d),
-                                    forms.load_interior(self._u_d + _p0_values(instance.f))])
+        self.rhs0 = np.concatenate([-mesh.mass_interior(self._y_d),
+                                    mesh.load_interior(self._u_d + _p0_values(instance.f))])
         self._x0 = self._base_solve(self.rhs0)
         self.planes: list[CuttingPlane] = []
 
-    def add_plane(self, phi: P1VectorField, energy: float) -> bool:
-        """Store the cut of the oracle's field ``phi`` with its energy a[phi, phi].
+    def add_plane(self, phi: np.ndarray, energy: float) -> bool:
+        """Store the cut of the oracle's field, its interior dofs ``phi``, with energy a[phi, phi].
 
         Returns False, storing nothing, when the divergence is within
-        DUPLICATE_TOL in L2 of a stored plane's; otherwise the plane gets the
-        next id and its border column is solved with the base, once.
+        DUPLICATE_TOL in L2 of a stored plane's; otherwise the plane is
+        appended and its border column is solved with the base, once.
         """
-        forms = self.forms
-        div_phi = P0Field(forms.divergence(forms.interior_vector(phi)))
-        if any(l2_error_p0(forms.mesh, div_phi, p.div_phi) < DUPLICATE_TOL for p in self.planes):
+        mesh = self.mesh
+        div_phi = P0Field(mesh.divergence(phi))
+        if any(l2_error_p0(mesh, div_phi, p.div_phi) < DUPLICATE_TOL for p in self.planes):
             return False
-        border = np.zeros(2 * forms.n_interior)
+        border = np.zeros(2 * mesh.n_interior)
         # the plane's row needs this column, the state rows its negative (ROADMAP.md, item 16)
-        border[forms.n_interior:] = -forms.load_interior(div_phi.values) / self.alpha
-        self.planes.append(
-            CuttingPlane(div_phi, energy, len(self.planes), border, self._base_solve(border))
-        )
+        border[mesh.n_interior:] = -mesh.load_interior(div_phi.values) / self.alpha
+        self.planes.append(CuttingPlane(div_phi, energy, border, self._base_solve(border)))
         return True
 
     def apply_base(self, x: np.ndarray) -> np.ndarray:
-        """The plane-free base [[-M, K], [K, G G^T]] times x = (y, p), from the forms' stencils."""
-        forms, n_i = self.forms, self.forms.n_interior
+        """The plane-free base [[-M, K], [K, G G^T]] times x = (y, p), from the mesh's stencils."""
+        mesh, n_i = self.mesh, self.mesh.n_interior
         y, p = x[:n_i], x[n_i:]
-        return np.concatenate([forms.stiffness(p) - forms.mass_interior(y),
-                               forms.stiffness(y) + self._g(self._gt(p))])
+        return np.concatenate([mesh.stiffness(p) - mesh.mass_interior(y),
+                               mesh.stiffness(y) + self._g(self._gt(p))])
 
     def _base_solve(self, rhs: np.ndarray) -> np.ndarray:
         """base^{-1} rhs by CG on the reduced Hessian; RuntimeError after MAX_CG_STEPS.
@@ -133,7 +130,7 @@ class MasterOperator:
         With P = K^-1 M K^-1 and q = K^-1 r1 + P r2 it solves (I + G^T P G) w = G^T q;
         y = K^-1 (r2 - G w) and p = q - P G w come from K^-1 G w and P G w, carried along.
         """
-        poisson, mass, n_i = self._poisson, self.forms.mass_interior, self.forms.n_interior
+        poisson, mass, n_i = self._poisson, self.mesh.mass_interior, self.mesh.n_interior
         s = poisson(rhs[n_i:])
         q = poisson(rhs[:n_i] + mass(s))
         r = self._gt(q)
@@ -164,18 +161,18 @@ class MasterOperator:
         planes and reclassifies a plane as active iff mu_i - slack_i > 0. It
         stops once the active set repeats and the KKT residual is at most
         KKT_TOL, or after MAX_ACTIVE_SET_ITERATIONS with ``converged=False``.
-        Raises SingularBorderError, naming the active plane ids, when that
+        Raises SingularBorderError, naming the active planes' indices, when that
         Schur block is singular or the bordered residual exceeds
         1e-9 (1 + ||rhs||_inf).
         """
-        forms = self.forms
+        mesh = self.mesh
         planes = self.planes
-        n_i = forms.n_interior
+        n_i = mesh.n_interior
         k = len(planes)
         alpha = self.alpha
-        area = forms.mesh.cell_area
+        area = mesh.cell_area
 
-        div = np.reshape([p.div_phi.values for p in planes], (k, forms.mesh.n_cells))
+        div = np.reshape([p.div_phi.values for p in planes], (k, mesh.n_cells))
         energies = np.array([p.energy for p in planes])
         rhs_targets = 1.0 + 0.5 * eps * energies                     # per-plane bound
         border = np.reshape([p.border for p in planes], (k, 2 * n_i)).T
@@ -198,11 +195,10 @@ class MasterOperator:
         for _ in range(MAX_ACTIVE_SET_ITERATIONS):
             iterations += 1
             idx = np.flatnonzero(active)
-            ids = [planes[i].id for i in idx]
             try:
                 mu_act = np.linalg.solve(schur[np.ix_(idx, idx)], r[idx])
             except np.linalg.LinAlgError as exc:
-                raise SingularBorderError(f"cutting planes {ids}") from exc
+                raise SingularBorderError(f"cutting planes {idx.tolist()}") from exc
             xy = self._x0 - xc[:, idx] @ mu_act
             border_act, block_act = border[:, idx], block[np.ix_(idx, idx)]
             res = max(
@@ -213,15 +209,15 @@ class MasterOperator:
             if not res <= bound:
                 raise SingularBorderError(
                     f"bordered solve residual {res:.3e} exceeds bound {bound:.3e}; "
-                    f"cutting planes {ids}"
+                    f"cutting planes {idx.tolist()}"
                 )
 
-            y_full = forms.full_scalar_field(xy[:n_i])
-            p_full = forms.full_scalar_field(xy[n_i:])
+            y_full = mesh.full_scalar_field(xy[:n_i])
+            p_full = mesh.full_scalar_field(xy[n_i:])
             mu = np.zeros(k)
             mu[idx] = mu_act
 
-            p_bar = forms.cell_average(p_full.values)
+            p_bar = mesh.cell_average(p_full.values)
             u = self._u_d - (p_bar + mu @ div) / alpha
             slack = rhs_targets - div @ (area * u)
             active_next = (mu - slack) > 0.0
@@ -247,7 +243,7 @@ class MasterOperator:
         )
 
     def objective_value(self, u, y: P1ScalarField) -> float:
-        mesh = self.forms.mesh
+        mesh = self.mesh
         # on a cell T the P1 mass gives int d^2 = |T|/12 ((sum_a d_a)^2 + sum_a d_a^2)
         d = mesh.corners(y.values - self._y_d)
         squares = float(np.sum(d.sum(axis=1) ** 2 + np.sum(d * d, axis=1)))

@@ -1,4 +1,4 @@
-"""Structured triangular mesh on the unit square and finite element forms.
+"""Structured triangular mesh on the unit square and its finite element forms.
 
 Provides the Friedrichs-Keller triangulation of (0,1)^2, given by n alone,
 piecewise-constant (P0) and continuous piecewise-linear (P1) fields, and the
@@ -9,10 +9,10 @@ divergence.
 All integrands appearing in the forms are piecewise polynomial, so they are
 exact. Every cell of the mesh is a right triangle with legs 1/n, so every
 form is a constant stencil of one cell area 1/(2n^2) and one table of basis
-gradients (``CELL_GRADIENTS``, times n). :class:`Forms` applies each by
-slicing grid-shaped arrays and stores nothing but the mesh. The bands the
-solvers factor, the 5-point Laplacian's and the oracle's Newton bands from
-the elasticity's four 2x2 node blocks, are written from the stencils too, so
+gradients (``CELL_GRADIENTS``, times n). :class:`Mesh` applies each by
+slicing grid-shaped arrays and stores nothing but n. The bands the solvers
+factor, the 5-point Laplacian's and the oracle's Newton bands from the
+elasticity's four 2x2 node blocks, are written from the stencils too, so
 this module alone numbers the interior nodes. Discontinuous data is
 projected to P0 by midpoint quadrature on 4^depth subtriangles, on
 quadrature coordinates built once per grid column and once per grid row and
@@ -65,14 +65,18 @@ class Mesh:
     ``j*(n+1) + i``; cells are stored by grid row j, then column i, then the
     lower and upper triangle of the square (``CELL_CORNERS``), so node values
     reshape to (n+1, n+1) and cell values to (n, n, 2).
+
+    Its methods are the forms the solvers share, each applied as its stencil
+    on arrays shaped like the node or the cell grid, none stored as a
+    matrix. Dirichlet dofs are eliminated by deletion, which keeps the forms
+    exactly SPD: the (n-1)^2 interior nodes are numbered row by row, their
+    vector dofs node-major.
     """
 
     n: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not hasattr(self.n, "__index__"):
-            raise TypeError(f"the number of subdivisions must be an integer, got n={self.n!r}")
-        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "n", _integer(self.n, "n", "the number of subdivisions"))
         if self.n < 1:
             raise ValueError(f"need at least one subdivision per side, got n={self.n}")
 
@@ -99,6 +103,105 @@ class Mesh:
         grid = v.reshape((n + 1, n + 1) + v.shape[1:])
         at = [grid[j:j + n, i:i + n] for i, j in CELL_CORNERS.reshape(-1, 2)]
         return np.stack(at, axis=2).reshape((self.n_cells, 3) + v.shape[1:])
+
+    def full_scalar_field(self, y_int: np.ndarray) -> P1ScalarField:
+        return P1ScalarField(_padded(y_int, self.n).ravel())
+
+    def stiffness(self, y: np.ndarray) -> np.ndarray:
+        """K y on the interior nodes: the 5-point Laplacian, SPD."""
+        return _interior_stencil(_padded(y, self.n), LAPLACIAN_STENCIL).ravel()
+
+    def mass_interior(self, y: np.ndarray) -> np.ndarray:
+        """The P1 mass at the interior rows times y, on all nodes or on the interior ones only."""
+        n = self.n
+        grid = _padded(y, n) if y.size == self.n_interior else y.reshape(n + 1, n + 1)
+        return _interior_stencil(grid, self.cell_area * MASS_STENCIL).ravel()
+
+    def cell_average(self, p: np.ndarray) -> np.ndarray:
+        """Each cell's mean of p on all nodes: its square's diagonal and one more corner."""
+        n = self.n
+        g = p.reshape(n + 1, n + 1)
+        diagonal = g[:-1, :-1] + g[1:, 1:]
+        return (np.stack([diagonal + g[:-1, 1:], diagonal + g[1:, :-1]], axis=-1) / 3.0).ravel()
+
+    def load_interior(self, u) -> np.ndarray:
+        """B u = int u * basis dx at the interior nodes, the cell average's adjoint times the area.
+
+        A third of the area times u on the six cells around a node: its own
+        square, the one below-left, and one cell of the squares below and left.
+        """
+        n = self.n
+        c = _p0_values(u).reshape(n, n, 2)
+        square = c[..., 0] + c[..., 1]
+        around = square[:-1, :-1] + c[:-1, 1:, 1] + c[1:, :-1, 0] + square[1:, 1:]
+        return (self.cell_area / 3.0 * around).ravel()
+
+    def divergence(self, x: np.ndarray) -> np.ndarray:
+        """D x: div phi on each cell, from the interior vector dofs x of phi.
+
+        n times the x-difference along the lower cell's bottom edge (upper
+        cell's top edge) plus the y-difference along its right (left) edge.
+        """
+        n = self.n
+        g = _padded(x.reshape(-1, 2), n)
+        along_rows, along_columns = np.diff(g[..., 0], axis=1), np.diff(g[..., 1], axis=0)
+        lower = along_rows[:-1] + along_columns[:, 1:]
+        upper = along_columns[:, :-1] + along_rows[1:]
+        return (n * np.stack([lower, upper], axis=-1)).ravel()
+
+    def dual_load(self, u) -> np.ndarray:
+        """D^T (area u): b_j = int u * div(basis_j) dx over the interior vector dofs.
+
+        At a node, n times the jumps of area * u across the grid lines through it.
+        """
+        n = self.n
+        v = (self.cell_area * _p0_values(u)).reshape(n, n, 2)
+        across_columns, across_rows = v[:, :-1] - v[:, 1:], v[:-1] - v[1:]
+        first = across_columns[:-1, :, 1] + across_columns[1:, :, 0]
+        second = across_rows[:, :-1, 0] + across_rows[:, 1:, 1]
+        return (n * np.stack([first, second], axis=-1)).ravel()
+
+    def elasticity(self, x: np.ndarray) -> np.ndarray:
+        """A x = mu (K kron I) x + (mu + lam) area D^T D x on the interior vector dofs, A SPD.
+
+        On fields that vanish on the boundary: the shear and the divergence energy.
+        """
+        shear = _interior_stencil(_padded(x.reshape(-1, 2), self.n), LAPLACIAN_STENCIL)
+        return (SHEAR_MODULUS * shear.ravel()
+                + (SHEAR_MODULUS + LAME_LAMBDA) * self.dual_load(self.divergence(x)))
+
+    def stiffness_band(self) -> np.ndarray:
+        """The lower band of ``stiffness``, written from ``LAPLACIAN_STENCIL``."""
+        m = self.n - 1
+        return _stencil_band(np.arange(m * m).reshape(1, m, m), LAPLACIAN_LOWER, m * m)
+
+    def elasticity_band(self, scale, diagonal, frame, kept) -> np.ndarray:
+        """The lower band of Z^T (scale * A + D) Z, written from ``ELASTICITY_BLOCKS``.
+
+        D adds ``diagonal[q]`` to both dofs of interior node q. Z rotates the
+        dofs of node q into its (radial, tangent) frame, with (cos, sin) =
+        ``frame[:, q]`` giving the radial direction, and keeps the rotated dofs
+        ``kept[q]``; its columns follow the kept dofs in order. Every block is
+        rotated by the frame of its row node, then of its column node; an
+        identity frame leaves a block's nonzero entries bitwise unchanged,
+        since 1·a + 0·b = a.
+        """
+        m = self.n - 1
+        cos, sin = np.reshape(frame, (2, m, m))
+        basis = np.array([[cos, -sin], [sin, cos]])
+        blocks = [scale * h[:, :, None, None] for h in ELASTICITY_BLOCKS]
+        # D on the diagonal of the own blocks; adding 0 * D leaves the rest unchanged
+        blocks[0] = blocks[0] + np.eye(2)[:, :, None, None] * diagonal.reshape(m, m)
+        for k, (dj, di) in enumerate(LOWER_STEPS):
+            h, z = blocks[k], basis[:, :, dj:, di:]
+            t = np.stack([z[0, 0] * h[0] + z[1, 0] * h[1], z[0, 1] * h[0] + z[1, 1] * h[1]])
+            z = basis[:, :, :m - dj, :m - di]
+            blocks[k] = np.stack(
+                [z[0, 0] * t[:, 0] + z[1, 0] * t[:, 1], z[0, 1] * t[:, 0] + z[1, 1] * t[:, 1]],
+                axis=1,
+            )
+        column = np.where(kept, np.cumsum(kept).reshape(-1, 2) - 1, -1).T
+        return _stencil_band(column.reshape(2, m, m), blocks, np.count_nonzero(kept))
 
 
 @dataclass
@@ -133,6 +236,13 @@ class P1VectorField:
             raise ValueError("P1VectorField values must have shape (n_nodes, 2)")
 
 
+def _integer(value, name: str, meaning: str) -> int:
+    """``value`` by ``operator.index``; TypeError naming ``name`` for a bool or a non-integer."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"{meaning} must be an integer, got {name}={value!r}")
+    return operator.index(value)
+
+
 def build_friedrichs_keller(n: int) -> Mesh:
     """Triangulate (0,1)^2 into 2*n^2 right triangles with legs 1/n (see :class:`Mesh`)."""
     return Mesh(n)
@@ -143,8 +253,8 @@ def elasticity_floor(mesh: Mesh) -> float:
 
     On fields that vanish on the boundary, integrating by parts gives
     a[phi, phi] = mu ||grad phi||^2 + (mu + lam) ||div phi||^2 >= mu ||grad phi||^2,
-    the split ``Forms.elasticity`` applies, and the P1 stiffness of the
-    interior nodes is the 5-point Laplacian (``Forms.stiffness``), whose
+    the split ``Mesh.elasticity`` applies, and the P1 stiffness of the
+    interior nodes is the 5-point Laplacian (``Mesh.stiffness``), whose
     smallest eigenvalue is 8 sin^2(pi / 2n).
     """
     return SHEAR_MODULUS * 8.0 * math.sin(math.pi / (2 * mesh.n)) ** 2
@@ -176,7 +286,10 @@ def _quadrature_blocks(mesh: Mesh, subdivision_depth: int):
     rows. side^2 * 2 * 4^depth is at most ``P0_CHUNK_POINTS`` (side = 1 if
     one grid square alone holds more). On the Friedrichs-Keller mesh a
     quadrature point's x depends only on its column and y only on its row.
+    Raises TypeError for a bool or non-integer depth, ValueError for a
+    negative one.
     """
+    subdivision_depth = _integer(subdivision_depth, "subdivision_depth", "the quadrature depth")
     if subdivision_depth < 0:
         raise ValueError(f"subdivision_depth must be nonnegative, got {subdivision_depth}")
     n = mesh.n
@@ -312,135 +425,6 @@ def _stencil_band(column: np.ndarray, blocks, size: int) -> np.ndarray:
     return lower_band(*(np.concatenate(a, axis=-1) for a in (rows, cols, values)), size)
 
 
-@dataclass(frozen=True)
-class Forms:
-    """All operators for one mesh, built by :func:`build_forms`, shared by the solvers.
-
-    Each form is applied as its stencil, by slicing arrays shaped like the
-    node grid (row j, column i) or the cell grid (row j, column i, lower and
-    upper cell); none is stored as a matrix. Homogeneous Dirichlet dofs are
-    eliminated by deletion, preserving exact symmetric positive definiteness:
-    the (n-1)^2 interior nodes, off the grid's border, are numbered row by row
-    (no index array of them is kept), their vector dofs node-major. The bands
-    the solvers factor are written from the same stencils, so the mesh is all
-    a ``Forms`` holds.
-    """
-
-    mesh: Mesh
-
-    @property
-    def n_interior(self) -> int:
-        return self.mesh.n_interior
-
-    def interior_vector(self, phi: P1VectorField) -> np.ndarray:
-        """Flatten a boundary-vanishing vector field to interior dofs (node-major)."""
-        n = self.mesh.n
-        return phi.values.reshape(n + 1, n + 1, 2)[1:-1, 1:-1].ravel()
-
-    def full_vector_field(self, x: np.ndarray) -> P1VectorField:
-        """Expand interior vector dofs to a full nodal field with zero boundary."""
-        return P1VectorField(_padded(x.reshape(-1, 2), self.mesh.n).reshape(-1, 2))
-
-    def full_scalar_field(self, y_int: np.ndarray) -> P1ScalarField:
-        return P1ScalarField(_padded(y_int, self.mesh.n).ravel())
-
-    def stiffness(self, y: np.ndarray) -> np.ndarray:
-        """K y on the interior nodes: the 5-point Laplacian, SPD."""
-        return _interior_stencil(_padded(y, self.mesh.n), LAPLACIAN_STENCIL).ravel()
-
-    def mass_interior(self, y: np.ndarray) -> np.ndarray:
-        """The P1 mass at the interior rows times y, on all nodes or on the interior ones only."""
-        n = self.mesh.n
-        grid = _padded(y, n) if y.size == self.n_interior else y.reshape(n + 1, n + 1)
-        return _interior_stencil(grid, self.mesh.cell_area * MASS_STENCIL).ravel()
-
-    def cell_average(self, p: np.ndarray) -> np.ndarray:
-        """Each cell's mean of p on all nodes: its square's diagonal and one more corner."""
-        n = self.mesh.n
-        g = p.reshape(n + 1, n + 1)
-        diagonal = g[:-1, :-1] + g[1:, 1:]
-        return (np.stack([diagonal + g[:-1, 1:], diagonal + g[1:, :-1]], axis=-1) / 3.0).ravel()
-
-    def load_interior(self, u) -> np.ndarray:
-        """B u = int u * basis dx at the interior nodes, the cell average's adjoint times the area.
-
-        A third of the area times u on the six cells around a node: its own
-        square, the one below-left, and one cell of the squares below and left.
-        """
-        n = self.mesh.n
-        c = _p0_values(u).reshape(n, n, 2)
-        square = c[..., 0] + c[..., 1]
-        around = square[:-1, :-1] + c[:-1, 1:, 1] + c[1:, :-1, 0] + square[1:, 1:]
-        return (self.mesh.cell_area / 3.0 * around).ravel()
-
-    def divergence(self, x: np.ndarray) -> np.ndarray:
-        """D x: div phi on each cell, from the interior vector dofs x of phi.
-
-        n times the x-difference along the lower cell's bottom edge (upper
-        cell's top edge) plus the y-difference along its right (left) edge.
-        """
-        n = self.mesh.n
-        g = _padded(x.reshape(-1, 2), n)
-        along_rows, along_columns = np.diff(g[..., 0], axis=1), np.diff(g[..., 1], axis=0)
-        lower = along_rows[:-1] + along_columns[:, 1:]
-        upper = along_columns[:, :-1] + along_rows[1:]
-        return (n * np.stack([lower, upper], axis=-1)).ravel()
-
-    def dual_load(self, u) -> np.ndarray:
-        """D^T (area u): b_j = int u * div(basis_j) dx over the interior vector dofs.
-
-        At a node, n times the jumps of area * u across the grid lines through it.
-        """
-        n = self.mesh.n
-        v = (self.mesh.cell_area * _p0_values(u)).reshape(n, n, 2)
-        across_columns, across_rows = v[:, :-1] - v[:, 1:], v[:-1] - v[1:]
-        first = across_columns[:-1, :, 1] + across_columns[1:, :, 0]
-        second = across_rows[:, :-1, 0] + across_rows[:, 1:, 1]
-        return (n * np.stack([first, second], axis=-1)).ravel()
-
-    def elasticity(self, x: np.ndarray) -> np.ndarray:
-        """A x = mu (K kron I) x + (mu + lam) area D^T D x on the interior vector dofs, A SPD.
-
-        On fields that vanish on the boundary: the shear and the divergence energy.
-        """
-        shear = _interior_stencil(_padded(x.reshape(-1, 2), self.mesh.n), LAPLACIAN_STENCIL)
-        return (SHEAR_MODULUS * shear.ravel()
-                + (SHEAR_MODULUS + LAME_LAMBDA) * self.dual_load(self.divergence(x)))
-
-    def stiffness_band(self) -> np.ndarray:
-        """The lower band of ``stiffness``, written from ``LAPLACIAN_STENCIL``."""
-        m = self.mesh.n - 1
-        return _stencil_band(np.arange(m * m).reshape(1, m, m), LAPLACIAN_LOWER, m * m)
-
-    def elasticity_band(self, scale, diagonal, frame, kept) -> np.ndarray:
-        """The lower band of Z^T (scale * A + D) Z, written from ``ELASTICITY_BLOCKS``.
-
-        D adds ``diagonal[q]`` to both dofs of interior node q. Z rotates the
-        dofs of node q into its (radial, tangent) frame, with (cos, sin) =
-        ``frame[:, q]`` giving the radial direction, and keeps the rotated dofs
-        ``kept[q]``; its columns follow the kept dofs in order. Every block is
-        rotated by the frame of its row node, then of its column node; an
-        identity frame leaves a block's nonzero entries bitwise unchanged,
-        since 1·a + 0·b = a.
-        """
-        m = self.mesh.n - 1
-        cos, sin = np.reshape(frame, (2, m, m))
-        basis = np.array([[cos, -sin], [sin, cos]])
-        blocks = [scale * h[:, :, None, None] for h in ELASTICITY_BLOCKS]
-        # D on the diagonal of the own blocks; adding 0 * D leaves the rest unchanged
-        blocks[0] = blocks[0] + np.eye(2)[:, :, None, None] * diagonal.reshape(m, m)
-        for k, (dj, di) in enumerate(LOWER_STEPS):
-            h, z = blocks[k], basis[:, :, dj:, di:]
-            t = np.stack([z[0, 0] * h[0] + z[1, 0] * h[1], z[0, 1] * h[0] + z[1, 1] * h[1]])
-            z = basis[:, :, :m - dj, :m - di]
-            blocks[k] = np.stack(
-                [z[0, 0] * t[:, 0] + z[1, 0] * t[:, 1], z[0, 1] * t[:, 0] + z[1, 1] * t[:, 1]],
-                axis=1,
-            )
-        column = np.where(kept, np.cumsum(kept).reshape(-1, 2) - 1, -1).T
-        return _stencil_band(column.reshape(2, m, m), blocks, np.count_nonzero(kept))
-
-
-def build_forms(mesh: Mesh) -> Forms:
-    """All operators for one mesh: :class:`Forms`, which is ``mesh.n`` alone."""
-    return Forms(mesh)
+def build_forms(mesh: Mesh) -> Mesh:
+    """Returns ``mesh``, which applies every form; kept only for ``perfbench/sample.py``."""
+    return mesh

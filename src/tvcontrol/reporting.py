@@ -50,7 +50,7 @@ def serialize_report(report: RunReport, format: str = "csv") -> bytes:
         return ("\n".join(lines) + "\n").encode()
     if format == "json":
         payload = {
-            "config": asdict(report.config) if report.config is not None else {},
+            "config": asdict(report.config),
             "terminated": report.terminated,
             "records": [asdict(r) for r in report.records],
         }

@@ -3,10 +3,10 @@
 The TV oracle's reduced Newton steps solve symmetric positive definite
 systems by LAPACK's banded Cholesky (dpbtrf/dpbtrs): the interior dofs are
 numbered node-major, row by row, so these matrices have a bandwidth of
-about 2n + 1 in their natural order and need no reordering. ``mesh_fem``
-writes every band from its stencil, the Newton steps' from the elasticity's
-2×2 node blocks and the master's from the 5-point Laplacian, and
-:func:`lower_band` lays the entries out; ``scipy.sparse`` is not used.
+about 2n + 1 in their natural order and need no reordering. ``Mesh`` writes
+every band from a stencil: ``elasticity_band`` the Newton steps' from the
+elasticity's 2×2 node blocks, ``stiffness_band`` the master's from the
+5-point Laplacian. :func:`lower_band` lays the entries out; no ``scipy.sparse``.
 :func:`factor_spd` factors a band once for many solves, as the master does
 with the Laplacian's; :func:`solve_spd` factors for one, and the Newton step
 checks its residual against ``RESIDUAL_TOL``.

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_fem import Forms, Mesh, P1VectorField, _p0_values, elasticity_floor
+from .mesh_fem import Mesh, _p0_values, elasticity_floor
 from .sparse_linalg import RESIDUAL_TOL, NotPositiveDefiniteError, solve_spd
 
 #: the oracle stops once its weak-duality gap is at most this times 1 + |value|
@@ -42,7 +42,7 @@ class BallConstraintState:
 
 @dataclass
 class OracleResult:
-    phi: P1VectorField
+    phi: np.ndarray  # the field's interior vector dofs, node-major, 2 per interior node
     value: float
     energy: float
     inner_iterations: int
@@ -51,9 +51,7 @@ class OracleResult:
     upper_bound: float  # weak-duality bound on tv_eps(u) >= value, at the last Newton step
 
 
-def eval_tv_eps(
-    u, eps: float, forms: Forms, warm_start: OracleResult | None = None
-) -> OracleResult:
+def eval_tv_eps(u, eps: float, mesh: Mesh, warm_start: OracleResult | None = None) -> OracleResult:
     """Maximize the regularized dual objective by a primal-dual active-set method.
 
     Each iteration performs one Newton step on the stationarity system
@@ -76,28 +74,27 @@ def eval_tv_eps(
     unscaled iterate and the nonnegative part of its multipliers bounds it
     from above. The iteration stops once the two are within GAP_TOL *
     (1 + |value|); otherwise it reclassifies and steps on from the unscaled
-    iterate. Returns the scaled field with its value, energy and upper bound,
-    and the last step's active set and multipliers; the same, with
-    ``converged=False``, after MAX_NEWTON_STEPS steps.
+    iterate. Returns the scaled field, as its interior dofs, with its value,
+    energy and upper bound, and the last step's active set and multipliers;
+    the same, with ``converged=False``, after MAX_NEWTON_STEPS steps.
     Without ``warm_start`` the iteration starts from phi = 0 with no active
     node, directly at ``eps``. Raises ValueError unless 0 < eps < inf, and
-    when ``u`` or ``warm_start`` does not match the mesh of ``forms``.
+    when ``u`` or ``warm_start`` does not match ``mesh``.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"regularization weight must be positive and finite, got {eps}")
-    n_int = forms.n_interior
-    mesh = forms.mesh
+    n_int = mesh.n_interior
     if _p0_values(u).shape != (mesh.n_cells,):
-        raise ValueError("control does not match the mesh of the assembled forms")
+        raise ValueError("control does not match the mesh")
     if warm_start is not None and warm_start.ball_state.multipliers.size != n_int:
         raise ValueError(
             f"warm start has {warm_start.ball_state.multipliers.size} multipliers, "
-            f"the assembled forms have {n_int} interior nodes"
+            f"the mesh has {n_int} interior nodes"
         )
 
     if n_int == 0:
         return OracleResult(
-            phi=P1VectorField(np.zeros((mesh.n_nodes, 2))),
+            phi=np.zeros(0),
             value=0.0,
             energy=0.0,
             inner_iterations=0,
@@ -108,10 +105,10 @@ def eval_tv_eps(
             upper_bound=0.0,
         )
 
-    b = forms.dual_load(u)
+    b = mesh.dual_load(u)
 
     if warm_start is not None:
-        x = forms.interior_vector(warm_start.phi)
+        x = warm_start.phi
         lam = warm_start.ball_state.multipliers.astype(float)
         active = warm_start.ball_state.active_nodes.astype(bool)
     else:
@@ -123,12 +120,12 @@ def eval_tv_eps(
     converged = False
     for iterations in range(1, MAX_NEWTON_STEPS + 1):
         step_active = active
-        x, lam, ax = _newton_step(forms, b, eps, x, np.where(active, lam, 0.0), active)
+        x, lam, ax = _newton_step(mesh, b, eps, x, np.where(active, lam, 0.0), active)
 
         norms2 = np.sum(x.reshape(-1, 2) ** 2, axis=1)
         upper_bound = _dual_bound(b, x, ax, np.maximum(lam, 0.0), eps, theta)
         xhat = (x.reshape(-1, 2) / np.sqrt(np.maximum(norms2, 1.0))[:, None]).ravel()
-        energy = float(xhat @ forms.elasticity(xhat))
+        energy = float(xhat @ mesh.elasticity(xhat))
         value = -0.5 * eps * energy + float(b @ xhat)
         if upper_bound - value <= GAP_TOL * (1.0 + abs(value)):
             converged = True
@@ -136,7 +133,7 @@ def eval_tv_eps(
         active = np.where(active, lam > 0.0, norms2 > 1.0)
 
     return OracleResult(
-        phi=forms.full_vector_field(xhat),
+        phi=xhat,
         value=value,
         energy=energy,
         inner_iterations=iterations,
@@ -146,7 +143,7 @@ def eval_tv_eps(
     )
 
 
-def _newton_step(forms, b, eps, x, lam, active):
+def _newton_step(mesh, b, eps, x, lam, active):
     """One Newton step on the coupled stationarity/active-constraint system.
 
     The step solves the saddle system
@@ -168,9 +165,9 @@ def _newton_step(forms, b, eps, x, lam, active):
     A x, which the caller reuses.
 
     No sparse matrix is built: Z^T H Z is written into band storage from the
-    stencil of A, its four constant 2×2 node blocks (``Forms.elasticity_band``),
+    stencil of A, its four constant 2×2 node blocks (``Mesh.elasticity_band``),
     and the products with H and Z are taken node by node around
-    ``forms.elasticity(v)``.
+    ``mesh.elasticity(v)``.
 
     Two stabilizations of the plain linearization: the operator uses the
     nonnegative part of the multipliers (it stays positive definite while
@@ -204,13 +201,13 @@ def _newton_step(forms, b, eps, x, lam, active):
     x_frame[idx, 0] = (1.0 + radii**2) / (2.0 * radii)
     x_fixed = _from_frame(x_frame, frame)
 
-    band = forms.elasticity_band(eps, node_diagonal, frame, kept)
-    h_fixed = eps * forms.elasticity(x_fixed) + diagonal * x_fixed
+    band = mesh.elasticity_band(eps, node_diagonal, frame, kept)
+    h_fixed = eps * mesh.elasticity(x_fixed) + diagonal * x_fixed
     reduced_rhs = _to_frame(rhs - h_fixed, frame)[kept]
     x_frame[kept] = solve_spd(band, reduced_rhs)
     x_new = _from_frame(x_frame, frame)
 
-    ax_new = forms.elasticity(x_new)
+    ax_new = mesh.elasticity(x_new)
     remainder = _to_frame(rhs - (eps * ax_new + diagonal * x_new), frame)
     residual = np.abs(remainder[kept]).max(initial=0.0)
     bound = RESIDUAL_TOL * (1.0 + np.abs(reduced_rhs).max(initial=0.0))

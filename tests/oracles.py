@@ -38,11 +38,9 @@ from tvcontrol.instances import exact_u_bar
 from tvcontrol.mesh_fem import (
     LAME_LAMBDA,
     SHEAR_MODULUS,
-    Forms,
     Mesh,
     P0Field,
     P1ScalarField,
-    P1VectorField,
     _p0_values,
     _subtriangle_centroids,
 )
@@ -137,7 +135,7 @@ def assemble_stiffness(mesh: Mesh):
     """P1 Galerkin matrix of the Laplacian on all nodes, summed cell by cell.
 
     Rows sum to zero (constants lie in the kernel); the restriction to
-    interior nodes is the 5-point Laplacian that ``build_forms`` builds
+    interior nodes is the 5-point Laplacian that ``Mesh.stiffness`` applies
     from the grid.
     """
     grads = basis_gradients(mesh)
@@ -301,7 +299,7 @@ def project_p0_by_einsum(f, mesh, subdivision_depth: int = 4) -> P0Field:
     return P0Field(vals.mean(axis=1))
 
 
-def projected_ascent_tv(u, eps: float, forms: Forms, iterations: int = 100_000) -> float:
+def projected_ascent_tv(u, eps: float, mesh: Mesh, iterations: int = 100_000) -> float:
     """Maximize the regularized dual objective by projected gradient ascent.
 
     Step size 1/L with L the operator norm of eps*A; the feasible set is the
@@ -310,8 +308,8 @@ def projected_ascent_tv(u, eps: float, forms: Forms, iterations: int = 100_000) 
     bitwise, the iteration only repeats a fixed point or a 2-cycle, so it
     stops there with the iterate of the cycle that the last step reaches.
     """
-    a = interior_elasticity(forms.mesh).toarray()
-    b = assemble_divergence(forms.mesh).T @ (cell_areas(forms.mesh) * _p0_values(u))
+    a = interior_elasticity(mesh).toarray()
+    b = assemble_divergence(mesh).T @ (cell_areas(mesh) * _p0_values(u))
     step = 1.0 / (eps * np.linalg.eigvalsh(a).max())
     x, before = np.zeros(b.size), None
     for k in range(1, iterations + 1):
@@ -385,13 +383,12 @@ def dense_reduced_newton_band(a_mat, eps, x, lam, active) -> np.ndarray:
     return band
 
 
-def dense_master_qp(instance, forms: Forms, planes, eps: float):
+def dense_master_qp(instance, mesh: Mesh, planes, eps: float):
     """Reduced dense QP data for the relaxed control problem.
 
     Returns (hessian, gradient_const, constraint_matrix, constraint_rhs)
     for min 0.5 u'Hu + g'u + const  s.t.  Gu <= h over P0 coefficients.
     """
-    mesh = forms.mesh
     k_dense = interior_stiffness(mesh).toarray()
     b_in = interior_load(mesh).toarray()
     m_full = assemble_mass_p1(mesh).toarray()
@@ -403,8 +400,8 @@ def dense_master_qp(instance, forms: Forms, planes, eps: float):
 
     # y_full = E K^{-1} B (u + f); embed interior rows into the full node set
     t = np.linalg.solve(k_dense, b_in) if k_dense.size else np.zeros((0, mesh.n_cells))
-    e = np.zeros((mesh.n_nodes, forms.n_interior))
-    e[fk_interior_nodes(mesh.n), np.arange(forms.n_interior)] = 1.0
+    e = np.zeros((mesh.n_nodes, mesh.n_interior))
+    e[fk_interior_nodes(mesh.n), np.arange(mesh.n_interior)] = 1.0
     s = e @ t
 
     hessian = s.T @ m_full @ s + alpha * np.diag(areas)
@@ -457,32 +454,31 @@ def plane_slack(plane, u, eps: float, mesh) -> float:
     return 1.0 + 0.5 * eps * plane.energy - lhs
 
 
-def dual_objective(u, phi, eps: float, forms: Forms) -> float:
-    """The regularized dual objective -(eps/2) a[phi, phi] + int u div(phi) dx."""
-    x = forms.interior_vector(phi) if isinstance(phi, P1VectorField) else np.asarray(phi)
-    return -0.5 * eps * float(x @ forms.elasticity(x)) + float(forms.dual_load(u) @ x)
+def dual_objective(u, phi, eps: float, mesh: Mesh) -> float:
+    """The regularized dual objective -(eps/2) a[phi, phi] + int u div(phi) dx, phi's interior dofs."""
+    x = np.asarray(phi)
+    return -0.5 * eps * float(x @ mesh.elasticity(x)) + float(mesh.dual_load(u) @ x)
 
 
-def solve_state(u, instance, forms: Forms) -> P1ScalarField:
-    rhs = interior_load(forms.mesh) @ (_p0_values(u) + _p0_values(instance.f))
-    return forms.full_scalar_field(solve_sparse_spd(interior_stiffness(forms.mesh), rhs))
+def solve_state(u, instance, mesh: Mesh) -> P1ScalarField:
+    rhs = interior_load(mesh) @ (_p0_values(u) + _p0_values(instance.f))
+    return mesh.full_scalar_field(solve_sparse_spd(interior_stiffness(mesh), rhs))
 
 
-def reduced_objective(u, instance, forms: Forms) -> float:
+def reduced_objective(u, instance, mesh: Mesh) -> float:
     """J(u) via a state solve: tracking term plus control penalty."""
-    y = solve_state(u, instance, forms)
+    y = solve_state(u, instance, mesh)
     du = _p0_values(u) - _p0_values(instance.u_d)
     diff = y.values - instance.y_d.values
-    tracking = 0.5 * float(diff @ (assemble_mass_p1(forms.mesh) @ diff))
-    return tracking + 0.5 * instance.alpha * float(np.sum(cell_areas(forms.mesh) * du * du))
+    tracking = 0.5 * float(diff @ (assemble_mass_p1(mesh) @ diff))
+    return tracking + 0.5 * instance.alpha * float(np.sum(cell_areas(mesh) * du * du))
 
 
-def reduced_gradient(u, instance, forms: Forms) -> P0Field:
+def reduced_gradient(u, instance, mesh: Mesh) -> P0Field:
     """Gradient density alpha (u - u_d) + p of the reduced objective (two Poisson solves)."""
-    y = solve_state(u, instance, forms)
-    mesh = forms.mesh
+    y = solve_state(u, instance, mesh)
     adjoint_rhs = (assemble_mass_p1(mesh)[fk_interior_nodes(mesh.n)]
                    @ (y.values - instance.y_d.values))
-    p = forms.full_scalar_field(solve_sparse_spd(interior_stiffness(mesh), adjoint_rhs))
+    p = mesh.full_scalar_field(solve_sparse_spd(interior_stiffness(mesh), adjoint_rhs))
     p_bar = assemble_cell_average(mesh) @ p.values
     return P0Field(instance.alpha * (_p0_values(u) - _p0_values(instance.u_d)) + p_bar)

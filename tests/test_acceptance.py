@@ -34,7 +34,7 @@ from tvcontrol.instances import (
     psi_prime,
 )
 from tvcontrol.master_problem import MasterOperator
-from tvcontrol.mesh_fem import P0Field, P1ScalarField, build_forms, build_friedrichs_keller
+from tvcontrol.mesh_fem import P0Field, P1ScalarField, build_friedrichs_keller
 from tvcontrol.reporting import serialize_report
 from tvcontrol.tv_oracle import discrete_tv, eval_tv_eps
 
@@ -165,10 +165,9 @@ def test_criterion_3_generic_table(generic_run):
 def test_criterion_4_oracle_property_suite():
     failures = []
     for n in (2, 4, 8):
-        forms = build_forms(build_friedrichs_keller(n))
-        mesh = forms.mesh
+        mesh = build_friedrichs_keller(n)
         for const in (-3.0, 0.0, 2.5):
-            res = eval_tv_eps(P0Field(np.full(mesh.n_cells, const)), 1e-5, forms)
+            res = eval_tv_eps(P0Field(np.full(mesh.n_cells, const)), 1e-5, mesh)
             if not (res.converged and abs(res.value) <= 1e-9):
                 failures.append((n, "constant", const))
         for seed in range(50):
@@ -176,7 +175,7 @@ def test_criterion_4_oracle_property_suite():
             u = P0Field(rng.standard_normal(mesh.n_cells))
             by_eps = {}
             for eps in (1e-4, 1e-5, 1e-6):
-                r = eval_tv_eps(u, eps, forms)
+                r = eval_tv_eps(u, eps, mesh)
                 if not r.converged:
                     failures.append((n, seed, "convergence", eps))
                 by_eps[eps] = r
@@ -185,7 +184,7 @@ def test_criterion_4_oracle_property_suite():
                 and by_eps[1e-5].value >= by_eps[1e-4].value - 1e-10
             ):
                 failures.append((n, seed, "monotonicity"))
-            shifted = eval_tv_eps(P0Field(u.values + 1.7), 1e-5, forms)
+            shifted = eval_tv_eps(P0Field(u.values + 1.7), 1e-5, mesh)
             if abs(shifted.value - by_eps[1e-5].value) > 1e-9:
                 failures.append((n, seed, "shift"))
             if by_eps[1e-5].value > discrete_tv(u, mesh) + 1e-9:
@@ -194,12 +193,10 @@ def test_criterion_4_oracle_property_suite():
                 prev = np.random.default_rng(1000 * n + seed - 1).standard_normal(
                     mesh.n_cells
                 )
-                r_prev = eval_tv_eps(P0Field(prev), 1e-5, forms)
-                d = forms.interior_vector(by_eps[1e-5].phi) - forms.interior_vector(
-                    r_prev.phi
-                )
-                lhs = 1e-5 * float(d @ forms.elasticity(d))
-                rhs = float(forms.dual_load(P0Field(u.values - prev)) @ d)
+                r_prev = eval_tv_eps(P0Field(prev), 1e-5, mesh)
+                d = by_eps[1e-5].phi - r_prev.phi
+                lhs = 1e-5 * float(d @ mesh.elasticity(d))
+                rhs = float(mesh.dual_load(P0Field(u.values - prev)) @ d)
                 if lhs > rhs + 1e-9:
                     failures.append((n, seed, "lipschitz"))
     ok = _report_line(4, not failures, f"violations={failures[:5] if failures else 'none'}")
@@ -207,13 +204,13 @@ def test_criterion_4_oracle_property_suite():
 
 
 def test_criterion_5_oracle_vs_projected_ascent():
-    forms = build_forms(build_friedrichs_keller(2))
+    mesh = build_friedrichs_keller(2)
     worst = 0.0
     for seed in range(20):
-        u = P0Field(np.random.default_rng(seed).standard_normal(forms.mesh.n_cells))
-        res = eval_tv_eps(u, 1e-5, forms)
+        u = P0Field(np.random.default_rng(seed).standard_normal(mesh.n_cells))
+        res = eval_tv_eps(u, 1e-5, mesh)
         assert res.converged
-        reference = projected_ascent_tv(u, 1e-5, forms)
+        reference = projected_ascent_tv(u, 1e-5, mesh)
         worst = max(worst, abs(res.value - reference))
     ok = _report_line(5, worst <= 1e-7, f"max |active-set - ascent| = {worst:.2e}")
     assert ok
@@ -221,7 +218,6 @@ def test_criterion_5_oracle_vs_projected_ascent():
 
 def test_criterion_6_master_certificates():
     mesh = build_friedrichs_keller(2)
-    forms = build_forms(mesh)
     worst_kkt = worst_compl = worst_qp = worst_fd = 0.0
     for seed in range(3):
         rng = np.random.default_rng(500 + seed)
@@ -236,14 +232,14 @@ def test_criterion_6_master_certificates():
             subdivision_depth=4,
         )
         eps = 1e-4
-        op = MasterOperator(instance, forms)
+        op = MasterOperator(instance)
         for _ in range(2):
-            res = eval_tv_eps(P0Field(8.0 * rng.standard_normal(mesh.n_cells)), eps, forms)
+            res = eval_tv_eps(P0Field(8.0 * rng.standard_normal(mesh.n_cells)), eps, mesh)
             assert op.add_plane(res.phi, res.energy)
         planes = op.planes
         sol = op.solve(eps)
         assert sol.converged
-        grad = reduced_gradient(sol.u, instance, forms).values.copy()
+        grad = reduced_gradient(sol.u, instance, mesh).values.copy()
         slacks = []
         for i, plane in enumerate(planes):
             grad += sol.mu[i] * plane.div_phi.values
@@ -254,17 +250,17 @@ def test_criterion_6_master_certificates():
             )
         worst_kkt = max(worst_kkt, float(np.abs(grad).max()))
         worst_compl = max(worst_compl, float(np.abs(sol.mu * np.array(slacks)).max()))
-        hess, lin, g_rows, h = dense_master_qp(instance, forms, planes, eps)
+        hess, lin, g_rows, h = dense_master_qp(instance, mesh, planes, eps)
         _, u_ref, _, _ = dense_qp_active_set_enumeration(hess, lin, g_rows, h)
         worst_qp = max(worst_qp, float(np.abs(sol.u.values - u_ref).max()))
 
         u0 = P0Field(rng.standard_normal(mesh.n_cells))
-        g0 = reduced_gradient(u0, instance, forms).values
+        g0 = reduced_gradient(u0, instance, mesh).values
         base_step = 1e-6
         for _ in range(10):
             direction = rng.standard_normal(mesh.n_cells)
-            plus = reduced_objective(P0Field(u0.values + base_step * direction), instance, forms)
-            minus = reduced_objective(P0Field(u0.values - base_step * direction), instance, forms)
+            plus = reduced_objective(P0Field(u0.values + base_step * direction), instance, mesh)
+            minus = reduced_objective(P0Field(u0.values - base_step * direction), instance, mesh)
             fd = (plus - minus) / (2 * base_step)
             analytic = float(np.sum(mesh.cell_area * g0 * direction))
             worst_fd = max(worst_fd, abs(fd - analytic) / max(abs(analytic), 1e-12))

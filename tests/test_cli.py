@@ -165,7 +165,7 @@ def test_smallest_mesh_json_pinned(capsys, instance):
 def test_inner_failure_explained_on_stderr(capsys, monkeypatch):
     message = "TV oracle did not converge at outer iteration k = 0"
     failed = RunReport(records=[], terminated=INNER_FAILURE, final_control=None,
-                       planes=[], failure=message)
+                       planes=[], config=SolverConfig(), failure=message)
     monkeypatch.setattr(cli, "run_outer_approximation", lambda instance, config: failed)
     code = main(["--instance", "exact", *FAST])
     captured = capsys.readouterr()

@@ -338,6 +338,23 @@ def test_instance_bytes_are_pinned_at_other_depths(n, label, depth):
     assert _instance_digest(label, n, depth) == INSTANCE_SHA256_BY_DEPTH[n, label, depth]
 
 
+@pytest.mark.parametrize("label", ["exact", "generic"])
+def test_numpy_integer_depth_gives_the_same_instance(label):
+    # stored as a Python int, with the bytes of depth 2
+    assert _instance_digest(label, 16, np.int64(2)) == INSTANCE_SHA256_BY_DEPTH[16, label, 2]
+    build = {"exact": build_exact_instance, "generic": build_generic_instance}[label]
+    depth = build(build_friedrichs_keller(2), subdivision_depth=np.int64(2)).subdivision_depth
+    assert type(depth) is int and depth == 2
+
+
+@pytest.mark.parametrize("depth", [2.0, 2.5, True])
+@pytest.mark.parametrize("build", [build_exact_instance, build_generic_instance])
+def test_instance_rejects_a_non_integer_depth(build, depth):
+    build(build_friedrichs_keller(2), subdivision_depth=np.int64(2))
+    with pytest.raises(TypeError, match=f"must be an integer, got subdivision_depth={depth}"):
+        build(build_friedrichs_keller(2), subdivision_depth=depth)
+
+
 @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 12, 16, 50, 100])
 def test_one_pass_exact_projections_match_einsum_bitwise(n, depth):

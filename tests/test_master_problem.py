@@ -19,7 +19,7 @@ import tvcontrol
 from tvcontrol import master_problem
 from tvcontrol.instances import ProblemInstance, build_exact_instance
 from tvcontrol.master_problem import MasterOperator, SingularBorderError
-from tvcontrol.mesh_fem import P0Field, P1ScalarField, build_forms, build_friedrichs_keller
+from tvcontrol.mesh_fem import P0Field, P1ScalarField, build_friedrichs_keller
 from tvcontrol.tv_oracle import eval_tv_eps
 
 
@@ -37,27 +37,25 @@ def _instance(mesh, u_d, y_d=None, f=None, alpha=1.0, reference=None):
 
 
 @pytest.fixture(scope="module")
-def tiny():
-    mesh = build_friedrichs_keller(2)
-    return mesh, build_forms(mesh)
+def mesh():
+    return build_friedrichs_keller(2)
 
 
-def _oracle(u_values, forms, eps):
-    res = eval_tv_eps(P0Field(u_values), eps, forms)
+def _oracle(u_values, mesh, eps):
+    res = eval_tv_eps(P0Field(u_values), eps, mesh)
     assert res.converged
     return res
 
 
 def _add_cut(op, u_values, eps):
     """Add the oracle's cut at the control ``u_values`` and return the stored plane."""
-    res = _oracle(u_values, op.forms, eps)
+    res = _oracle(u_values, op.mesh, eps)
     assert op.add_plane(res.phi, res.energy)
     return op.planes[-1]
 
 
-def test_zero_instance_is_stationary(tiny):
-    mesh, forms = tiny
-    sol = MasterOperator(_instance(mesh, np.zeros(mesh.n_cells)), forms).solve(1e-5)
+def test_zero_instance_is_stationary(mesh):
+    sol = MasterOperator(_instance(mesh, np.zeros(mesh.n_cells))).solve(1e-5)
     assert sol.converged
     assert sol.objective == pytest.approx(0.0, abs=1e-15)
     assert np.abs(sol.u.values).max() == 0.0
@@ -75,47 +73,43 @@ def test_zero_instance_is_stationary(tiny):
 ])
 def test_single_plane_becomes_active(n):
     mesh = build_friedrichs_keller(n)
-    forms = build_forms(mesh)
     rng = np.random.default_rng(1)
     inst = _instance(mesh, 10.0 * rng.standard_normal(mesh.n_cells))
     eps = 1e-4
-    op = MasterOperator(inst, forms)
+    op = MasterOperator(inst)
     free = op.solve(eps)
     plane = _add_cut(op, free.u.values, eps)
-    assert plane.id == 0
     assert plane_slack(plane, free.u, eps, mesh) < 0  # unconstrained point is cut off
     sol = op.solve(eps)
     assert sol.converged
     assert sol.mu[0] > 0
     assert abs(plane_slack(plane, sol.u, eps, mesh)) < 1e-8
 
-    hess, grad, g_rows, h = dense_master_qp(inst, forms, [plane], eps)
+    hess, grad, g_rows, h = dense_master_qp(inst, mesh, [plane], eps)
     _, u_ref, active_ref, _ = dense_qp_active_set_enumeration(hess, grad, g_rows, h)
     assert np.abs(sol.u.values - u_ref).max() < 1e-8
     assert list(sol.active_planes) == list(active_ref)
-    assert sol.objective == pytest.approx(reduced_objective(sol.u, inst, forms), rel=1e-12)
+    assert sol.objective == pytest.approx(reduced_objective(sol.u, inst, mesh), rel=1e-12)
 
 
-def test_multiple_planes_match_enumeration(tiny):
-    mesh, forms = tiny
+def test_multiple_planes_match_enumeration(mesh):
     eps = 5e-5
     for seed in range(5):
         rng = np.random.default_rng(200 + seed)
         inst = _instance(mesh, 8.0 * rng.standard_normal(mesh.n_cells))
-        op = MasterOperator(inst, forms)
+        op = MasterOperator(inst)
         # cuts from independent controls so the borders stay well separated
         for _ in range(3):
             _add_cut(op, 8.0 * rng.standard_normal(mesh.n_cells), eps)
         sol = op.solve(eps)
         assert sol.converged
-        hess, grad, g_rows, h = dense_master_qp(inst, forms, op.planes, eps)
+        hess, grad, g_rows, h = dense_master_qp(inst, mesh, op.planes, eps)
         _, u_ref, _, _ = dense_qp_active_set_enumeration(hess, grad, g_rows, h)
         assert np.abs(sol.u.values - u_ref).max() < 1e-8
 
 
-def test_plane_slack_basics(tiny):
-    mesh, forms = tiny
-    op = MasterOperator(_instance(mesh, np.zeros(mesh.n_cells)), forms)
+def test_plane_slack_basics(mesh):
+    op = MasterOperator(_instance(mesh, np.zeros(mesh.n_cells)))
     plane = _add_cut(op, np.random.default_rng(3).standard_normal(mesh.n_cells), 1e-4)
     eps = 1e-4
     zero = P0Field(np.zeros(mesh.n_cells))
@@ -131,19 +125,18 @@ def test_plane_slack_basics(tiny):
     assert s2 < s1
 
 
-def test_kkt_certificates(tiny):
-    mesh, forms = tiny
+def test_kkt_certificates(mesh):
     rng = np.random.default_rng(4)
     inst = _instance(mesh, 6.0 * rng.standard_normal(mesh.n_cells))
     eps = 1e-4
-    op = MasterOperator(inst, forms)
+    op = MasterOperator(inst)
     sol = op.solve(eps)
     for _ in range(2):
         _add_cut(op, sol.u.values, eps)
         sol = op.solve(eps, warm_start=sol)
     assert sol.converged
     # stationarity from an independent gradient evaluation (two Poisson solves)
-    grad = reduced_gradient(sol.u, inst, forms).values
+    grad = reduced_gradient(sol.u, inst, mesh).values
     for i, plane in enumerate(op.planes):
         grad = grad + sol.mu[i] * plane.div_phi.values
     assert np.abs(grad).max() < 1e-8
@@ -153,8 +146,7 @@ def test_kkt_certificates(tiny):
     assert np.abs(sol.mu * slacks).max() < 1e-8
 
 
-def test_gradient_matches_finite_differences(tiny):
-    mesh, forms = tiny
+def test_gradient_matches_finite_differences(mesh):
     rng = np.random.default_rng(5)
     inst = _instance(
         mesh,
@@ -163,12 +155,12 @@ def test_gradient_matches_finite_differences(tiny):
         f=rng.standard_normal(mesh.n_cells),
     )
     u = P0Field(rng.standard_normal(mesh.n_cells))
-    grad = reduced_gradient(u, inst, forms).values
+    grad = reduced_gradient(u, inst, mesh).values
     h = 1e-6
     for _ in range(10):
         direction = rng.standard_normal(mesh.n_cells)
-        plus = reduced_objective(P0Field(u.values + h * direction), inst, forms)
-        minus = reduced_objective(P0Field(u.values - h * direction), inst, forms)
+        plus = reduced_objective(P0Field(u.values + h * direction), inst, mesh)
+        minus = reduced_objective(P0Field(u.values - h * direction), inst, mesh)
         fd = (plus - minus) / (2 * h)
         analytic = float(np.sum(mesh.cell_area * grad * direction))
         assert fd == pytest.approx(analytic, rel=1e-5, abs=1e-10)
@@ -178,11 +170,10 @@ def test_feasible_set_nesting():
     # n=2 admits at most two independent cuts (two interior dual dofs),
     # so the nesting sequence runs on a slightly finer mesh
     mesh = build_friedrichs_keller(3)
-    forms = build_forms(mesh)
     rng = np.random.default_rng(6)
     inst = _instance(mesh, 7.0 * rng.standard_normal(mesh.n_cells))
     eps = 1e-4
-    op = MasterOperator(inst, forms)
+    op = MasterOperator(inst)
     cuts = 0
     previous = -np.inf
     sol = op.solve(eps)
@@ -197,11 +188,10 @@ def test_feasible_set_nesting():
     assert cuts  # at least one genuine cut was exercised
 
 
-def test_eps_tightening_monotonicity(tiny):
-    mesh, forms = tiny
+def test_eps_tightening_monotonicity(mesh):
     rng = np.random.default_rng(7)
     inst = _instance(mesh, 7.0 * rng.standard_normal(mesh.n_cells))
-    op = MasterOperator(inst, forms)
+    op = MasterOperator(inst)
     free = op.solve(1e-4)
     _add_cut(op, free.u.values, 1e-4)
     coarse = op.solve(1e-4)
@@ -209,17 +199,16 @@ def test_eps_tightening_monotonicity(tiny):
     assert fine.objective >= coarse.objective - 1e-9
 
 
-def test_optimality_certificate(tiny):
-    mesh, forms = tiny
+def test_optimality_certificate(mesh):
     rng = np.random.default_rng(8)
     inst = _instance(mesh, 9.0 * rng.standard_normal(mesh.n_cells))
     eps = 1e-4
-    op = MasterOperator(inst, forms)
+    op = MasterOperator(inst)
     sol = op.solve(eps)
     _add_cut(op, sol.u.values, eps)
     sol = op.solve(eps)
     planes = op.planes
-    base = reduced_objective(sol.u, inst, forms)
+    base = reduced_objective(sol.u, inst, mesh)
     for _ in range(20):
         delta = rng.standard_normal(mesh.n_cells)
         # scale the step so the perturbed control stays inside the polytope
@@ -231,20 +220,19 @@ def test_optimality_certificate(tiny):
                 t = min(t, max(slack, 0.0) / (slope + 1e-30))
         candidate = P0Field(sol.u.values + t * delta)
         assert all(plane_slack(p, candidate, eps, mesh) >= -1e-10 for p in planes)
-        assert reduced_objective(candidate, inst, forms) >= base - 1e-9
+        assert reduced_objective(candidate, inst, mesh) >= base - 1e-9
 
 
-def test_duplicate_planes_fail_loudly(tiny):
-    mesh, forms = tiny
+def test_duplicate_planes_fail_loudly(mesh):
     rng = np.random.default_rng(9)
     inst = _instance(mesh, 10.0 * rng.standard_normal(mesh.n_cells))
     eps = 1e-4
-    op = MasterOperator(inst, forms)
+    op = MasterOperator(inst)
     free = op.solve(eps)
     plane = _add_cut(op, free.u.values, eps)
     assert plane_slack(plane, free.u, eps, mesh) < 0
     # add_plane would drop the twin; appended directly, it makes the border singular
-    op.planes.append(dataclasses.replace(plane, id=1))
+    op.planes.append(dataclasses.replace(plane))
     with pytest.raises(SingularBorderError, match=r"\[0, 1\]"):
         op.solve(eps)
 
@@ -262,26 +250,24 @@ def _count_calls(op, attr):
     return calls
 
 
-def test_twin_plane_is_dropped_without_a_base_solve(tiny):
-    mesh, forms = tiny
+def test_twin_plane_is_dropped_without_a_base_solve(mesh):
     rng = np.random.default_rng(9)
     inst = _instance(mesh, 10.0 * rng.standard_normal(mesh.n_cells))
     eps = 1e-4
-    op = MasterOperator(inst, forms)
-    res = _oracle(op.solve(eps).u.values, forms, eps)
+    op = MasterOperator(inst)
+    res = _oracle(op.solve(eps).u.values, mesh, eps)
     assert op.add_plane(res.phi, res.energy)
     base_solves = _count_calls(op, "_base_solve")
     assert not op.add_plane(res.phi, res.energy)
     assert len(base_solves) == 0
-    assert [p.id for p in op.planes] == [0]
+    assert len(op.planes) == 1
 
 
-def test_base_factor_solved_once_per_plane(tiny):
-    mesh, forms = tiny
+def test_base_factor_solved_once_per_plane(mesh):
     rng = np.random.default_rng(10)
     inst = _instance(mesh, 10.0 * rng.standard_normal(mesh.n_cells))
     eps = 1e-4
-    op = MasterOperator(inst, forms)
+    op = MasterOperator(inst)
     base_solves = _count_calls(op, "_base_solve")
     free = op.solve(eps)
     assert len(base_solves) == 0
@@ -301,7 +287,7 @@ def test_base_factor_solved_once_per_plane(tiny):
 def _data_base_solve(n, alpha=1.0):
     """The data's base solve on the exact instance: its relative residual and CG steps."""
     mesh = build_friedrichs_keller(n)
-    op = MasterOperator(build_exact_instance(mesh, alpha=alpha), build_forms(mesh))
+    op = MasterOperator(build_exact_instance(mesh, alpha=alpha))
     poisson_solves = _count_calls(op, "_poisson")
     x = op._base_solve(op.rhs0)
     residual = np.abs(op.apply_base(x) - op.rhs0).max() / np.abs(op.rhs0).max()
@@ -324,7 +310,7 @@ def test_base_solve_converges_at_small_alpha():
 
 def test_base_solve_fails_loudly_at_its_step_cap(monkeypatch):
     mesh = build_friedrichs_keller(8)
-    op = MasterOperator(build_exact_instance(mesh), build_forms(mesh))
+    op = MasterOperator(build_exact_instance(mesh))
     monkeypatch.setattr(master_problem, "MAX_CG_STEPS", 1)
     with pytest.raises(RuntimeError, match=r"CG residual .* relative after 1 steps"):
         op._base_solve(op.rhs0)
@@ -332,8 +318,7 @@ def test_base_solve_fails_loudly_at_its_step_cap(monkeypatch):
 
 def test_plane_base_solve_matches_a_direct_solve():
     mesh = build_friedrichs_keller(8)
-    forms = build_forms(mesh)
-    op = MasterOperator(build_exact_instance(mesh), forms)
+    op = MasterOperator(build_exact_instance(mesh))
     plane = _add_cut(op, op.solve(1e-4).u.values, 1e-4)
     direct = np.linalg.solve(dense_master_base(mesh, op.alpha), plane.border)
     assert np.abs(plane.base_solve - direct).max() <= 1e-10 * np.abs(direct).max()

@@ -32,7 +32,6 @@ from tvcontrol import instances, mesh_fem
 from tvcontrol.mesh_fem import (
     CELL_GRADIENTS,
     LAME_LAMBDA,
-    Forms,
     Mesh,
     P0_CHUNK_POINTS,
     SHEAR_MODULUS,
@@ -67,7 +66,7 @@ def test_mesh_is_its_size():
     assert mesh == Mesh(7) and mesh != Mesh(8)
     assert (mesh.n_nodes, mesh.n_cells, mesh.n_interior) == (64, 98, 36)
     assert mesh.cell_area == 0.5 / 49
-    assert not hasattr(build_forms(mesh), "interior_nodes")
+    assert not hasattr(mesh, "interior_nodes")
 
 
 def test_paper_mesh_size():
@@ -139,7 +138,7 @@ def test_stiffness_five_point_stencil():
     # interior node (2, 2) of the n = 4 mesh sits in the middle of the 3 x 3
     # interior nodes; K is symmetric, so its column is its row
     center, m = 4, 3
-    row = build_forms(build_friedrichs_keller(4)).stiffness(np.eye(m * m)[center])
+    row = build_friedrichs_keller(4).stiffness(np.eye(m * m)[center])
     assert row[center] == 4.0
     for neighbor in (center - 1, center + 1, center - m, center + m):
         assert row[neighbor] == -1.0
@@ -165,23 +164,22 @@ def test_stiffness_equals_the_per_cell_assembly(n, rel_tol):
     # and 100 the per-cell sums carry rounding noise of a few ulps
     mesh = build_friedrichs_keller(n)
     v = np.random.default_rng(n).standard_normal(mesh.n_interior)
-    assert _matches(build_forms(mesh).stiffness(v), interior_stiffness(mesh), v, rel_tol)
+    assert _matches(mesh.stiffness(v), interior_stiffness(mesh), v, rel_tol)
     # the master's band, written from the same stencil
     ref = interior_stiffness(mesh).tocoo()
     expected = lower_band(ref.row, ref.col, ref.data, mesh.n_interior)
-    band = build_forms(mesh).stiffness_band()
+    band = mesh.stiffness_band()
     assert band.shape == expected.shape
     assert np.abs(band - expected).max() <= rel_tol * 4.0
 
 
 def _poisson_max_error(n):
     mesh = build_friedrichs_keller(n)
-    forms = build_forms(mesh)
     load = project_p0(
         lambda x, y: 2 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y), mesh
     )
-    y_int = solve_sparse_spd(interior_stiffness(mesh), forms.load_interior(load.values))
-    y = forms.full_scalar_field(y_int)
+    y_int = solve_sparse_spd(interior_stiffness(mesh), mesh.load_interior(load.values))
+    y = mesh.full_scalar_field(y_int)
     nodes = fk_nodes(n)
     exact = np.sin(np.pi * nodes[:, 0]) * np.sin(np.pi * nodes[:, 1])
     return np.abs(y.values - exact).max()
@@ -195,17 +193,16 @@ def test_manufactured_poisson_second_order():
 
 def test_empty_interior_solve():
     mesh = build_friedrichs_keller(1)
-    forms = build_forms(mesh)
-    rhs = forms.load_interior(np.ones(mesh.n_cells))
+    rhs = mesh.load_interior(np.ones(mesh.n_cells))
     assert rhs.shape == (0,)
-    y = forms.full_scalar_field(solve_sparse_spd(interior_stiffness(mesh), rhs))
+    y = mesh.full_scalar_field(solve_sparse_spd(interior_stiffness(mesh), rhs))
     assert np.all(y.values == 0.0)
 
 
 def test_coupling_constant_control():
     # a hat function integrates to a third of its six cells' area, 1/n^2
     mesh = build_friedrichs_keller(4)
-    load = build_forms(mesh).load_interior(np.ones(mesh.n_cells))
+    load = mesh.load_interior(np.ones(mesh.n_cells))
     assert np.allclose(load, 1.0 / 16.0, rtol=1e-15, atol=0.0)
 
 
@@ -213,9 +210,8 @@ def test_coupling_single_cell():
     # cell 8 of the n = 3 mesh, the lower triangle (5, 6, 10), has three interior
     # corners; cell 7, the upper triangle (4, 9, 8), has one
     mesh = build_friedrichs_keller(3)
-    forms = build_forms(mesh)
     for cell, interior_corners in [(8, [0, 1, 3]), (7, [2])]:
-        column = forms.load_interior(np.eye(mesh.n_cells)[cell])
+        column = mesh.load_interior(np.eye(mesh.n_cells)[cell])
         corners = np.flatnonzero(np.isin(fk_interior_nodes(3), fk_triangles(3)[cell]))
         assert corners.tolist() == interior_corners
         assert np.flatnonzero(column).tolist() == corners.tolist()
@@ -229,10 +225,10 @@ def _dense(apply, size):
 
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_operators_are_symmetric(n):
-    forms = build_forms(build_friedrichs_keller(n))
-    size = forms.n_interior
-    for apply, dofs in [(forms.stiffness, size), (forms.mass_interior, size),
-                        (forms.elasticity, 2 * size)]:
+    mesh = build_friedrichs_keller(n)
+    size = mesh.n_interior
+    for apply, dofs in [(mesh.stiffness, size), (mesh.mass_interior, size),
+                        (mesh.elasticity, 2 * size)]:
         a = _dense(apply, dofs)
         assert np.array_equal(a, a.T)
 
@@ -260,11 +256,19 @@ def test_operators_equal_the_per_cell_assembly(n, rel_tol):
     # interior is empty; at n = 50 and 100 the references' own cell areas, from
     # node coordinates, spread by up to 2e-14 relative about 1/(2n^2)
     mesh = build_friedrichs_keller(n)
-    forms = build_forms(mesh)
     rng = np.random.default_rng(n)
     for name, ref, size in _per_cell_references(mesh):
         v = rng.standard_normal(size)
-        assert _matches(getattr(forms, name)(v), ref, v, rel_tol), (name, size)
+        assert _matches(getattr(mesh, name)(v), ref, v, rel_tol), (name, size)
+
+
+def test_forms_hold_only_the_mesh():
+    # every band is written from a stencil when it is needed, so the forms are
+    # the mesh itself and store nothing but its size
+    mesh = build_friedrichs_keller(50)
+    forms = build_forms(mesh)
+    assert forms is mesh
+    assert [field.name for field in dataclasses.fields(forms)] == ["n"]
 
 
 def test_build_forms_builds_no_mesh():
@@ -274,8 +278,7 @@ def test_build_forms_builds_no_mesh():
         raise AssertionError(f"build_forms built a mesh with n={n}")
 
     with patch.object(mesh_fem, "build_friedrichs_keller", no_mesh):
-        forms = build_forms(mesh)
-    assert forms.mesh is mesh
+        assert build_forms(mesh) is mesh
 
 
 def test_lame_constants():
@@ -300,14 +303,14 @@ def test_translation_has_zero_energy_before_reduction():
 
 
 def test_reduced_elasticity_positive_definite():
-    forms = build_forms(build_friedrichs_keller(6))
-    a = _dense(forms.elasticity, 2 * forms.n_interior)
+    mesh = build_friedrichs_keller(6)
+    a = _dense(mesh.elasticity, 2 * mesh.n_interior)
     # the Cholesky factorization succeeding is the positive-pivot check
     assert np.isfinite(np.linalg.cholesky(a)).all()
     rng = np.random.default_rng(3)
     for _ in range(100):
         v = rng.standard_normal(a.shape[0])
-        assert v @ forms.elasticity(v) >= 0.0
+        assert v @ mesh.elasticity(v) >= 0.0
 
 
 @pytest.mark.parametrize("n, rel_tol", [(2, 1e-15), (8, 1e-15), (16, 1e-15),
@@ -317,17 +320,16 @@ def test_stencil_elasticity_equals_the_per_cell_assembly(n, rel_tol):
     # 14500.000000000018 at n = 50 and 14499.999999999993 at n = 100, where
     # the closed-form stencil has 14500.000000000002
     mesh = build_friedrichs_keller(n)
-    forms = build_forms(mesh)
     ref = interior_elasticity(mesh)
-    v = np.random.default_rng(n).standard_normal(2 * forms.n_interior)
-    assert _matches(forms.elasticity(v), ref, v, rel_tol)
+    v = np.random.default_rng(n).standard_normal(2 * mesh.n_interior)
+    assert _matches(mesh.elasticity(v), ref, v, rel_tol)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 16, 50, 100])
 def test_elasticity_is_shear_plus_divergence_energy(n):
     # on fields vanishing on the boundary, a[phi, phi] = mu ||grad phi||^2
     # + (mu + lam) ||div phi||^2: A = mu (K kron I) + (mu + lam) area D^T D,
-    # the identity Forms.elasticity applies and elasticity_floor rests on,
+    # the identity Mesh.elasticity applies and elasticity_floor rests on,
     # here between the per-cell references
     mesh = build_friedrichs_keller(n)
     divergence = assemble_divergence(mesh)
@@ -338,11 +340,11 @@ def test_elasticity_is_shear_plus_divergence_energy(n):
     assert np.abs(ref - identity).max() <= 1e-14 * np.abs(ref.data).max()
 
 
-def _elasticity_band(forms):
+def _elasticity_band(mesh):
     """The band of A itself: no node rotated, every dof kept, no diagonal added."""
-    size = forms.n_interior
+    size = mesh.n_interior
     identity = np.array([np.ones(size), np.zeros(size)])
-    return forms.elasticity_band(1.0, np.zeros(size), identity, np.ones((size, 2), dtype=bool))
+    return mesh.elasticity_band(1.0, np.zeros(size), identity, np.ones((size, 2), dtype=bool))
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 50])
@@ -350,27 +352,20 @@ def test_elasticity_product_equals_its_node_blocks(n):
     # the shear Laplacian plus the divergence energy, against the band written
     # from the closed-form node blocks the oracle's bands come from: equal up
     # to rounding
-    forms = build_forms(build_friedrichs_keller(n))
-    band = _elasticity_band(forms)
+    mesh = build_friedrichs_keller(n)
+    band = _elasticity_band(mesh)
     for seed in range(3):
-        v = np.random.default_rng(seed).standard_normal(2 * forms.n_interior)
+        v = np.random.default_rng(seed).standard_normal(2 * mesh.n_interior)
         scale = symmetric_band_product(np.abs(band), np.abs(v)).max()
-        error = np.abs(forms.elasticity(v) - symmetric_band_product(band, v)).max()
+        error = np.abs(mesh.elasticity(v) - symmetric_band_product(band, v)).max()
         assert error <= 1e-15 * scale
 
 
 def test_smallest_mesh_has_empty_bands():
-    forms = build_forms(build_friedrichs_keller(1))
-    assert _elasticity_band(forms).shape == forms.stiffness_band().shape == (1, 0)
-    assert forms.elasticity(np.zeros(0)).shape == (0,)
-    assert forms.stiffness(np.zeros(0)).shape == (0,)
-
-
-def test_forms_hold_only_the_mesh():
-    # every band is written from a stencil when it is needed, so nothing else is stored
-    mesh = build_friedrichs_keller(50)
-    assert [field.name for field in dataclasses.fields(Forms)] == ["mesh"]
-    assert build_forms(mesh) == Forms(mesh)
+    mesh = build_friedrichs_keller(1)
+    assert _elasticity_band(mesh).shape == mesh.stiffness_band().shape == (1, 0)
+    assert mesh.elasticity(np.zeros(0)).shape == (0,)
+    assert mesh.stiffness(np.zeros(0)).shape == (0,)
 
 
 def _fixed_vector(size):
@@ -406,8 +401,8 @@ FORMS_SHA256 = {
 }
 
 
-def _pinned_inputs(forms):
-    mesh, size = forms.mesh, forms.n_interior
+def _pinned_inputs(mesh):
+    size = mesh.n_interior
     return {"stiffness": size, "mass_interior": mesh.n_nodes, "load_interior": mesh.n_cells,
             "cell_average": mesh.n_nodes, "elasticity": 2 * size, "divergence": 2 * size,
             "dual_load": mesh.n_cells}
@@ -415,14 +410,15 @@ def _pinned_inputs(forms):
 
 @pytest.mark.parametrize("n, name", sorted(FORMS_SHA256))
 def test_forms_bytes_are_pinned(n, name):
-    forms = build_forms(build_friedrichs_keller(n))
-    product = getattr(forms, name)(_fixed_vector(_pinned_inputs(forms)[name]))
+    mesh = build_friedrichs_keller(n)
+    product = getattr(mesh, name)(_fixed_vector(_pinned_inputs(mesh)[name]))
     assert product.dtype == np.float64 and product.flags.c_contiguous
     assert hashlib.sha256(product.tobytes()).hexdigest() == FORMS_SHA256[n, name]
 
 
 def test_build_forms_memory_at_n100():
-    # the forms hold only the mesh, 320 bytes traced; with the per-cell
+    # build_forms returns the mesh and traces nothing (320 bytes when it wrapped
+    # the mesh in a class of its own); with the per-cell
     # elasticity assembly (720 000 COO entries at n = 100) this peaked at 68.9
     # MB, and with the elasticity's node blocks stored at 2.67 MB
     mesh = build_friedrichs_keller(100)
@@ -440,15 +436,14 @@ def test_elasticity_floor_is_below_smallest_eigenvalue(n):
     # the oracle's dual bound divides by theta, so theta must not exceed lambda_min(A),
     # and a floor far below lambda_min(A) would loosen the certificate
     mesh = build_friedrichs_keller(n)
-    forms = build_forms(mesh)
-    smallest = np.linalg.eigvalsh(_dense(forms.elasticity, 2 * forms.n_interior))[0]
+    smallest = np.linalg.eigvalsh(_dense(mesh.elasticity, 2 * mesh.n_interior))[0]
     theta = elasticity_floor(mesh)
     assert 0.0 < theta <= smallest <= 3.0 * theta
 
 
 def test_divergence_of_zero_field():
-    forms = build_forms(build_friedrichs_keller(3))
-    div = forms.divergence(np.zeros(2 * forms.n_interior))
+    mesh = build_friedrichs_keller(3)
+    div = mesh.divergence(np.zeros(2 * mesh.n_interior))
     assert np.all(div == 0.0)
 
 
@@ -457,25 +452,24 @@ def test_divergence_of_hat_field():
     # basis gradient on the six cells around q (+-1/h on four, 0 on the two
     # above and below q), zero elsewhere
     mesh = build_friedrichs_keller(3)
-    forms = build_forms(mesh)
     position = 2
     q = fk_interior_nodes(3)[position]
-    x = np.zeros(2 * forms.n_interior)
+    x = np.zeros(2 * mesh.n_interior)
     x[2 * position] = 1.0
     expected = np.zeros(mesh.n_cells)
     cells, corners = np.nonzero(fk_triangles(3) == q)
     expected[cells] = basis_gradients(mesh)[cells, corners, 0]
     assert np.array_equal(np.sort(expected[cells]), [-3.0, -3.0, 0.0, 0.0, 3.0, 3.0])
-    assert np.array_equal(forms.divergence(x), expected)
+    assert np.array_equal(mesh.divergence(x), expected)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_divergence_compatibility(seed):
-    forms = build_forms(build_friedrichs_keller(4))
-    x = np.random.default_rng(seed).standard_normal(2 * forms.n_interior)
-    div = forms.divergence(x)
-    assert abs(np.sum(forms.mesh.cell_area * div)) < 1e-12
+    mesh = build_friedrichs_keller(4)
+    x = np.random.default_rng(seed).standard_normal(2 * mesh.n_interior)
+    div = mesh.divergence(x)
+    assert abs(np.sum(mesh.cell_area * div)) < 1e-12
 
 
 def test_projection_of_constant():
@@ -593,6 +587,16 @@ def test_projection_evaluates_each_coordinate_once_per_block():
 def test_projection_rejects_negative_depth():
     with pytest.raises(ValueError, match="subdivision_depth.*-1"):
         project_p0(lambda x, y: x + y, build_friedrichs_keller(2), -1)
+
+
+@pytest.mark.parametrize("depth", [2.0, 2.5, True])
+def test_projection_rejects_a_non_integer_depth(depth):
+    # as Mesh does for n; a NumPy integer passes, and a call with one first
+    # must not let 2.0 through the centroids' cache afterwards
+    mesh = build_friedrichs_keller(2)
+    project_p0(lambda x, y: x + y, mesh, np.int64(2))
+    with pytest.raises(TypeError, match=f"must be an integer, got subdivision_depth={depth}"):
+        project_p0(lambda x, y: x + y, mesh, depth)
 
 
 def test_interpolation_dirichlet_forcing():

@@ -13,7 +13,7 @@ from oracles import (
 )
 from tvcontrol import master_problem, sparse_linalg, tv_oracle
 from tvcontrol.instances import build_generic_instance
-from tvcontrol.mesh_fem import build_forms, build_friedrichs_keller
+from tvcontrol.mesh_fem import build_friedrichs_keller
 from tvcontrol.sparse_linalg import NotPositiveDefiniteError, factor_spd, lower_band, solve_spd
 
 
@@ -58,27 +58,27 @@ def test_indefinite_matrix_rejected():
 
 
 @pytest.fixture(scope="module")
-def forms8():
-    return build_forms(build_friedrichs_keller(8))
+def mesh8():
+    return build_friedrichs_keller(8)
 
 
 @pytest.mark.parametrize("pattern", [slice(None, None, 3), slice(0)], ids=["third", "none"])
-def test_newton_step_checks_the_reduced_residual(forms8, monkeypatch, pattern):
+def test_newton_step_checks_the_reduced_residual(mesh8, monkeypatch, pattern):
     # a band solve that is off by 1e-6 in every entry must not pass unnoticed
     def wrong_solve(*args):
         return solve_spd(*args) + 1e-6
 
-    n_int = forms8.n_interior
+    n_int = mesh8.n_interior
     rng = np.random.default_rng(27)
-    b = forms8.dual_load(rng.standard_normal(forms8.mesh.n_cells))
+    b = mesh8.dual_load(rng.standard_normal(mesh8.n_cells))
     active = np.zeros(n_int, dtype=bool)
     active[pattern] = True
     x = rng.standard_normal(2 * n_int)
     lam = np.where(active, rng.exponential(size=n_int), 0.0)
-    tv_oracle._newton_step(forms8, b, 1e-5, x, lam, active)
+    tv_oracle._newton_step(mesh8, b, 1e-5, x, lam, active)
     monkeypatch.setattr(tv_oracle, "solve_spd", wrong_solve)
     with pytest.raises(NotPositiveDefiniteError, match="residual"):
-        tv_oracle._newton_step(forms8, b, 1e-5, x, lam, active)
+        tv_oracle._newton_step(mesh8, b, 1e-5, x, lam, active)
 
 
 def _assert_matches_dense(a, b):
@@ -95,15 +95,15 @@ def test_oracle_operator_matches_dense(n, rel_tol):
     # the per-cell elasticity: the same entries up to its sums' rounding, which
     # gives 14500.000000000018 on A's diagonal at n = 50 where the closed-form
     # blocks have 14500.000000000002
-    forms = build_forms(build_friedrichs_keller(n))
+    mesh = build_friedrichs_keller(n)
     rng = np.random.default_rng(21)
-    n_int = forms.n_interior
+    n_int = mesh.n_interior
     identity = np.array([np.ones(n_int), np.zeros(n_int)])
     kept = np.ones((n_int, 2), dtype=bool)
-    elasticity = interior_elasticity(forms.mesh)
+    elasticity = interior_elasticity(mesh)
     for scale, lam in [(1.0, np.zeros(n_int)), (1e-5, rng.exponential(size=n_int))]:
         h = (scale * elasticity + sp.diags(np.repeat(2.0 * lam, 2))).tocoo()
-        band = forms.elasticity_band(scale, 2.0 * lam, identity, kept)
+        band = mesh.elasticity_band(scale, 2.0 * lam, identity, kept)
         expected = lower_band(h.row, h.col, h.data, h.shape[0])
         assert band.shape == expected.shape
         assert np.array_equal(band != 0.0, expected != 0.0)
@@ -112,7 +112,7 @@ def test_oracle_operator_matches_dense(n, rel_tol):
         _assert_matches_dense(h.tocsr(), rng.standard_normal(h.shape[0]))
 
 
-def test_reduced_newton_system_matches_dense(forms8, monkeypatch):
+def test_reduced_newton_system_matches_dense(mesh8, monkeypatch):
     bands = []
 
     def recording_solve(band, rhs):
@@ -120,16 +120,16 @@ def test_reduced_newton_system_matches_dense(forms8, monkeypatch):
         return solve_spd(band, rhs)
 
     monkeypatch.setattr(tv_oracle, "solve_spd", recording_solve)
-    n_int = forms8.n_interior
+    n_int = mesh8.n_interior
     rng = np.random.default_rng(22)
-    b = forms8.dual_load(rng.standard_normal(forms8.mesh.n_cells))
-    elasticity = interior_elasticity(forms8.mesh)
+    b = mesh8.dual_load(rng.standard_normal(mesh8.n_cells))
+    elasticity = interior_elasticity(mesh8)
     for pattern in (slice(None, None, 3), slice(0), slice(None)):  # every third, none, all
         active = np.zeros(n_int, dtype=bool)
         active[pattern] = True
         x = rng.standard_normal(2 * n_int)
         lam = np.where(active, rng.exponential(size=n_int), 0.0)
-        tv_oracle._newton_step(forms8, b, 1e-5, x, lam, active)
+        tv_oracle._newton_step(mesh8, b, 1e-5, x, lam, active)
         band = bands.pop()
         # radial projection keeps each tangent, so Z can be built from x itself
         expected = dense_reduced_newton_band(elasticity, 1e-5, x, lam, active)
@@ -152,7 +152,7 @@ BAND_SHA256 = {
 
 def _pinned_bands(n, kind, monkeypatch):
     """The bands one master set-up or three Newton steps factor, as they reach LAPACK."""
-    forms = build_forms(build_friedrichs_keller(n))
+    mesh = build_friedrichs_keller(n)
     bands = []
 
     def recording(solve):
@@ -163,18 +163,18 @@ def _pinned_bands(n, kind, monkeypatch):
 
     if kind == "laplacian":
         monkeypatch.setattr(master_problem, "factor_spd", recording(factor_spd))
-        master_problem.MasterOperator(build_generic_instance(forms.mesh), forms)
+        master_problem.MasterOperator(build_generic_instance(mesh))
         return bands
     monkeypatch.setattr(tv_oracle, "solve_spd", recording(solve_spd))
-    n_int = forms.n_interior
+    n_int = mesh.n_interior
     rng = np.random.default_rng(n)
-    b = forms.dual_load(rng.standard_normal(forms.mesh.n_cells))
+    b = mesh.dual_load(rng.standard_normal(mesh.n_cells))
     for share in (0.0, 0.3, 1.0):  # of the nodes active
         active = rng.random(n_int) < share
         x = rng.standard_normal(2 * n_int)
         # negative multipliers enter the operator as 0
         lam = np.where(active, rng.standard_normal(n_int), 0.0)
-        tv_oracle._newton_step(forms, b, 1e-5, x, lam, active)
+        tv_oracle._newton_step(mesh, b, 1e-5, x, lam, active)
     return bands
 
 
@@ -197,7 +197,7 @@ def _public_sparse_classes():
     ]
 
 
-def test_newton_steps_build_no_sparse_matrix(forms8, monkeypatch):
+def test_newton_steps_build_no_sparse_matrix(mesh8, monkeypatch):
     # every public scipy.sparse class records its constructions inside a step
     built, inside = [], []
     newton_step = tv_oracle._newton_step
@@ -222,7 +222,7 @@ def test_newton_steps_build_no_sparse_matrix(forms8, monkeypatch):
         monkeypatch.setattr(cls, "__init__", tracking(init))
     monkeypatch.setattr(tv_oracle, "_newton_step", tracked_step)
     rng = np.random.default_rng(26)
-    res = tv_oracle.eval_tv_eps(rng.standard_normal(forms8.mesh.n_cells), 1e-6, forms8)
+    res = tv_oracle.eval_tv_eps(rng.standard_normal(mesh8.n_cells), 1e-6, mesh8)
     assert res.converged and res.inner_iterations > 1 and res.ball_state.active_nodes.any()
     assert built == []
     # the tracking sees sparse matrices where they are built
