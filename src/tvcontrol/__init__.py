@@ -10,13 +10,7 @@ from .driver import (
 )
 from .instances import ProblemInstance, build_exact_instance, build_generic_instance
 from .master_problem import CuttingPlane, MasterSolution
-from .mesh_fem import (
-    Mesh,
-    P0Field,
-    P1ScalarField,
-    P1VectorField,
-    build_friedrichs_keller,
-)
+from .mesh_fem import Mesh, build_friedrichs_keller
 from .reporting import dump_field, load_field, serialize_report
 from .tv_oracle import (
     OracleResult,
@@ -31,9 +25,6 @@ __all__ = [
     "MasterSolution",
     "Mesh",
     "OracleResult",
-    "P0Field",
-    "P1ScalarField",
-    "P1VectorField",
     "ProblemInstance",
     "RunReport",
     "SolverConfig",

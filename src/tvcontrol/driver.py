@@ -18,8 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .master_problem import CuttingPlane, MasterOperator, MasterSolution
-from .mesh_fem import Mesh, P0Field, l2_error_p0, l2_norm_p0
+from .mesh_fem import Mesh, _integer, l2_error_p0, l2_norm_p0
 from .tv_oracle import OracleResult, eval_tv_eps, tv_lower_bound
 
 TOLERANCE_MET = "tolerance_met"
@@ -48,6 +50,9 @@ class SolverConfig:
     warm_start: bool = True
 
     def __post_init__(self):
+        self.n = _integer(self.n, "n", "the number of subdivisions")
+        self.subdivision_depth = _integer(self.subdivision_depth, "subdivision_depth",
+                                          "the quadrature depth")
         if not 0.0 < self.eps_factor < 1.0:
             raise ValueError(f"eps_factor must lie in (0, 1), got {self.eps_factor}")
         if not 0.0 < self.eps_min <= self.eps_start < math.inf:
@@ -80,14 +85,14 @@ class IterationRecord:
 class RunReport:
     records: list[IterationRecord]
     terminated: str
-    final_control: P0Field | None
+    final_control: np.ndarray | None  # the last master's control, one value per cell
     planes: list[CuttingPlane]
     config: SolverConfig
     failure: str | None = None  # which inner solver failed, where, and how far off
 
 
 def rel_error(mesh, u, reference) -> float:
-    """||u - reference|| / ||reference|| in L2 over P0 fields."""
+    """||u - reference|| / ||reference|| in L2 over cell values."""
     denom = l2_norm_p0(mesh, reference)
     if denom == 0.0:
         raise ValueError("relative error needs a nonzero reference control")
@@ -172,7 +177,7 @@ def run_outer_approximation(instance, config: SolverConfig, mesh: Mesh | None = 
     eps = config.eps_start
     master_warm: MasterSolution | None = None
     oracle_warm: OracleResult | None = None
-    final_control: P0Field | None = None
+    final_control: np.ndarray | None = None
     terminated = MAX_OUTER
     failure: str | None = None
 

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_fem import (
-    Mesh, P0Field, P1ScalarField, _integer, _quadrature_blocks, interpolate_p1, project_p0,
-)
+from .mesh_fem import Mesh, _integer, _quadrature_blocks, interpolate_p1, project_p0
 
 BALL_RADIUS = 0.25
 BALL_CENTER = (0.5, 0.5)
@@ -36,18 +34,24 @@ LAPLACE_FACTOR = 0.8 * np.pi**2
 
 @dataclass
 class ProblemInstance:
-    """Data of one tracking-type control problem; all fields share one mesh."""
+    """Data of one tracking-type control problem, as float arrays in the ``Mesh`` numbering.
+
+    f, u_d and reference_u hold one value per cell, y_d one per node.
+    """
 
     mesh: Mesh
     alpha: float
-    f: P0Field
-    u_d: P0Field
-    y_d: P1ScalarField
-    reference_u: P0Field | None
+    f: np.ndarray
+    u_d: np.ndarray
+    y_d: np.ndarray
+    reference_u: np.ndarray | None
     label: str
     subdivision_depth: int  # quadrature depth of the P0 projections
 
     def __post_init__(self):
+        self.f, self.u_d, self.y_d = (np.asarray(v, float) for v in (self.f, self.u_d, self.y_d))
+        if self.reference_u is not None:
+            self.reference_u = np.asarray(self.reference_u, float)
         if not 0.0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         self.subdivision_depth = _integer(self.subdivision_depth, "subdivision_depth",
@@ -221,16 +225,15 @@ def build_exact_instance(
         lambda x1, x2: (0.1 - LAPLACE_FACTOR) * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2),
         mesh,
     )
-    p_bar_cells = mesh.corners(p_bar.values).mean(axis=1)
-    u_d = P0Field(u_bar + (p_bar_cells - div_phi) / alpha)
+    p_bar_cells = mesh.corners(p_bar).mean(axis=1)
 
     return ProblemInstance(
         mesh=mesh,
         alpha=alpha,
-        f=P0Field(f),
-        u_d=u_d,
+        f=f,
+        u_d=u_bar + (p_bar_cells - div_phi) / alpha,
         y_d=y_d,
-        reference_u=P0Field(u_bar),
+        reference_u=u_bar,
         label="exact",
         subdivision_depth=subdivision_depth,
     )
@@ -263,7 +266,7 @@ def build_generic_instance(
     return ProblemInstance(
         mesh=mesh,
         alpha=alpha,
-        f=P0Field(np.zeros(mesh.n_cells)),
+        f=np.zeros(mesh.n_cells),
         u_d=u_d,
         y_d=y_d,
         reference_u=None,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_fem import P0Field, P1ScalarField, _p0_values, l2_error_p0
+from .mesh_fem import l2_error_p0
 from .sparse_linalg import factor_spd
 
 #: the active set is optimal once it repeats and the KKT residual is at most this
@@ -57,11 +57,11 @@ class SingularBorderError(ValueError):
 class CuttingPlane:
     """One cut int u div_phi dx <= 1 + (eps/2) energy, with eps supplied at solve time.
 
-    ``border`` is the plane's column of the bordered KKT system and
-    ``base_solve`` is base^{-1} border.
+    ``div_phi`` holds one value per cell, ``border`` is the plane's column
+    of the bordered KKT system and ``base_solve`` is base^{-1} border.
     """
 
-    div_phi: P0Field
+    div_phi: np.ndarray
     energy: float
     border: np.ndarray
     base_solve: np.ndarray
@@ -69,9 +69,11 @@ class CuttingPlane:
 
 @dataclass
 class MasterSolution:
-    u: P0Field
-    y: P1ScalarField
-    p: P1ScalarField
+    """The relaxation's minimizer: control u on the cells, state y and adjoint p on all nodes."""
+
+    u: np.ndarray
+    y: np.ndarray
+    p: np.ndarray
     mu: np.ndarray                # one multiplier per plane, >= 0
     active_planes: np.ndarray     # indices into the plane list
     objective: float
@@ -90,13 +92,13 @@ class MasterOperator:
         area = mesh.cell_area
         scale = 1.0 / np.sqrt(self.alpha * area)
         self._g = lambda w: scale * mesh.load_interior(w)
-        self._gt = lambda q: scale * area * mesh.cell_average(mesh.full_scalar_field(q).values)
+        self._gt = lambda q: scale * area * mesh.cell_average(mesh.on_all_nodes(q))
         self._poisson = factor_spd(mesh.stiffness_band())
 
-        self._u_d = _p0_values(instance.u_d)
-        self._y_d = instance.y_d.values
+        self._u_d = instance.u_d
+        self._y_d = instance.y_d
         self.rhs0 = np.concatenate([-mesh.mass_interior(self._y_d),
-                                    mesh.load_interior(self._u_d + _p0_values(instance.f))])
+                                    mesh.load_interior(self._u_d + instance.f)])
         self._x0 = self._base_solve(self.rhs0)
         self.planes: list[CuttingPlane] = []
 
@@ -108,12 +110,12 @@ class MasterOperator:
         appended and its border column is solved with the base, once.
         """
         mesh = self.mesh
-        div_phi = P0Field(mesh.divergence(phi))
+        div_phi = mesh.divergence(phi)
         if any(l2_error_p0(mesh, div_phi, p.div_phi) < DUPLICATE_TOL for p in self.planes):
             return False
         border = np.zeros(2 * mesh.n_interior)
         # the plane's row needs this column, the state rows its negative (ROADMAP.md, item 16)
-        border[mesh.n_interior:] = -mesh.load_interior(div_phi.values) / self.alpha
+        border[mesh.n_interior:] = -mesh.load_interior(div_phi) / self.alpha
         self.planes.append(CuttingPlane(div_phi, energy, border, self._base_solve(border)))
         return True
 
@@ -172,7 +174,7 @@ class MasterOperator:
         alpha = self.alpha
         area = mesh.cell_area
 
-        div = np.reshape([p.div_phi.values for p in planes], (k, mesh.n_cells))
+        div = np.reshape([p.div_phi for p in planes], (k, mesh.n_cells))
         energies = np.array([p.energy for p in planes])
         rhs_targets = 1.0 + 0.5 * eps * energies                     # per-plane bound
         border = np.reshape([p.border for p in planes], (k, 2 * n_i)).T
@@ -212,12 +214,12 @@ class MasterOperator:
                     f"cutting planes {idx.tolist()}"
                 )
 
-            y_full = mesh.full_scalar_field(xy[:n_i])
-            p_full = mesh.full_scalar_field(xy[n_i:])
+            y_full = mesh.on_all_nodes(xy[:n_i])
+            p_full = mesh.on_all_nodes(xy[n_i:])
             mu = np.zeros(k)
             mu[idx] = mu_act
 
-            p_bar = mesh.cell_average(p_full.values)
+            p_bar = mesh.cell_average(p_full)
             u = self._u_d - (p_bar + mu @ div) / alpha
             slack = rhs_targets - div @ (area * u)
             active_next = (mu - slack) > 0.0
@@ -231,7 +233,7 @@ class MasterOperator:
 
         objective = self.objective_value(u, y_full)
         return MasterSolution(
-            u=P0Field(u),
+            u=u,
             y=y_full,
             p=p_full,
             mu=mu,
@@ -242,12 +244,12 @@ class MasterOperator:
             residual=residual,
         )
 
-    def objective_value(self, u, y: P1ScalarField) -> float:
+    def objective_value(self, u: np.ndarray, y: np.ndarray) -> float:
         mesh = self.mesh
         # on a cell T the P1 mass gives int d^2 = |T|/12 ((sum_a d_a)^2 + sum_a d_a^2)
-        d = mesh.corners(y.values - self._y_d)
+        d = mesh.corners(y - self._y_d)
         squares = float(np.sum(d.sum(axis=1) ** 2 + np.sum(d * d, axis=1)))
         tracking = mesh.cell_area / 12.0 * squares
-        du = _p0_values(u) - self._u_d
+        du = u - self._u_d
         return 0.5 * tracking + 0.5 * self.alpha * float(np.sum(mesh.cell_area * du * du))
 

@@ -1,10 +1,11 @@
 """Structured triangular mesh on the unit square and its finite element forms.
 
 Provides the Friedrichs-Keller triangulation of (0,1)^2, given by n alone,
-piecewise-constant (P0) and continuous piecewise-linear (P1) fields, and the
-bilinear/linear forms used by the solvers: Poisson stiffness, mass, the P0-P1
-load, the linear-elasticity energy form, and the P1 -> P0 cell average and
-divergence.
+and the bilinear/linear forms used by the solvers: Poisson stiffness, mass,
+the P0-P1 load, the linear-elasticity energy form, and the P1 -> P0 cell
+average and divergence. Fields are plain arrays in the mesh's numbering
+(see :class:`Mesh`): piecewise-constant (P0) controls one value per cell,
+continuous piecewise-linear (P1) states one value per node.
 
 All integrands appearing in the forms are piecewise polynomial, so they are
 exact. Every cell of the mesh is a right triangle with legs 1/n, so every
@@ -63,14 +64,19 @@ class Mesh:
     congruent right triangles; every grid square is split along the
     lower-left to upper-right diagonal. Node (i, j), at (i/n, j/n), is
     ``j*(n+1) + i``; cells are stored by grid row j, then column i, then the
-    lower and upper triangle of the square (``CELL_CORNERS``), so node values
-    reshape to (n+1, n+1) and cell values to (n, n, 2).
+    lower and upper triangle of the square (``CELL_CORNERS``).
+
+    Every field is a plain float array in this numbering: cell values
+    (P0), shape (2n^2,), reshape to (n, n, 2); node values (P1), shape
+    ((n+1)^2,), reshape to (n+1, n+1). Dirichlet dofs are eliminated by
+    deletion, which keeps the forms exactly SPD: interior node values,
+    shape ((n-1)^2,), number the interior nodes row by row, and interior
+    vector fields, shape (2(n-1)^2,), are node-major, the two components of
+    a node next to each other.
 
     Its methods are the forms the solvers share, each applied as its stencil
     on arrays shaped like the node or the cell grid, none stored as a
-    matrix. Dirichlet dofs are eliminated by deletion, which keeps the forms
-    exactly SPD: the (n-1)^2 interior nodes are numbered row by row, their
-    vector dofs node-major.
+    matrix.
     """
 
     n: int
@@ -104,8 +110,9 @@ class Mesh:
         at = [grid[j:j + n, i:i + n] for i, j in CELL_CORNERS.reshape(-1, 2)]
         return np.stack(at, axis=2).reshape((self.n_cells, 3) + v.shape[1:])
 
-    def full_scalar_field(self, y_int: np.ndarray) -> P1ScalarField:
-        return P1ScalarField(_padded(y_int, self.n).ravel())
+    def on_all_nodes(self, y_int: np.ndarray) -> np.ndarray:
+        """Interior node values on all nodes, 0 on the boundary."""
+        return _padded(y_int, self.n).ravel()
 
     def stiffness(self, y: np.ndarray) -> np.ndarray:
         """K y on the interior nodes: the 5-point Laplacian, SPD."""
@@ -124,14 +131,14 @@ class Mesh:
         diagonal = g[:-1, :-1] + g[1:, 1:]
         return (np.stack([diagonal + g[:-1, 1:], diagonal + g[1:, :-1]], axis=-1) / 3.0).ravel()
 
-    def load_interior(self, u) -> np.ndarray:
+    def load_interior(self, u: np.ndarray) -> np.ndarray:
         """B u = int u * basis dx at the interior nodes, the cell average's adjoint times the area.
 
         A third of the area times u on the six cells around a node: its own
         square, the one below-left, and one cell of the squares below and left.
         """
         n = self.n
-        c = _p0_values(u).reshape(n, n, 2)
+        c = u.reshape(n, n, 2)
         square = c[..., 0] + c[..., 1]
         around = square[:-1, :-1] + c[:-1, 1:, 1] + c[1:, :-1, 0] + square[1:, 1:]
         return (self.cell_area / 3.0 * around).ravel()
@@ -149,13 +156,13 @@ class Mesh:
         upper = along_columns[:, :-1] + along_rows[1:]
         return (n * np.stack([lower, upper], axis=-1)).ravel()
 
-    def dual_load(self, u) -> np.ndarray:
+    def dual_load(self, u: np.ndarray) -> np.ndarray:
         """D^T (area u): b_j = int u * div(basis_j) dx over the interior vector dofs.
 
         At a node, n times the jumps of area * u across the grid lines through it.
         """
         n = self.n
-        v = (self.cell_area * _p0_values(u)).reshape(n, n, 2)
+        v = (self.cell_area * u).reshape(n, n, 2)
         across_columns, across_rows = v[:, :-1] - v[:, 1:], v[:-1] - v[1:]
         first = across_columns[:-1, :, 1] + across_columns[1:, :, 0]
         second = across_rows[:, :-1, 0] + across_rows[:, 1:, 1]
@@ -202,38 +209,6 @@ class Mesh:
             )
         column = np.where(kept, np.cumsum(kept).reshape(-1, 2) - 1, -1).T
         return _stencil_band(column.reshape(2, m, m), blocks, np.count_nonzero(kept))
-
-
-@dataclass
-class P0Field:
-    """One real value per triangle."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-
-@dataclass
-class P1ScalarField:
-    """One real value per node (continuous piecewise-linear function)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-
-@dataclass
-class P1VectorField:
-    """Two real values per node; vanishes on the boundary (H^1_0 vector field)."""
-
-    values: np.ndarray  # (n_nodes, 2)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[1] != 2:
-            raise ValueError("P1VectorField values must have shape (n_nodes, 2)")
 
 
 def _integer(value, name: str, meaning: str) -> int:
@@ -304,7 +279,7 @@ def _quadrature_blocks(mesh: Mesh, subdivision_depth: int):
     return x, y, [(rows, cols) for rows in spans for cols in spans]
 
 
-def project_p0(f, mesh: Mesh, subdivision_depth: int = 4) -> P0Field:
+def project_p0(f, mesh: Mesh, subdivision_depth: int = 4) -> np.ndarray:
     """Approximate cell averages of f by the midpoint rule on 4^depth subtriangles.
 
     Exact for affine f at any depth; O(h^2)-accurate away from
@@ -327,10 +302,10 @@ def project_p0(f, mesh: Mesh, subdivision_depth: int = 4) -> P0Field:
         # a block's values die in this statement, so the next block's
         # integrand reuses their pages instead of faulting in fresh ones
         out[rows, cols] = np.broadcast_to(np.asarray(f(xs, ys), dtype=float), shape).mean(axis=-1)
-    return P0Field(out.ravel())
+    return out.ravel()
 
 
-def interpolate_p1(f, mesh: Mesh, dirichlet: bool = False) -> P1ScalarField:
+def interpolate_p1(f, mesh: Mesh, dirichlet: bool = False) -> np.ndarray:
     """Nodal interpolation, f called on x = i/n of shape (1, n+1) and y = j/n of shape (n+1, 1).
 
     With ``dirichlet=True`` the values on the grid's border are forced to 0.
@@ -340,22 +315,18 @@ def interpolate_p1(f, mesh: Mesh, dirichlet: bool = False) -> P1ScalarField:
     vals = np.broadcast_to(vals, (mesh.n + 1, mesh.n + 1)).copy()
     if dirichlet:
         vals[[0, -1]] = vals[:, [0, -1]] = 0.0
-    return P1ScalarField(vals.ravel())
-
-
-def _p0_values(u) -> np.ndarray:
-    return u.values if isinstance(u, P0Field) else np.asarray(u, dtype=float)
+    return vals.ravel()
 
 
 def l2_norm_p0(mesh: Mesh, u) -> float:
-    v = _p0_values(u)
+    v = np.asarray(u, dtype=float)
     if v.shape != (mesh.n_cells,):
         raise ValueError(f"expected {mesh.n_cells} cell values, got shape {v.shape}")
     return float(np.sqrt(np.sum(mesh.cell_area * v * v)))
 
 
 def l2_error_p0(mesh: Mesh, u, v) -> float:
-    a, b = _p0_values(u), _p0_values(v)
+    a, b = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"mismatched P0 lengths: {a.shape} vs {b.shape}")
     return l2_norm_p0(mesh, a - b)

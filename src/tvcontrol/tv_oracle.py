@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_fem import Mesh, _p0_values, elasticity_floor
+from .mesh_fem import Mesh, elasticity_floor
 from .sparse_linalg import RESIDUAL_TOL, NotPositiveDefiniteError, solve_spd
 
 #: the oracle stops once its weak-duality gap is at most this times 1 + |value|
@@ -84,7 +84,7 @@ def eval_tv_eps(u, eps: float, mesh: Mesh, warm_start: OracleResult | None = Non
     if not 0.0 < eps < math.inf:
         raise ValueError(f"regularization weight must be positive and finite, got {eps}")
     n_int = mesh.n_interior
-    if _p0_values(u).shape != (mesh.n_cells,):
+    if np.shape(u) != (mesh.n_cells,):
         raise ValueError("control does not match the mesh")
     if warm_start is not None and warm_start.ball_state.multipliers.size != n_int:
         raise ValueError(
@@ -263,7 +263,7 @@ def discrete_tv(u, mesh: Mesh) -> float:
     U[:, :-1, 0] and U[:, 1:, 1] (vertical) and U[:-1, :, 1] and U[1:, :, 0]
     (horizontal). Raises ValueError unless u has one value per cell.
     """
-    v = _p0_values(u)
+    v = np.asarray(u, dtype=float)
     if v.shape != (mesh.n_cells,):
         raise ValueError(f"expected {mesh.n_cells} cell values, got shape {v.shape}")
     cells = v.reshape(mesh.n, mesh.n, 2)

@@ -39,9 +39,6 @@ from tvcontrol.mesh_fem import (
     LAME_LAMBDA,
     SHEAR_MODULUS,
     Mesh,
-    P0Field,
-    P1ScalarField,
-    _p0_values,
     _subtriangle_centroids,
 )
 from tvcontrol.sparse_linalg import (
@@ -290,13 +287,13 @@ def exact_f_integrand(x1, x2):
     return 0.8 * np.pi**2 * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2) - exact_u_bar(x1, x2)
 
 
-def project_p0_by_einsum(f, mesh, subdivision_depth: int = 4) -> P0Field:
+def project_p0_by_einsum(f, mesh, subdivision_depth: int = 4) -> np.ndarray:
     """Midpoint-rule cell averages with all (cells, 4^depth, 2) points built at once."""
     bary = _subtriangle_centroids(subdivision_depth)
     pts = np.einsum("qc,tcd->tqd", bary, _corner_coordinates(mesh))
     vals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
     vals = np.broadcast_to(vals, pts.shape[:2])
-    return P0Field(vals.mean(axis=1))
+    return vals.mean(axis=1)
 
 
 def projected_ascent_tv(u, eps: float, mesh: Mesh, iterations: int = 100_000) -> float:
@@ -309,7 +306,7 @@ def projected_ascent_tv(u, eps: float, mesh: Mesh, iterations: int = 100_000) ->
     stops there with the iterate of the cycle that the last step reaches.
     """
     a = interior_elasticity(mesh).toarray()
-    b = assemble_divergence(mesh).T @ (cell_areas(mesh) * _p0_values(u))
+    b = assemble_divergence(mesh).T @ (cell_areas(mesh) * u)
     step = 1.0 / (eps * np.linalg.eigvalsh(a).max())
     x, before = np.zeros(b.size), None
     for k in range(1, iterations + 1):
@@ -394,9 +391,9 @@ def dense_master_qp(instance, mesh: Mesh, planes, eps: float):
     m_full = assemble_mass_p1(mesh).toarray()
     areas = cell_areas(mesh)
     alpha = instance.alpha
-    u_d = _p0_values(instance.u_d)
-    f = _p0_values(instance.f)
-    y_d = instance.y_d.values
+    u_d = instance.u_d
+    f = instance.f
+    y_d = instance.y_d
 
     # y_full = E K^{-1} B (u + f); embed interior rows into the full node set
     t = np.linalg.solve(k_dense, b_in) if k_dense.size else np.zeros((0, mesh.n_cells))
@@ -407,7 +404,7 @@ def dense_master_qp(instance, mesh: Mesh, planes, eps: float):
     hessian = s.T @ m_full @ s + alpha * np.diag(areas)
     grad_const = s.T @ m_full @ (s @ f - y_d) - alpha * areas * u_d
 
-    g_rows = np.array([areas * p.div_phi.values for p in planes]).reshape(len(planes), -1)
+    g_rows = np.array([areas * p.div_phi for p in planes]).reshape(len(planes), -1)
     h = np.array([1.0 + 0.5 * eps * p.energy for p in planes])
     return hessian, grad_const, g_rows, h
 
@@ -450,7 +447,7 @@ def dense_qp_active_set_enumeration(hessian, grad, g_rows, h, tol: float = 1e-10
 
 def plane_slack(plane, u, eps: float, mesh) -> float:
     """1 + (eps/2) energy - int u div_phi dx; nonnegative iff u is feasible."""
-    lhs = float(np.sum(cell_areas(mesh) * _p0_values(u) * plane.div_phi.values))
+    lhs = float(np.sum(cell_areas(mesh) * u * plane.div_phi))
     return 1.0 + 0.5 * eps * plane.energy - lhs
 
 
@@ -460,25 +457,25 @@ def dual_objective(u, phi, eps: float, mesh: Mesh) -> float:
     return -0.5 * eps * float(x @ mesh.elasticity(x)) + float(mesh.dual_load(u) @ x)
 
 
-def solve_state(u, instance, mesh: Mesh) -> P1ScalarField:
-    rhs = interior_load(mesh) @ (_p0_values(u) + _p0_values(instance.f))
-    return mesh.full_scalar_field(solve_sparse_spd(interior_stiffness(mesh), rhs))
+def solve_state(u, instance, mesh: Mesh) -> np.ndarray:
+    rhs = interior_load(mesh) @ (u + instance.f)
+    return mesh.on_all_nodes(solve_sparse_spd(interior_stiffness(mesh), rhs))
 
 
 def reduced_objective(u, instance, mesh: Mesh) -> float:
     """J(u) via a state solve: tracking term plus control penalty."""
     y = solve_state(u, instance, mesh)
-    du = _p0_values(u) - _p0_values(instance.u_d)
-    diff = y.values - instance.y_d.values
+    du = u - instance.u_d
+    diff = y - instance.y_d
     tracking = 0.5 * float(diff @ (assemble_mass_p1(mesh) @ diff))
     return tracking + 0.5 * instance.alpha * float(np.sum(cell_areas(mesh) * du * du))
 
 
-def reduced_gradient(u, instance, mesh: Mesh) -> P0Field:
+def reduced_gradient(u, instance, mesh: Mesh) -> np.ndarray:
     """Gradient density alpha (u - u_d) + p of the reduced objective (two Poisson solves)."""
     y = solve_state(u, instance, mesh)
     adjoint_rhs = (assemble_mass_p1(mesh)[fk_interior_nodes(mesh.n)]
-                   @ (y.values - instance.y_d.values))
-    p = mesh.full_scalar_field(solve_sparse_spd(interior_stiffness(mesh), adjoint_rhs))
-    p_bar = assemble_cell_average(mesh) @ p.values
-    return P0Field(instance.alpha * (_p0_values(u) - _p0_values(instance.u_d)) + p_bar)
+                   @ (y - instance.y_d))
+    p = mesh.on_all_nodes(solve_sparse_spd(interior_stiffness(mesh), adjoint_rhs))
+    p_bar = assemble_cell_average(mesh) @ p
+    return instance.alpha * (u - instance.u_d) + p_bar

@@ -34,7 +34,7 @@ from tvcontrol.instances import (
     psi_prime,
 )
 from tvcontrol.master_problem import MasterOperator
-from tvcontrol.mesh_fem import P0Field, P1ScalarField, build_friedrichs_keller
+from tvcontrol.mesh_fem import build_friedrichs_keller
 from tvcontrol.reporting import serialize_report
 from tvcontrol.tv_oracle import discrete_tv, eval_tv_eps
 
@@ -167,12 +167,12 @@ def test_criterion_4_oracle_property_suite():
     for n in (2, 4, 8):
         mesh = build_friedrichs_keller(n)
         for const in (-3.0, 0.0, 2.5):
-            res = eval_tv_eps(P0Field(np.full(mesh.n_cells, const)), 1e-5, mesh)
+            res = eval_tv_eps(np.full(mesh.n_cells, const), 1e-5, mesh)
             if not (res.converged and abs(res.value) <= 1e-9):
                 failures.append((n, "constant", const))
         for seed in range(50):
             rng = np.random.default_rng(1000 * n + seed)
-            u = P0Field(rng.standard_normal(mesh.n_cells))
+            u = rng.standard_normal(mesh.n_cells)
             by_eps = {}
             for eps in (1e-4, 1e-5, 1e-6):
                 r = eval_tv_eps(u, eps, mesh)
@@ -184,7 +184,7 @@ def test_criterion_4_oracle_property_suite():
                 and by_eps[1e-5].value >= by_eps[1e-4].value - 1e-10
             ):
                 failures.append((n, seed, "monotonicity"))
-            shifted = eval_tv_eps(P0Field(u.values + 1.7), 1e-5, mesh)
+            shifted = eval_tv_eps(u + 1.7, 1e-5, mesh)
             if abs(shifted.value - by_eps[1e-5].value) > 1e-9:
                 failures.append((n, seed, "shift"))
             if by_eps[1e-5].value > discrete_tv(u, mesh) + 1e-9:
@@ -193,10 +193,10 @@ def test_criterion_4_oracle_property_suite():
                 prev = np.random.default_rng(1000 * n + seed - 1).standard_normal(
                     mesh.n_cells
                 )
-                r_prev = eval_tv_eps(P0Field(prev), 1e-5, mesh)
+                r_prev = eval_tv_eps(prev, 1e-5, mesh)
                 d = by_eps[1e-5].phi - r_prev.phi
                 lhs = 1e-5 * float(d @ mesh.elasticity(d))
-                rhs = float(mesh.dual_load(P0Field(u.values - prev)) @ d)
+                rhs = float(mesh.dual_load(u - prev) @ d)
                 if lhs > rhs + 1e-9:
                     failures.append((n, seed, "lipschitz"))
     ok = _report_line(4, not failures, f"violations={failures[:5] if failures else 'none'}")
@@ -207,7 +207,7 @@ def test_criterion_5_oracle_vs_projected_ascent():
     mesh = build_friedrichs_keller(2)
     worst = 0.0
     for seed in range(20):
-        u = P0Field(np.random.default_rng(seed).standard_normal(mesh.n_cells))
+        u = np.random.default_rng(seed).standard_normal(mesh.n_cells)
         res = eval_tv_eps(u, 1e-5, mesh)
         assert res.converged
         reference = projected_ascent_tv(u, 1e-5, mesh)
@@ -224,9 +224,9 @@ def test_criterion_6_master_certificates():
         instance = ProblemInstance(
             mesh=mesh,
             alpha=1.0,
-            f=P0Field(rng.standard_normal(mesh.n_cells)),
-            u_d=P0Field(8.0 * rng.standard_normal(mesh.n_cells)),
-            y_d=P1ScalarField(rng.standard_normal(mesh.n_nodes)),
+            f=rng.standard_normal(mesh.n_cells),
+            u_d=8.0 * rng.standard_normal(mesh.n_cells),
+            y_d=rng.standard_normal(mesh.n_nodes),
             reference_u=None,
             label="synthetic",
             subdivision_depth=4,
@@ -234,33 +234,33 @@ def test_criterion_6_master_certificates():
         eps = 1e-4
         op = MasterOperator(instance)
         for _ in range(2):
-            res = eval_tv_eps(P0Field(8.0 * rng.standard_normal(mesh.n_cells)), eps, mesh)
+            res = eval_tv_eps(8.0 * rng.standard_normal(mesh.n_cells), eps, mesh)
             assert op.add_plane(res.phi, res.energy)
         planes = op.planes
         sol = op.solve(eps)
         assert sol.converged
-        grad = reduced_gradient(sol.u, instance, mesh).values.copy()
+        grad = reduced_gradient(sol.u, instance, mesh)
         slacks = []
         for i, plane in enumerate(planes):
-            grad += sol.mu[i] * plane.div_phi.values
+            grad += sol.mu[i] * plane.div_phi
             slacks.append(
                 1.0
                 + 0.5 * eps * plane.energy
-                - float(np.sum(mesh.cell_area * sol.u.values * plane.div_phi.values))
+                - float(np.sum(mesh.cell_area * sol.u * plane.div_phi))
             )
         worst_kkt = max(worst_kkt, float(np.abs(grad).max()))
         worst_compl = max(worst_compl, float(np.abs(sol.mu * np.array(slacks)).max()))
         hess, lin, g_rows, h = dense_master_qp(instance, mesh, planes, eps)
         _, u_ref, _, _ = dense_qp_active_set_enumeration(hess, lin, g_rows, h)
-        worst_qp = max(worst_qp, float(np.abs(sol.u.values - u_ref).max()))
+        worst_qp = max(worst_qp, float(np.abs(sol.u - u_ref).max()))
 
-        u0 = P0Field(rng.standard_normal(mesh.n_cells))
-        g0 = reduced_gradient(u0, instance, mesh).values
+        u0 = rng.standard_normal(mesh.n_cells)
+        g0 = reduced_gradient(u0, instance, mesh)
         base_step = 1e-6
         for _ in range(10):
             direction = rng.standard_normal(mesh.n_cells)
-            plus = reduced_objective(P0Field(u0.values + base_step * direction), instance, mesh)
-            minus = reduced_objective(P0Field(u0.values - base_step * direction), instance, mesh)
+            plus = reduced_objective(u0 + base_step * direction, instance, mesh)
+            minus = reduced_objective(u0 - base_step * direction, instance, mesh)
             fd = (plus - minus) / (2 * base_step)
             analytic = float(np.sum(mesh.cell_area * g0 * direction))
             worst_fd = max(worst_fd, abs(fd - analytic) / max(abs(analytic), 1e-12))
@@ -288,16 +288,16 @@ def test_criterion_7_exact_construction():
     interior = fk_interior_nodes(50)
     p_bar[interior] = exact_state(*fk_nodes(50)[interior].T)
     residual = (
-        -project_p0(exact_div_phi_bar, mesh, 4).values
+        -project_p0(exact_div_phi_bar, mesh, 4)
         + p_bar[fk_triangles(50)].mean(axis=1)
-        + instance.alpha * (instance.reference_u.values - instance.u_d.values)
+        + instance.alpha * (instance.reference_u - instance.u_d)
     )
     knots = (3 / 16, 1 / 4, 5 / 16)
     knot_dev = max(
         abs(psi(3 / 16)), abs(psi(1 / 4) - 1.0), abs(psi(5 / 16)),
         *[abs(psi_prime(k)) for k in knots],
     )
-    mass = float(np.sum(mesh.cell_area * instance.reference_u.values))
+    mass = float(np.sum(mesh.cell_area * instance.reference_u))
     checks = {
         "gradient_residual": float(np.abs(residual).max()) <= 1e-10,
         "knots": knot_dev <= 1e-12,

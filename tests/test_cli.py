@@ -103,9 +103,19 @@ def test_dump_fields(tmp_path, capsys):
         capsys, ["--instance", "exact", *FAST, "--dump-fields", str(tmp_path / "out")]
     )
     assert code == 0
-    control = load_field(tmp_path / "out" / "control.txt")
-    reference = load_field(tmp_path / "out" / "reference_control.txt")
-    assert control.values.shape == reference.values.shape
+    out = tmp_path / "out"
+    control = load_field(out / "control.txt")
+    reference = load_field(out / "reference_control.txt")
+    assert control.shape == reference.shape
+    # the pinned bytes of both dumps at these settings
+    pinned = {
+        "control.txt": "6c6e208af693e8636694c31532cbbdd9438dd00d582f34b58e8aef88da464411",
+        "reference_control.txt": "de9b8a48019a30399b026034c1426dd147def393337b9f0d5a29db741c178354",
+    }
+    for name, digest in pinned.items():
+        data = (out / name).read_bytes()
+        assert data.split(b"\n", 1)[0] == b"p0 72"
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_dump_fields_into_a_file_exits_one_before_the_solve(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -13,13 +16,8 @@ from tvcontrol.driver import (
     run_outer_approximation,
 )
 from tvcontrol.instances import ProblemInstance, build_exact_instance, build_generic_instance
-from tvcontrol.mesh_fem import (
-    P0Field,
-    P1ScalarField,
-    build_forms,
-    build_friedrichs_keller,
-    l2_error_p0,
-)
+from tvcontrol.mesh_fem import build_forms, build_friedrichs_keller, l2_error_p0
+from tvcontrol.reporting import serialize_report
 
 
 def test_config_validation():
@@ -46,6 +44,21 @@ def test_config_rejects_negative_subdivision_depth():
     with pytest.raises(ValueError, match="subdivision_depth"):
         SolverConfig(subdivision_depth=-3)
     assert SolverConfig(subdivision_depth=0).subdivision_depth == 0
+
+
+@pytest.mark.parametrize("field, value", [("n", True), ("n", 8.0), ("subdivision_depth", 4.0)])
+def test_config_rejects_a_non_integer_size(field, value):
+    with pytest.raises(TypeError, match=re.escape(f"{field}={value!r}")):
+        SolverConfig(**{field: value})
+
+
+def test_config_stores_a_numpy_integer_as_an_int():
+    config = SolverConfig(n=np.int64(4), subdivision_depth=np.int32(4))
+    assert type(config.n) is int and type(config.subdivision_depth) is int
+    report = run_outer_approximation(build_exact_instance(build_friedrichs_keller(4)), config)
+    assert report.terminated == TOLERANCE_MET
+    echoed = json.loads(serialize_report(report, "json"))["config"]
+    assert echoed["n"] == 4 and echoed["subdivision_depth"] == 4
 
 
 def _records(errs, epss):
@@ -78,11 +91,11 @@ def test_eoc_undefined_cases():
 
 def test_rel_error_basics():
     mesh = build_friedrichs_keller(2)
-    ref = P0Field(np.full(mesh.n_cells, 2.0))
+    ref = np.full(mesh.n_cells, 2.0)
     assert rel_error(mesh, ref, ref) == 0.0
-    assert rel_error(mesh, P0Field(np.zeros(mesh.n_cells)), ref) == pytest.approx(1.0)
+    assert rel_error(mesh, np.zeros(mesh.n_cells), ref) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        rel_error(mesh, ref, P0Field(np.zeros(mesh.n_cells)))
+        rel_error(mesh, ref, np.zeros(mesh.n_cells))
 
 
 def test_early_exit_with_feasible_unconstrained_optimum():
@@ -90,9 +103,9 @@ def test_early_exit_with_feasible_unconstrained_optimum():
     instance = ProblemInstance(
         mesh=mesh,
         alpha=1.0,
-        f=P0Field(np.zeros(mesh.n_cells)),
-        u_d=P0Field(np.zeros(mesh.n_cells)),
-        y_d=P1ScalarField(np.full(mesh.n_nodes, 1e-3)),
+        f=np.zeros(mesh.n_cells),
+        u_d=np.zeros(mesh.n_cells),
+        y_d=np.full(mesh.n_nodes, 1e-3),
         reference_u=None,
         label="mild",
         subdivision_depth=4,

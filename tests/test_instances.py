@@ -30,9 +30,7 @@ from tvcontrol.instances import (
     psi,
     psi_prime,
 )
-from tvcontrol.mesh_fem import (
-    P0Field, P1ScalarField, _quadrature_blocks, build_friedrichs_keller, project_p0,
-)
+from tvcontrol.mesh_fem import _quadrature_blocks, build_friedrichs_keller, project_p0
 from tvcontrol.tv_oracle import discrete_tv
 
 # total variation of 2 pi^2 sin(pi x1) cos(pi x2); adaptive quadrature against
@@ -150,7 +148,7 @@ def exact50():
 
 def test_indicator_mass(exact50):
     mesh, inst = exact50
-    mass = np.sum(mesh.cell_area * inst.reference_u.values)
+    mass = np.sum(mesh.cell_area * inst.reference_u)
     assert mass == pytest.approx(0.125, abs=1e-3)
 
 
@@ -198,9 +196,9 @@ def test_gradient_equation_residual(exact50):
     p_bar_cells = p_bar[fk_triangles(mesh.n)].mean(axis=1)
     div_phi = project_p0(exact_div_phi_bar, mesh, 4)
     residual = (
-        -div_phi.values
+        -div_phi
         + p_bar_cells
-        + inst.alpha * (inst.reference_u.values - inst.u_d.values)
+        + inst.alpha * (inst.reference_u - inst.u_d)
     )
     assert np.abs(residual).max() < 1e-10
 
@@ -216,9 +214,9 @@ def test_exact_instance_tv_of_reference(exact50):
 def test_exact_state_fields(exact50):
     mesh, inst = exact50
     # y_d carries the constant (0.1 - 0.8 pi^2) against the state profile
-    idx = np.argmax(np.abs(inst.y_d.values))
+    idx = np.argmax(np.abs(inst.y_d))
     x, y = fk_nodes(mesh.n)[idx]
-    coeff = inst.y_d.values[idx] / (np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))
+    coeff = inst.y_d[idx] / (np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))
     assert coeff == pytest.approx(0.1 - 0.8 * np.pi**2, rel=1e-9)
 
 
@@ -251,7 +249,7 @@ def test_generic_eigenfunction_identity():
 def test_generic_control_statistics(generic50):
     mesh, inst = generic50
     # mean of u_d vanishes by the odd symmetry in x2 about 1/2
-    assert np.sum(mesh.cell_area * inst.u_d.values) == pytest.approx(0.0, abs=1e-12)
+    assert np.sum(mesh.cell_area * inst.u_d) == pytest.approx(0.0, abs=1e-12)
     # continuous TV(u_d) = c * TV(profile) = 2 exactly by construction; the
     # edge-jump TV of the projection sees the mesh anisotropy instead
     c = 2.0 / REFERENCE_PROFILE_TV
@@ -263,7 +261,7 @@ def test_generic_control_statistics(generic50):
 def test_generic_y_d_keeps_boundary_values(generic50):
     mesh, inst = generic50
     top = fk_nodes(mesh.n)[:, 1] == 1.0
-    assert np.abs(inst.y_d.values[top]).max() > 0.0
+    assert np.abs(inst.y_d[top]).max() > 0.0
 
 
 def test_instance_alpha_validated():
@@ -272,13 +270,23 @@ def test_instance_alpha_validated():
         ProblemInstance(
             mesh=mesh,
             alpha=0.0,
-            f=P0Field(np.zeros(mesh.n_cells)),
-            u_d=P0Field(np.zeros(mesh.n_cells)),
-            y_d=P1ScalarField(np.zeros(mesh.n_nodes)),
+            f=np.zeros(mesh.n_cells),
+            u_d=np.zeros(mesh.n_cells),
+            y_d=np.zeros(mesh.n_nodes),
             reference_u=None,
             label="bad",
             subdivision_depth=4,
         )
+
+
+def test_instance_stores_lists_as_float_arrays():
+    mesh = build_friedrichs_keller(1)
+    inst = ProblemInstance(mesh=mesh, alpha=1.0, f=[0, 1], u_d=[2, 3], y_d=[0, 0, 0, 1],
+                           reference_u=[1, 0], label="lists", subdivision_depth=0)
+    for values, listed in [(inst.f, [0, 1]), (inst.u_d, [2, 3]), (inst.y_d, [0, 0, 0, 1]),
+                           (inst.reference_u, [1, 0])]:
+        assert isinstance(values, np.ndarray) and values.dtype == np.float64
+        assert values.tolist() == listed
 
 
 @pytest.mark.parametrize("alpha", [np.nan, np.inf])
@@ -325,7 +333,7 @@ def _instance_digest(label, n, depth=4):
     fields = [inst.f, inst.u_d, inst.y_d]
     if inst.reference_u is not None:
         fields.append(inst.reference_u)
-    return hashlib.sha256(b"".join(field.values.tobytes() for field in fields)).hexdigest()
+    return hashlib.sha256(b"".join(field.tobytes() for field in fields)).hexdigest()
 
 
 @pytest.mark.parametrize("n, label", sorted(INSTANCE_SHA256))
@@ -361,7 +369,7 @@ def test_one_pass_exact_projections_match_einsum_bitwise(n, depth):
     mesh = build_friedrichs_keller(n)
     one_pass = instances._exact_projections(mesh, depth)
     for values, integrand in zip(one_pass, [exact_u_bar, exact_f_integrand, exact_div_phi_bar]):
-        assert values.tobytes() == project_p0_by_einsum(integrand, mesh, depth).values.tobytes()
+        assert values.tobytes() == project_p0_by_einsum(integrand, mesh, depth).tobytes()
 
 
 def test_divergence_evaluated_near_its_annulus_only():

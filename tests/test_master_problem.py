@@ -19,7 +19,7 @@ import tvcontrol
 from tvcontrol import master_problem
 from tvcontrol.instances import ProblemInstance, build_exact_instance
 from tvcontrol.master_problem import MasterOperator, SingularBorderError
-from tvcontrol.mesh_fem import P0Field, P1ScalarField, build_friedrichs_keller
+from tvcontrol.mesh_fem import build_friedrichs_keller
 from tvcontrol.tv_oracle import eval_tv_eps
 
 
@@ -27,9 +27,9 @@ def _instance(mesh, u_d, y_d=None, f=None, alpha=1.0, reference=None):
     return ProblemInstance(
         mesh=mesh,
         alpha=alpha,
-        f=P0Field(np.zeros(mesh.n_cells) if f is None else f),
-        u_d=P0Field(u_d),
-        y_d=P1ScalarField(np.zeros(mesh.n_nodes) if y_d is None else y_d),
+        f=np.zeros(mesh.n_cells) if f is None else f,
+        u_d=u_d,
+        y_d=np.zeros(mesh.n_nodes) if y_d is None else y_d,
         reference_u=reference,
         label="test",
         subdivision_depth=4,
@@ -42,7 +42,7 @@ def mesh():
 
 
 def _oracle(u_values, mesh, eps):
-    res = eval_tv_eps(P0Field(u_values), eps, mesh)
+    res = eval_tv_eps(u_values, eps, mesh)
     assert res.converged
     return res
 
@@ -58,9 +58,9 @@ def test_zero_instance_is_stationary(mesh):
     sol = MasterOperator(_instance(mesh, np.zeros(mesh.n_cells))).solve(1e-5)
     assert sol.converged
     assert sol.objective == pytest.approx(0.0, abs=1e-15)
-    assert np.abs(sol.u.values).max() == 0.0
-    assert np.abs(sol.y.values).max() == 0.0
-    assert np.abs(sol.p.values).max() == 0.0
+    assert np.abs(sol.u).max() == 0.0
+    assert np.abs(sol.y).max() == 0.0
+    assert np.abs(sol.p).max() == 0.0
     assert sol.inner_iterations == 1
 
 
@@ -78,7 +78,7 @@ def test_single_plane_becomes_active(n):
     eps = 1e-4
     op = MasterOperator(inst)
     free = op.solve(eps)
-    plane = _add_cut(op, free.u.values, eps)
+    plane = _add_cut(op, free.u, eps)
     assert plane_slack(plane, free.u, eps, mesh) < 0  # unconstrained point is cut off
     sol = op.solve(eps)
     assert sol.converged
@@ -87,7 +87,7 @@ def test_single_plane_becomes_active(n):
 
     hess, grad, g_rows, h = dense_master_qp(inst, mesh, [plane], eps)
     _, u_ref, active_ref, _ = dense_qp_active_set_enumeration(hess, grad, g_rows, h)
-    assert np.abs(sol.u.values - u_ref).max() < 1e-8
+    assert np.abs(sol.u - u_ref).max() < 1e-8
     assert list(sol.active_planes) == list(active_ref)
     assert sol.objective == pytest.approx(reduced_objective(sol.u, inst, mesh), rel=1e-12)
 
@@ -105,22 +105,22 @@ def test_multiple_planes_match_enumeration(mesh):
         assert sol.converged
         hess, grad, g_rows, h = dense_master_qp(inst, mesh, op.planes, eps)
         _, u_ref, _, _ = dense_qp_active_set_enumeration(hess, grad, g_rows, h)
-        assert np.abs(sol.u.values - u_ref).max() < 1e-8
+        assert np.abs(sol.u - u_ref).max() < 1e-8
 
 
 def test_plane_slack_basics(mesh):
     op = MasterOperator(_instance(mesh, np.zeros(mesh.n_cells)))
     plane = _add_cut(op, np.random.default_rng(3).standard_normal(mesh.n_cells), 1e-4)
     eps = 1e-4
-    zero = P0Field(np.zeros(mesh.n_cells))
+    zero = np.zeros(mesh.n_cells)
     assert plane_slack(plane, zero, eps, mesh) == pytest.approx(
         1.0 + 0.5 * eps * plane.energy, abs=1e-12
     )
     # affine decrease along a scaling of the divergence direction
-    direction = plane.div_phi.values
-    s1 = plane_slack(plane, P0Field(direction), eps, mesh)
-    s2 = plane_slack(plane, P0Field(2.0 * direction), eps, mesh)
-    s3 = plane_slack(plane, P0Field(3.0 * direction), eps, mesh)
+    direction = plane.div_phi
+    s1 = plane_slack(plane, direction, eps, mesh)
+    s2 = plane_slack(plane, 2.0 * direction, eps, mesh)
+    s3 = plane_slack(plane, 3.0 * direction, eps, mesh)
     assert s2 - s1 == pytest.approx(s3 - s2, abs=1e-10)
     assert s2 < s1
 
@@ -132,13 +132,13 @@ def test_kkt_certificates(mesh):
     op = MasterOperator(inst)
     sol = op.solve(eps)
     for _ in range(2):
-        _add_cut(op, sol.u.values, eps)
+        _add_cut(op, sol.u, eps)
         sol = op.solve(eps, warm_start=sol)
     assert sol.converged
     # stationarity from an independent gradient evaluation (two Poisson solves)
-    grad = reduced_gradient(sol.u, inst, mesh).values
+    grad = reduced_gradient(sol.u, inst, mesh)
     for i, plane in enumerate(op.planes):
-        grad = grad + sol.mu[i] * plane.div_phi.values
+        grad = grad + sol.mu[i] * plane.div_phi
     assert np.abs(grad).max() < 1e-8
     slacks = np.array([plane_slack(p, sol.u, eps, mesh) for p in op.planes])
     assert np.all(sol.mu >= -1e-9)
@@ -154,13 +154,13 @@ def test_gradient_matches_finite_differences(mesh):
         y_d=rng.standard_normal(mesh.n_nodes),
         f=rng.standard_normal(mesh.n_cells),
     )
-    u = P0Field(rng.standard_normal(mesh.n_cells))
-    grad = reduced_gradient(u, inst, mesh).values
+    u = rng.standard_normal(mesh.n_cells)
+    grad = reduced_gradient(u, inst, mesh)
     h = 1e-6
     for _ in range(10):
         direction = rng.standard_normal(mesh.n_cells)
-        plus = reduced_objective(P0Field(u.values + h * direction), inst, mesh)
-        minus = reduced_objective(P0Field(u.values - h * direction), inst, mesh)
+        plus = reduced_objective(u + h * direction, inst, mesh)
+        minus = reduced_objective(u - h * direction, inst, mesh)
         fd = (plus - minus) / (2 * h)
         analytic = float(np.sum(mesh.cell_area * grad * direction))
         assert fd == pytest.approx(analytic, rel=1e-5, abs=1e-10)
@@ -180,7 +180,7 @@ def test_feasible_set_nesting():
     for _ in range(4):
         assert sol.objective >= previous - 1e-9
         previous = sol.objective
-        plane = _add_cut(op, sol.u.values, eps)
+        plane = _add_cut(op, sol.u, eps)
         if plane_slack(plane, sol.u, eps, mesh) >= -1e-10:
             break  # current minimizer already satisfies its own cut
         cuts += 1
@@ -193,7 +193,7 @@ def test_eps_tightening_monotonicity(mesh):
     inst = _instance(mesh, 7.0 * rng.standard_normal(mesh.n_cells))
     op = MasterOperator(inst)
     free = op.solve(1e-4)
-    _add_cut(op, free.u.values, 1e-4)
+    _add_cut(op, free.u, 1e-4)
     coarse = op.solve(1e-4)
     fine = op.solve(2e-5)
     assert fine.objective >= coarse.objective - 1e-9
@@ -205,7 +205,7 @@ def test_optimality_certificate(mesh):
     eps = 1e-4
     op = MasterOperator(inst)
     sol = op.solve(eps)
-    _add_cut(op, sol.u.values, eps)
+    _add_cut(op, sol.u, eps)
     sol = op.solve(eps)
     planes = op.planes
     base = reduced_objective(sol.u, inst, mesh)
@@ -214,11 +214,11 @@ def test_optimality_certificate(mesh):
         # scale the step so the perturbed control stays inside the polytope
         t = 1e-2
         for plane in planes:
-            slope = float(np.sum(mesh.cell_area * delta * plane.div_phi.values))
+            slope = float(np.sum(mesh.cell_area * delta * plane.div_phi))
             slack = plane_slack(plane, sol.u, eps, mesh)
             if slope > 0:
                 t = min(t, max(slack, 0.0) / (slope + 1e-30))
-        candidate = P0Field(sol.u.values + t * delta)
+        candidate = sol.u + t * delta
         assert all(plane_slack(p, candidate, eps, mesh) >= -1e-10 for p in planes)
         assert reduced_objective(candidate, inst, mesh) >= base - 1e-9
 
@@ -229,7 +229,7 @@ def test_duplicate_planes_fail_loudly(mesh):
     eps = 1e-4
     op = MasterOperator(inst)
     free = op.solve(eps)
-    plane = _add_cut(op, free.u.values, eps)
+    plane = _add_cut(op, free.u, eps)
     assert plane_slack(plane, free.u, eps, mesh) < 0
     # add_plane would drop the twin; appended directly, it makes the border singular
     op.planes.append(dataclasses.replace(plane))
@@ -255,7 +255,7 @@ def test_twin_plane_is_dropped_without_a_base_solve(mesh):
     inst = _instance(mesh, 10.0 * rng.standard_normal(mesh.n_cells))
     eps = 1e-4
     op = MasterOperator(inst)
-    res = _oracle(op.solve(eps).u.values, mesh, eps)
+    res = _oracle(op.solve(eps).u, mesh, eps)
     assert op.add_plane(res.phi, res.energy)
     base_solves = _count_calls(op, "_base_solve")
     assert not op.add_plane(res.phi, res.energy)
@@ -271,7 +271,7 @@ def test_base_factor_solved_once_per_plane(mesh):
     base_solves = _count_calls(op, "_base_solve")
     free = op.solve(eps)
     assert len(base_solves) == 0
-    _add_cut(op, free.u.values, eps)
+    _add_cut(op, free.u, eps)
     assert len(base_solves) == 1
     sol = op.solve(eps)
     assert sol.converged
@@ -279,7 +279,7 @@ def test_base_factor_solved_once_per_plane(mesh):
     assert sol.inner_iterations >= 2
     op.solve(eps / 2, warm_start=sol)
     assert len(base_solves) == 1
-    _add_cut(op, sol.u.values, eps)
+    _add_cut(op, sol.u, eps)
     op.solve(eps, warm_start=sol)
     assert len(base_solves) == 2
 
@@ -319,7 +319,7 @@ def test_base_solve_fails_loudly_at_its_step_cap(monkeypatch):
 def test_plane_base_solve_matches_a_direct_solve():
     mesh = build_friedrichs_keller(8)
     op = MasterOperator(build_exact_instance(mesh))
-    plane = _add_cut(op, op.solve(1e-4).u.values, 1e-4)
+    plane = _add_cut(op, op.solve(1e-4).u, 1e-4)
     direct = np.linalg.solve(dense_master_base(mesh, op.alpha), plane.border)
     assert np.abs(plane.base_solve - direct).max() <= 1e-10 * np.abs(direct).max()
 

@@ -35,7 +35,6 @@ from tvcontrol.mesh_fem import (
     Mesh,
     P0_CHUNK_POINTS,
     SHEAR_MODULUS,
-    P0Field,
     build_forms,
     build_friedrichs_keller,
     elasticity_floor,
@@ -178,11 +177,11 @@ def _poisson_max_error(n):
     load = project_p0(
         lambda x, y: 2 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y), mesh
     )
-    y_int = solve_sparse_spd(interior_stiffness(mesh), mesh.load_interior(load.values))
-    y = mesh.full_scalar_field(y_int)
+    y_int = solve_sparse_spd(interior_stiffness(mesh), mesh.load_interior(load))
+    y = mesh.on_all_nodes(y_int)
     nodes = fk_nodes(n)
     exact = np.sin(np.pi * nodes[:, 0]) * np.sin(np.pi * nodes[:, 1])
-    return np.abs(y.values - exact).max()
+    return np.abs(y - exact).max()
 
 
 def test_manufactured_poisson_second_order():
@@ -195,8 +194,8 @@ def test_empty_interior_solve():
     mesh = build_friedrichs_keller(1)
     rhs = mesh.load_interior(np.ones(mesh.n_cells))
     assert rhs.shape == (0,)
-    y = mesh.full_scalar_field(solve_sparse_spd(interior_stiffness(mesh), rhs))
-    assert np.all(y.values == 0.0)
+    y = mesh.on_all_nodes(solve_sparse_spd(interior_stiffness(mesh), rhs))
+    assert np.all(y == 0.0)
 
 
 def test_coupling_constant_control():
@@ -475,9 +474,9 @@ def test_divergence_compatibility(seed):
 def test_projection_of_constant():
     mesh = build_friedrichs_keller(3)
     p0 = project_p0(lambda x, y: np.full_like(x, 2.5), mesh)
-    assert np.allclose(p0.values, 2.5, atol=1e-14)
+    assert np.allclose(p0, 2.5, atol=1e-14)
     p1 = interpolate_p1(lambda x, y: np.full_like(x, 2.5), mesh)
-    assert np.allclose(p1.values, 2.5, atol=1e-14)
+    assert np.allclose(p1, 2.5, atol=1e-14)
 
 
 def test_projection_of_disc_indicator():
@@ -487,7 +486,7 @@ def test_projection_of_disc_indicator():
         mesh,
         subdivision_depth=4,
     )
-    mass = np.sum(mesh.cell_area * chi.values)
+    mass = np.sum(mesh.cell_area * chi)
     assert mass == pytest.approx(np.pi / 16.0, abs=1e-3)
 
 
@@ -497,7 +496,7 @@ def test_projection_exact_for_affine():
     centroids = fk_nodes(4)[fk_triangles(4)].mean(axis=1)
     exact = f(centroids[:, 0], centroids[:, 1])
     for depth in (0, 2):
-        assert np.allclose(project_p0(f, mesh, depth).values, exact, atol=1e-13)
+        assert np.allclose(project_p0(f, mesh, depth), exact, atol=1e-13)
 
 
 def _instance_integrands():
@@ -535,8 +534,8 @@ def test_projection_matches_einsum_bitwise(n, depth, integrand):
     # columns and rows when 8 does not divide n (n = 3, 50, 100)
     mesh = build_friedrichs_keller(n)
     f = PROJECTION_INTEGRANDS[integrand]
-    chunked = project_p0(f, mesh, depth).values
-    assert chunked.tobytes() == project_p0_by_einsum(f, mesh, depth).values.tobytes()
+    chunked = project_p0(f, mesh, depth)
+    assert chunked.tobytes() == project_p0_by_einsum(f, mesh, depth).tobytes()
 
 
 def _projection_calls(n, depth):
@@ -604,9 +603,9 @@ def test_interpolation_dirichlet_forcing():
     boundary = np.ones(mesh.n_nodes, dtype=bool)
     boundary[fk_interior_nodes(4)] = False
     field = interpolate_p1(lambda x, y: np.cos(np.pi * y), mesh, dirichlet=True)
-    assert np.all(field.values[boundary] == 0.0)
+    assert np.all(field[boundary] == 0.0)
     free = interpolate_p1(lambda x, y: np.cos(np.pi * y), mesh)
-    assert free.values[boundary].max() == pytest.approx(1.0)
+    assert free[boundary].max() == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -615,21 +614,21 @@ def test_interpolation_dirichlet_zeroes_exactly_the_border(n):
     mesh = build_friedrichs_keller(n)
     nodes = fk_nodes(n)
     f = lambda x, y: 2.0 + x + 3.0 * y
-    field = interpolate_p1(f, mesh, dirichlet=True).values
+    field = interpolate_p1(f, mesh, dirichlet=True)
     on_border = ((nodes == 0.0) | (nodes == 1.0)).any(axis=1)
     assert np.array_equal(field == 0.0, on_border)
     expected = f(nodes[:, 0], nodes[:, 1])
     assert np.array_equal(field[~on_border], expected[~on_border])
-    assert np.array_equal(interpolate_p1(f, mesh).values, expected)
+    assert np.array_equal(interpolate_p1(f, mesh), expected)
 
 
 def test_p0_norms():
     mesh = build_friedrichs_keller(5)
-    ones = P0Field(np.ones(mesh.n_cells))
+    ones = np.ones(mesh.n_cells)
     assert l2_norm_p0(mesh, ones) == pytest.approx(1.0, abs=1e-14)
     assert l2_error_p0(mesh, ones, ones) == 0.0
-    two = P0Field(np.full(mesh.n_cells, 2.0))
-    zero = P0Field(np.zeros(mesh.n_cells))
+    two = np.full(mesh.n_cells, 2.0)
+    zero = np.zeros(mesh.n_cells)
     assert l2_error_p0(mesh, two, zero) == pytest.approx(2.0, abs=1e-14)
 
 

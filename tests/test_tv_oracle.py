@@ -15,7 +15,6 @@ from oracles import (
 from tvcontrol import tv_oracle
 from tvcontrol.instances import exact_u_bar
 from tvcontrol.mesh_fem import (
-    P0Field,
     build_friedrichs_keller,
     elasticity_floor,
     project_p0,
@@ -41,7 +40,7 @@ def mesh8():
 
 
 def _random_p0(mesh, seed):
-    return P0Field(np.random.default_rng(seed).standard_normal(mesh.n_cells))
+    return np.random.default_rng(seed).standard_normal(mesh.n_cells)
 
 
 def _newton_step_case(mesh, case):
@@ -89,7 +88,7 @@ def test_newton_step_matches_dense_saddle_solve(mesh8, case):
 
 
 def test_constant_control_has_zero_tv(mesh4):
-    result = eval_tv_eps(P0Field(np.full(mesh4.n_cells, 4.2)), 1e-4, mesh4)
+    result = eval_tv_eps(np.full(mesh4.n_cells, 4.2), 1e-4, mesh4)
     assert result.converged
     assert abs(result.value) < 1e-12
     assert result.phi.shape == (2 * mesh4.n_interior,)
@@ -115,7 +114,7 @@ def test_matches_projected_ascent_on_tiny_mesh():
 
 def test_discrete_tv_of_constant():
     mesh = build_friedrichs_keller(3)
-    assert discrete_tv(P0Field(np.full(mesh.n_cells, 9.0)), mesh) == 0.0
+    assert discrete_tv(np.full(mesh.n_cells, 9.0), mesh) == 0.0
 
 
 def test_discrete_tv_single_triangle():
@@ -126,12 +125,12 @@ def test_discrete_tv_single_triangle():
     u = np.zeros(mesh.n_cells)
     u[cell] = 3.0
     perimeter = (1.0 + 1.0 + np.sqrt(2.0)) / 4
-    assert discrete_tv(P0Field(u), mesh) == pytest.approx(3.0 * perimeter, abs=1e-12)
+    assert discrete_tv(u, mesh) == pytest.approx(3.0 * perimeter, abs=1e-12)
 
 
 def test_discrete_tv_single_jump():
     mesh = build_friedrichs_keller(1)
-    assert discrete_tv(P0Field([1.0, 0.0]), mesh) == pytest.approx(np.sqrt(2.0), abs=1e-14)
+    assert discrete_tv(np.array([1.0, 0.0]), mesh) == pytest.approx(np.sqrt(2.0), abs=1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
@@ -144,13 +143,13 @@ def test_discrete_tv_matches_an_edge_walk(n):
     lengths = np.hypot(*(ends[:, 1] - ends[:, 0]).T)
     u = np.random.default_rng(n).standard_normal(mesh.n_cells)
     walked = np.sum(lengths * np.abs(u[cells[:, 0]] - u[cells[:, 1]]))
-    assert abs(discrete_tv(P0Field(u), mesh) - walked) <= 1e-14 * walked
+    assert abs(discrete_tv(u, mesh) - walked) <= 1e-14 * walked
     with pytest.raises(ValueError, match=f"{mesh.n_cells} cell values"):
         discrete_tv(u[:-1], mesh)
 
 
 def test_lower_bound_trivial_cases(mesh4):
-    zero = eval_tv_eps(P0Field(np.zeros(mesh4.n_cells)), 1e-4, mesh4)
+    zero = eval_tv_eps(np.zeros(mesh4.n_cells), 1e-4, mesh4)
     assert tv_lower_bound(zero, 1e-4) == pytest.approx(0.0, abs=1e-12)
     u = _random_p0(mesh4, 5)
     res = eval_tv_eps(u, 1e-5, mesh4)
@@ -222,7 +221,7 @@ def test_converged_result_is_feasible_and_bracketed(n):
 
 def test_shift_invariance_including_phi(mesh4):
     u = _random_p0(mesh4, 7)
-    shifted = P0Field(u.values + 3.25)
+    shifted = u + 3.25
     a = eval_tv_eps(u, 1e-5, mesh4)
     b = eval_tv_eps(shifted, 1e-5, mesh4)
     assert a.value == pytest.approx(b.value, abs=1e-9)
@@ -239,13 +238,13 @@ def test_dominated_by_discrete_tv(mesh4):
 def test_lipschitz_inequality(mesh4):
     for seed in (0, 1, 2, 3):
         rng = np.random.default_rng(100 + seed)
-        u1 = P0Field(rng.standard_normal(mesh4.n_cells))
-        u2 = P0Field(rng.standard_normal(mesh4.n_cells))
+        u1 = rng.standard_normal(mesh4.n_cells)
+        u2 = rng.standard_normal(mesh4.n_cells)
         eps = 1e-5
         r1, r2 = eval_tv_eps(u1, eps, mesh4), eval_tv_eps(u2, eps, mesh4)
         d = r1.phi - r2.phi
         lhs = eps * float(d @ mesh4.elasticity(d))
-        rhs = float(mesh4.dual_load(P0Field(u1.values - u2.values)) @ d)
+        rhs = float(mesh4.dual_load(u1 - u2) @ d)
         assert lhs <= rhs + 1e-9
 
 
@@ -311,7 +310,7 @@ def test_invalid_inputs(mesh4):
     with pytest.raises(ValueError):
         eval_tv_eps(u, 0.0, mesh4)
     with pytest.raises(ValueError):
-        eval_tv_eps(P0Field(np.ones(3)), 1e-5, mesh4)
+        eval_tv_eps(np.ones(3), 1e-5, mesh4)
 
 
 @pytest.mark.parametrize("eps", [np.nan, np.inf], ids=["nan", "inf"])
@@ -334,7 +333,7 @@ def test_warm_start_from_another_mesh_rejected(mesh4, mesh8):
 
 def test_empty_interior_mesh():
     mesh = build_friedrichs_keller(1)
-    res = eval_tv_eps(P0Field([1.0, -1.0]), 1e-5, mesh)
+    res = eval_tv_eps(np.array([1.0, -1.0]), 1e-5, mesh)
     assert res.converged
     assert res.value == 0.0
     assert res.phi.shape == (0,)
@@ -346,6 +345,6 @@ def test_shift_invariance_property(seed, shift):
     mesh = build_friedrichs_keller(2)
     u = _random_p0(mesh, seed)
     a = eval_tv_eps(u, 1e-5, mesh)
-    b = eval_tv_eps(P0Field(u.values + shift), 1e-5, mesh)
+    b = eval_tv_eps(u + shift, 1e-5, mesh)
     assert a.value == pytest.approx(b.value, abs=1e-9)
     assert a.value <= discrete_tv(u, mesh) + 1e-9
