@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_fem import Mesh, _integer, _quadrature_blocks, interpolate_p1, project_p0
+from .mesh_fem import Mesh, _integer, _quadrature_blocks, interpolate_p1
 
 BALL_RADIUS = 0.25
 BALL_CENTER = (0.5, 0.5)
@@ -36,7 +36,8 @@ LAPLACE_FACTOR = 0.8 * np.pi**2
 class ProblemInstance:
     """Data of one tracking-type control problem, as float arrays in the ``Mesh`` numbering.
 
-    f, u_d and reference_u hold one value per cell, y_d one per node.
+    f, u_d and reference_u hold one value per cell, y_d one per node; a
+    field of any other shape raises ValueError naming it.
     """
 
     mesh: Mesh
@@ -52,6 +53,13 @@ class ProblemInstance:
         self.f, self.u_d, self.y_d = (np.asarray(v, float) for v in (self.f, self.u_d, self.y_d))
         if self.reference_u is not None:
             self.reference_u = np.asarray(self.reference_u, float)
+        cells, nodes = self.mesh.n_cells, self.mesh.n_nodes
+        for name, size, kind in (("f", cells, "cell"), ("u_d", cells, "cell"), ("y_d", nodes, "node"),
+                                 ("reference_u", cells, "cell")):
+            values = getattr(self, name)
+            if values is not None and values.shape != (size,):
+                raise ValueError(f"{name} has shape {values.shape}, expected ({size},): "
+                                 f"one value per mesh {kind}")
         if not 0.0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         self.subdivision_depth = _integer(self.subdivision_depth, "subdivision_depth",
@@ -244,30 +252,47 @@ def build_exact_instance(
 #: (recomputed by the test suite).
 REFERENCE_PROFILE_TV = 42.01182591224323
 
+#: c of the generic instance, which scales its profile to TV(u_d) = 2
+GENERIC_SCALE = 2.0 / REFERENCE_PROFILE_TV
+
+
+def generic_u_d_x(x1):
+    """The generic u_d's factor in x1, c 2 pi^2 sin(pi x1), with c = GENERIC_SCALE."""
+    return 2.0 * GENERIC_SCALE * np.pi**2 * np.sin(np.pi * x1)
+
+
+def generic_u_d_y(x2):
+    """The generic u_d's factor in x2, cos(pi x2): u_d is it times :func:`generic_u_d_x`."""
+    return np.cos(np.pi * x2)
+
 
 def build_generic_instance(
     mesh: Mesh, alpha: float = 1.0, subdivision_depth: int = 4
 ) -> ProblemInstance:
     """Instance with smooth data and no known optimal control.
 
-    u_d = c * 2 pi^2 sin(pi x1) cos(pi x2) with c chosen so that
-    TV(u_d) = 2; y_d = c sin(pi x1) cos(pi x2) solves -Laplace y_d = u_d and
-    is plain data (it does not vanish on the whole boundary), f = 0.
+    u_d = c * 2 pi^2 sin(pi x1) cos(pi x2) with c = GENERIC_SCALE chosen so
+    that TV(u_d) = 2; y_d = c sin(pi x1) cos(pi x2) solves
+    -Laplace y_d = u_d and is plain data (it does not vanish on the whole
+    boundary), f = 0. u_d is the midpoint rule's cell averages, bitwise
+    ``project_p0`` of the product of :func:`generic_u_d_x` and
+    :func:`generic_u_d_y`: each factor is evaluated once on the quadrature
+    points of its grid columns or rows, and each block of cells takes the
+    mean of their products.
     """
-    c = 2.0 / REFERENCE_PROFILE_TV
-    u_d = project_p0(
-        lambda x1, x2: 2.0 * c * np.pi**2 * np.sin(np.pi * x1) * np.cos(np.pi * x2),
-        mesh,
-        subdivision_depth,
-    )
+    x, y, blocks = _quadrature_blocks(mesh, subdivision_depth)
+    sin_x, cos_y = generic_u_d_x(x), generic_u_d_y(y)
+    u_d = np.empty((mesh.n, mesh.n, 2))
+    for rows, cols in blocks:
+        u_d[rows, cols] = (sin_x[None, cols] * cos_y[rows, None]).mean(axis=-1)
     y_d = interpolate_p1(
-        lambda x1, x2: c * np.sin(np.pi * x1) * np.cos(np.pi * x2), mesh
+        lambda x1, x2: GENERIC_SCALE * np.sin(np.pi * x1) * np.cos(np.pi * x2), mesh
     )
     return ProblemInstance(
         mesh=mesh,
         alpha=alpha,
         f=np.zeros(mesh.n_cells),
-        u_d=u_d,
+        u_d=u_d.ravel(),
         y_d=y_d,
         reference_u=None,
         label="generic",

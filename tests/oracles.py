@@ -9,8 +9,9 @@ summed diagonal by diagonal instead of the stencils', active-set
 enumeration on dense KKT systems instead of the bordered solver, a
 dictionary walk over the triangles instead of the edge families read off
 the cell grid, one ``einsum`` over every quadrature point of the mesh
-instead of the chunked P0 projection, the exact instance's f as one
-pointwise integrand instead of its per-axis terms, and the reduced
+instead of the chunked P0 projection, the exact instance's f and the
+generic instance's u_d as pointwise integrands instead of their per-axis
+terms, and the reduced
 objective and gradient by separate state and adjoint solves instead of the
 master's coupled KKT elimination.
 
@@ -34,7 +35,7 @@ import numpy as np
 
 import scipy.sparse as sp
 
-from tvcontrol.instances import exact_u_bar
+from tvcontrol.instances import exact_u_bar, generic_u_d_x, generic_u_d_y
 from tvcontrol.mesh_fem import (
     LAME_LAMBDA,
     SHEAR_MODULUS,
@@ -285,6 +286,11 @@ def interior_edge_cells_by_loop(triangles) -> np.ndarray:
 def exact_f_integrand(x1, x2):
     """The exact instance's f at a point: -Laplace of its state minus the disc indicator."""
     return 0.8 * np.pi**2 * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2) - exact_u_bar(x1, x2)
+
+
+def generic_u_d_integrand(x1, x2):
+    """The generic instance's u_d at a point: the product of its factors in x1 and in x2."""
+    return generic_u_d_x(x1) * generic_u_d_y(x2)
 
 
 def project_p0_by_einsum(f, mesh, subdivision_depth: int = 4) -> np.ndarray:

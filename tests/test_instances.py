@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 from unittest.mock import patch
 
@@ -13,6 +14,7 @@ from oracles import (
     fk_interior_nodes,
     fk_nodes,
     fk_triangles,
+    generic_u_d_integrand,
     project_p0_by_einsum,
 )
 from tvcontrol import instances
@@ -289,6 +291,24 @@ def test_instance_stores_lists_as_float_arrays():
         assert values.tolist() == listed
 
 
+@pytest.mark.parametrize("field, shape, expected", [
+    ("y_d", (32,), (25,)),
+    ("f", (25,), (32,)),
+    ("u_d", (33,), (32,)),
+    ("u_d", (16, 2), (32,)),
+    ("reference_u", (31,), (32,)),
+], ids=["y_d-per-cell", "f-per-node", "u_d-long", "u_d-grid", "reference_u-short"])
+def test_instance_rejects_a_field_of_the_wrong_length(field, shape, expected):
+    # unchecked, a y_d given per cell fails only deep in the master's set-up
+    mesh = build_friedrichs_keller(4)
+    fields = {"f": np.zeros(32), "u_d": np.zeros(32), "y_d": np.zeros(25), "reference_u": np.zeros(32)}
+    ProblemInstance(mesh=mesh, alpha=1.0, label="right", subdivision_depth=4, **fields)
+    fields[field] = np.zeros(shape)
+    with pytest.raises(ValueError, match=rf"^{field} has shape {re.escape(str(shape))}, "
+                                         rf"expected {re.escape(str(expected))}"):
+        ProblemInstance(mesh=mesh, alpha=1.0, label="wrong", subdivision_depth=4, **fields)
+
+
 @pytest.mark.parametrize("alpha", [np.nan, np.inf])
 def test_instance_rejects_nonfinite_alpha(alpha):
     with pytest.raises(ValueError, match="alpha"):
@@ -386,6 +406,31 @@ def test_divergence_evaluated_near_its_annulus_only():
         build_exact_instance(build_friedrichs_keller(50), subdivision_depth=4)
     assert sum(points) == 1168 * 4**4 == 299_008
     assert len(points) <= len(_quadrature_blocks(build_friedrichs_keller(50), 4)[2])
+
+
+@pytest.mark.parametrize("depth", [0, 1, 4])
+@pytest.mark.parametrize("n", [1, 3, 16, 50, 100])
+def test_generic_u_d_matches_einsum_bitwise(n, depth):
+    mesh = build_friedrichs_keller(n)
+    u_d = build_generic_instance(mesh, subdivision_depth=depth).u_d
+    assert u_d.tobytes() == project_p0_by_einsum(generic_u_d_integrand, mesh, depth).tobytes()
+
+
+def test_generic_factors_evaluated_once_per_grid_line():
+    # each factor runs once per build on the n x 2 x 4^depth = 25 600 points
+    # of its grid columns or rows, not once per block of cells (7 x 25 600)
+    points = {"x": [], "y": []}
+
+    def counting(axis, factor):
+        def count(values):
+            points[axis].append(np.size(values))
+            return factor(values)
+        return count
+
+    with patch.object(instances, "generic_u_d_x", counting("x", instances.generic_u_d_x)), \
+            patch.object(instances, "generic_u_d_y", counting("y", instances.generic_u_d_y)):
+        build_generic_instance(build_friedrichs_keller(50), subdivision_depth=4)
+    assert points == {"x": [25_600], "y": [25_600]}
 
 
 def _build_peak_bytes(n):

@@ -21,6 +21,7 @@ from oracles import (
     fk_interior_nodes,
     fk_nodes,
     fk_triangles,
+    generic_u_d_integrand,
     interior_elasticity,
     interior_load,
     interior_stiffness,
@@ -499,30 +500,15 @@ def test_projection_exact_for_affine():
         assert np.allclose(project_p0(f, mesh, depth), exact, atol=1e-13)
 
 
-def _instance_integrands():
-    """The exact instance's three integrands and the one the generic builder projects."""
-    passed = []
-
-    def record(f, mesh, depth):
-        passed.append(f)
-        return project_p0(f, mesh, depth)
-
-    with patch.object(instances, "project_p0", record):
-        instances.build_generic_instance(build_friedrichs_keller(1))
-    (generic_u_d,) = passed
-    return {
-        "exact_u_bar": instances.exact_u_bar,
-        "exact_f": exact_f_integrand,
-        "exact_div_phi_bar": instances.exact_div_phi_bar,
-        "generic_u_d": generic_u_d,
-    }
-
-
 PROJECTION_INTEGRANDS = {
     "disc": lambda x, y: ((x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.25**2).astype(float),
     "smooth": lambda x, y: np.sin(3.0 * x) * np.cos(2.0 * y),
     "scalar": lambda x, y: 2.5,
-    **_instance_integrands(),
+    # the exact instance's three integrands and the generic instance's u_d
+    "exact_u_bar": instances.exact_u_bar,
+    "exact_f": exact_f_integrand,
+    "exact_div_phi_bar": instances.exact_div_phi_bar,
+    "generic_u_d": generic_u_d_integrand,
 }
 
 
