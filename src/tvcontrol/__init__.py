@@ -11,7 +11,7 @@ from .driver import (
 from .instances import ProblemInstance, build_exact_instance, build_generic_instance
 from .master_problem import CuttingPlane, MasterSolution
 from .mesh_fem import Mesh, build_friedrichs_keller
-from .reporting import dump_field, load_field, serialize_report
+from .reporting import dump_field, serialize_report
 from .tv_oracle import (
     OracleResult,
     discrete_tv,
@@ -35,7 +35,6 @@ __all__ = [
     "discrete_tv",
     "dump_field",
     "eval_tv_eps",
-    "load_field",
     "rel_error",
     "run_outer_approximation",
     "serialize_report",

@@ -84,9 +84,12 @@ def _horner(coefficients, r, out, where=True):
 def _psi_and_prime(r, value, slope):
     """psi and psi' at the radii r, written into value and slope, arrays like r.
 
-    Each is the lower cubic by Horner's rule on every point, overwritten by
-    the upper one where r > 1/4 and by 0 off PSI_SUPPORT: bitwise the
-    formulas evaluated branch by branch.
+    psi is the certificate's radial C^1 bump on (0, 1/2), two cubics glued
+    at 3/16, 1/4 and 5/16: psi(3/16) = psi(5/16) = 0, psi(1/4) = 1,
+    |psi| <= 1, and psi' vanishes at all three knots. Each is the lower
+    cubic by Horner's rule on every point, overwritten by the upper one
+    where r > 1/4 and by 0 off PSI_SUPPORT: bitwise the formulas evaluated
+    branch by branch.
     """
     upper = r > 0.25
     off = ~((r >= PSI_SUPPORT[0]) & (r <= PSI_SUPPORT[1]))
@@ -97,52 +100,13 @@ def _psi_and_prime(r, value, slope):
     return value, slope
 
 
-def _psi_pair(r):
-    """psi and psi' at r; floats for a scalar r."""
-    r = np.asarray(r, dtype=float)
-    value, slope = _psi_and_prime(r, np.empty_like(r), np.empty_like(r))
-    return (float(value), float(slope)) if r.ndim == 0 else (value, slope)
-
-
-def psi(r):
-    """Radial C^1 bump profile on (0, 1/2): two cubics glued at 3/16, 1/4, 5/16.
-
-    psi(3/16) = psi(5/16) = 0, psi(1/4) = 1, |psi| <= 1, and psi' vanishes
-    at all three knots.
-    """
-    return _psi_pair(r)[0]
-
-
-def psi_prime(r):
-    """Derivative of :func:`psi`, branchwise."""
-    return _psi_pair(r)[1]
-
-
-def exact_u_bar(x1, x2):
-    """Optimal control: indicator of the centered disc, scaled by 1/perimeter."""
-    inside = (x1 - BALL_CENTER[0]) ** 2 + (x2 - BALL_CENTER[1]) ** 2 < BALL_RADIUS**2
-    return inside / BALL_PERIMETER
-
-
 def exact_state(x1, x2):
     """Optimal state (equals the adjoint): 0.1 sin(2 pi x1) sin(2 pi x2)."""
     return 0.1 * np.sin(2.0 * np.pi * x1) * np.sin(2.0 * np.pi * x2)
 
 
-def exact_phi_bar(x1, x2):
-    """Dual certificate: inward radial field -s psi(rho) e_rho on the annulus.
-
-    s = CERTIFICATE_SCALE, the sup-norm, attained on the interface rho = 1/4."""
-    dx = np.asarray(x1, dtype=float) - BALL_CENTER[0]
-    dy = np.asarray(x2, dtype=float) - BALL_CENTER[1]
-    rho = np.hypot(dx, dy)
-    safe = np.where(rho > 0.0, rho, 1.0)
-    scale = -CERTIFICATE_SCALE * psi(rho) / safe
-    return np.stack([scale * dx, scale * dy], axis=-1)
-
-
 def exact_div_phi_bar(x1, x2, out=None):
-    """Divergence of the certificate: -s (psi'(rho) + psi(rho)/rho), s = CERTIFICATE_SCALE.
+    """Divergence -s (psi'(rho) + psi(rho)/rho) of the certificate -s psi(rho) e_rho, s = CERTIFICATE_SCALE.
 
     x1 and x2 broadcast against each other. With ``out``, a float array of
     their broadcast shape, the result is written there and ``out`` returned,
@@ -162,9 +126,10 @@ def exact_div_phi_bar(x1, x2, out=None):
 def _exact_projections(mesh: Mesh, subdivision_depth: int):
     """Cell averages of u_bar, f and div phi_bar in one walk over the quadrature blocks.
 
-    Bitwise equal to ``project_p0`` of :func:`exact_u_bar`, of
+    Bitwise the midpoint rule of ``tests/oracles.py`` (``project_p0_by_einsum``)
+    on the disc indicator u_bar = 1/perimeter inside rho < 1/4, on
     f = -Laplace exact_state - u_bar = LAPLACE_FACTOR sin(2 pi x1) sin(2 pi x2) - u_bar
-    and of :func:`exact_div_phi_bar`. The terms in one coordinate are built
+    and on :func:`exact_div_phi_bar`. The terms in one coordinate are built
     once for the whole grid. Bounds on each cell's rho sort the cells into
     those wholly inside the disc, wholly outside it and cut by its circle:
     u_bar is the mean of 4^depth values 1/perimeter or 0 on the first two
@@ -275,10 +240,10 @@ def build_generic_instance(
     that TV(u_d) = 2; y_d = c sin(pi x1) cos(pi x2) solves
     -Laplace y_d = u_d and is plain data (it does not vanish on the whole
     boundary), f = 0. u_d is the midpoint rule's cell averages, bitwise
-    ``project_p0`` of the product of :func:`generic_u_d_x` and
-    :func:`generic_u_d_y`: each factor is evaluated once on the quadrature
-    points of its grid columns or rows, and each block of cells takes the
-    mean of their products.
+    those of ``tests/oracles.py`` (``project_p0_by_einsum``) on the product
+    of :func:`generic_u_d_x` and :func:`generic_u_d_y`: each factor is
+    evaluated once on the quadrature points of its grid columns or rows,
+    and each block of cells takes the mean of their products.
     """
     x, y, blocks = _quadrature_blocks(mesh, subdivision_depth)
     sin_x, cos_y = generic_u_d_x(x), generic_u_d_y(y)

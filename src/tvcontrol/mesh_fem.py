@@ -279,32 +279,6 @@ def _quadrature_blocks(mesh: Mesh, subdivision_depth: int):
     return x, y, [(rows, cols) for rows in spans for cols in spans]
 
 
-def project_p0(f, mesh: Mesh, subdivision_depth: int = 4) -> np.ndarray:
-    """Approximate cell averages of f by the midpoint rule on 4^depth subtriangles.
-
-    Exact for affine f at any depth; O(h^2)-accurate away from
-    discontinuities of f. ``f(x, y)`` must accept numpy arrays that
-    broadcast against each other: x has shape (1, columns, 2, 4^depth) and
-    varies only along the grid columns, y has shape (rows, 1, 2, 4^depth)
-    and varies only along the grid rows; axis 2 is the lower and upper
-    triangle of a grid square. So terms in one coordinate are evaluated
-    once per column or row of a block, not per cell. f is called on the
-    square blocks of :func:`_quadrature_blocks`, so memory does not grow
-    with the mesh, and a term in x is evaluated ceil(n / side) times per
-    grid column, one in y as often per grid row.
-    """
-    n = mesh.n
-    x, y, blocks = _quadrature_blocks(mesh, subdivision_depth)
-    out = np.empty((n, n, 2))  # cells in mesh order: row j, column i, triangle t
-    for rows, cols in blocks:
-        xs, ys = x[None, cols], y[rows, None]
-        shape = np.broadcast_shapes(xs.shape, ys.shape)
-        # a block's values die in this statement, so the next block's
-        # integrand reuses their pages instead of faulting in fresh ones
-        out[rows, cols] = np.broadcast_to(np.asarray(f(xs, ys), dtype=float), shape).mean(axis=-1)
-    return out.ravel()
-
-
 def interpolate_p1(f, mesh: Mesh, dirichlet: bool = False) -> np.ndarray:
     """Nodal interpolation, f called on x = i/n of shape (1, n+1) and y = j/n of shape (n+1, 1).
 

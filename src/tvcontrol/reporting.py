@@ -72,15 +72,3 @@ def dump_field(values: np.ndarray, path) -> None:
     except OSError as exc:
         raise OSError(f"cannot write field dump to {path}: {exc}") from exc
 
-
-def load_field(path) -> np.ndarray:
-    """Read a :func:`dump_field` file back; ValueError for a bad header or value count."""
-    lines = Path(path).read_text().strip().splitlines()
-    head = lines[0] if lines else ""
-    header = head.split()
-    if len(header) != 2 or header[0] != "p0":
-        raise ValueError(f"malformed field dump header in {path}: {head!r}")
-    values = np.array([float(s) for s in lines[1:]])
-    if values.size != int(header[1]):
-        raise ValueError(f"p0 dump announces {header[1]} cells, has {values.size}")
-    return values

@@ -9,9 +9,10 @@ summed diagonal by diagonal instead of the stencils', active-set
 enumeration on dense KKT systems instead of the bordered solver, a
 dictionary walk over the triangles instead of the edge families read off
 the cell grid, one ``einsum`` over every quadrature point of the mesh
-instead of the chunked P0 projection, the exact instance's f and the
-generic instance's u_d as pointwise integrands instead of their per-axis
-terms, and the reduced
+instead of the per-axis tables the instances walk in blocks, the exact
+instance's u_bar, f and phi_bar and the generic instance's u_d as pointwise
+closed forms instead of their fused per-axis terms, psi by its cubics
+branch by branch instead of by Horner's rule under masks, and the reduced
 objective and gradient by separate state and adjoint solves instead of the
 master's coupled KKT elimination.
 
@@ -30,12 +31,20 @@ energy or its closed-form node blocks.
 from __future__ import annotations
 
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
 import scipy.sparse as sp
 
-from tvcontrol.instances import exact_u_bar, generic_u_d_x, generic_u_d_y
+from tvcontrol.instances import (
+    BALL_CENTER,
+    BALL_PERIMETER,
+    BALL_RADIUS,
+    CERTIFICATE_SCALE,
+    generic_u_d_x,
+    generic_u_d_y,
+)
 from tvcontrol.mesh_fem import (
     LAME_LAMBDA,
     SHEAR_MODULUS,
@@ -283,6 +292,53 @@ def interior_edge_cells_by_loop(triangles) -> np.ndarray:
     return np.array([c for c in seen.values() if len(c) == 2], dtype=np.int64).reshape(-1, 2)
 
 
+#: where psi's cubics meet: psi vanishes off [3/16, 5/16] and peaks at 1/4
+PSI_KNOTS = (3.0 / 16.0, 0.25, 5.0 / 16.0)
+
+
+def _branchwise(r, lower_cubic, upper_cubic):
+    """The lower cubic on 3/16 <= r <= 1/4, the upper one on 1/4 < r <= 5/16, 0 elsewhere."""
+    r = np.asarray(r, dtype=float)
+    lower = (PSI_KNOTS[0] <= r) & (r <= PSI_KNOTS[1])
+    upper = (PSI_KNOTS[1] < r) & (r <= PSI_KNOTS[2])
+    out = np.zeros_like(r)
+    out[lower], out[upper] = lower_cubic(r[lower]), upper_cubic(r[upper])
+    return out[()]
+
+
+def psi(r):
+    """The certificate's radial C^1 bump: psi = 0 at 3/16 and 5/16, 1 at 1/4, |psi| <= 1."""
+    return _branchwise(r, lambda r: ((-8192.0 * r + 5376.0) * r - 1152.0) * r + 81.0,
+                       lambda r: ((8192.0 * r - 6912.0) * r + 1920.0) * r - 175.0)
+
+
+def psi_prime(r):
+    """The derivative of :func:`psi`, which vanishes at all three knots."""
+    return _branchwise(r, lambda r: (-24576.0 * r + 10752.0) * r - 1152.0,
+                       lambda r: (24576.0 * r - 13824.0) * r + 1920.0)
+
+
+def exact_u_bar(x1, x2):
+    """Optimal control: indicator of the centered disc, scaled by 1/perimeter."""
+    inside = (x1 - BALL_CENTER[0]) ** 2 + (x2 - BALL_CENTER[1]) ** 2 < BALL_RADIUS**2
+    return inside / BALL_PERIMETER
+
+
+def exact_phi_bar(x1, x2):
+    """Dual certificate -s psi(rho) e_rho, (..., 2); s = CERTIFICATE_SCALE, its sup-norm at rho = 1/4."""
+    dx = np.asarray(x1, dtype=float) - BALL_CENTER[0]
+    dy = np.asarray(x2, dtype=float) - BALL_CENTER[1]
+    rho = np.hypot(dx, dy)
+    scale = -CERTIFICATE_SCALE * psi(rho) / np.where(rho > 0.0, rho, 1.0)
+    return np.stack([scale * dx, scale * dy], axis=-1)
+
+
+def branchwise_div_phi_bar(x1, x2):
+    """The certificate's divergence -s (psi' + psi / rho), each cubic on its own branch only."""
+    rho = np.hypot(x1 - 0.5, x2 - 0.5)
+    return -CERTIFICATE_SCALE * (psi_prime(rho) + psi(rho) / np.where(rho > 0.0, rho, 1.0))
+
+
 def exact_f_integrand(x1, x2):
     """The exact instance's f at a point: -Laplace of its state minus the disc indicator."""
     return 0.8 * np.pi**2 * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2) - exact_u_bar(x1, x2)
@@ -293,10 +349,15 @@ def generic_u_d_integrand(x1, x2):
     return generic_u_d_x(x1) * generic_u_d_y(x2)
 
 
-def project_p0_by_einsum(f, mesh, subdivision_depth: int = 4) -> np.ndarray:
-    """Midpoint-rule cell averages with all (cells, 4^depth, 2) points built at once."""
+def midpoint_points(mesh, subdivision_depth: int = 4) -> np.ndarray:
+    """The midpoint rule's points on 4^depth subtriangles of every cell at once, (cells, 4^depth, 2)."""
     bary = _subtriangle_centroids(subdivision_depth)
-    pts = np.einsum("qc,tcd->tqd", bary, _corner_coordinates(mesh))
+    return np.einsum("qc,tcd->tqd", bary, _corner_coordinates(mesh))
+
+
+def project_p0_by_einsum(f, mesh, subdivision_depth: int = 4) -> np.ndarray:
+    """Midpoint-rule cell averages of f on the points of :func:`midpoint_points`."""
+    pts = midpoint_points(mesh, subdivision_depth)
     vals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
     vals = np.broadcast_to(vals, pts.shape[:2])
     return vals.mean(axis=1)
@@ -485,3 +546,10 @@ def reduced_gradient(u, instance, mesh: Mesh) -> np.ndarray:
     p = mesh.on_all_nodes(solve_sparse_spd(interior_stiffness(mesh), adjoint_rhs))
     p_bar = assemble_cell_average(mesh) @ p
     return instance.alpha * (u - instance.u_d) + p_bar
+
+
+def read_field_dump(path) -> np.ndarray:
+    """The cell values of a ``--dump-fields`` file, asserting its ``p0 <ncells>`` header."""
+    head, *lines = Path(path).read_text().splitlines()
+    assert head == f"p0 {len(lines)}", head
+    return np.array([float(line) for line in lines])

@@ -21,6 +21,7 @@ from oracles import (
     fk_interior_nodes,
     fk_nodes,
     fk_triangles,
+    project_p0_by_einsum,
     projected_ascent_tv,
     reduced_gradient,
     reduced_objective,
@@ -30,8 +31,6 @@ from tvcontrol.instances import (
     ProblemInstance,
     build_exact_instance,
     build_generic_instance,
-    psi,
-    psi_prime,
 )
 from tvcontrol.master_problem import MasterOperator
 from tvcontrol.mesh_fem import build_friedrichs_keller
@@ -281,22 +280,19 @@ def test_criterion_6_master_certificates():
 def test_criterion_7_exact_construction():
     mesh = build_friedrichs_keller(50)
     instance = build_exact_instance(mesh)
-    from tvcontrol.instances import exact_div_phi_bar, exact_state
-    from tvcontrol.mesh_fem import project_p0
+    from tvcontrol.instances import _psi_and_prime, exact_div_phi_bar, exact_state
 
     p_bar = np.zeros(mesh.n_nodes)
     interior = fk_interior_nodes(50)
     p_bar[interior] = exact_state(*fk_nodes(50)[interior].T)
     residual = (
-        -project_p0(exact_div_phi_bar, mesh, 4)
+        -project_p0_by_einsum(exact_div_phi_bar, mesh, 4)
         + p_bar[fk_triangles(50)].mean(axis=1)
         + instance.alpha * (instance.reference_u - instance.u_d)
     )
-    knots = (3 / 16, 1 / 4, 5 / 16)
-    knot_dev = max(
-        abs(psi(3 / 16)), abs(psi(1 / 4) - 1.0), abs(psi(5 / 16)),
-        *[abs(psi_prime(k)) for k in knots],
-    )
+    # psi = 0, 1, 0 and psi' = 0 at the knots 3/16, 1/4, 5/16
+    value, slope = _psi_and_prime(np.array([3 / 16, 1 / 4, 5 / 16]), np.empty(3), np.empty(3))
+    knot_dev = max(np.abs(value - [0.0, 1.0, 0.0]).max(), np.abs(slope).max())
     mass = float(np.sum(mesh.cell_area * instance.reference_u))
     checks = {
         "gradient_residual": float(np.abs(residual).max()) <= 1e-10,

@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import tvcontrol
+from oracles import read_field_dump
 from tvcontrol import cli
 from tvcontrol.cli import main
 from tvcontrol.driver import INNER_FAILURE, RunReport, SolverConfig
-from tvcontrol.reporting import CSV_HEADER, load_field
+from tvcontrol.reporting import CSV_HEADER
 
 FAST = ["--n", "6", "--eps-start", "1e-5", "--eps-min", "1e-5"]
 
@@ -104,8 +105,8 @@ def test_dump_fields(tmp_path, capsys):
     )
     assert code == 0
     out = tmp_path / "out"
-    control = load_field(out / "control.txt")
-    reference = load_field(out / "reference_control.txt")
+    control = read_field_dump(out / "control.txt")
+    reference = read_field_dump(out / "reference_control.txt")
     assert control.shape == reference.shape
     # the pinned bytes of both dumps at these settings
     pinned = {

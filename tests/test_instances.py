@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from oracles import (
+    PSI_KNOTS as KNOTS,
+    branchwise_div_phi_bar,
     exact_f_integrand,
+    exact_phi_bar,
+    exact_u_bar,
     fk_interior_nodes,
     fk_nodes,
     fk_triangles,
@@ -21,51 +25,27 @@ from tvcontrol import instances
 from tvcontrol.instances import (
     BALL_PERIMETER,
     CERTIFICATE_SCALE,
+    PSI_CUBICS,
+    PSI_SLOPES,
     REFERENCE_PROFILE_TV,
     ProblemInstance,
     build_exact_instance,
     build_generic_instance,
     exact_div_phi_bar,
-    exact_phi_bar,
     exact_state,
-    exact_u_bar,
-    psi,
-    psi_prime,
 )
-from tvcontrol.mesh_fem import _quadrature_blocks, build_friedrichs_keller, project_p0
+from tvcontrol.mesh_fem import _quadrature_blocks, build_friedrichs_keller
 from tvcontrol.tv_oracle import discrete_tv
 
 # total variation of 2 pi^2 sin(pi x1) cos(pi x2); adaptive quadrature against
 # composite Gauss-Legendre agreed to ~1e-10
 GOLDEN_PROFILE_TV = 42.011825912243
 
-KNOTS = (3.0 / 16.0, 0.25, 5.0 / 16.0)
 
-
-def _bump_lower(r):
-    return ((-8192.0 * r + 5376.0) * r - 1152.0) * r + 81.0
-
-
-def _bump_upper(r):
-    return ((8192.0 * r - 6912.0) * r + 1920.0) * r - 175.0
-
-
-def _bump_lower_slope(r):
-    return (-24576.0 * r + 10752.0) * r - 1152.0
-
-
-def _bump_upper_slope(r):
-    return (24576.0 * r - 13824.0) * r + 1920.0
-
-
-def _branchwise_div_phi_bar(x1, x2):
-    # the divergence with each cubic evaluated on its own branch only
-    rho = np.hypot(x1 - 0.5, x2 - 0.5)
-    lower, upper = (KNOTS[0] <= rho) & (rho <= KNOTS[1]), (KNOTS[1] < rho) & (rho <= KNOTS[2])
-    value, slope = np.zeros_like(rho), np.zeros_like(rho)
-    value[lower], slope[lower] = _bump_lower(rho[lower]), _bump_lower_slope(rho[lower])
-    value[upper], slope[upper] = _bump_upper(rho[upper]), _bump_upper_slope(rho[upper])
-    return -CERTIFICATE_SCALE * (slope + value / np.where(rho > 0.0, rho, 1.0))
+def _psi(r):
+    """psi and psi' at r by the program's ``_psi_and_prime``, arrays like r."""
+    r = np.asarray(r, dtype=float)
+    return instances._psi_and_prime(r, np.empty_like(r), np.empty_like(r))
 
 
 def _divergence_probe_points():
@@ -78,14 +58,6 @@ def _divergence_probe_points():
     return x1, x2
 
 
-def test_psi_returns_a_float_for_a_scalar_and_an_array_for_an_array():
-    assert type(psi(0.2)) is float and type(psi_prime(0.3)) is float
-    r = np.array([[0.0, 0.2], [0.25, 0.3]])
-    for values in (psi(r), psi_prime(r)):
-        assert isinstance(values, np.ndarray) and values.shape == r.shape
-    assert psi(r)[1, 0] == 1.0 and psi_prime(r)[0, 0] == 0.0
-
-
 def test_divergence_writes_into_out_bitwise():
     x1, x2 = _divergence_probe_points()
     rho = np.hypot(x1 - 0.5, x2 - 0.5)
@@ -93,53 +65,50 @@ def test_divergence_writes_into_out_bitwise():
         assert (rho == knot).any() and (rho < knot).any() and (rho > knot).any()
         assert np.sort(np.abs(rho - knot))[2] < 1e-15
     assert (rho == 0.0).any() and (rho > KNOTS[2]).sum() >= 4
-    expected = _branchwise_div_phi_bar(x1, x2)
+    expected = branchwise_div_phi_bar(x1, x2)
     buf = np.full(x1.shape, np.nan)
     assert exact_div_phi_bar(x1, x2, out=buf) is buf
     assert buf.tobytes() == exact_div_phi_bar(x1, x2).tobytes() == expected.tobytes()
     # x broadcast against y, as the quadrature blocks pass them
     grid = np.empty((x1.size, x1.size))
     assert exact_div_phi_bar(x1[None], x1[:, None], out=grid) is grid
-    assert grid.tobytes() == _branchwise_div_phi_bar(x1[None], x1[:, None]).tobytes()
+    assert grid.tobytes() == branchwise_div_phi_bar(x1[None], x1[:, None]).tobytes()
     assert isinstance(exact_div_phi_bar(0.75, 0.5), np.float64)
 
 
 def test_bump_knot_values():
-    assert psi(KNOTS[0]) == pytest.approx(0.0, abs=1e-12)
-    assert psi(KNOTS[1]) == pytest.approx(1.0, abs=1e-12)
-    assert psi(KNOTS[2]) == pytest.approx(0.0, abs=1e-12)
+    value, _ = _psi(KNOTS)
+    assert value == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
     # both cubics agree at the middle knot
-    assert _bump_lower(0.25) == pytest.approx(_bump_upper(0.25), abs=1e-12)
+    assert np.polyval(PSI_CUBICS[0], 0.25) == pytest.approx(np.polyval(PSI_CUBICS[1], 0.25), abs=1e-12)
 
 
 def test_bump_knot_derivatives():
-    for knot in KNOTS:
-        assert psi_prime(knot) == pytest.approx(0.0, abs=1e-12)
+    _, slope = _psi(KNOTS)
+    assert slope == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
     # derivative of both branches vanishes at the middle knot
-    d_lower = (-24576.0 * 0.25 + 10752.0) * 0.25 - 1152.0
-    d_upper = (24576.0 * 0.25 - 13824.0) * 0.25 + 1920.0
-    assert d_lower == pytest.approx(0.0, abs=1e-12)
-    assert d_upper == pytest.approx(0.0, abs=1e-12)
+    for cubic_slope in PSI_SLOPES:
+        assert np.polyval(cubic_slope, 0.25) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bump_outside_support():
-    for r in (0.01, 0.18, 0.32, 0.49, 0.6, 1.0):
-        if not KNOTS[0] <= r <= KNOTS[2]:
-            assert psi(r) == 0.0
-            assert psi_prime(r) == 0.0
+    r = np.array([0.01, 0.18, 0.32, 0.49, 0.6, 1.0])
+    assert not ((KNOTS[0] <= r) & (r <= KNOTS[2])).any()
+    value, slope = _psi(r)
+    assert (value == 0.0).all() and (slope == 0.0).all()
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(min_value=1e-6, max_value=0.499999))
 def test_bump_bounded_by_one(r):
-    assert abs(psi(r)) <= 1.0 + 1e-12
+    assert abs(_psi(r)[0]) <= 1.0 + 1e-12
 
 
 def test_bump_matches_fd():
     rs = np.linspace(0.19, 0.31, 37)
     h = 1e-7
-    fd = (psi(rs + h) - psi(rs - h)) / (2 * h)
-    assert np.abs(fd - psi_prime(rs)).max() < 1e-5
+    fd = (_psi(rs + h)[0] - _psi(rs - h)[0]) / (2 * h)
+    assert np.abs(fd - _psi(rs)[1]).max() < 1e-5
 
 
 @pytest.fixture(scope="module")
@@ -196,7 +165,7 @@ def test_gradient_equation_residual(exact50):
     interior = fk_interior_nodes(mesh.n)
     p_bar[interior] = exact_state(*fk_nodes(mesh.n)[interior].T)
     p_bar_cells = p_bar[fk_triangles(mesh.n)].mean(axis=1)
-    div_phi = project_p0(exact_div_phi_bar, mesh, 4)
+    div_phi = project_p0_by_einsum(exact_div_phi_bar, mesh, 4)
     residual = (
         -div_phi
         + p_bar_cells

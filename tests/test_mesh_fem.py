@@ -18,6 +18,7 @@ from oracles import (
     basis_gradients,
     cell_areas,
     exact_f_integrand,
+    exact_u_bar,
     fk_interior_nodes,
     fk_nodes,
     fk_triangles,
@@ -25,6 +26,7 @@ from oracles import (
     interior_elasticity,
     interior_load,
     interior_stiffness,
+    midpoint_points,
     project_p0_by_einsum,
     solve_sparse_spd,
     symmetric_band_product,
@@ -42,7 +44,6 @@ from tvcontrol.mesh_fem import (
     interpolate_p1,
     l2_error_p0,
     l2_norm_p0,
-    project_p0,
 )
 from tvcontrol.sparse_linalg import lower_band
 
@@ -175,7 +176,7 @@ def test_stiffness_equals_the_per_cell_assembly(n, rel_tol):
 
 def _poisson_max_error(n):
     mesh = build_friedrichs_keller(n)
-    load = project_p0(
+    load = project_p0_by_einsum(
         lambda x, y: 2 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y), mesh
     )
     y_int = solve_sparse_spd(interior_stiffness(mesh), mesh.load_interior(load))
@@ -474,7 +475,7 @@ def test_divergence_compatibility(seed):
 
 def test_projection_of_constant():
     mesh = build_friedrichs_keller(3)
-    p0 = project_p0(lambda x, y: np.full_like(x, 2.5), mesh)
+    p0 = project_p0_by_einsum(lambda x, y: np.full_like(x, 2.5), mesh)
     assert np.allclose(p0, 2.5, atol=1e-14)
     p1 = interpolate_p1(lambda x, y: np.full_like(x, 2.5), mesh)
     assert np.allclose(p1, 2.5, atol=1e-14)
@@ -482,7 +483,7 @@ def test_projection_of_constant():
 
 def test_projection_of_disc_indicator():
     mesh = build_friedrichs_keller(50)
-    chi = project_p0(
+    chi = project_p0_by_einsum(
         lambda x, y: ((x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.25**2).astype(float),
         mesh,
         subdivision_depth=4,
@@ -497,7 +498,7 @@ def test_projection_exact_for_affine():
     centroids = fk_nodes(4)[fk_triangles(4)].mean(axis=1)
     exact = f(centroids[:, 0], centroids[:, 1])
     for depth in (0, 2):
-        assert np.allclose(project_p0(f, mesh, depth), exact, atol=1e-13)
+        assert np.allclose(project_p0_by_einsum(f, mesh, depth), exact, atol=1e-13)
 
 
 PROJECTION_INTEGRANDS = {
@@ -505,73 +506,68 @@ PROJECTION_INTEGRANDS = {
     "smooth": lambda x, y: np.sin(3.0 * x) * np.cos(2.0 * y),
     "scalar": lambda x, y: 2.5,
     # the exact instance's three integrands and the generic instance's u_d
-    "exact_u_bar": instances.exact_u_bar,
+    "exact_u_bar": exact_u_bar,
     "exact_f": exact_f_integrand,
     "exact_div_phi_bar": instances.exact_div_phi_bar,
     "generic_u_d": generic_u_d_integrand,
 }
 
 
+@pytest.mark.parametrize("depth", [0, 1, 4])
+@pytest.mark.parametrize("n", [1, 3, 16, 50, 100])
+def test_quadrature_points_match_einsum_bitwise(n, depth):
+    # the instances evaluate every integrand on these tables: equal points
+    # give every integrand the einsum rule's values
+    mesh = build_friedrichs_keller(n)
+    x, y, _ = mesh_fem._quadrature_blocks(mesh, depth)
+    points = midpoint_points(mesh, depth).reshape(n, n, 2, 4**depth, 2)
+    # every coordinate lies strictly inside the unit square, so == is bitwise
+    assert (points[..., 0] == x[None]).all() and (points[..., 1] == y[:, None]).all()
+
+
 @pytest.mark.parametrize("integrand", sorted(PROJECTION_INTEGRANDS))
 @pytest.mark.parametrize("depth", [0, 1, 4])
 @pytest.mark.parametrize("n", [1, 3, 16, 50, 100])
 def test_projection_matches_einsum_bitwise(n, depth, integrand):
-    # at depth 4 the blocks are 8 x 8 grid squares, narrower at the last
-    # columns and rows when 8 does not divide n (n = 3, 50, 100)
+    # an integrand on the tables of _quadrature_blocks, x broadcast against y
+    # and averaged over the last axis as the instances average it
     mesh = build_friedrichs_keller(n)
+    x, y, _ = mesh_fem._quadrature_blocks(mesh, depth)
     f = PROJECTION_INTEGRANDS[integrand]
-    chunked = project_p0(f, mesh, depth)
-    assert chunked.tobytes() == project_p0_by_einsum(f, mesh, depth).tobytes()
-
-
-def _projection_calls(n, depth):
-    """The x and y of every integrand call of ``project_p0``, and how often it visits each cell."""
-    calls, visits = [], np.zeros((3 * n, 3 * n), dtype=int)
-
-    def f(x, y):
-        calls.append((x, y))
-        # a cell's centroid times 3n is (3i + 2, 3j + 1) or (3i + 1, 3j + 2)
-        centroid = np.stack(np.broadcast_arrays(x, y), axis=-1).mean(axis=-2)
-        i, j = np.rint(3 * n * centroid).astype(int).reshape(-1, 2).T
-        np.add.at(visits, (i, j), 1)
-        return x + y
-
-    project_p0(f, build_friedrichs_keller(n), depth)
-    return calls, visits
+    values = np.broadcast_to(f(x[None], y[:, None]), (n, n, 2, 4**depth)).mean(axis=-1)
+    assert values.tobytes() == project_p0_by_einsum(f, mesh, depth).tobytes()
 
 
 @pytest.mark.parametrize("n, depth, side", [(50, 4, 8), (100, 4, 8), (3, 0, 3), (2, 8, 1)])
 def test_projection_evaluates_square_blocks_of_whole_cells(n, depth, side):
     # a grid square holds 2 * 4^depth points: 8 x 8 squares fit in P0_CHUNK_POINTS at
-    # depth 4; at depth 8 one square alone holds more, so each call takes one square
+    # depth 4; at depth 8 one square alone holds more, so each block is one square
     assert side == max(1, min(n, int(np.sqrt(P0_CHUNK_POINTS // (2 * 4**depth)))))
-    calls, visits = _projection_calls(n, depth)
-    for x, y in calls:
-        assert x.flags.c_contiguous and y.flags.c_contiguous
-        assert x.shape[0] == 1 and x.shape[1] <= side and x.shape[2:] == (2, 4**depth)
-        assert y.shape[1] == 1 and y.shape[0] <= side and y.shape[2:] == (2, 4**depth)
-        points = np.prod(np.broadcast_shapes(x.shape, y.shape))
-        assert points <= max(P0_CHUNK_POINTS, 2 * 4**depth)
-    # every cell exactly once
-    cells = np.add.outer(3 * np.arange(n), [[2, 1], [1, 2]])
-    assert visits[cells[:, None, 0, 0], cells[None, :, 0, 1]].min() == 1  # lower triangles
-    assert visits[cells[:, None, 1, 0], cells[None, :, 1, 1]].min() == 1  # upper triangles
-    assert visits.sum() == 2 * n * n
+    x, y, blocks = mesh_fem._quadrature_blocks(build_friedrichs_keller(n), depth)
+    assert x.shape == y.shape == (n, 2, 4**depth)
+    assert blocks[0] == (slice(0, side), slice(0, side))
+    visits = np.zeros((n, n), dtype=int)
+    for rows, cols in blocks:
+        height, width = rows.stop - rows.start, cols.stop - cols.start
+        assert 0 < height <= side and 0 < width <= side
+        assert height * width * 2 * 4**depth <= max(P0_CHUNK_POINTS, 2 * 4**depth)
+        visits[rows, cols] += 1
+    assert (visits == 1).all()  # every grid square, both its cells, exactly once
+    assert blocks == sorted(blocks, key=lambda block: (block[0].start, block[1].start))
 
 
 def test_projection_evaluates_each_coordinate_once_per_block():
-    # n = 50, depth 4: 7 blocks of 8 (the last of 2) along each axis. A term in
-    # x runs on each grid column's 2 * 256 points once per block row, 7 times,
-    # where calls on whole grid rows ran it 50 times
-    calls, _ = _projection_calls(50, 4)
-    assert len(calls) == 49
-    assert sum(x.size for x, _ in calls) == 7 * 50 * 512
-    assert sum(y.size for _, y in calls) == 7 * 50 * 512
+    # n = 50, depth 4: 7 blocks of 8 (the last of 2) along each axis, 49 in all
+    _, _, blocks = mesh_fem._quadrature_blocks(build_friedrichs_keller(50), 4)
+    assert len(blocks) == 49
+    spans = [slice(k, min(k + 8, 50)) for k in range(0, 50, 8)]
+    assert [rows for rows, _ in blocks] == [rows for rows in spans for _ in spans]
+    assert [cols for _, cols in blocks] == spans * 7
 
 
 def test_projection_rejects_negative_depth():
     with pytest.raises(ValueError, match="subdivision_depth.*-1"):
-        project_p0(lambda x, y: x + y, build_friedrichs_keller(2), -1)
+        mesh_fem._quadrature_blocks(build_friedrichs_keller(2), -1)
 
 
 @pytest.mark.parametrize("depth", [2.0, 2.5, True])
@@ -579,9 +575,9 @@ def test_projection_rejects_a_non_integer_depth(depth):
     # as Mesh does for n; a NumPy integer passes, and a call with one first
     # must not let 2.0 through the centroids' cache afterwards
     mesh = build_friedrichs_keller(2)
-    project_p0(lambda x, y: x + y, mesh, np.int64(2))
+    mesh_fem._quadrature_blocks(mesh, np.int64(2))
     with pytest.raises(TypeError, match=f"must be an integer, got subdivision_depth={depth}"):
-        project_p0(lambda x, y: x + y, mesh, depth)
+        mesh_fem._quadrature_blocks(mesh, depth)
 
 
 def test_interpolation_dirichlet_forcing():

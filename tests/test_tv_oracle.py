@@ -6,19 +6,16 @@ from hypothesis import strategies as st
 from oracles import (
     dense_newton_step,
     dual_objective,
+    exact_u_bar,
     fk_nodes,
     fk_triangles,
     interior_edge_cells_by_loop,
     interior_elasticity,
+    project_p0_by_einsum,
     projected_ascent_tv,
 )
 from tvcontrol import tv_oracle
-from tvcontrol.instances import exact_u_bar
-from tvcontrol.mesh_fem import (
-    build_friedrichs_keller,
-    elasticity_floor,
-    project_p0,
-)
+from tvcontrol.mesh_fem import build_friedrichs_keller, elasticity_floor
 from tvcontrol.tv_oracle import (
     GAP_TOL,
     _dual_bound,
@@ -299,7 +296,7 @@ def test_cold_start_converges_at_eps_min(n):
     # active nodes whose multiplier turns negative must leave at once, or the
     # iteration sheds them a few per step and cycles at small eps
     mesh = build_friedrichs_keller(n)
-    u = project_p0(exact_u_bar, mesh, 4)
+    u = project_p0_by_einsum(exact_u_bar, mesh, 4)
     res = eval_tv_eps(u, 7.8e-8, mesh)
     assert res.converged
     assert res.inner_iterations <= 15
