@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .master_problem import CuttingPlane, MasterOperator, MasterSolution
+from .master_problem import CuttingPlane, MasterOperator, MasterSolution, SingularBorderError
 from .mesh_fem import Mesh, _integer, l2_error_p0, l2_norm_p0
+from .sparse_linalg import NotPositiveDefiniteError
 from .tv_oracle import OracleResult, eval_tv_eps, tv_lower_bound
 
 TOLERANCE_MET = "tolerance_met"
@@ -139,6 +140,10 @@ def _failure_message(solver: str, k: int, eps: float, steps: int, unit: str,
     )
 
 
+def _raised_message(solver: str, k: int, eps: float, exc: Exception) -> str:
+    return f"{solver} failed at outer iteration k = {k}, eps = {eps:.5e}: {exc}"
+
+
 def run_outer_approximation(instance, config: SolverConfig, mesh: Mesh | None = None) -> RunReport:
     """Run the cutting-plane loop and collect one record per outer iteration.
 
@@ -151,7 +156,8 @@ def run_outer_approximation(instance, config: SolverConfig, mesh: Mesh | None = 
     otherwise the loop goes on cutting with the plane just computed. An
     ``inner_failure`` exit sets ``RunReport.failure`` to a message naming
     the solver, the outer iteration, eps, the steps taken and the final
-    residual (the master's) or duality gap (the oracle's). Raises
+    residual (the master's) or duality gap (the oracle's), or the text of
+    the SingularBorderError or NotPositiveDefiniteError it raised. Raises
     ValueError when ``config.n``, ``config.alpha`` or
     ``config.subdivision_depth`` disagrees with the instance, since the
     report echoes the config, or when ``mesh`` is not the instance's: an
@@ -182,7 +188,11 @@ def run_outer_approximation(instance, config: SolverConfig, mesh: Mesh | None = 
     failure: str | None = None
 
     for k in range(MAX_OUTER_ITERATIONS):
-        master = master_op.solve(eps, warm_start=master_warm)
+        try:
+            master = master_op.solve(eps, warm_start=master_warm)
+        except SingularBorderError as exc:
+            terminated, failure = INNER_FAILURE, _raised_message("master problem", k, eps, exc)
+            break
         if not master.converged:
             terminated = INNER_FAILURE
             failure = _failure_message(
@@ -192,7 +202,11 @@ def run_outer_approximation(instance, config: SolverConfig, mesh: Mesh | None = 
             break
         final_control = master.u
 
-        oracle = eval_tv_eps(master.u, eps, instance.mesh, warm_start=oracle_warm)
+        try:
+            oracle = eval_tv_eps(master.u, eps, instance.mesh, warm_start=oracle_warm)
+        except NotPositiveDefiniteError as exc:
+            terminated, failure = INNER_FAILURE, _raised_message("TV oracle", k, eps, exc)
+            break
         if not oracle.converged:
             terminated = INNER_FAILURE
             failure = _failure_message(

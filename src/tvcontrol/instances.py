@@ -46,7 +46,6 @@ class ProblemInstance:
     u_d: np.ndarray
     y_d: np.ndarray
     reference_u: np.ndarray | None
-    label: str
     subdivision_depth: int  # quadrature depth of the P0 projections
 
     def __post_init__(self):
@@ -207,7 +206,6 @@ def build_exact_instance(
         u_d=u_bar + (p_bar_cells - div_phi) / alpha,
         y_d=y_d,
         reference_u=u_bar,
-        label="exact",
         subdivision_depth=subdivision_depth,
     )
 
@@ -260,6 +258,5 @@ def build_generic_instance(
         u_d=u_d.ravel(),
         y_d=y_d,
         reference_u=None,
-        label="generic",
         subdivision_depth=subdivision_depth,
     )

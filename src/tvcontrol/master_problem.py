@@ -19,9 +19,11 @@ The operator owns the planes: ``add_plane`` makes each from the oracle's
 field and energy, drops it when its divergence repeats a stored one, and
 otherwise solves the base for its border column, once. With the data's
 solve, made once per instance, the primal-dual active set over the planes
-then lives on the k x k Schur complement. The eps-dependent bounds enter
-only that complement, so shrinking eps tightens every stored plane without
-a new base solve.
+then lives on the k x k Schur complement alone: each iteration reads the
+planes' slack off that complement, and the state, the adjoint, the control
+and the bordered system's residual are formed once per solve, from the
+final multipliers. The eps-dependent bounds enter only that complement, so
+shrinking eps tightens every stored plane without a new base solve.
 """
 
 from __future__ import annotations
@@ -160,12 +162,14 @@ class MasterOperator:
         The base solves of the data and of each plane's border column are
         made once, in the constructor and in :meth:`add_plane`; each
         iteration then solves the Schur complement restricted to the active
-        planes and reclassifies a plane as active iff mu_i - slack_i > 0. It
-        stops once the active set repeats and the KKT residual is at most
-        KKT_TOL, or after MAX_ACTIVE_SET_ITERATIONS with ``converged=False``.
-        Raises SingularBorderError, naming the active planes' indices, when that
-        Schur block is singular or the bordered residual exceeds
-        1e-9 (1 + ||rhs||_inf).
+        planes, takes every plane's slack r - S mu from that complement and
+        reclassifies a plane as active iff mu_i - slack_i > 0. It stops once
+        the active set repeats and the KKT residual is at most KKT_TOL, or
+        after MAX_ACTIVE_SET_ITERATIONS with ``converged=False``; only then
+        are the state, the adjoint and the control formed, from the final
+        multipliers. Raises SingularBorderError, naming the active planes'
+        indices, when an iteration's Schur block is singular or when the
+        returned solution's bordered residual exceeds 1e-9 (1 + ||rhs||_inf).
         """
         mesh = self.mesh
         planes = self.planes
@@ -176,11 +180,10 @@ class MasterOperator:
 
         div = np.reshape([p.div_phi for p in planes], (k, mesh.n_cells))
         energies = np.array([p.energy for p in planes])
-        rhs_targets = 1.0 + 0.5 * eps * energies                     # per-plane bound
         border = np.reshape([p.border for p in planes], (k, 2 * n_i)).T
         xc = np.reshape([p.base_solve for p in planes], (k, 2 * n_i)).T
         block = -(div * area) @ div.T / alpha
-        g = rhs_targets - div @ (area * self._u_d)
+        g = 1.0 + 0.5 * eps * energies - div @ (area * self._u_d)   # plane bounds less u_d's share
 
         schur = block - border.T @ xc
         r = g - border.T @ self._x0
@@ -191,37 +194,16 @@ class MasterOperator:
             active[prev[prev < k]] = True
 
         converged = False
-        iterations = 0
-        u = y_full = p_full = None
-        mu = np.zeros(k)
-        for _ in range(MAX_ACTIVE_SET_ITERATIONS):
-            iterations += 1
+        for iterations in range(1, MAX_ACTIVE_SET_ITERATIONS + 1):
             idx = np.flatnonzero(active)
             try:
                 mu_act = np.linalg.solve(schur[np.ix_(idx, idx)], r[idx])
             except np.linalg.LinAlgError as exc:
                 raise SingularBorderError(f"cutting planes {idx.tolist()}") from exc
-            xy = self._x0 - xc[:, idx] @ mu_act
-            border_act, block_act = border[:, idx], block[np.ix_(idx, idx)]
-            res = max(
-                np.abs(self.apply_base(xy) + border_act @ mu_act - self.rhs0).max(initial=0.0),
-                np.abs(border_act.T @ xy + block_act @ mu_act - g[idx]).max(initial=0.0),
-            )
-            bound = 1e-9 * (1.0 + np.abs(np.concatenate([self.rhs0, g[idx]])).max(initial=0.0))
-            if not res <= bound:
-                raise SingularBorderError(
-                    f"bordered solve residual {res:.3e} exceeds bound {bound:.3e}; "
-                    f"cutting planes {idx.tolist()}"
-                )
-
-            y_full = mesh.on_all_nodes(xy[:n_i])
-            p_full = mesh.on_all_nodes(xy[n_i:])
             mu = np.zeros(k)
             mu[idx] = mu_act
-
-            p_bar = mesh.cell_average(p_full)
-            u = self._u_d - (p_bar + mu @ div) / alpha
-            slack = rhs_targets - div @ (area * u)
+            # the plane rows with xy = x0 - xc mu: g - border^T xy - block mu
+            slack = r - schur @ mu
             active_next = (mu - slack) > 0.0
 
             # primal infeasibility, dual infeasibility and complementarity
@@ -231,14 +213,27 @@ class MasterOperator:
                 break
             active = active_next
 
-        objective = self.objective_value(u, y_full)
+        xy = self._x0 - xc[:, idx] @ mu_act
+        border_act, block_act = border[:, idx], block[np.ix_(idx, idx)]
+        res = max(
+            np.abs(self.apply_base(xy) + border_act @ mu_act - self.rhs0).max(initial=0.0),
+            np.abs(border_act.T @ xy + block_act @ mu_act - g[idx]).max(initial=0.0),
+        )
+        bound = 1e-9 * (1.0 + np.abs(np.concatenate([self.rhs0, g[idx]])).max(initial=0.0))
+        if not res <= bound:
+            raise SingularBorderError(
+                f"bordered solve residual {res:.3e} exceeds bound {bound:.3e}; "
+                f"cutting planes {idx.tolist()}"
+            )
+        y_full, p_full = mesh.on_all_nodes(xy[:n_i]), mesh.on_all_nodes(xy[n_i:])
+        u = self._u_d - (mesh.cell_average(p_full) + mu @ div) / alpha
         return MasterSolution(
             u=u,
             y=y_full,
             p=p_full,
             mu=mu,
             active_planes=np.flatnonzero(active),
-            objective=objective,
+            objective=self.objective_value(u, y_full),
             inner_iterations=iterations,
             converged=converged,
             residual=residual,

@@ -9,8 +9,8 @@ continuous piecewise-linear (P1) states one value per node.
 
 All integrands appearing in the forms are piecewise polynomial, so they are
 exact. Every cell of the mesh is a right triangle with legs 1/n, so every
-form is a constant stencil of one cell area 1/(2n^2) and one table of basis
-gradients (``CELL_GRADIENTS``, times n). :class:`Mesh` applies each by
+form is a constant stencil of one cell area 1/(2n^2) and the basis gradients
+of one cell with legs 1, times n. :class:`Mesh` applies each by
 slicing grid-shaped arrays and stores nothing but n. The bands the solvers
 factor, the 5-point Laplacian's and the oracle's Newton bands from the
 elasticity's four 2x2 node blocks, are written from the stencils too, so
@@ -43,13 +43,6 @@ LAME_LAMBDA = (YOUNGS_MODULUS * POISSON_RATIO
 #: The corners, as (column, row) steps from the lower-left corner a of a grid
 #: square, of its lower triangle (a, a+1, a+n+2) and its upper one (a, a+n+2, a+n+1)
 CELL_CORNERS = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
-
-#: Gradients of the three basis functions at those corners of a cell with legs 1,
-#: (2, 3, 2). Times n, those of every cell.
-CELL_GRADIENTS = np.array([
-    [[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]],
-    [[0.0, -1.0], [1.0, 0.0], [-1.0, 1.0]],
-])
 
 #: Most quadrature points, after broadcasting x against y, in one block of
 #: :func:`_quadrature_blocks`: a square block of grid squares, or one square

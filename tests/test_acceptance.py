@@ -227,7 +227,6 @@ def test_criterion_6_master_certificates():
             u_d=8.0 * rng.standard_normal(mesh.n_cells),
             y_d=rng.standard_normal(mesh.n_nodes),
             reference_u=None,
-            label="synthetic",
             subdivision_depth=4,
         )
         eps = 1e-4

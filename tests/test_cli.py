@@ -185,6 +185,24 @@ def test_inner_failure_explained_on_stderr(capsys, monkeypatch):
     assert captured.err == f"tvcontrol: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--n", "8", "--alpha", "1e-9"],
+                 "TV oracle failed at outer iteration k = 0, eps = 1.00000e-05: "
+                 "Newton step solve residual ", id="oracle-step-residual"),
+    pytest.param(["--n", "4", "--alpha", "1e-12"],
+                 "master problem failed at outer iteration k = 0, eps = 1.00000e-05: "
+                 "bordered solve residual ", id="master-bordered-residual"),
+])
+def test_inner_solver_error_exits_two(capsys, argv, message):
+    # an inner solver's error ends the run as inner_failure, not as a
+    # traceback with the usage-error status 1
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == CSV_HEADER + "\n"
+    assert captured.err.startswith(f"tvcontrol: {message}")
+
+
 def test_csv_independent_of_blas_threads():
     # at the default n = 50 the banded Cholesky takes LAPACK's blocked
     # (BLAS-3) path, whose threading must not change a digit

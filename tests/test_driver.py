@@ -107,7 +107,6 @@ def test_early_exit_with_feasible_unconstrained_optimum():
         u_d=np.zeros(mesh.n_cells),
         y_d=np.full(mesh.n_nodes, 1e-3),
         reference_u=None,
-        label="mild",
         subdivision_depth=4,
     )
     config = SolverConfig(n=4, eps_start=1e-5, eps_min=1e-5)

@@ -245,7 +245,6 @@ def test_instance_alpha_validated():
             u_d=np.zeros(mesh.n_cells),
             y_d=np.zeros(mesh.n_nodes),
             reference_u=None,
-            label="bad",
             subdivision_depth=4,
         )
 
@@ -253,7 +252,7 @@ def test_instance_alpha_validated():
 def test_instance_stores_lists_as_float_arrays():
     mesh = build_friedrichs_keller(1)
     inst = ProblemInstance(mesh=mesh, alpha=1.0, f=[0, 1], u_d=[2, 3], y_d=[0, 0, 0, 1],
-                           reference_u=[1, 0], label="lists", subdivision_depth=0)
+                           reference_u=[1, 0], subdivision_depth=0)
     for values, listed in [(inst.f, [0, 1]), (inst.u_d, [2, 3]), (inst.y_d, [0, 0, 0, 1]),
                            (inst.reference_u, [1, 0])]:
         assert isinstance(values, np.ndarray) and values.dtype == np.float64
@@ -271,11 +270,11 @@ def test_instance_rejects_a_field_of_the_wrong_length(field, shape, expected):
     # unchecked, a y_d given per cell fails only deep in the master's set-up
     mesh = build_friedrichs_keller(4)
     fields = {"f": np.zeros(32), "u_d": np.zeros(32), "y_d": np.zeros(25), "reference_u": np.zeros(32)}
-    ProblemInstance(mesh=mesh, alpha=1.0, label="right", subdivision_depth=4, **fields)
+    ProblemInstance(mesh=mesh, alpha=1.0, subdivision_depth=4, **fields)
     fields[field] = np.zeros(shape)
     with pytest.raises(ValueError, match=rf"^{field} has shape {re.escape(str(shape))}, "
                                          rf"expected {re.escape(str(expected))}"):
-        ProblemInstance(mesh=mesh, alpha=1.0, label="wrong", subdivision_depth=4, **fields)
+        ProblemInstance(mesh=mesh, alpha=1.0, subdivision_depth=4, **fields)
 
 
 @pytest.mark.parametrize("alpha", [np.nan, np.inf])

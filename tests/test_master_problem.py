@@ -31,7 +31,6 @@ def _instance(mesh, u_d, y_d=None, f=None, alpha=1.0, reference=None):
         u_d=u_d,
         y_d=np.zeros(mesh.n_nodes) if y_d is None else y_d,
         reference_u=reference,
-        label="test",
         subdivision_depth=4,
     )
 
@@ -282,6 +281,20 @@ def test_base_factor_solved_once_per_plane(mesh):
     _add_cut(op, sol.u, eps)
     op.solve(eps, warm_start=sol)
     assert len(base_solves) == 2
+
+
+def test_state_and_bordered_check_formed_once_per_solve(mesh):
+    # the active-set loop reads the slack off the k x k Schur complement; the
+    # mesh-sized base product runs once, in the check of the returned solution
+    rng = np.random.default_rng(10)
+    inst = _instance(mesh, 10.0 * rng.standard_normal(mesh.n_cells))
+    eps = 1e-4
+    op = MasterOperator(inst)
+    _add_cut(op, op.solve(eps).u, eps)
+    base_products = _count_calls(op, "apply_base")
+    sol = op.solve(eps)
+    assert sol.inner_iterations >= 2
+    assert len(base_products) == 1
 
 
 def _data_base_solve(n, alpha=1.0):

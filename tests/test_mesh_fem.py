@@ -33,7 +33,6 @@ from oracles import (
 )
 from tvcontrol import instances, mesh_fem
 from tvcontrol.mesh_fem import (
-    CELL_GRADIENTS,
     LAME_LAMBDA,
     Mesh,
     P0_CHUNK_POINTS,
@@ -623,9 +622,15 @@ def test_p0_norm_shape_mismatch():
 
 
 def test_gradients_sum_to_zero():
-    # the basis functions of a cell sum to one; times n the table is every
-    # cell's gradients, as computed from its corner coordinates
-    assert np.array_equal(CELL_GRADIENTS.sum(axis=1), np.zeros((2, 2)))
+    # the gradients of the three basis functions at the corners of a lower
+    # and an upper cell with legs 1 (mesh_fem.CELL_CORNERS); the basis
+    # functions of a cell sum to one, and times n the table is every cell's
+    # gradients, as computed from its corner coordinates
+    cell_gradients = np.array([
+        [[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]],
+        [[0.0, -1.0], [1.0, 0.0], [-1.0, 1.0]],
+    ])
+    assert np.array_equal(cell_gradients.sum(axis=1), np.zeros((2, 2)))
     mesh = build_friedrichs_keller(3)
     from_coordinates = basis_gradients(mesh).reshape(-1, 2, 3, 2)
-    assert np.allclose(from_coordinates, 3 * CELL_GRADIENTS, rtol=0.0, atol=1e-14)
+    assert np.allclose(from_coordinates, 3 * cell_gradients, rtol=0.0, atol=1e-14)
