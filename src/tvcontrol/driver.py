@@ -16,6 +16,7 @@ start from zero, and the oracle solves directly at the current eps.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,8 @@ MAX_OUTER_ITERATIONS = 50
 
 @dataclass
 class SolverConfig:
-    """The settings a run varies, with the CLI's defaults and checks (NaN fails each)."""
+    """The settings a run varies, with the CLI's defaults and checks (NaN fails each), stored
+    as the Python int, float or bool the report echoes; a wrong kind is a TypeError."""
 
     eps_start: float = 1e-5
     eps_factor: float = 0.5
@@ -54,6 +56,14 @@ class SolverConfig:
         self.n = _integer(self.n, "n", "the number of subdivisions")
         self.subdivision_depth = _integer(self.subdivision_depth, "subdivision_depth",
                                           "the quadrature depth")
+        for name in ("eps_start", "eps_factor", "eps_min", "tol", "alpha"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {name}={value!r}")
+            setattr(self, name, float(value))
+        if not isinstance(self.warm_start, (bool, np.bool_)):
+            raise TypeError(f"warm_start must be a bool, got warm_start={self.warm_start!r}")
+        self.warm_start = bool(self.warm_start)
         if not 0.0 < self.eps_factor < 1.0:
             raise ValueError(f"eps_factor must lie in (0, 1), got {self.eps_factor}")
         if not 0.0 < self.eps_min <= self.eps_start < math.inf:
@@ -157,7 +167,8 @@ def run_outer_approximation(instance, config: SolverConfig, mesh: Mesh | None = 
     ``inner_failure`` exit sets ``RunReport.failure`` to a message naming
     the solver, the outer iteration, eps, the steps taken and the final
     residual (the master's) or duality gap (the oracle's), or the text of
-    the SingularBorderError or NotPositiveDefiniteError it raised. Raises
+    the SingularBorderError or NotPositiveDefiniteError it raised (the
+    master's also from its constructor, at k = 0, or ``add_plane``). Raises
     ValueError when ``config.n``, ``config.alpha`` or
     ``config.subdivision_depth`` disagrees with the instance, since the
     report echoes the config, or when ``mesh`` is not the instance's: an
@@ -177,10 +188,14 @@ def run_outer_approximation(instance, config: SolverConfig, mesh: Mesh | None = 
     if mesh is not None and mesh != instance.mesh:
         raise ValueError(f"the forms were built for n = {mesh.n} "
                          f"but the instance mesh has n = {instance.mesh.n}")
-    master_op = MasterOperator(instance)
+    eps = config.eps_start
+    try:
+        master_op = MasterOperator(instance)
+    except SingularBorderError as exc:
+        return RunReport(records=[], terminated=INNER_FAILURE, final_control=None, planes=[],
+                         config=config, failure=_raised_message("master problem", 0, eps, exc))
 
     records: list[IterationRecord] = []
-    eps = config.eps_start
     master_warm: MasterSolution | None = None
     oracle_warm: OracleResult | None = None
     final_control: np.ndarray | None = None
@@ -237,7 +252,11 @@ def run_outer_approximation(instance, config: SolverConfig, mesh: Mesh | None = 
             terminated = TOLERANCE_MET
             break
 
-        master_op.add_plane(oracle.phi, oracle.energy)
+        try:
+            master_op.add_plane(oracle.phi, oracle.energy)
+        except SingularBorderError as exc:
+            terminated, failure = INNER_FAILURE, _raised_message("master problem", k, eps, exc)
+            break
         if not _at_eps_min(eps, config):
             eps = _next_eps(eps, config)
         if config.warm_start:

@@ -52,7 +52,8 @@ MAX_CG_STEPS = 500
 
 
 class SingularBorderError(ValueError):
-    """The planes' Schur complement is singular (e.g. duplicated cutting planes)."""
+    """The master cannot solve its KKT system accurately: a singular Schur block (e.g.
+    duplicated cutting planes), a bordered residual too large, or a base solve at MAX_CG_STEPS."""
 
 
 @dataclass
@@ -129,7 +130,7 @@ class MasterOperator:
                                mesh.stiffness(y) + self._g(self._gt(p))])
 
     def _base_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """base^{-1} rhs by CG on the reduced Hessian; RuntimeError after MAX_CG_STEPS.
+        """base^{-1} rhs by CG on the reduced Hessian; SingularBorderError after MAX_CG_STEPS.
 
         With P = K^-1 M K^-1 and q = K^-1 r1 + P r2 it solves (I + G^T P G) w = G^T q;
         y = K^-1 (r2 - G w) and p = q - P G w come from K^-1 G w and P G w, carried along.
@@ -144,8 +145,8 @@ class MasterOperator:
             if rr <= CG_TOL**2 * rr0:
                 return np.concatenate([s - kgw, q - pgw])
             if steps == MAX_CG_STEPS:
-                raise RuntimeError(f"base solve: CG residual {np.sqrt(rr / rr0):.3e} "
-                                   f"relative after {steps} steps")
+                raise SingularBorderError(f"base solve: CG residual {np.sqrt(rr / rr0):.3e} "
+                                          f"relative after {steps} steps")
             kgd = poisson(self._g(d))
             pgd = poisson(mass(kgd))
             hd = d + self._gt(pgd)

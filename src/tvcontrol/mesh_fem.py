@@ -179,27 +179,22 @@ class Mesh:
         """The lower band of Z^T (scale * A + D) Z, written from ``ELASTICITY_BLOCKS``.
 
         D adds ``diagonal[q]`` to both dofs of interior node q. Z rotates the
-        dofs of node q into its (radial, tangent) frame, with (cos, sin) =
-        ``frame[:, q]`` giving the radial direction, and keeps the rotated dofs
+        dofs of node q into its (radial, tangent) frame, with ``frame`` = (cos,
+        sin) and (cos[q], sin[q]) the radial direction, and keeps the rotated dofs
         ``kept[q]``; its columns follow the kept dofs in order. Every block is
-        rotated by the frame of its row node, then of its column node; an
-        identity frame leaves a block's nonzero entries bitwise unchanged,
-        since 1·a + 0·b = a.
+        rotated by :func:`rotate_pairs`, its rows by its row node's frame, then
+        its columns by its column node's; an identity frame leaves a block's
+        nonzero entries bitwise unchanged, since 1·a + 0·b = a and b − 0·a = b.
         """
         m = self.n - 1
         cos, sin = np.reshape(frame, (2, m, m))
-        basis = np.array([[cos, -sin], [sin, cos]])
         blocks = [scale * h[:, :, None, None] for h in ELASTICITY_BLOCKS]
         # D on the diagonal of the own blocks; adding 0 * D leaves the rest unchanged
         blocks[0] = blocks[0] + np.eye(2)[:, :, None, None] * diagonal.reshape(m, m)
         for k, (dj, di) in enumerate(LOWER_STEPS):
-            h, z = blocks[k], basis[:, :, dj:, di:]
-            t = np.stack([z[0, 0] * h[0] + z[1, 0] * h[1], z[0, 1] * h[0] + z[1, 1] * h[1]])
-            z = basis[:, :, :m - dj, :m - di]
-            blocks[k] = np.stack(
-                [z[0, 0] * t[:, 0] + z[1, 0] * t[:, 1], z[0, 1] * t[:, 0] + z[1, 1] * t[:, 1]],
-                axis=1,
-            )
+            rows = rotate_pairs(blocks[k], cos[dj:, di:], sin[dj:, di:])
+            below = np.s_[:m - dj, :m - di]
+            blocks[k] = rotate_pairs(rows.swapaxes(0, 1), cos[below], sin[below]).swapaxes(0, 1)
         column = np.where(kept, np.cumsum(kept).reshape(-1, 2) - 1, -1).T
         return _stencil_band(column.reshape(2, m, m), blocks, np.count_nonzero(kept))
 
@@ -226,6 +221,15 @@ def elasticity_floor(mesh: Mesh) -> float:
     smallest eigenvalue is 8 sin^2(pi / 2n).
     """
     return SHEAR_MODULUS * 8.0 * math.sin(math.pi / (2 * mesh.n)) ** 2
+
+
+def rotate_pairs(pairs, cos, sin) -> np.ndarray:
+    """(cos a + sin b, cos b - sin a) for the pairs (a, b) stacked along axis 0 of ``pairs``.
+
+    Each pair in the frame whose first axis is (cos, sin); with -sin it rotates back.
+    """
+    a, b = pairs
+    return np.stack([cos * a + sin * b, cos * b - sin * a])
 
 
 @lru_cache(maxsize=None)

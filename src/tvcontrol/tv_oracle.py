@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_fem import Mesh, elasticity_floor
+from .mesh_fem import Mesh, elasticity_floor, rotate_pairs
 from .sparse_linalg import RESIDUAL_TOL, NotPositiveDefiniteError, solve_spd
 
 #: the oracle stops once its weak-duality gap is at most this times 1 + |value|
@@ -78,7 +78,8 @@ def eval_tv_eps(u, eps: float, mesh: Mesh, warm_start: OracleResult | None = Non
     energy and upper bound, and the last step's active set and multipliers;
     the same, with ``converged=False``, after MAX_NEWTON_STEPS steps.
     Without ``warm_start`` the iteration starts from phi = 0 with no active
-    node, directly at ``eps``. Raises ValueError unless 0 < eps < inf, and
+    node, directly at ``eps``; with no interior node (n = 1) one empty step
+    brackets tv_eps by [0, 0]. Raises ValueError unless 0 < eps < inf, and
     when ``u`` or ``warm_start`` does not match ``mesh``.
     """
     if not 0.0 < eps < math.inf:
@@ -90,19 +91,6 @@ def eval_tv_eps(u, eps: float, mesh: Mesh, warm_start: OracleResult | None = Non
         raise ValueError(
             f"warm start has {warm_start.ball_state.multipliers.size} multipliers, "
             f"the mesh has {n_int} interior nodes"
-        )
-
-    if n_int == 0:
-        return OracleResult(
-            phi=np.zeros(0),
-            value=0.0,
-            energy=0.0,
-            inner_iterations=0,
-            converged=True,
-            ball_state=BallConstraintState(
-                active_nodes=np.zeros(0, dtype=bool), multipliers=np.zeros(0)
-            ),
-            upper_bound=0.0,
         )
 
     b = mesh.dual_load(u)
@@ -190,25 +178,24 @@ def _newton_step(mesh, b, eps, x, lam, active):
     diagonal = np.repeat(node_diagonal, 2)
     rhs = b + diagonal * xhat
 
-    # each node's frame (radial, tangent) as the rows (cos, sin); the identity off
-    # the active set. Z keeps the dofs ``kept``: all but the active radial ones.
-    frame = np.zeros((2, lam.size))
-    frame[0] = 1.0
-    frame[:, idx] = unit.T
+    # each node's frame (radial, tangent), its radial direction (cos, sin); the
+    # identity off the active set. Z keeps the dofs ``kept``: all but the active radial ones.
+    cos, sin = np.ones(lam.size), np.zeros(lam.size)
+    cos[idx], sin[idx] = unit.T
     kept = np.ones((lam.size, 2), dtype=bool)
     kept[idx, 0] = False
     x_frame = np.zeros((lam.size, 2))
     x_frame[idx, 0] = (1.0 + radii**2) / (2.0 * radii)
-    x_fixed = _from_frame(x_frame, frame)
+    x_fixed = rotate_pairs(x_frame.T, cos, -sin).T.ravel()
 
-    band = mesh.elasticity_band(eps, node_diagonal, frame, kept)
+    band = mesh.elasticity_band(eps, node_diagonal, (cos, sin), kept)
     h_fixed = eps * mesh.elasticity(x_fixed) + diagonal * x_fixed
-    reduced_rhs = _to_frame(rhs - h_fixed, frame)[kept]
+    reduced_rhs = rotate_pairs((rhs - h_fixed).reshape(-1, 2).T, cos, sin).T[kept]
     x_frame[kept] = solve_spd(band, reduced_rhs)
-    x_new = _from_frame(x_frame, frame)
+    x_new = rotate_pairs(x_frame.T, cos, -sin).T.ravel()
 
     ax_new = mesh.elasticity(x_new)
-    remainder = _to_frame(rhs - (eps * ax_new + diagonal * x_new), frame)
+    remainder = rotate_pairs((rhs - (eps * ax_new + diagonal * x_new)).reshape(-1, 2).T, cos, sin).T
     residual = np.abs(remainder[kept]).max(initial=0.0)
     bound = RESIDUAL_TOL * (1.0 + np.abs(reduced_rhs).max(initial=0.0))
     if not residual <= bound:
@@ -218,19 +205,6 @@ def _newton_step(mesh, b, eps, x, lam, active):
     lam_new = np.zeros_like(lam)
     lam_new[idx] = remainder[idx, 0] / (2.0 * radii)
     return x_new, lam_new, ax_new
-
-
-def _to_frame(v, frame):
-    """Per node, the (radial, tangent) components of the node-major vector v."""
-    v = v.reshape(-1, 2)
-    cos, sin = frame
-    return np.column_stack([cos * v[:, 0] + sin * v[:, 1], cos * v[:, 1] - sin * v[:, 0]])
-
-
-def _from_frame(w, frame):
-    """The node-major vector whose per-node (radial, tangent) components are w."""
-    cos, sin = frame
-    return np.column_stack([cos * w[:, 0] - sin * w[:, 1], sin * w[:, 0] + cos * w[:, 1]]).ravel()
 
 
 def _dual_bound(b, x, ax, lam, eps, theta):

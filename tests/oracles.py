@@ -14,7 +14,8 @@ instance's u_bar, f and phi_bar and the generic instance's u_d as pointwise
 closed forms instead of their fused per-axis terms, psi by its cubics
 branch by branch instead of by Horner's rule under masks, and the reduced
 objective and gradient by separate state and adjoint solves instead of the
-master's coupled KKT elimination.
+master's coupled KKT elimination, and the regularized optimum J*_eps by
+SLSQP on one smooth convex program instead of the outer approximation.
 
 The mesh is its own Friedrichs-Keller node and triangle list
 (:func:`fk_nodes`, :func:`fk_triangles`), built from node indices instead
@@ -36,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 import scipy.sparse as sp
+from scipy.optimize import minimize
 
 from tvcontrol.instances import (
     BALL_CENTER,
@@ -471,7 +473,7 @@ def dense_master_qp(instance, mesh: Mesh, planes, eps: float):
     hessian = s.T @ m_full @ s + alpha * np.diag(areas)
     grad_const = s.T @ m_full @ (s @ f - y_d) - alpha * areas * u_d
 
-    g_rows = np.array([areas * p.div_phi for p in planes]).reshape(len(planes), -1)
+    g_rows = np.array([areas * p.div_phi for p in planes]).reshape(len(planes), mesh.n_cells)
     h = np.array([1.0 + 0.5 * eps * p.energy for p in planes])
     return hessian, grad_const, g_rows, h
 
@@ -510,6 +512,51 @@ def dense_qp_active_set_enumeration(hessian, grad, g_rows, h, tol: float = 1e-10
     if best is None:
         raise RuntimeError("no feasible active set found")
     return best
+
+
+def regularized_optimum(instance, mesh: Mesh, eps: float):
+    """J*_eps = min J(u) over (u, lam >= 0) s.t. sum(lam) + (1/2) b^T H^-1 b <= 1, by SLSQP.
+
+    b = b(u) = D^T (area u) and H = eps A + 2 diag(lam) on the interior
+    vector dofs. By Lagrangian duality the constraint's left side, minimized
+    over lam >= 0, is tv_eps(u), and (b, lam) -> b^T H^-1 b is jointly
+    convex, so this is one smooth convex program with closed-form gradients:
+    with z = H^-1 b, the left side's gradient is area * (D z) in u and
+    1 - |z_i|^2 in lam_i. J is the dense reduced QP of
+    :func:`dense_master_qp` plus J(0). Starts from u = 0, lam = 0. Returns
+    SciPy's result, the constraint violation max(0, lhs - 1) and J there.
+    """
+    hessian, grad, _, _ = dense_master_qp(instance, mesh, [], eps)
+    j0 = reduced_objective(np.zeros(mesh.n_cells), instance, mesh)
+    a = interior_elasticity(mesh).toarray()
+    load = assemble_divergence(mesh).T.toarray() * cell_areas(mesh)
+    cells = mesh.n_cells
+
+    def objective(v):
+        u = v[:cells]
+        return 0.5 * u @ hessian @ u + grad @ u + j0
+
+    def objective_gradient(v):
+        return np.concatenate([hessian @ v[:cells] + grad, np.zeros(v.size - cells)])
+
+    def dual(v):
+        b, lam = load @ v[:cells], v[cells:]
+        return b, np.linalg.solve(eps * a + np.diag(np.repeat(2.0 * lam, 2)), b), lam
+
+    def slack(v):
+        b, z, lam = dual(v)
+        return 1.0 - lam.sum() - 0.5 * b @ z
+
+    def slack_gradient(v):
+        _, z, _ = dual(v)
+        return np.concatenate([-load.T @ z, np.sum(z.reshape(-1, 2) ** 2, axis=1) - 1.0])
+
+    start = np.zeros(cells + mesh.n_interior)
+    bounds = [(None, None)] * cells + [(0.0, None)] * mesh.n_interior
+    result = minimize(objective, start, jac=objective_gradient, method="SLSQP", bounds=bounds,
+                      constraints=[{"type": "ineq", "fun": slack, "jac": slack_gradient}],
+                      options={"ftol": 1e-12, "maxiter": 1000})
+    return result, max(0.0, -slack(result.x)), objective(result.x)
 
 
 def plane_slack(plane, u, eps: float, mesh) -> float:

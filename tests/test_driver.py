@@ -61,6 +61,30 @@ def test_config_stores_a_numpy_integer_as_an_int():
     assert echoed["n"] == 4 and echoed["subdivision_depth"] == 4
 
 
+@pytest.mark.parametrize("field, value", [
+    ("warm_start", "no"), ("warm_start", 1), ("tol", "0.01"), ("alpha", True),
+    ("eps_min", np.bool_(True)), ("eps_start", None),
+])
+def test_config_rejects_a_setting_of_the_wrong_kind(field, value):
+    # "no" would run warm-started and be echoed as "no"; "0.01" would fail
+    # later, comparing a float with a str
+    with pytest.raises(TypeError, match=re.escape(f"{field}={value!r}")):
+        SolverConfig(**{field: value})
+
+
+def test_config_stores_numpy_scalars_as_python_values():
+    config = SolverConfig(n=4, eps_start=np.float64(1e-5), eps_min=np.float32(1e-5),
+                          tol=np.float32(1e-2), alpha=1, warm_start=np.bool_(False))
+    assert type(config.warm_start) is bool and config.warm_start is False
+    floats = ("eps_start", "eps_factor", "eps_min", "tol", "alpha")
+    assert all(type(getattr(config, name)) is float for name in floats)
+    assert config.eps_min == float(np.float32(1e-5)) and config.alpha == 1.0
+    report = run_outer_approximation(build_exact_instance(build_friedrichs_keller(4)), config)
+    assert report.terminated == TOLERANCE_MET
+    echoed = json.loads(serialize_report(report, "json"))["config"]
+    assert echoed["warm_start"] is False and echoed["tol"] == config.tol
+
+
 def _records(errs, epss):
     return [
         IterationRecord(
@@ -324,3 +348,43 @@ def test_master_failure_reported(monkeypatch):
 
 def test_no_failure_message_on_success(small_exact_run):
     assert small_exact_run[2].failure is None
+
+
+def test_data_base_solve_failure_reported(monkeypatch):
+    # the data's base solve runs in the master's constructor, before any
+    # outer iteration: its failure is reported at k = 0 and eps_start
+    monkeypatch.setattr(master_problem, "MAX_CG_STEPS", 1)
+    config = SolverConfig(n=8, eps_start=2e-5)
+    report = run_outer_approximation(build_exact_instance(build_friedrichs_keller(8)), config)
+    assert report.terminated == INNER_FAILURE
+    assert not report.records and not report.planes and report.final_control is None
+    assert report.failure.startswith(
+        "master problem failed at outer iteration k = 0, eps = 2.00000e-05: "
+        "base solve: CG residual "
+    )
+    assert report.failure.endswith(" relative after 1 steps")
+
+
+def test_plane_base_solve_failure_keeps_the_records(monkeypatch):
+    # the second plane's base solve hits its CG cap: the run ends as
+    # inner_failure at that outer iteration with the rows and the plane so far
+    add_plane = master_problem.MasterOperator.add_plane
+    planes_added = []
+
+    def capped(op, *args):
+        if planes_added:
+            monkeypatch.setattr(master_problem, "MAX_CG_STEPS", 1)
+        planes_added.append(add_plane(op, *args))
+        return planes_added[-1]
+
+    monkeypatch.setattr(master_problem.MasterOperator, "add_plane", capped)
+    config = SolverConfig(n=8, eps_start=1e-5, eps_min=7.8e-8)
+    report = run_outer_approximation(build_exact_instance(build_friedrichs_keller(8)), config)
+    assert report.terminated == INNER_FAILURE
+    assert [r.k for r in report.records] == [0, 1]
+    assert len(report.planes) == 1
+    assert report.final_control is not None
+    assert report.failure.startswith(
+        "master problem failed at outer iteration k = 1, eps = 5.00000e-06: "
+        "base solve: CG residual "
+    )

@@ -325,7 +325,7 @@ def test_base_solve_fails_loudly_at_its_step_cap(monkeypatch):
     mesh = build_friedrichs_keller(8)
     op = MasterOperator(build_exact_instance(mesh))
     monkeypatch.setattr(master_problem, "MAX_CG_STEPS", 1)
-    with pytest.raises(RuntimeError, match=r"CG residual .* relative after 1 steps"):
+    with pytest.raises(SingularBorderError, match=r"CG residual .* relative after 1 steps"):
         op._base_solve(op.rhs0)
 
 

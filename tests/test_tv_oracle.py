@@ -329,11 +329,15 @@ def test_warm_start_from_another_mesh_rejected(mesh4, mesh8):
 
 
 def test_empty_interior_mesh():
+    # no interior node: the general loop takes one empty Newton step, whose
+    # bracket is [0, 0], cold or warm-started from its own result
     mesh = build_friedrichs_keller(1)
     res = eval_tv_eps(np.array([1.0, -1.0]), 1e-5, mesh)
-    assert res.converged
-    assert res.value == 0.0
-    assert res.phi.shape == (0,)
+    warm = eval_tv_eps(np.array([2.0, 0.0]), 5e-6, mesh, warm_start=res)
+    for r in (res, warm):
+        assert r.converged and r.inner_iterations == 1
+        assert r.value == r.upper_bound == r.energy == 0.0
+        assert r.phi.shape == r.ball_state.multipliers.shape == r.ball_state.active_nodes.shape == (0,)
 
 
 @settings(max_examples=15, deadline=None)
