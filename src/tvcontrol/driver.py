@@ -142,14 +142,6 @@ def _at_eps_min(eps: float, config: SolverConfig) -> bool:
     return eps <= config.eps_min * (1.0 + 1e-12)
 
 
-def _failure_message(solver: str, k: int, eps: float, steps: int, unit: str,
-                     measure: str, value: float) -> str:
-    return (
-        f"{solver} did not converge at outer iteration k = {k}, eps = {eps:.5e}: "
-        f"{steps} {unit}, final {measure} {value:.3e}"
-    )
-
-
 def _raised_message(solver: str, k: int, eps: float, exc: Exception) -> str:
     return f"{solver} failed at outer iteration k = {k}, eps = {eps:.5e}: {exc}"
 
@@ -165,10 +157,11 @@ def run_outer_approximation(instance, config: SolverConfig, mesh: Mesh | None = 
     at most 1 + tol, so the returned control is certified feasible;
     otherwise the loop goes on cutting with the plane just computed. An
     ``inner_failure`` exit sets ``RunReport.failure`` to a message naming
-    the solver, the outer iteration, eps, the steps taken and the final
-    residual (the master's) or duality gap (the oracle's), or the text of
-    the SingularBorderError or NotPositiveDefiniteError it raised (the
-    master's also from its constructor, at k = 0, or ``add_plane``). Raises
+    the solver, the outer iteration and eps, then the oracle's Newton steps
+    and final duality gap when it did not converge, or the text of the
+    SingularBorderError or NotPositiveDefiniteError raised (the master's
+    from ``solve``, including its active-set cap, from its constructor, at
+    k = 0, or from ``add_plane``). Raises
     ValueError when ``config.n``, ``config.alpha`` or
     ``config.subdivision_depth`` disagrees with the instance, since the
     report echoes the config, or when ``mesh`` is not the instance's: an
@@ -208,13 +201,6 @@ def run_outer_approximation(instance, config: SolverConfig, mesh: Mesh | None = 
         except SingularBorderError as exc:
             terminated, failure = INNER_FAILURE, _raised_message("master problem", k, eps, exc)
             break
-        if not master.converged:
-            terminated = INNER_FAILURE
-            failure = _failure_message(
-                "master problem", k, eps, master.inner_iterations, "active-set iterations",
-                "residual", master.residual,
-            )
-            break
         final_control = master.u
 
         try:
@@ -224,9 +210,10 @@ def run_outer_approximation(instance, config: SolverConfig, mesh: Mesh | None = 
             break
         if not oracle.converged:
             terminated = INNER_FAILURE
-            failure = _failure_message(
-                "TV oracle", k, eps, oracle.inner_iterations, "Newton steps",
-                "duality gap", oracle.upper_bound - oracle.value,
+            failure = (
+                f"TV oracle did not converge at outer iteration k = {k}, eps = {eps:.5e}: "
+                f"{oracle.inner_iterations} Newton steps, final duality gap "
+                f"{oracle.upper_bound - oracle.value:.3e}"
             )
             break
 

@@ -20,9 +20,9 @@ field and energy, drops it when its divergence repeats a stored one, and
 otherwise solves the base for its border column, once. With the data's
 solve, made once per instance, the primal-dual active set over the planes
 then lives on the k x k Schur complement alone: each iteration reads the
-planes' slack off that complement, and the state, the adjoint, the control
-and the bordered system's residual are formed once per solve, from the
-final multipliers. The eps-dependent bounds enter only that complement, so
+planes' slack off that complement until the active set repeats, and the
+state, the adjoint, the control and the bordered system's residual are
+formed once per solve, from the final multipliers. The eps-dependent bounds enter only that complement, so
 shrinking eps tightens every stored plane without a new base solve.
 """
 
@@ -35,10 +35,7 @@ import numpy as np
 from .mesh_fem import l2_error_p0
 from .sparse_linalg import factor_spd
 
-#: the active set is optimal once it repeats and the KKT residual is at most this
-KKT_TOL = 1e-8
-
-#: a master solve that has not converged after this many iterations fails
+#: a master solve whose active set has not repeated after this many iterations fails
 MAX_ACTIVE_SET_ITERATIONS = 100
 
 #: a plane whose divergence is this close in L2 to a stored one is dropped
@@ -53,7 +50,8 @@ MAX_CG_STEPS = 500
 
 class SingularBorderError(ValueError):
     """The master cannot solve its KKT system accurately: a singular Schur block (e.g.
-    duplicated cutting planes), a bordered residual too large, or a base solve at MAX_CG_STEPS."""
+    duplicated cutting planes), a bordered residual too large, a base solve at MAX_CG_STEPS,
+    or an active set that has not repeated after MAX_ACTIVE_SET_ITERATIONS."""
 
 
 @dataclass
@@ -81,8 +79,6 @@ class MasterSolution:
     active_planes: np.ndarray     # indices into the plane list
     objective: float
     inner_iterations: int
-    converged: bool
-    residual: float               # feasibility/complementarity residual, last iteration
 
 
 class MasterOperator:
@@ -164,13 +160,15 @@ class MasterOperator:
         made once, in the constructor and in :meth:`add_plane`; each
         iteration then solves the Schur complement restricted to the active
         planes, takes every plane's slack r - S mu from that complement and
-        reclassifies a plane as active iff mu_i - slack_i > 0. It stops once
-        the active set repeats and the KKT residual is at most KKT_TOL, or
-        after MAX_ACTIVE_SET_ITERATIONS with ``converged=False``; only then
-        are the state, the adjoint and the control formed, from the final
-        multipliers. Raises SingularBorderError, naming the active planes'
-        indices, when an iteration's Schur block is singular or when the
-        returned solution's bordered residual exceeds 1e-9 (1 + ||rhs||_inf).
+        reclassifies a plane as active iff mu_i - slack_i > 0. It stops at
+        the first repeated active set, the KKT point: every inactive slack is
+        >= 0 and every active multiplier exceeds its slack, that row's solve
+        residual. Only then are the state, the adjoint and the control formed,
+        from the final multipliers. Raises SingularBorderError, naming the
+        active planes' indices, when an iteration's Schur block is singular,
+        when the active set has not repeated after MAX_ACTIVE_SET_ITERATIONS
+        (with the last KKT residual), or when the returned solution's
+        bordered residual exceeds 1e-9 (1 + ||rhs||_inf).
         """
         mesh = self.mesh
         planes = self.planes
@@ -194,7 +192,6 @@ class MasterOperator:
             prev = warm_start.active_planes
             active[prev[prev < k]] = True
 
-        converged = False
         for iterations in range(1, MAX_ACTIVE_SET_ITERATIONS + 1):
             idx = np.flatnonzero(active)
             try:
@@ -206,13 +203,16 @@ class MasterOperator:
             # the plane rows with xy = x0 - xc mu: g - border^T xy - block mu
             slack = r - schur @ mu
             active_next = (mu - slack) > 0.0
-
-            # primal infeasibility, dual infeasibility and complementarity
-            residual = np.concatenate([-slack, -mu, np.abs(mu * slack)]).max(initial=0.0)
-            if np.array_equal(active_next, active) and residual <= KKT_TOL:
-                converged = True
+            if np.array_equal(active_next, active):
                 break
             active = active_next
+        else:
+            # primal infeasibility, dual infeasibility and complementarity
+            residual = np.concatenate([-slack, -mu, np.abs(mu * slack)]).max(initial=0.0)
+            raise SingularBorderError(
+                f"active set did not repeat in {iterations} iterations, KKT residual "
+                f"{residual:.3e}; cutting planes {idx.tolist()}"
+            )
 
         xy = self._x0 - xc[:, idx] @ mu_act
         border_act, block_act = border[:, idx], block[np.ix_(idx, idx)]
@@ -233,11 +233,9 @@ class MasterOperator:
             y=y_full,
             p=p_full,
             mu=mu,
-            active_planes=np.flatnonzero(active),
+            active_planes=idx,
             objective=self.objective_value(u, y_full),
             inner_iterations=iterations,
-            converged=converged,
-            residual=residual,
         )
 
     def objective_value(self, u: np.ndarray, y: np.ndarray) -> float:

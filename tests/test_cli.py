@@ -210,17 +210,30 @@ def test_inner_solver_error_exits_two(capsys, argv, message):
     assert captured.err.startswith(f"tvcontrol: {message}")
 
 
-@pytest.mark.xfail(strict=True, reason="the master's active set does not converge on every "
-                                        "plane set: ROADMAP item 20")
 @pytest.mark.parametrize("argv", [
     # 31 planes whose rows have rank 24: the active set cycles, k = 31
-    pytest.param(["--n", "8", "--tol", "1e-12"], id="dependent-planes"),
-    # a residual floor that grows as 1/alpha stays above KKT_TOL, k = 12
-    pytest.param(["--n", "8", "--alpha", "1e-8"], id="small-alpha"),
+    pytest.param(["--n", "8", "--tol", "1e-12"], id="dependent-planes", marks=pytest.mark.xfail(
+        strict=True, reason="the master's active set does not converge on every plane set: "
+                            "ROADMAP item 20")),
+    # past the master (see the next test), the oracle stalls at k = 26
+    pytest.param(["--n", "8", "--alpha", "1e-8"], id="small-alpha", marks=pytest.mark.xfail(
+        strict=True, reason="the oracle does not converge from every start: ROADMAP item 13")),
+    # no plane yet, k = 0: the bordered residual check rejects the data's solve
+    pytest.param(["--n", "4", "--alpha", "1e-10"], id="small-alpha-no-planes",
+                 marks=pytest.mark.xfail(strict=True, reason="the data's base solve loses "
+                                         "accuracy as 1/alpha: ROADMAP item 20")),
 ])
 def test_master_converges_on_valid_input(capsys, argv):
     code, _ = _run(capsys, argv)
     assert code == 0
+
+
+def test_small_alpha_passes_the_master(capsys):
+    # the active set repeats at once, but its KKT residual sits on a rounding
+    # floor that grows as 1/alpha (1.1e-8 here): the master must stop at the
+    # repeat rather than stall at its iteration cap, k = 12
+    main(["--n", "8", "--alpha", "1e-8"])
+    assert not capsys.readouterr().err.startswith("tvcontrol: master problem")
 
 
 def test_csv_independent_of_blas_threads():

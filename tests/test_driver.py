@@ -341,9 +341,10 @@ def test_master_failure_reported(monkeypatch):
     assert report.terminated == INNER_FAILURE
     k = len(report.records)
     assert report.failure.startswith(
-        f"master problem did not converge at outer iteration k = {k}, eps = "
+        f"master problem failed at outer iteration k = {k}, eps = "
     )
-    assert "1 active-set iterations, final residual" in report.failure
+    assert ": active set did not repeat in 1 iterations, KKT residual " in report.failure
+    assert re.search(r"; cutting planes \[[\d, ]*\]$", report.failure)
 
 
 def test_no_failure_message_on_success(small_exact_run):

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,7 +56,6 @@ def _add_cut(op, u_values, eps):
 
 def test_zero_instance_is_stationary(mesh):
     sol = MasterOperator(_instance(mesh, np.zeros(mesh.n_cells))).solve(1e-5)
-    assert sol.converged
     assert sol.objective == pytest.approx(0.0, abs=1e-15)
     assert np.abs(sol.u).max() == 0.0
     assert np.abs(sol.y).max() == 0.0
@@ -80,7 +80,6 @@ def test_single_plane_becomes_active(n):
     plane = _add_cut(op, free.u, eps)
     assert plane_slack(plane, free.u, eps, mesh) < 0  # unconstrained point is cut off
     sol = op.solve(eps)
-    assert sol.converged
     assert sol.mu[0] > 0
     assert abs(plane_slack(plane, sol.u, eps, mesh)) < 1e-8
 
@@ -101,7 +100,6 @@ def test_multiple_planes_match_enumeration(mesh):
         for _ in range(3):
             _add_cut(op, 8.0 * rng.standard_normal(mesh.n_cells), eps)
         sol = op.solve(eps)
-        assert sol.converged
         hess, grad, g_rows, h = dense_master_qp(inst, mesh, op.planes, eps)
         _, u_ref, _, _ = dense_qp_active_set_enumeration(hess, grad, g_rows, h)
         assert np.abs(sol.u - u_ref).max() < 1e-8
@@ -133,7 +131,6 @@ def test_kkt_certificates(mesh):
     for _ in range(2):
         _add_cut(op, sol.u, eps)
         sol = op.solve(eps, warm_start=sol)
-    assert sol.converged
     # stationarity from an independent gradient evaluation (two Poisson solves)
     grad = reduced_gradient(sol.u, inst, mesh)
     for i, plane in enumerate(op.planes):
@@ -236,6 +233,31 @@ def test_duplicate_planes_fail_loudly(mesh):
         op.solve(eps)
 
 
+def test_active_set_cap_fails_loudly(mesh, monkeypatch):
+    # one iteration cannot repeat an active set that the iteration changes:
+    # the solve raises, naming the iterations, the last KKT residual and the
+    # active planes, instead of returning an unconverged solution
+    rng = np.random.default_rng(10)
+    inst = _instance(mesh, 10.0 * rng.standard_normal(mesh.n_cells))
+    eps = 1e-4
+    op = MasterOperator(inst)
+    free = op.solve(eps)
+    plane = _add_cut(op, free.u, eps)
+    sol = op.solve(eps)
+    assert sol.active_planes.tolist() == [0]
+    monkeypatch.setattr(master_problem, "MAX_ACTIVE_SET_ITERATIONS", 1)
+    # cold, the plane is inactive and cut off: the residual is its violation
+    pattern = r"active set did not repeat in 1 iterations, KKT residual (\S+); cutting planes "
+    with pytest.raises(SingularBorderError, match=pattern + r"\[\]$") as cold:
+        op.solve(eps)
+    residual = float(re.search(pattern, str(cold.value)).group(1))
+    assert residual == pytest.approx(-plane_slack(plane, free.u, eps, mesh), rel=1e-3)
+    # warm from [0] at a looser eps the plane is released after one iteration
+    with pytest.raises(SingularBorderError, match=pattern + r"\[0\]$") as warm:
+        op.solve(1e-2, warm_start=sol)
+    assert float(re.search(pattern, str(warm.value)).group(1)) > 0.0
+
+
 def _count_calls(op, attr):
     """Replace ``op.attr`` by a wrapper that counts its calls; returns the count list."""
     calls = []
@@ -273,7 +295,6 @@ def test_base_factor_solved_once_per_plane(mesh):
     _add_cut(op, free.u, eps)
     assert len(base_solves) == 1
     sol = op.solve(eps)
-    assert sol.converged
     assert sol.active_planes.tolist() == [0]
     assert sol.inner_iterations >= 2
     op.solve(eps / 2, warm_start=sol)
