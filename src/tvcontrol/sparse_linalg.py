@@ -11,25 +11,26 @@ elasticity's 2×2 node blocks, ``stiffness_band`` the master's from the
 with the Laplacian's; :func:`solve_spd` factors for one, and the Newton step
 checks its residual against ``RESIDUAL_TOL``.
 
-Both call SciPy's f2py wrappers of dpbtrf and dpbtrs, the functions that
-``scipy.linalg.cholesky_banded`` and ``cho_solve_banded`` call, so factors
-and solves are bitwise theirs. Their extension module ``_flapack`` is
-loaded from its file in SciPy's ``linalg`` directory without running that
-package's ``__init__``, which imports modules a run never uses (334 of
-them and about 24 MiB of RSS with SciPy 1.17); a ``scipy.linalg._flapack``
-already imported is reused. The checks those two functions made, on
-LAPACK's ``info`` and on the right-hand side's length, are made here.
+Both call LAPACK's dpbtrf and dpbtrs through ``ctypes`` in the OpenBLAS
+that SciPy's wheel ships (``scipy.libs/libscipy_openblas*.so``), the
+library whose routines ``scipy.linalg.cholesky_banded`` and
+``cho_solve_banded`` call, so factors and solves are bitwise theirs. The
+library is found without importing ``scipy``: a run imports no SciPy
+module, neither the ``scipy`` package nor its f2py LAPACK extension, and
+holds about 2 MiB less RSS than with them. ``dlopen`` hands a process that has imported
+``scipy.linalg`` the library it already loaded. The checks SciPy's
+wrappers made, on LAPACK's ``info`` and on the right-hand side's length,
+are made here.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
-import sys
-from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec
 
 import numpy as np
-import scipy
 
 #: a solve of A x = b is accepted only if ||A x - b||_inf <= RESIDUAL_TOL (1 + ||b||_inf)
 RESIDUAL_TOL = 1e-10
@@ -39,23 +40,71 @@ class NotPositiveDefiniteError(ValueError):
     pass
 
 
-def _load_flapack():
-    """SciPy's compiled LAPACK wrappers, without importing the ``scipy.linalg`` package."""
-    loaded = sys.modules.get("scipy.linalg._flapack")
-    if loaded is not None:
-        return loaded
-    linalg = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-    spec = PathFinder.find_spec("_flapack", [linalg])
+def _openblas() -> ctypes.CDLL:
+    """The OpenBLAS that SciPy's wheel ships, found without importing ``scipy``."""
+    spec = find_spec("scipy")
     if spec is None:
-        raise ImportError(f"no LAPACK extension module _flapack in {linalg}")
-    module = module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+        raise ImportError("no scipy package, whose OpenBLAS library supplies LAPACK")
+    pattern = os.path.join(spec.submodule_search_locations[0] + ".libs", "libscipy_openblas*.so")
+    found = sorted(glob.glob(pattern))
+    if not found:
+        raise ImportError(f"no OpenBLAS library {pattern}")
+    return ctypes.CDLL(found[0])
 
 
-_flapack = _load_flapack()
-#: LAPACK's banded Cholesky factorization and its triangular solves, double precision
-dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
+def _routine(library: ctypes.CDLL, name: str, arguments: int):
+    """LAPACK routine ``name`` with ``uplo`` first and ``arguments`` pointers after it.
+
+    An LP64 Fortran subroutine: every argument by reference, integers of
+    32 bits, and ``uplo``'s hidden length as a trailing ``size_t``.
+    """
+    symbol = f"scipy_{name}_"
+    try:
+        routine = getattr(library, symbol)
+    except AttributeError:
+        raise ImportError(f"no LAPACK routine {symbol} in {library._name}") from None
+    routine.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * arguments + [ctypes.c_size_t]
+    routine.restype = None
+    return routine
+
+
+_lapack = _openblas()
+_dpbtrf = _routine(_lapack, "dpbtrf", 5)  # n, kd, ab, ldab, info
+_dpbtrs = _routine(_lapack, "dpbtrs", 8)  # n, kd, nrhs, ab, ldab, b, ldb, info
+
+
+def _int(value: int):
+    """A pointer to a new C int holding ``value``."""
+    return ctypes.byref(ctypes.c_int(value))
+
+
+def dpbtrf(band):
+    """LAPACK's dpbtrf on a lower band: (factor, info).
+
+    The factor overwrites ``band`` if it is a writable, Fortran-ordered
+    float64 array, and a copy otherwise.
+    """
+    factor = np.require(band, np.float64, "FAW")
+    rows, size = factor.shape
+    info = ctypes.c_int()
+    _dpbtrf(b"L", _int(size), _int(rows - 1), factor.ctypes.data, _int(rows),
+            ctypes.byref(info), 1)
+    return factor, info.value
+
+
+def dpbtrs(factor, b):
+    """LAPACK's dpbtrs with dpbtrf's lower ``factor``: (x, info), x a new array.
+
+    Each column of b along its first axis is a right-hand side.
+    """
+    factor = np.require(factor, np.float64, "FA")
+    x = np.array(b, dtype=np.float64, order="F")
+    rows, size = factor.shape
+    ldb = x.shape[0]
+    info = ctypes.c_int()
+    _dpbtrs(b"L", _int(size), _int(rows - 1), _int(x.size // ldb),
+            factor.ctypes.data, _int(rows), x.ctypes.data, _int(ldb), ctypes.byref(info), 1)
+    return x, info.value
 
 
 def lower_band(rows, cols, values, size: int) -> np.ndarray:
@@ -90,7 +139,7 @@ def factor_spd(band: np.ndarray):
     """
     size = band.shape[1]
     if band.size:
-        band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        band, info = dpbtrf(band)
         if info > 0:
             raise NotPositiveDefiniteError(f"{info}-th leading minor not positive definite")
         if info < 0:
@@ -101,7 +150,7 @@ def factor_spd(band: np.ndarray):
             raise ValueError(f"right-hand side of shape {np.shape(b)} for {size} unknowns")
         if np.size(b) == 0:
             return np.zeros_like(b, dtype=float)
-        x, info = dpbtrs(band, b, lower=1)
+        x, info = dpbtrs(band, b)
         if info != 0:
             raise ValueError(f"dpbtrs failed with info {info}")
         return x

@@ -369,9 +369,8 @@ def _run_python(code: str) -> str:
 
 def test_package_and_a_run_leave_sparse_linalg_unimported():
     # the forms are stencils, the master's base solves need no sparse
-    # factorization and the band Cholesky loads only SciPy's LAPACK wrappers,
-    # so neither scipy.sparse, scipy.sparse.linalg nor the scipy.linalg
-    # package, nor their memory, enter a run
+    # factorization and the band Cholesky binds SciPy's OpenBLAS through
+    # ctypes, so no SciPy module, nor its memory, enters a run
     code = (
         "import sys, tvcontrol\n"
         "from tvcontrol.instances import build_exact_instance\n"
@@ -379,20 +378,20 @@ def test_package_and_a_run_leave_sparse_linalg_unimported():
         "report = tvcontrol.run_outer_approximation(\n"
         "    build_exact_instance(build_friedrichs_keller(4)), tvcontrol.SolverConfig(n=4))\n"
         "assert report.records\n"
-        "print('scipy.sparse.linalg' in sys.modules, 'scipy.sparse' in sys.modules,\n"
-        "      'scipy.linalg' in sys.modules)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    assert _run_python(code) == "False False False"
+    assert _run_python(code) == "[]"
 
 
 @pytest.mark.parametrize("first", ["tvcontrol", "scipy.linalg"])
 def test_band_cholesky_matches_scipy_linalg_in_either_import_order(first):
     # a scipy.linalg imported after tvcontrol still works, and one imported
-    # before lends tvcontrol its LAPACK wrappers; either way the factor and
-    # the solve are bitwise those of cholesky_banded and cho_solve_banded
+    # before shares its OpenBLAS with tvcontrol; either way the factor and
+    # the solve are bitwise those of cholesky_banded and cho_solve_banded,
+    # and tvcontrol's routines are those that scipy.linalg's LAPACK links
     second = {"tvcontrol": "scipy.linalg", "scipy.linalg": "tvcontrol"}[first]
     code = (
-        "import sys, importlib\n"
+        "import ctypes, importlib\n"
         f"importlib.import_module({first!r}); importlib.import_module({second!r})\n"
         "import numpy as np, scipy.linalg as sl\n"
         "from tvcontrol import sparse_linalg\n"
@@ -407,7 +406,12 @@ def test_band_cholesky_matches_scipy_linalg_in_either_import_order(first):
         "expected = sl.cho_solve_banded((factor, True), b)\n"
         "overwritten = np.asfortranarray(band)\n"
         "x = sparse_linalg.factor_spd(overwritten)(b)\n"
+        "linked = ctypes.CDLL(sl._flapack.__file__)\n"
+        "same = all(ctypes.cast(getattr(linked, s), ctypes.c_void_p).value\n"
+        "           == ctypes.cast(r, ctypes.c_void_p).value\n"
+        "           for s, r in [('scipy_dpbtrf_', sparse_linalg._dpbtrf),\n"
+        "                        ('scipy_dpbtrs_', sparse_linalg._dpbtrs)])\n"
         "print(overwritten.tobytes() == factor.tobytes() and x.tobytes() == expected.tobytes(),\n"
-        "      sparse_linalg._flapack is sys.modules['scipy.linalg._flapack'])\n"
+        "      same)\n"
     )
-    assert _run_python(code) == f"True {first == 'scipy.linalg'}"
+    assert _run_python(code) == "True True"

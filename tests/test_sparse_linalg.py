@@ -1,4 +1,7 @@
 import hashlib
+import os
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -308,7 +311,7 @@ def test_solve_rejects_a_right_hand_side_of_another_length(length):
 
 def test_solve_raises_when_the_triangular_solves_fail(monkeypatch):
     solve = factor_spd(_second_difference_band())
-    monkeypatch.setattr(sparse_linalg, "dpbtrs", lambda factor, b, lower: (b, -2))
+    monkeypatch.setattr(sparse_linalg, "dpbtrs", lambda factor, b: (b, -2))
     with pytest.raises(ValueError, match="info -2"):
         solve(np.ones(3))
 
@@ -320,7 +323,7 @@ def test_factor_names_the_first_nonpositive_leading_minor():
 
 
 def test_factor_rejects_a_band_lapack_refuses(monkeypatch):
-    monkeypatch.setattr(sparse_linalg, "dpbtrf", lambda band, lower, overwrite_ab: (band, -3))
+    monkeypatch.setattr(sparse_linalg, "dpbtrf", lambda band: (band, -3))
     with pytest.raises(ValueError, match="argument 3") as raised:
         factor_spd(_second_difference_band())
     assert not isinstance(raised.value, NotPositiveDefiniteError)
@@ -340,3 +343,21 @@ def test_empty_band_never_reaches_lapack(monkeypatch, shape):
     assert solve(np.zeros((0, 2))).shape == (0, 2)
     with pytest.raises(ValueError, match="0 unknowns"):
         solve(np.ones(1))
+
+
+def test_loader_names_the_library_it_did_not_find(monkeypatch, tmp_path):
+    # a scipy package with no scipy.libs directory beside it
+    scipy_dir = tmp_path / "scipy"
+    monkeypatch.setattr(sparse_linalg, "find_spec",
+                        lambda name: SimpleNamespace(submodule_search_locations=[str(scipy_dir)]))
+    pattern = os.path.join(f"{scipy_dir}.libs", "libscipy_openblas*.so")
+    with pytest.raises(ImportError, match=re.escape(pattern)):
+        sparse_linalg._openblas()
+    monkeypatch.setattr(sparse_linalg, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="no scipy package"):
+        sparse_linalg._openblas()
+
+
+def test_loader_names_the_routine_it_did_not_find():
+    with pytest.raises(ImportError, match="scipy_dpbtrx_ in .*libscipy_openblas"):
+        sparse_linalg._routine(sparse_linalg._lapack, "dpbtrx", 5)
