@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .master_problem import CuttingPlane, MasterOperator, MasterSolution, SingularBorderError
+from .master_problem import CuttingPlane, MasterOperator, MasterSolution
 from .mesh_fem import Mesh, _integer, l2_error_p0, l2_norm_p0
-from .sparse_linalg import NotPositiveDefiniteError
+from .sparse_linalg import InnerSolverError
 from .tv_oracle import OracleResult, eval_tv_eps, tv_lower_bound
 
 TOLERANCE_MET = "tolerance_met"
@@ -157,15 +157,14 @@ def run_outer_approximation(instance, config: SolverConfig, mesh: Mesh | None = 
     at most 1 + tol, so the returned control is certified feasible;
     otherwise the loop goes on cutting with the plane just computed. An
     ``inner_failure`` exit sets ``RunReport.failure`` to a message naming
-    the solver, the outer iteration and eps, then the oracle's Newton steps
-    and final duality gap when it did not converge, or the text of the
-    SingularBorderError or NotPositiveDefiniteError raised (the master's
-    from ``solve``, including its active-set cap, from its constructor, at
-    k = 0, or from ``add_plane``). Raises
-    ValueError when ``config.n``, ``config.alpha`` or
-    ``config.subdivision_depth`` disagrees with the instance, since the
-    report echoes the config, or when ``mesh`` is not the instance's: an
-    argument kept only for ``perfbench/sample.py``, which passes ``build_forms(mesh)``.
+    the solver, the outer iteration and eps, then the text of the
+    InnerSolverError raised: the oracle's, including its Newton cap, or
+    the master's from ``solve``, including its active-set cap, from its
+    constructor, at k = 0, or from ``add_plane``. Raises ValueError when
+    ``config.n``, ``config.alpha`` or ``config.subdivision_depth`` disagrees
+    with the instance, since the report echoes the config, or when ``mesh``
+    is not the instance's: an argument kept only for ``perfbench/sample.py``,
+    which passes ``build_forms(mesh)``.
     """
     if config.n != instance.mesh.n:
         raise ValueError(f"config.n = {config.n} but the instance mesh has n = {instance.mesh.n}")
@@ -184,7 +183,7 @@ def run_outer_approximation(instance, config: SolverConfig, mesh: Mesh | None = 
     eps = config.eps_start
     try:
         master_op = MasterOperator(instance)
-    except SingularBorderError as exc:
+    except InnerSolverError as exc:
         return RunReport(records=[], terminated=INNER_FAILURE, final_control=None, planes=[],
                          config=config, failure=_raised_message("master problem", 0, eps, exc))
 
@@ -198,23 +197,15 @@ def run_outer_approximation(instance, config: SolverConfig, mesh: Mesh | None = 
     for k in range(MAX_OUTER_ITERATIONS):
         try:
             master = master_op.solve(eps, warm_start=master_warm)
-        except SingularBorderError as exc:
+        except InnerSolverError as exc:
             terminated, failure = INNER_FAILURE, _raised_message("master problem", k, eps, exc)
             break
         final_control = master.u
 
         try:
             oracle = eval_tv_eps(master.u, eps, instance.mesh, warm_start=oracle_warm)
-        except NotPositiveDefiniteError as exc:
+        except InnerSolverError as exc:
             terminated, failure = INNER_FAILURE, _raised_message("TV oracle", k, eps, exc)
-            break
-        if not oracle.converged:
-            terminated = INNER_FAILURE
-            failure = (
-                f"TV oracle did not converge at outer iteration k = {k}, eps = {eps:.5e}: "
-                f"{oracle.inner_iterations} Newton steps, final duality gap "
-                f"{oracle.upper_bound - oracle.value:.3e}"
-            )
             break
 
         err = (
@@ -241,7 +232,7 @@ def run_outer_approximation(instance, config: SolverConfig, mesh: Mesh | None = 
 
         try:
             master_op.add_plane(oracle.phi, oracle.energy)
-        except SingularBorderError as exc:
+        except InnerSolverError as exc:
             terminated, failure = INNER_FAILURE, _raised_message("master problem", k, eps, exc)
             break
         if not _at_eps_min(eps, config):

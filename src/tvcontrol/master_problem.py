@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh_fem import l2_error_p0
-from .sparse_linalg import factor_spd
+from .sparse_linalg import InnerSolverError, factor_spd
 
 #: a master solve whose active set has not repeated after this many iterations fails
 MAX_ACTIVE_SET_ITERATIONS = 100
@@ -48,10 +48,11 @@ CG_TOL = 1e-16
 MAX_CG_STEPS = 500
 
 
-class SingularBorderError(ValueError):
-    """The master cannot solve its KKT system accurately: a singular Schur block (e.g.
-    duplicated cutting planes), a bordered residual too large, a base solve at MAX_CG_STEPS,
-    or an active set that has not repeated after MAX_ACTIVE_SET_ITERATIONS."""
+class SingularBorderError(InnerSolverError):
+    """The master's ``InnerSolverError``: it cannot solve its KKT system accurately, for a
+    singular Schur block (e.g. duplicated cutting planes), a bordered residual too large, a
+    base solve at MAX_CG_STEPS, or an active set that has not repeated after
+    MAX_ACTIVE_SET_ITERATIONS."""
 
 
 @dataclass

@@ -9,7 +9,9 @@ elasticity's 2×2 node blocks, ``stiffness_band`` the master's from the
 5-point Laplacian. :func:`lower_band` lays the entries out; no ``scipy.sparse``.
 :func:`factor_spd` factors a band once for many solves, as the master does
 with the Laplacian's; :func:`solve_spd` factors for one, and the Newton step
-checks its residual against ``RESIDUAL_TOL``.
+checks its residual against ``RESIDUAL_TOL``. Both inner solvers fail by
+raising an ``InnerSolverError``: ``NotPositiveDefiniteError`` here, the
+master's ``SingularBorderError``, or the oracle's at its Newton cap.
 
 Both call LAPACK's dpbtrf and dpbtrs through ``ctypes`` in the OpenBLAS
 that SciPy's wheel ships (``scipy.libs/libscipy_openblas*.so``), the
@@ -36,7 +38,11 @@ import numpy as np
 RESIDUAL_TOL = 1e-10
 
 
-class NotPositiveDefiniteError(ValueError):
+class InnerSolverError(ValueError):
+    """An inner solver, the TV oracle or the master, failed; the driver ends the run on it."""
+
+
+class NotPositiveDefiniteError(InnerSolverError):
     pass
 
 

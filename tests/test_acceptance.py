@@ -35,6 +35,7 @@ from tvcontrol.instances import (
 from tvcontrol.master_problem import MasterOperator
 from tvcontrol.mesh_fem import build_friedrichs_keller
 from tvcontrol.reporting import serialize_report
+from tvcontrol.sparse_linalg import InnerSolverError
 from tvcontrol.tv_oracle import discrete_tv, eval_tv_eps
 
 #: sha256 of the CSV report of each n = 50 run, as ``tvcontrol.cli`` prints it
@@ -167,17 +168,19 @@ def test_criterion_4_oracle_property_suite():
         mesh = build_friedrichs_keller(n)
         for const in (-3.0, 0.0, 2.5):
             res = eval_tv_eps(np.full(mesh.n_cells, const), 1e-5, mesh)
-            if not (res.converged and abs(res.value) <= 1e-9):
+            if not abs(res.value) <= 1e-9:
                 failures.append((n, "constant", const))
         for seed in range(50):
             rng = np.random.default_rng(1000 * n + seed)
             u = rng.standard_normal(mesh.n_cells)
             by_eps = {}
             for eps in (1e-4, 1e-5, 1e-6):
-                r = eval_tv_eps(u, eps, mesh)
-                if not r.converged:
+                try:
+                    by_eps[eps] = eval_tv_eps(u, eps, mesh)
+                except InnerSolverError:
                     failures.append((n, seed, "convergence", eps))
-                by_eps[eps] = r
+            if len(by_eps) < 3:
+                continue
             if not (
                 by_eps[1e-6].value >= by_eps[1e-5].value - 1e-10
                 and by_eps[1e-5].value >= by_eps[1e-4].value - 1e-10
@@ -208,7 +211,6 @@ def test_criterion_5_oracle_vs_projected_ascent():
     for seed in range(20):
         u = np.random.default_rng(seed).standard_normal(mesh.n_cells)
         res = eval_tv_eps(u, 1e-5, mesh)
-        assert res.converged
         reference = projected_ascent_tv(u, 1e-5, mesh)
         worst = max(worst, abs(res.value - reference))
     ok = _report_line(5, worst <= 1e-7, f"max |active-set - ascent| = {worst:.2e}")

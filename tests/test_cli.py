@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,9 @@ from oracles import read_field_dump
 from tvcontrol import cli
 from tvcontrol.cli import main
 from tvcontrol.driver import INNER_FAILURE, RunReport, SolverConfig
+from tvcontrol.master_problem import SingularBorderError
 from tvcontrol.reporting import CSV_HEADER
+from tvcontrol.sparse_linalg import InnerSolverError, NotPositiveDefiniteError
 
 FAST = ["--n", "6", "--eps-start", "1e-5", "--eps-min", "1e-5"]
 
@@ -175,7 +178,8 @@ def test_smallest_mesh_json_pinned(capsys, instance):
 
 
 def test_inner_failure_explained_on_stderr(capsys, monkeypatch):
-    message = "TV oracle did not converge at outer iteration k = 0"
+    message = ("TV oracle failed at outer iteration k = 26, eps = 7.80000e-08: "
+               "did not converge in 200 Newton steps, final duality gap 2.017e+24")
     failed = RunReport(records=[], terminated=INNER_FAILURE, final_control=None,
                        planes=[], config=SolverConfig(), failure=message)
     monkeypatch.setattr(cli, "run_outer_approximation", lambda instance, config: failed)
@@ -190,6 +194,10 @@ def test_inner_failure_explained_on_stderr(capsys, monkeypatch):
     pytest.param(["--n", "8", "--alpha", "1e-9"],
                  "TV oracle failed at outer iteration k = 0, eps = 1.00000e-05: "
                  "Newton step solve residual ", id="oracle-step-residual"),
+    pytest.param(["--n", "8", "--alpha", "1e-8"],
+                 "TV oracle failed at outer iteration k = 26, eps = 7.80000e-08: "
+                 "did not converge in 200 Newton steps, final duality gap ",
+                 id="oracle-newton-cap"),
     pytest.param(["--n", "4", "--alpha", "1e-12"],
                  "master problem failed at outer iteration k = 0, eps = 1.00000e-05: "
                  "bordered solve residual ", id="master-bordered-residual"),
@@ -202,12 +210,18 @@ def test_inner_failure_explained_on_stderr(capsys, monkeypatch):
 ])
 def test_inner_solver_error_exits_two(capsys, argv, message):
     # an inner solver's error ends the run as inner_failure, not as a
-    # traceback with the usage-error status 1
+    # traceback with the usage-error status 1; stdout holds the k rows finished
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.out == CSV_HEADER + "\n"
+    assert captured.out.startswith(CSV_HEADER + "\n")
+    assert captured.out.count("\n") == 1 + int(re.search(r"k = (\d+)", message)[1])
     assert captured.err.startswith(f"tvcontrol: {message}")
+
+
+def test_inner_solver_errors_share_one_base():
+    assert issubclass(SingularBorderError, InnerSolverError)
+    assert issubclass(NotPositiveDefiniteError, InnerSolverError)
 
 
 @pytest.mark.parametrize("argv", [

@@ -326,8 +326,8 @@ def test_inner_failure_reported(monkeypatch):
     assert report.terminated == INNER_FAILURE
     assert not report.records
     assert report.failure.startswith(
-        "TV oracle did not converge at outer iteration k = 0, eps = 1.00000e-05: "
-        "2 Newton steps, final duality gap "
+        "TV oracle failed at outer iteration k = 0, eps = 1.00000e-05: "
+        "did not converge in 2 Newton steps, final duality gap "
     )
     gap = float(report.failure.rsplit(" ", 1)[1])
     assert tv_oracle.GAP_TOL < gap < np.inf

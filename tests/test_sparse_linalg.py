@@ -226,7 +226,7 @@ def test_newton_steps_build_no_sparse_matrix(mesh8, monkeypatch):
     monkeypatch.setattr(tv_oracle, "_newton_step", tracked_step)
     rng = np.random.default_rng(26)
     res = tv_oracle.eval_tv_eps(rng.standard_normal(mesh8.n_cells), 1e-6, mesh8)
-    assert res.converged and res.inner_iterations > 1 and res.ball_state.active_nodes.any()
+    assert res.inner_iterations > 1 and res.ball_state.active_nodes.any()
     assert built == []
     # the tracking sees sparse matrices where they are built
     inside.append(True)

@@ -16,6 +16,7 @@ from oracles import (
 )
 from tvcontrol import tv_oracle
 from tvcontrol.mesh_fem import build_friedrichs_keller, elasticity_floor
+from tvcontrol.sparse_linalg import InnerSolverError
 from tvcontrol.tv_oracle import (
     GAP_TOL,
     _dual_bound,
@@ -86,7 +87,6 @@ def test_newton_step_matches_dense_saddle_solve(mesh8, case):
 
 def test_constant_control_has_zero_tv(mesh4):
     result = eval_tv_eps(np.full(mesh4.n_cells, 4.2), 1e-4, mesh4)
-    assert result.converged
     assert abs(result.value) < 1e-12
     assert result.phi.shape == (2 * mesh4.n_interior,)
     assert np.abs(result.phi).max() < 1e-9
@@ -104,7 +104,6 @@ def test_matches_projected_ascent_on_tiny_mesh():
     for seed in range(3):
         u = _random_p0(mesh, seed)
         result = eval_tv_eps(u, 1e-5, mesh)
-        assert result.converged
         reference = projected_ascent_tv(u, 1e-5, mesh)
         assert result.value == pytest.approx(reference, abs=1e-7)
 
@@ -155,13 +154,13 @@ def test_lower_bound_trivial_cases(mesh4):
     assert gap >= 0.0
 
 
-def test_lower_bound_requires_convergence(mesh4, monkeypatch):
+def test_newton_cap_raises(mesh4, monkeypatch):
+    # a field the oracle has not solved for is no valid cut, so none is returned
     monkeypatch.setattr(tv_oracle, "MAX_NEWTON_STEPS", 1)
     u = _random_p0(mesh4, 6)
-    res = eval_tv_eps(u, 1e-6, mesh4)
-    assert not res.converged
-    with pytest.raises(ValueError):
-        tv_lower_bound(res, 1e-6)
+    with pytest.raises(InnerSolverError,
+                       match=r"^did not converge in 1 Newton steps, final duality gap \d"):
+        eval_tv_eps(u, 1e-6, mesh4)
 
 
 def _bound_at(u, res, eps, mesh, multipliers):
@@ -190,7 +189,6 @@ def test_upper_bound_tight_at_converged_result(mesh4):
     for seed, eps in ((30, 1e-5), (31, 1e-6), (32, 2e-7)):
         u = _random_p0(mesh4, seed)
         res = eval_tv_eps(u, eps, mesh4)
-        assert res.converged
         assert res.ball_state.active_nodes.any()
         assert res.upper_bound == pytest.approx(res.value, rel=1e-10)
         lam = np.maximum(res.ball_state.multipliers, 0.0)
@@ -208,8 +206,6 @@ def test_converged_result_is_feasible_and_bracketed(n):
         u = _random_p0(mesh, seed)
         for eps in (1e-5, 1e-6, 2e-7):
             res = eval_tv_eps(u, eps, mesh)
-            if not res.converged:
-                continue
             assert np.linalg.norm(res.phi.reshape(-1, 2), axis=1).max() <= 1.0 + 1e-15
             assert res.value == dual_objective(u, res.phi, eps, mesh)
             scale = 1.0 + abs(res.value)
@@ -260,7 +256,6 @@ def test_maximizer_certificate(mesh4):
 def test_kkt_complementarity(mesh4):
     u = _random_p0(mesh4, 13)
     res = eval_tv_eps(u, 1e-5, mesh4)
-    assert res.converged
     norms = np.linalg.norm(res.phi.reshape(-1, 2), axis=1)
     active = res.ball_state.active_nodes
     lam = res.ball_state.multipliers
@@ -287,7 +282,6 @@ def test_warm_start_agrees_with_cold_start(mesh4):
     base = eval_tv_eps(u, 1e-5, mesh4)
     warm = eval_tv_eps(u, 5e-6, mesh4, warm_start=base)
     cold = eval_tv_eps(u, 5e-6, mesh4)
-    assert warm.converged and cold.converged
     assert warm.value == pytest.approx(cold.value, abs=1e-8)
 
 
@@ -298,7 +292,6 @@ def test_cold_start_converges_at_eps_min(n):
     mesh = build_friedrichs_keller(n)
     u = project_p0_by_einsum(exact_u_bar, mesh, 4)
     res = eval_tv_eps(u, 7.8e-8, mesh)
-    assert res.converged
     assert res.inner_iterations <= 15
 
 
@@ -335,7 +328,7 @@ def test_empty_interior_mesh():
     res = eval_tv_eps(np.array([1.0, -1.0]), 1e-5, mesh)
     warm = eval_tv_eps(np.array([2.0, 0.0]), 5e-6, mesh, warm_start=res)
     for r in (res, warm):
-        assert r.converged and r.inner_iterations == 1
+        assert r.inner_iterations == 1
         assert r.value == r.upper_bound == r.energy == 0.0
         assert r.phi.shape == r.ball_state.multipliers.shape == r.ball_state.active_nodes.shape == (0,)
 
