@@ -29,8 +29,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sparse_linalg import lower_band
-
 #: Young's modulus and Poisson ratio of the elasticity energy form
 YOUNGS_MODULUS = 2900.0
 POISSON_RATIO = 0.4
@@ -182,20 +180,24 @@ class Mesh:
         dofs of node q into its (radial, tangent) frame, with ``frame`` = (cos,
         sin) and (cos[q], sin[q]) the radial direction, and keeps the rotated dofs
         ``kept[q]``; its columns follow the kept dofs in order. Every block is
-        rotated by :func:`rotate_pairs`, its rows by its row node's frame, then
-        its columns by its column node's; an identity frame leaves a block's
-        nonzero entries bitwise unchanged, since 1·a + 0·b = a and b − 0·a = b.
+        rotated by :func:`rotate_pairs` as :func:`_stencil_band` takes it to
+        write, its rows by its row node's frame, then its columns by its column
+        node's; an identity frame leaves a block's nonzero entries bitwise
+        unchanged, since 1·a + 0·b = a and b − 0·a = b.
         """
         m = self.n - 1
         cos, sin = np.reshape(frame, (2, m, m))
         blocks = [scale * h[:, :, None, None] for h in ELASTICITY_BLOCKS]
         # D on the diagonal of the own blocks; adding 0 * D leaves the rest unchanged
         blocks[0] = blocks[0] + np.eye(2)[:, :, None, None] * diagonal.reshape(m, m)
-        for k, (dj, di) in enumerate(LOWER_STEPS):
-            rows = rotate_pairs(blocks[k], cos[dj:, di:], sin[dj:, di:])
-            below = np.s_[:m - dj, :m - di]
-            blocks[k] = rotate_pairs(rows.swapaxes(0, 1), cos[below], sin[below]).swapaxes(0, 1)
         column = np.where(kept, np.cumsum(kept).reshape(-1, 2) - 1, -1).T
+
+        def rotated(block, dj, di):
+            rows = rotate_pairs(block, cos[dj:, di:], sin[dj:, di:])
+            below = np.s_[:m - dj, :m - di]
+            return rotate_pairs(rows.swapaxes(0, 1), cos[below], sin[below]).swapaxes(0, 1)
+
+        blocks = (rotated(block, dj, di) for block, (dj, di) in zip(blocks, LOWER_STEPS))
         return _stencil_band(column.reshape(2, m, m), blocks, np.count_nonzero(kept))
 
 
@@ -350,21 +352,38 @@ def _interior_stencil(grid: np.ndarray, stencil: np.ndarray) -> np.ndarray:
 
 
 def _stencil_band(column: np.ndarray, blocks, size: int) -> np.ndarray:
-    """The lower band, by ``lower_band``, of the matrix with the lower node blocks ``blocks``.
+    """The lower band of the matrix with the lower node blocks ``blocks``, written block by block.
 
     ``column`` (d, n-1, n-1) holds the band column of each of the d dofs of
-    every interior node, or -1 for a dropped dof; ``blocks[k]`` (d, d, ...)
-    couples each node to its neighbour at ``LOWER_STEPS[k]``, broadcast over
-    the grid of the nodes that have one.
+    every interior node, or -1 for a dropped dof; ``blocks`` yields the
+    (d, d, ...) block at each of ``LOWER_STEPS``, broadcast over the grid of
+    the nodes that have that neighbour. Each nonzero entry on or below the
+    diagonal between kept dofs, no two in one place, is written at
+    ``band[row - col, col]`` of a zeroed band as wide as the farthest of
+    them, column-major for LAPACK to factor in place.
     """
-    d, m = column.shape[:2]
-    rows, cols, values = [], [], []
-    for (dj, di), block in zip(LOWER_STEPS, blocks):
-        row, col = column[:, dj:, di:], column[:, :m - dj, :m - di]
-        rows.append(row.reshape(d, 1, -1))
-        cols.append(col.reshape(1, d, -1))
-        values.append(np.broadcast_to(block, (d, d) + row.shape[1:]).reshape(d, d, -1))
-    return lower_band(*(np.concatenate(a, axis=-1) for a in (rows, cols, values)), size)
+    m = column.shape[1]
+    # as a column, a dropped dof lies past every row, so its entries fall above the diagonal
+    as_column = np.where(column < 0, size, column)
+    entries = [_kept_entries(column[:, None, dj:, di:], as_column[None, :, :m - dj, :m - di], block)
+               for (dj, di), block in zip(LOWER_STEPS, blocks)]
+    band = np.zeros((size, 1 + max(offset.max(initial=0) for offset, _, _ in entries)))
+    for offset, col, value in entries:
+        band[col, offset] = value
+    return band.T
+
+
+def _kept_entries(row, col, block):
+    """(row - col, col, value) of the nonzero entries of ``block`` on or below the diagonal.
+
+    ``row`` (d, 1, ...) and ``col`` (1, d, ...) are the band columns of the dofs of each node
+    pair; the step's temporaries on the node grid are freed before the band is allocated.
+    """
+    col = np.repeat(col, row.shape[0], axis=0)
+    offset = row - col
+    value = np.broadcast_to(block, offset.shape)
+    keep = (offset >= 0) & (value != 0.0)
+    return offset[keep], col[keep], value[keep]
 
 
 def build_forms(mesh: Mesh) -> Mesh:

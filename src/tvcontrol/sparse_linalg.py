@@ -4,9 +4,9 @@ The TV oracle's reduced Newton steps solve symmetric positive definite
 systems by LAPACK's banded Cholesky (dpbtrf/dpbtrs): the interior dofs are
 numbered node-major, row by row, so these matrices have a bandwidth of
 about 2n + 1 in their natural order and need no reordering. ``Mesh`` writes
-every band from a stencil: ``elasticity_band`` the Newton steps' from the
-elasticity's 2×2 node blocks, ``stiffness_band`` the master's from the
-5-point Laplacian. :func:`lower_band` lays the entries out; no ``scipy.sparse``.
+every band from a stencil straight into LAPACK band storage, block by block:
+``elasticity_band`` the Newton steps' from the elasticity's 2×2 node blocks,
+``stiffness_band`` the master's from the 5-point Laplacian; no ``scipy.sparse``.
 :func:`factor_spd` factors a band once for many solves, as the master does
 with the Laplacian's; :func:`solve_spd` factors for one, and the Newton step
 checks its residual against ``RESIDUAL_TOL``. Both inner solvers fail by
@@ -111,26 +111,6 @@ def dpbtrs(factor, b):
     _dpbtrs(b"L", _int(size), _int(rows - 1), _int(x.size // ldb),
             factor.ctypes.data, _int(rows), x.ctypes.data, _int(ldb), ctypes.byref(info), 1)
     return x, info.value
-
-
-def lower_band(rows, cols, values, size: int) -> np.ndarray:
-    """LAPACK lower band storage of the entries (rows, cols, values), broadcast together.
-
-    Only entries with 0 <= col <= row and a nonzero value count, so a
-    negative index marks an entry to skip: ``band[i - j, j]`` sums the
-    values at (i, j), and the band is as wide as the farthest of them from
-    the diagonal. It is laid out column-major so that the factorization
-    overwrites it in place.
-    """
-    rows, cols, values = np.broadcast_arrays(rows, cols, values)
-    offsets = rows - cols
-    entries = np.flatnonzero((cols >= 0) & (offsets >= 0) & (values != 0.0))
-    offsets = offsets.ravel()[entries]
-    width = int(offsets.max(initial=0))
-    flat = cols.ravel()[entries].astype(np.intp, copy=False) * (width + 1) + offsets
-    return np.bincount(
-        flat, weights=values.ravel()[entries], minlength=size * (width + 1)
-    ).reshape(size, width + 1).T
 
 
 def factor_spd(band: np.ndarray):

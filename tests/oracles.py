@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths under test: dense
 Gaussian elimination instead of sparse factorizations, projected gradient
 ascent instead of the active-set iteration, the full dense saddle system
 instead of the oracle's null-space reduction, dense products instead of
-its band written from the elasticity's node blocks, a band's product
-summed diagonal by diagonal instead of the stencils', active-set
+its band written from the elasticity's node blocks, bands laid out from
+triplets by ``np.bincount`` instead of written block by block, a band's
+product summed diagonal by diagonal instead of the stencils', active-set
 enumeration on dense KKT systems instead of the bordered solver, a
 dictionary walk over the triangles instead of the edge families read off
 the cell grid, one ``einsum`` over every quadrature point of the mesh
@@ -56,7 +57,6 @@ from tvcontrol.mesh_fem import (
 from tvcontrol.sparse_linalg import (
     RESIDUAL_TOL,
     NotPositiveDefiniteError,
-    lower_band,
     solve_spd,
 )
 
@@ -67,6 +67,27 @@ def _summed_csr_without_zeros(rows, cols, data, shape) -> sp.csr_matrix:
     m.sum_duplicates()
     m.eliminate_zeros()
     return m
+
+
+def lower_band(rows, cols, values, size: int) -> np.ndarray:
+    """LAPACK lower band storage of the entries (rows, cols, values), broadcast together.
+
+    The triplet reference of ``Mesh``'s band writer. Only entries with
+    0 <= col <= row and a nonzero value count, so a negative index marks an
+    entry to skip: ``band[i - j, j]`` sums the values at (i, j) by
+    ``np.bincount``, and the band is as wide as the farthest of them from
+    the diagonal. It is laid out column-major so that the factorization
+    overwrites it in place.
+    """
+    rows, cols, values = np.broadcast_arrays(rows, cols, values)
+    offsets = rows - cols
+    entries = np.flatnonzero((cols >= 0) & (offsets >= 0) & (values != 0.0))
+    offsets = offsets.ravel()[entries]
+    width = int(offsets.max(initial=0))
+    flat = cols.ravel()[entries].astype(np.intp, copy=False) * (width + 1) + offsets
+    return np.bincount(
+        flat, weights=values.ravel()[entries], minlength=size * (width + 1)
+    ).reshape(size, width + 1).T
 
 
 def solve_sparse_spd(matrix, b) -> np.ndarray:

@@ -26,6 +26,7 @@ from oracles import (
     interior_elasticity,
     interior_load,
     interior_stiffness,
+    lower_band,
     midpoint_points,
     project_p0_by_einsum,
     solve_sparse_spd,
@@ -44,7 +45,6 @@ from tvcontrol.mesh_fem import (
     l2_error_p0,
     l2_norm_p0,
 )
-from tvcontrol.sparse_linalg import lower_band
 
 
 def test_smallest_mesh():
@@ -366,6 +366,97 @@ def test_smallest_mesh_has_empty_bands():
     assert _elasticity_band(mesh).shape == mesh.stiffness_band().shape == (1, 0)
     assert mesh.elasticity(np.zeros(0)).shape == (0,)
     assert mesh.stiffness(np.zeros(0)).shape == (0,)
+
+
+def _stencil_triplets(column, blocks):
+    """(rows, cols, values) of every entry of the node blocks, walked node pair by node pair."""
+    d, m = column.shape[:2]
+    rows, cols, values = [], [], []
+    for (dj, di), block in zip(mesh_fem.LOWER_STEPS, blocks):
+        block = np.broadcast_to(block, (d, d, max(m - dj, 0), max(m - di, 0)))
+        for j in range(dj, m):
+            for i in range(di, m):
+                for a in range(d):
+                    for b in range(d):
+                        rows.append(column[a, j, i])
+                        cols.append(column[b, j - dj, i - di])
+                        values.append(block[a, b, j - dj, i - di])
+    return (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+            np.array(values, dtype=float))
+
+
+def _band_fills(mesh, rng):
+    """The master's band, Newton bands for random frames, diagonals and kept dofs, and random blocks."""
+    size, m = mesh.n_interior, mesh.n - 1
+    identity = (np.ones(size), np.zeros(size))
+    angle = rng.uniform(0.0, 2.0 * np.pi, size)
+    frame = (np.cos(angle), np.sin(angle))
+    diagonal = rng.exponential(size=size)
+    every = np.ones((size, 2), dtype=bool)
+    kept = rng.random((size, 2)) < 0.7  # dropped dofs of either kind
+    column = np.where(kept, np.cumsum(kept).reshape(-1, 2) - 1, -1).T.reshape(2, m, m)
+    shapes = [(2, 2, max(m - dj, 0), max(m - di, 0)) for dj, di in mesh_fem.LOWER_STEPS]
+    signed = [np.where(rng.random(shape) < 0.3, rng.choice([0.0, -0.0], shape),
+                       rng.standard_normal(shape)) for shape in shapes]
+    return {
+        "laplacian": mesh.stiffness_band,
+        "identity": lambda: mesh.elasticity_band(1.0, np.zeros(size), identity, every),
+        "frames": lambda: mesh.elasticity_band(1e-5, diagonal, frame, every),
+        "frames-kept": lambda: mesh.elasticity_band(0.3, diagonal, frame, kept),
+        "signed-zeros": lambda: mesh_fem._stencil_band(column, signed, np.count_nonzero(kept)),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_band_writer_equals_the_triplet_reference(n, monkeypatch):
+    # every band the writer fills is bitwise the np.bincount layout of the
+    # triplets of the blocks it was given: shape, bytes and column-major order.
+    # The Laplacian's farthest step, below-left, is 0.0, so its band is one
+    # row narrower than that step; at n = 1 every band is empty, (1, 0)
+    given = []
+    stencil_band = mesh_fem._stencil_band
+
+    def recording(column, blocks, size):
+        blocks = list(blocks)
+        given.append((column, blocks, size))
+        return stencil_band(column, blocks, size)
+
+    monkeypatch.setattr(mesh_fem, "_stencil_band", recording)
+    mesh = build_friedrichs_keller(n)
+    for name, fill in _band_fills(mesh, np.random.default_rng(n)).items():
+        band = fill()
+        column, blocks, size = given.pop()
+        expected = lower_band(*_stencil_triplets(column, blocks), size)
+        assert band.shape == expected.shape, name
+        assert band.flags.f_contiguous and band.tobytes() == expected.tobytes(), name
+        if n == 1:
+            assert band.shape == (1, 0)
+    if n > 2:
+        assert mesh.stiffness_band().shape == (n, (n - 1) ** 2)
+
+
+@pytest.mark.parametrize("kind", ["identity", "half-active", "laplacian"])
+def test_band_fill_peaks_near_its_band_at_n50(kind):
+    # one fill holds the band, the blocks and each step's kept entries, not
+    # triplets of every entry: the np.bincount layout peaked at 1.56, 1.74
+    # and 1.57 times the band, the block writer at 1.24, 1.28 and 1.22
+    mesh = build_friedrichs_keller(50)
+    size = mesh.n_interior
+    rng = np.random.default_rng(50)
+    kept = np.ones((size, 2), dtype=bool)
+    if kind == "identity":
+        args = (1.0, np.zeros(size), (np.ones(size), np.zeros(size)), kept)
+    else:  # random frames, the radial dofs of half the nodes dropped
+        angle = rng.uniform(0.0, 2.0 * np.pi, size)
+        kept[rng.random(size) < 0.5, 0] = False
+        args = (1e-5, rng.exponential(size=size), (np.cos(angle), np.sin(angle)), kept)
+    tracemalloc.start()
+    try:
+        band = mesh.stiffness_band() if kind == "laplacian" else mesh.elasticity_band(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * band.nbytes, peak / band.nbytes
 
 
 def _fixed_vector(size):

@@ -12,12 +12,13 @@ from oracles import (
     dense_gaussian_solve,
     dense_reduced_newton_band,
     interior_elasticity,
+    lower_band,
     solve_sparse_spd,
 )
 from tvcontrol import master_problem, sparse_linalg, tv_oracle
 from tvcontrol.instances import build_generic_instance
 from tvcontrol.mesh_fem import build_friedrichs_keller
-from tvcontrol.sparse_linalg import NotPositiveDefiniteError, factor_spd, lower_band, solve_spd
+from tvcontrol.sparse_linalg import NotPositiveDefiniteError, factor_spd, solve_spd
 
 
 def test_identity_solve():
