@@ -13,8 +13,8 @@ Its plane-free base [[-M, K], [K, G G^T]] is never stored: M, K and G are
 the mesh's stencils, and the base is solved by conjugate gradients on the
 control's reduced Hessian I + G^T K^-1 M K^-1 G (alpha I plus a compact
 smoothing term, up to scale), in a number of steps that does not grow with
-the mesh; each step makes two Poisson solves with the band factor of K,
-which ``Mesh.stiffness_band`` writes from the 5-point stencil, factored once.
+the mesh; each step makes two Poisson solves, ``Mesh.stiffness_solve``,
+exact in the 5-point Laplacian's sine eigenbasis, with no band or factor.
 The operator owns the planes: ``add_plane`` makes each from the oracle's
 field and energy, drops it when its divergence repeats a stored one, and
 otherwise solves the base for its border column, once. With the data's
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh_fem import l2_error_p0
-from .sparse_linalg import InnerSolverError, factor_spd
+from .sparse_linalg import InnerSolverError
 
 #: a master solve whose active set has not repeated after this many iterations fails
 MAX_ACTIVE_SET_ITERATIONS = 100
@@ -59,13 +59,12 @@ class SingularBorderError(InnerSolverError):
 class CuttingPlane:
     """One cut int u div_phi dx <= 1 + (eps/2) energy, with eps supplied at solve time.
 
-    ``div_phi`` holds one value per cell, ``border`` is the plane's column
-    of the bordered KKT system and ``base_solve`` is base^{-1} border.
+    ``div_phi`` holds one value per cell and ``base_solve`` is base^{-1} of the
+    plane's column of the bordered KKT system, ``MasterOperator._border``.
     """
 
     div_phi: np.ndarray
     energy: float
-    border: np.ndarray
     base_solve: np.ndarray
 
 
@@ -83,7 +82,7 @@ class MasterSolution:
 
 
 class MasterOperator:
-    """The plane-free blocks, the Laplacian's factor and the planes added so far."""
+    """The plane-free blocks and the planes added so far."""
 
     def __init__(self, instance):
         self.mesh = mesh = instance.mesh
@@ -93,7 +92,7 @@ class MasterOperator:
         scale = 1.0 / np.sqrt(self.alpha * area)
         self._g = lambda w: scale * mesh.load_interior(w)
         self._gt = lambda q: scale * area * mesh.cell_average(mesh.on_all_nodes(q))
-        self._poisson = factor_spd(mesh.stiffness_band())
+        self._poisson = mesh.stiffness_solve
 
         self._u_d = instance.u_d
         self._y_d = instance.y_d
@@ -113,11 +112,14 @@ class MasterOperator:
         div_phi = mesh.divergence(phi)
         if any(l2_error_p0(mesh, div_phi, p.div_phi) < DUPLICATE_TOL for p in self.planes):
             return False
-        border = np.zeros(2 * mesh.n_interior)
-        # the plane's row needs this column, the state rows its negative (ROADMAP.md, item 16)
-        border[mesh.n_interior:] = -mesh.load_interior(div_phi) / self.alpha
-        self.planes.append(CuttingPlane(div_phi, energy, border, self._base_solve(border)))
+        self.planes.append(CuttingPlane(div_phi, energy, self._base_solve(self._border(div_phi))))
         return True
+
+    def _border(self, div_phi: np.ndarray) -> np.ndarray:
+        """The column of the plane with divergence ``div_phi`` in the bordered KKT system."""
+        # the plane's row needs this column, the state rows its negative (ROADMAP.md, item 16)
+        return np.concatenate([np.zeros(self.mesh.n_interior),
+                               -self.mesh.load_interior(div_phi) / self.alpha])
 
     def apply_base(self, x: np.ndarray) -> np.ndarray:
         """The plane-free base [[-M, K], [K, G G^T]] times x = (y, p), from the mesh's stencils."""
@@ -180,7 +182,7 @@ class MasterOperator:
 
         div = np.reshape([p.div_phi for p in planes], (k, mesh.n_cells))
         energies = np.array([p.energy for p in planes])
-        border = np.reshape([p.border for p in planes], (k, 2 * n_i)).T
+        border = np.reshape([self._border(p.div_phi) for p in planes], (k, 2 * n_i)).T
         xc = np.reshape([p.base_solve for p in planes], (k, 2 * n_i)).T
         block = -(div * area) @ div.T / alpha
         g = 1.0 + 0.5 * eps * energies - div @ (area * self._u_d)   # plane bounds less u_d's share

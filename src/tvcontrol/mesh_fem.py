@@ -11,10 +11,10 @@ All integrands appearing in the forms are piecewise polynomial, so they are
 exact. Every cell of the mesh is a right triangle with legs 1/n, so every
 form is a constant stencil of one cell area 1/(2n^2) and the basis gradients
 of one cell with legs 1, times n. :class:`Mesh` applies each by
-slicing grid-shaped arrays and stores nothing but n. The bands the solvers
-factor, the 5-point Laplacian's and the oracle's Newton bands from the
-elasticity's four 2x2 node blocks, are written from the stencils too, so
-this module alone numbers the interior nodes. Discontinuous data is
+slicing grid-shaped arrays and stores nothing but n. The oracle's Newton
+bands are written from the elasticity's four 2x2 node blocks, so this module
+alone numbers the interior nodes, and the master's Poisson solves are dense
+products in the 5-point Laplacian's sine eigenbasis. Discontinuous data is
 projected to P0 by midpoint quadrature on 4^depth subtriangles, on
 quadrature coordinates built once per grid column and once per grid row and
 walked in square blocks of cells (see :func:`_quadrature_blocks`).
@@ -168,10 +168,11 @@ class Mesh:
         return (SHEAR_MODULUS * shear.ravel()
                 + (SHEAR_MODULUS + LAME_LAMBDA) * self.dual_load(self.divergence(x)))
 
-    def stiffness_band(self) -> np.ndarray:
-        """The lower band of ``stiffness``, written from ``LAPLACIAN_STENCIL``."""
+    def stiffness_solve(self, b: np.ndarray) -> np.ndarray:
+        """K^-1 b on the interior nodes, exact in the Laplacian's eigenbasis (:func:`_sine_basis`)."""
         m = self.n - 1
-        return _stencil_band(np.arange(m * m).reshape(1, m, m), LAPLACIAN_LOWER, m * m)
+        sine, inverse_eigenvalues = _sine_basis(self.n)
+        return (sine @ ((sine @ b.reshape(m, m) @ sine) * inverse_eigenvalues) @ sine).ravel()
 
     def elasticity_band(self, scale, diagonal, frame, kept) -> np.ndarray:
         """The lower band of Z^T (scale * A + D) Z, written from ``ELASTICITY_BLOCKS``.
@@ -248,6 +249,19 @@ def _subtriangle_centroids(depth: int) -> np.ndarray:
             np.stack([m01, m12, m02], axis=1),
         ])
     return tris.mean(axis=1)
+
+
+@lru_cache(maxsize=None)
+def _sine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal DST-I matrix S = sqrt(2/n) sin(pi j k / n) and 1/(l_j + l_k), 0 < j, k < n.
+
+    S = S^-1 diagonalizes one grid line's tridiag(-1, 2, -1), eigenvalues l_k = 4 sin^2(pi k / 2n),
+    and K is that along rows plus along columns: on the interior grid K^-1 B = S (S B S / l) S.
+    """
+    k = np.arange(1, n)
+    eigenvalues = 4.0 * np.sin(np.pi * k / (2 * n)) ** 2
+    return (np.sqrt(2.0 / n) * np.sin(np.pi * (np.outer(k, k) % (2 * n)) / n),
+            1.0 / np.add.outer(eigenvalues, eigenvalues))
 
 
 def _quadrature_blocks(mesh: Mesh, subdivision_depth: int):

@@ -1,17 +1,16 @@
-"""Deterministic banded SPD solves for the TV oracle and the master.
+"""Deterministic banded SPD solves for the TV oracle's Newton steps.
 
 The TV oracle's reduced Newton steps solve symmetric positive definite
 systems by LAPACK's banded Cholesky (dpbtrf/dpbtrs): the interior dofs are
 numbered node-major, row by row, so these matrices have a bandwidth of
-about 2n + 1 in their natural order and need no reordering. ``Mesh`` writes
-every band from a stencil straight into LAPACK band storage, block by block:
-``elasticity_band`` the Newton steps' from the elasticity's 2×2 node blocks,
-``stiffness_band`` the master's from the 5-point Laplacian; no ``scipy.sparse``.
-:func:`factor_spd` factors a band once for many solves, as the master does
-with the Laplacian's; :func:`solve_spd` factors for one, and the Newton step
-checks its residual against ``RESIDUAL_TOL``. Both inner solvers fail by
-raising an ``InnerSolverError``: ``NotPositiveDefiniteError`` here, the
-master's ``SingularBorderError``, or the oracle's at its Newton cap.
+about 2n + 1 in their natural order and need no reordering.
+``Mesh.elasticity_band`` writes each band from the elasticity's 2×2 node
+blocks straight into LAPACK band storage; no ``scipy.sparse``. :func:`solve_spd`
+factors it for one solve by :func:`factor_spd`, and the Newton step checks
+its residual against ``RESIDUAL_TOL``; the master's Poisson solves factor
+nothing. Both inner solvers fail by raising an ``InnerSolverError``:
+``NotPositiveDefiniteError`` here, the master's ``SingularBorderError``, or
+the oracle's at its Newton cap.
 
 Both call LAPACK's dpbtrf and dpbtrs through ``ctypes`` in the OpenBLAS
 that SciPy's wheel ships (``scipy.libs/libscipy_openblas*.so``), the

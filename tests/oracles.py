@@ -40,6 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize
 
+from tvcontrol import mesh_fem
 from tvcontrol.instances import (
     BALL_CENTER,
     BALL_PERIMETER,
@@ -88,6 +89,19 @@ def lower_band(rows, cols, values, size: int) -> np.ndarray:
     return np.bincount(
         flat, weights=values.ravel()[entries], minlength=size * (width + 1)
     ).reshape(size, width + 1).T
+
+
+def stiffness_band(mesh: Mesh) -> np.ndarray:
+    """The lower band of ``Mesh.stiffness``, written by ``Mesh``'s band writer.
+
+    The one-dof input of the band writer's tests, from ``LAPLACIAN_LOWER``; no
+    run factors it, since the master solves the Laplacian in its sine
+    eigenbasis. The writer is looked up at each call, so a test that wraps
+    ``mesh_fem._stencil_band`` sees this band too.
+    """
+    m = mesh.n - 1
+    return mesh_fem._stencil_band(np.arange(m * m).reshape(1, m, m), mesh_fem.LAPLACIAN_LOWER,
+                                  m * m)
 
 
 def solve_sparse_spd(matrix, b) -> np.ndarray:

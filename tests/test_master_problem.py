@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -348,7 +349,7 @@ def test_plane_base_solve_matches_a_direct_solve():
     mesh = build_friedrichs_keller(8)
     op = MasterOperator(build_exact_instance(mesh))
     plane = _add_cut(op, op.solve(1e-4).u, 1e-4)
-    direct = np.linalg.solve(dense_master_base(mesh, op.alpha), plane.border)
+    direct = np.linalg.solve(dense_master_base(mesh, op.alpha), op._border(plane.div_phi))
     assert np.abs(plane.base_solve - direct).max() <= 1e-10 * np.abs(direct).max()
 
 
@@ -362,9 +363,9 @@ def _run_python(code: str) -> str:
 
 
 def test_package_and_a_run_leave_sparse_linalg_unimported():
-    # the forms are stencils, the master's base solves need no sparse
-    # factorization and the band Cholesky binds SciPy's OpenBLAS through
-    # ctypes, so no SciPy module, nor its memory, enters a run
+    # the forms are stencils, the master's Poisson solves are dense products in
+    # the Laplacian's sine eigenbasis, not numpy.fft, and the band Cholesky binds
+    # SciPy's OpenBLAS through ctypes, so no SciPy module, nor its memory, enters a run
     code = (
         "import sys, tvcontrol\n"
         "from tvcontrol.instances import build_exact_instance\n"
@@ -372,9 +373,24 @@ def test_package_and_a_run_leave_sparse_linalg_unimported():
         "report = tvcontrol.run_outer_approximation(\n"
         "    build_exact_instance(build_friedrichs_keller(4)), tvcontrol.SolverConfig(n=4))\n"
         "assert report.records\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'scipy' or m.startswith('numpy.fft')))\n"
     )
     assert _run_python(code) == "[]"
+
+
+def test_master_holds_no_band():
+    # the master keeps its data's rows, their base solve and the Poisson solves'
+    # sine basis (0.47 MB at n = 100), and no factor of the Laplacian's band (7.84 MB)
+    instance = build_exact_instance(build_friedrichs_keller(100))
+    tracemalloc.start()
+    try:
+        op = MasterOperator(instance)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert op.rhs0.size == 2 * instance.mesh.n_interior
+    assert held < 1_000_000, held
 
 
 @pytest.mark.parametrize("first", ["tvcontrol", "scipy.linalg"])

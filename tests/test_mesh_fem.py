@@ -30,6 +30,7 @@ from oracles import (
     midpoint_points,
     project_p0_by_einsum,
     solve_sparse_spd,
+    stiffness_band,
     symmetric_band_product,
 )
 from tvcontrol import instances, mesh_fem
@@ -165,12 +166,24 @@ def test_stiffness_equals_the_per_cell_assembly(n, rel_tol):
     mesh = build_friedrichs_keller(n)
     v = np.random.default_rng(n).standard_normal(mesh.n_interior)
     assert _matches(mesh.stiffness(v), interior_stiffness(mesh), v, rel_tol)
-    # the master's band, written from the same stencil
+    # the Laplacian's band, written from the same stencil
     ref = interior_stiffness(mesh).tocoo()
     expected = lower_band(ref.row, ref.col, ref.data, mesh.n_interior)
-    band = mesh.stiffness_band()
+    band = stiffness_band(mesh)
     assert band.shape == expected.shape
     assert np.abs(band - expected).max() <= rel_tol * 4.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 50])
+def test_stiffness_solve_equals_a_dense_solve(n):
+    # the sine eigenbasis solves K exactly up to rounding, against Gaussian
+    # elimination on the per-cell assembly, which equals the 5-point Laplacian
+    mesh = build_friedrichs_keller(n)
+    b = np.random.default_rng(n).standard_normal(mesh.n_interior)
+    expected = np.linalg.solve(interior_stiffness(mesh).toarray(), b)
+    x = mesh.stiffness_solve(b)
+    assert x.shape == b.shape
+    assert np.abs(x - expected).max(initial=0.0) <= 1e-12 * np.abs(expected).max(initial=0.0)
 
 
 def _poisson_max_error(n):
@@ -363,7 +376,7 @@ def test_elasticity_product_equals_its_node_blocks(n):
 
 def test_smallest_mesh_has_empty_bands():
     mesh = build_friedrichs_keller(1)
-    assert _elasticity_band(mesh).shape == mesh.stiffness_band().shape == (1, 0)
+    assert _elasticity_band(mesh).shape == stiffness_band(mesh).shape == (1, 0)
     assert mesh.elasticity(np.zeros(0)).shape == (0,)
     assert mesh.stiffness(np.zeros(0)).shape == (0,)
 
@@ -386,7 +399,7 @@ def _stencil_triplets(column, blocks):
 
 
 def _band_fills(mesh, rng):
-    """The master's band, Newton bands for random frames, diagonals and kept dofs, and random blocks."""
+    """The Laplacian's band, Newton bands for random frames, diagonals and kept dofs, and random blocks."""
     size, m = mesh.n_interior, mesh.n - 1
     identity = (np.ones(size), np.zeros(size))
     angle = rng.uniform(0.0, 2.0 * np.pi, size)
@@ -399,7 +412,7 @@ def _band_fills(mesh, rng):
     signed = [np.where(rng.random(shape) < 0.3, rng.choice([0.0, -0.0], shape),
                        rng.standard_normal(shape)) for shape in shapes]
     return {
-        "laplacian": mesh.stiffness_band,
+        "laplacian": lambda: stiffness_band(mesh),
         "identity": lambda: mesh.elasticity_band(1.0, np.zeros(size), identity, every),
         "frames": lambda: mesh.elasticity_band(1e-5, diagonal, frame, every),
         "frames-kept": lambda: mesh.elasticity_band(0.3, diagonal, frame, kept),
@@ -432,7 +445,7 @@ def test_band_writer_equals_the_triplet_reference(n, monkeypatch):
         if n == 1:
             assert band.shape == (1, 0)
     if n > 2:
-        assert mesh.stiffness_band().shape == (n, (n - 1) ** 2)
+        assert stiffness_band(mesh).shape == (n, (n - 1) ** 2)
 
 
 @pytest.mark.parametrize("kind", ["identity", "half-active", "laplacian"])
@@ -452,7 +465,7 @@ def test_band_fill_peaks_near_its_band_at_n50(kind):
         args = (1e-5, rng.exponential(size=size), (np.cos(angle), np.sin(angle)), kept)
     tracemalloc.start()
     try:
-        band = mesh.stiffness_band() if kind == "laplacian" else mesh.elasticity_band(*args)
+        band = stiffness_band(mesh) if kind == "laplacian" else mesh.elasticity_band(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

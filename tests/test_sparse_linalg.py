@@ -15,8 +15,7 @@ from oracles import (
     lower_band,
     solve_sparse_spd,
 )
-from tvcontrol import master_problem, sparse_linalg, tv_oracle
-from tvcontrol.instances import build_generic_instance
+from tvcontrol import sparse_linalg, tv_oracle
 from tvcontrol.mesh_fem import build_friedrichs_keller
 from tvcontrol.sparse_linalg import NotPositiveDefiniteError, factor_spd, solve_spd
 
@@ -143,33 +142,25 @@ def test_reduced_newton_system_matches_dense(mesh8, monkeypatch):
 
 
 #: sha256 of the bands of ``_pinned_bands``: the oracle's Newton bands for seeded
-#: points, multipliers and active sets, and the master's Laplacian band. They pin
+#: points, multipliers and active sets, the only bands a run factors. They pin
 #: the arithmetic order of the fill, which the solves' bytes depend on; recorded
 #: when the bands were filled from stored node blocks and node index arithmetic
 BAND_SHA256 = {
-    (8, "laplacian"): "024488b5cd9866b7c621c44f12b1e116b87dab9933914c2863e3bcfd653e6875",
     (8, "newton"): "6624b6dd3a98621b6fe0b0903f1ba9e4c4e827f721c29a8be358abab90078016",
-    (50, "laplacian"): "c6087c7aee650a2021d43969d5b0939c0b22dc2c8796cf06b752e25780a1a2d4",
     (50, "newton"): "159b627bb21bd4b37921e37797b626a8af282368df3f3f9b96722a696ddbbad0",
 }
 
 
-def _pinned_bands(n, kind, monkeypatch):
-    """The bands one master set-up or three Newton steps factor, as they reach LAPACK."""
+def _pinned_bands(n, monkeypatch):
+    """The bands three Newton steps factor, as they reach LAPACK."""
     mesh = build_friedrichs_keller(n)
     bands = []
 
-    def recording(solve):
-        def record(band, *args):
-            bands.append(band.copy())
-            return solve(band, *args)
-        return record
+    def recording(band, *args):
+        bands.append(band.copy())
+        return solve_spd(band, *args)
 
-    if kind == "laplacian":
-        monkeypatch.setattr(master_problem, "factor_spd", recording(factor_spd))
-        master_problem.MasterOperator(build_generic_instance(mesh))
-        return bands
-    monkeypatch.setattr(tv_oracle, "solve_spd", recording(solve_spd))
+    monkeypatch.setattr(tv_oracle, "solve_spd", recording)
     n_int = mesh.n_interior
     rng = np.random.default_rng(n)
     b = mesh.dual_load(rng.standard_normal(mesh.n_cells))
@@ -184,8 +175,8 @@ def _pinned_bands(n, kind, monkeypatch):
 
 @pytest.mark.parametrize("n, kind", sorted(BAND_SHA256))
 def test_band_bytes_are_pinned(n, kind, monkeypatch):
-    bands = _pinned_bands(n, kind, monkeypatch)
-    assert len(bands) == (1 if kind == "laplacian" else 3)
+    bands = _pinned_bands(n, monkeypatch)
+    assert len(bands) == 3
     digest = hashlib.sha256()
     for band in bands:
         digest.update(repr(band.shape).encode())
