@@ -5,23 +5,24 @@ systems by LAPACK's banded Cholesky (dpbtrf/dpbtrs): the interior dofs are
 numbered node-major, row by row, so these matrices have a bandwidth of
 about 2n + 1 in their natural order and need no reordering.
 ``Mesh.elasticity_band`` writes each band from the elasticity's 2×2 node
-blocks straight into LAPACK band storage; no ``scipy.sparse``. :func:`solve_spd`
-factors it for one solve by :func:`factor_spd`, and the Newton step checks
-its residual against ``RESIDUAL_TOL``; the master's Poisson solves factor
-nothing. Both inner solvers fail by raising an ``InnerSolverError``:
+blocks straight into LAPACK band storage; no ``scipy.sparse``. One call of
+:func:`solve_spd` factors it in place and solves, and the Newton step checks
+the residual; the master's Poisson solves factor nothing. Both inner solvers
+fail by raising an ``InnerSolverError``:
 ``NotPositiveDefiniteError`` here, the master's ``SingularBorderError``, or
 the oracle's at its Newton cap.
 
-Both call LAPACK's dpbtrf and dpbtrs through ``ctypes`` in the OpenBLAS
-that SciPy's wheel ships (``scipy.libs/libscipy_openblas*.so``), the
-library whose routines ``scipy.linalg.cholesky_banded`` and
-``cho_solve_banded`` call, so factors and solves are bitwise theirs. The
-library is found without importing ``scipy``: a run imports no SciPy
-module, neither the ``scipy`` package nor its f2py LAPACK extension, and
-holds about 2 MiB less RSS than with them. ``dlopen`` hands a process that has imported
-``scipy.linalg`` the library it already loaded. The checks SciPy's
-wrappers made, on LAPACK's ``info`` and on the right-hand side's length,
-are made here.
+The wrappers :func:`dpbtrf` and :func:`dpbtrs`, kept apart so that a
+profile reads the factorizations' time and count off them, call LAPACK
+through ``ctypes`` in the OpenBLAS that SciPy's wheel ships
+(``scipy.libs/libscipy_openblas*.so``), the library whose routines
+``scipy.linalg.cholesky_banded`` and ``cho_solve_banded`` call, so factors
+and solves are bitwise theirs. The library is found without importing
+``scipy``: a run imports no SciPy module, neither the ``scipy`` package nor
+its f2py LAPACK extension, and holds about 2 MiB less RSS than with them.
+``dlopen`` hands a process that has imported ``scipy.linalg`` the library
+it already loaded. The checks SciPy's wrappers made, on LAPACK's ``info``
+and on the right-hand side's length, are made here.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ import os
 from importlib.util import find_spec
 
 import numpy as np
-
-#: a solve of A x = b is accepted only if ||A x - b||_inf <= RESIDUAL_TOL (1 + ||b||_inf)
-RESIDUAL_TOL = 1e-10
-
 
 class InnerSolverError(ValueError):
     """An inner solver, the TV oracle or the master, failed; the driver ends the run on it."""
@@ -112,37 +109,27 @@ def dpbtrs(factor, b):
     return x, info.value
 
 
-def factor_spd(band: np.ndarray):
-    """The solve b -> A^{-1} b of an SPD matrix A, factored once from its lower band.
-
-    Deterministic banded Cholesky in the given order; raises
-    NotPositiveDefiniteError on a nonpositive leading minor and ValueError
-    on a band LAPACK rejects. Overwrites ``band``. The solve raises
-    ValueError unless b's first axis has one entry per column of the band.
-    As in SciPy, an empty band or b never reaches LAPACK, which may reject
-    a zero leading dimension.
-    """
-    size = band.shape[1]
-    if band.size:
-        band, info = dpbtrf(band)
-        if info > 0:
-            raise NotPositiveDefiniteError(f"{info}-th leading minor not positive definite")
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dpbtrf")
-
-    def solve(b):
-        if np.shape(b)[:1] != (size,):
-            raise ValueError(f"right-hand side of shape {np.shape(b)} for {size} unknowns")
-        if np.size(b) == 0:
-            return np.zeros_like(b, dtype=float)
-        x, info = dpbtrs(band, b)
-        if info != 0:
-            raise ValueError(f"dpbtrs failed with info {info}")
-        return x
-
-    return solve
-
-
 def solve_spd(band: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b by :func:`factor_spd`; the caller checks it against ``RESIDUAL_TOL``."""
-    return factor_spd(band)(np.asarray(b, dtype=float))
+    """Solve A x = b, A SPD by its lower ``band``, which the factor overwrites; x is new.
+
+    Deterministic banded Cholesky in the given order; the caller checks the
+    residual. Raises ValueError unless b's first axis has one entry per
+    column of the band, NotPositiveDefiniteError on a nonpositive leading
+    minor, and ValueError on an argument LAPACK rejects. As in SciPy, an
+    empty b never reaches LAPACK, which may reject a zero leading dimension.
+    """
+    b = np.asarray(b, dtype=float)
+    size = band.shape[1]
+    if b.shape[:1] != (size,):
+        raise ValueError(f"right-hand side of shape {b.shape} for {size} unknowns")
+    if b.size == 0:
+        return np.zeros_like(b)
+    factor, info = dpbtrf(band)
+    if info > 0:
+        raise NotPositiveDefiniteError(f"{info}-th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpbtrf")
+    x, info = dpbtrs(factor, b)
+    if info != 0:
+        raise ValueError(f"dpbtrs failed with info {info}")
+    return x

@@ -23,13 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh_fem import Mesh, elasticity_floor, rotate_pairs
-from .sparse_linalg import RESIDUAL_TOL, InnerSolverError, NotPositiveDefiniteError, solve_spd
+from .sparse_linalg import InnerSolverError, NotPositiveDefiniteError, solve_spd
 
 #: the oracle stops once its weak-duality gap is at most this times 1 + |value|
 GAP_TOL = 1e-12
 
 #: an oracle call that has not converged after this many Newton steps raises
 MAX_NEWTON_STEPS = 200
+
+#: a Newton step's solve of A x = b holds only if ||A x - b||_inf <= RESIDUAL_TOL (1 + ||b||_inf)
+RESIDUAL_TOL = 1e-10
 
 
 @dataclass
@@ -155,8 +158,8 @@ def _newton_step(mesh, b, eps, x, lam, active):
 
     No sparse matrix is built: Z^T H Z is written into band storage from the
     stencil of A, its four constant 2×2 node blocks (``Mesh.elasticity_band``),
-    and the products with H and Z are taken node by node around
-    ``mesh.elasticity(v)``.
+    which one call of ``solve_spd`` factors in place and solves with, and the
+    products with H and Z are taken node by node around ``mesh.elasticity(v)``.
 
     Two stabilizations of the plain linearization: the operator uses the
     nonnegative part of the multipliers (it stays positive definite while

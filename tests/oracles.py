@@ -55,11 +55,8 @@ from tvcontrol.mesh_fem import (
     Mesh,
     _subtriangle_centroids,
 )
-from tvcontrol.sparse_linalg import (
-    RESIDUAL_TOL,
-    NotPositiveDefiniteError,
-    solve_spd,
-)
+from tvcontrol.sparse_linalg import NotPositiveDefiniteError, solve_spd
+from tvcontrol.tv_oracle import RESIDUAL_TOL
 
 
 def _summed_csr_without_zeros(rows, cols, data, shape) -> sp.csr_matrix:

@@ -415,7 +415,7 @@ def test_band_cholesky_matches_scipy_linalg_in_either_import_order(first):
         "factor = sl.cholesky_banded(band, lower=True)\n"
         "expected = sl.cho_solve_banded((factor, True), b)\n"
         "overwritten = np.asfortranarray(band)\n"
-        "x = sparse_linalg.factor_spd(overwritten)(b)\n"
+        "x = sparse_linalg.solve_spd(overwritten, b)\n"
         "linked = ctypes.CDLL(sl._flapack.__file__)\n"
         "same = all(ctypes.cast(getattr(linked, s), ctypes.c_void_p).value\n"
         "           == ctypes.cast(r, ctypes.c_void_p).value\n"

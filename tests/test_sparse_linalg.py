@@ -17,7 +17,7 @@ from oracles import (
 )
 from tvcontrol import sparse_linalg, tv_oracle
 from tvcontrol.mesh_fem import build_friedrichs_keller
-from tvcontrol.sparse_linalg import NotPositiveDefiniteError, factor_spd, solve_spd
+from tvcontrol.sparse_linalg import NotPositiveDefiniteError, solve_spd
 
 
 def test_identity_solve():
@@ -294,30 +294,31 @@ def _second_difference_band():
 
 @pytest.mark.parametrize("length", [2, 4])
 def test_solve_rejects_a_right_hand_side_of_another_length(length):
-    # LAPACK's dpbtrs does not check the length of b
-    solve = factor_spd(_second_difference_band())
+    # LAPACK's dpbtrs does not check the length of b; the check comes before
+    # the factorization, so a band it could overwrite in place is left as it was
+    band = np.asfortranarray(_second_difference_band())
     with pytest.raises(ValueError, match="3 unknowns"):
-        solve(np.ones(length))
-    assert np.allclose(solve(np.ones(3)), [1.5, 2.0, 1.5], rtol=0.0, atol=1e-15)
+        solve_spd(band, np.ones(length))
+    assert np.array_equal(band, _second_difference_band())
+    assert np.allclose(solve_spd(band, np.ones(3)), [1.5, 2.0, 1.5], rtol=0.0, atol=1e-15)
 
 
 def test_solve_raises_when_the_triangular_solves_fail(monkeypatch):
-    solve = factor_spd(_second_difference_band())
     monkeypatch.setattr(sparse_linalg, "dpbtrs", lambda factor, b: (b, -2))
     with pytest.raises(ValueError, match="info -2"):
-        solve(np.ones(3))
+        solve_spd(_second_difference_band(), np.ones(3))
 
 
 def test_factor_names_the_first_nonpositive_leading_minor():
     # lower band of [[1, 2, 0], [2, 1, 0], [0, 0, 3]], whose second leading minor is -3
     with pytest.raises(NotPositiveDefiniteError, match="2-th leading minor"):
-        factor_spd(np.array([[1.0, 1.0, 3.0], [2.0, 0.0, 0.0]]))
+        solve_spd(np.array([[1.0, 1.0, 3.0], [2.0, 0.0, 0.0]]), np.ones(3))
 
 
 def test_factor_rejects_a_band_lapack_refuses(monkeypatch):
     monkeypatch.setattr(sparse_linalg, "dpbtrf", lambda band: (band, -3))
     with pytest.raises(ValueError, match="argument 3") as raised:
-        factor_spd(_second_difference_band())
+        solve_spd(_second_difference_band(), np.ones(3))
     assert not isinstance(raised.value, NotPositiveDefiniteError)
 
 
@@ -329,12 +330,12 @@ def test_empty_band_never_reaches_lapack(monkeypatch, shape):
 
     monkeypatch.setattr(sparse_linalg, "dpbtrf", refuse)
     monkeypatch.setattr(sparse_linalg, "dpbtrs", refuse)
-    solve = factor_spd(np.zeros(shape))
-    x = solve(np.zeros(0))
+    band = np.zeros(shape)
+    x = solve_spd(band, np.zeros(0))
     assert x.shape == (0,) and x.dtype == float
-    assert solve(np.zeros((0, 2))).shape == (0, 2)
+    assert solve_spd(band, np.zeros((0, 2))).shape == (0, 2)
     with pytest.raises(ValueError, match="0 unknowns"):
-        solve(np.ones(1))
+        solve_spd(band, np.ones(1))
 
 
 def test_loader_names_the_library_it_did_not_find(monkeypatch, tmp_path):
