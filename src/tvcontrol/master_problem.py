@@ -17,13 +17,14 @@ the mesh; each step makes two Poisson solves, ``Mesh.stiffness_solve``,
 exact in the 5-point Laplacian's sine eigenbasis, with no band or factor.
 The operator owns the planes: ``add_plane`` makes each from the oracle's
 field and energy, drops it when its divergence repeats a stored one, and
-otherwise solves the base for its border column, once. With the data's
-solve, made once per instance, the primal-dual active set over the planes
-then lives on the k x k Schur complement alone: each iteration reads the
-planes' slack off that complement until the active set repeats, and the
-state, the adjoint, the control and the bordered system's residual are
-formed once per solve, from the final multipliers. The eps-dependent bounds enter only that complement, so
-shrinking eps tightens every stored plane without a new base solve.
+otherwise solves the base for its border column, once, and grows the k x k
+Schur complement of the planes by the plane's row and column. With the data's
+solve, made once per instance, a solve touches k x k data and the active planes
+only: the primal-dual active set reads the planes' slack off the Schur complement
+until the active set repeats, then one walk over the active planes forms the
+state, the adjoint, the control and the bordered system's residual. The
+eps-dependent bounds enter only the plane bounds, so shrinking eps tightens
+every stored plane without a new base solve.
 """
 
 from __future__ import annotations
@@ -100,19 +101,30 @@ class MasterOperator:
                                     mesh.load_interior(self._u_d + instance.f)])
         self._x0 = self._base_solve(self.rhs0)
         self.planes: list[CuttingPlane] = []
+        # made in add_plane, a row per plane: the Schur complement and the shares of u_d and x0
+        self._schur, self._u_d_share, self._x0_share = np.zeros((0, 0)), np.zeros(0), np.zeros(0)
 
     def add_plane(self, phi: np.ndarray, energy: float) -> bool:
         """Store the cut of the oracle's field, its interior dofs ``phi``, with energy a[phi, phi].
 
         Returns False, storing nothing, when the divergence is within
         DUPLICATE_TOL in L2 of a stored plane's; otherwise the plane is
-        appended and its border column is solved with the base, once.
+        appended, its border column is solved with the base, once, and the
+        Schur complement gains the plane's row and column.
         """
         mesh = self.mesh
         div_phi = mesh.divergence(phi)
         if any(l2_error_p0(mesh, div_phi, p.div_phi) < DUPLICATE_TOL for p in self.planes):
             return False
-        self.planes.append(CuttingPlane(div_phi, energy, self._base_solve(self._border(div_phi))))
+        border = self._border(div_phi)
+        xc = self._base_solve(border)
+        self.planes.append(CuttingPlane(div_phi, energy, xc))
+        # the block's row less border_j.xc, both read off div_j (see _div_products)
+        xc_average = mesh.cell_average(mesh.on_all_nodes(xc[mesh.n_interior:]))
+        row = self._div_products(self.planes, div_phi - xc_average)
+        self._schur = np.block([[self._schur, row[:-1, None]], [row]])
+        self._u_d_share = np.append(self._u_d_share, div_phi @ (mesh.cell_area * self._u_d))
+        self._x0_share = np.append(self._x0_share, border @ self._x0)
         return True
 
     def _border(self, div_phi: np.ndarray) -> np.ndarray:
@@ -120,6 +132,11 @@ class MasterOperator:
         # the plane's row needs this column, the state rows its negative (ROADMAP.md, item 16)
         return np.concatenate([np.zeros(self.mesh.n_interior),
                                -self.mesh.load_interior(div_phi) / self.alpha])
+
+    def _div_products(self, planes: list[CuttingPlane], v: np.ndarray) -> np.ndarray:
+        """-|T| div_i.v / alpha for each of ``planes``: with v a divergence, a row of the block;
+        with v the cell average of p, border_i.(y, p), as B^T is |T| times the cell average."""
+        return np.array([-(self.mesh.cell_area * p.div_phi) @ v / self.alpha for p in planes])
 
     def apply_base(self, x: np.ndarray) -> np.ndarray:
         """The plane-free base [[-M, K], [K, G G^T]] times x = (y, p), from the mesh's stencils."""
@@ -159,36 +176,29 @@ class MasterOperator:
     def solve(self, eps: float, warm_start: MasterSolution | None = None) -> MasterSolution:
         """Minimize the relaxation with ``self.planes`` by a primal-dual active-set method.
 
-        The base solves of the data and of each plane's border column are
-        made once, in the constructor and in :meth:`add_plane`; each
-        iteration then solves the Schur complement restricted to the active
-        planes, takes every plane's slack r - S mu from that complement and
-        reclassifies a plane as active iff mu_i - slack_i > 0. It stops at
-        the first repeated active set, the KKT point: every inactive slack is
-        >= 0 and every active multiplier exceeds its slack, that row's solve
-        residual. Only then are the state, the adjoint and the control formed,
-        from the final multipliers. Raises SingularBorderError, naming the
-        active planes' indices, when an iteration's Schur block is singular,
-        when the active set has not repeated after MAX_ACTIVE_SET_ITERATIONS
-        (with the last KKT residual), or when the returned solution's
-        bordered residual exceeds 1e-9 (1 + ||rhs||_inf).
+        The base solves of the data and of each plane's border column, and
+        the planes' Schur complement S, row by row, are made once, in the
+        constructor and in :meth:`add_plane`, so a solve touches k x k data and
+        the active planes only. Each iteration solves S restricted to the
+        active planes, takes every plane's slack r - S mu and reclassifies a
+        plane as active iff mu_i - slack_i > 0. It stops at the first repeated
+        active set, the KKT point: every inactive slack is >= 0 and every active
+        multiplier exceeds its slack, that row's solve residual. Only then are
+        the state, the adjoint and the control formed, in one walk over the
+        active planes. Raises SingularBorderError, naming the active planes'
+        indices, when an iteration's Schur block is singular, when the active
+        set has not repeated after MAX_ACTIVE_SET_ITERATIONS (with the last
+        KKT residual), or when the returned solution's bordered residual
+        exceeds 1e-9 (1 + ||rhs||_inf).
         """
         mesh = self.mesh
         planes = self.planes
         n_i = mesh.n_interior
         k = len(planes)
-        alpha = self.alpha
-        area = mesh.cell_area
-
-        div = np.reshape([p.div_phi for p in planes], (k, mesh.n_cells))
-        energies = np.array([p.energy for p in planes])
-        border = np.reshape([self._border(p.div_phi) for p in planes], (k, 2 * n_i)).T
-        xc = np.reshape([p.base_solve for p in planes], (k, 2 * n_i)).T
-        block = -(div * area) @ div.T / alpha
-        g = 1.0 + 0.5 * eps * energies - div @ (area * self._u_d)   # plane bounds less u_d's share
-
-        schur = block - border.T @ xc
-        r = g - border.T @ self._x0
+        schur = self._schur
+        # plane bounds less u_d's share, then less x0's
+        g = 1.0 + 0.5 * eps * np.array([p.energy for p in planes]) - self._u_d_share
+        r = g - self._x0_share
 
         active = np.zeros(k, dtype=bool)
         if warm_start is not None:
@@ -217,11 +227,17 @@ class MasterOperator:
                 f"{residual:.3e}; cutting planes {idx.tolist()}"
             )
 
-        xy = self._x0 - xc[:, idx] @ mu_act
-        border_act, block_act = border[:, idx], block[np.ix_(idx, idx)]
+        # one walk over the active planes: xy = x0 - xc mu and the control's div mu
+        xy, div_mu = self._x0.copy(), np.zeros(mesh.n_cells)
+        for i, m in zip(idx, mu_act):
+            xy -= m * planes[i].base_solve
+            div_mu += m * planes[i].div_phi
+        p_full = mesh.on_all_nodes(xy[n_i:])
+        shift = mesh.cell_average(p_full) + div_mu    # alpha (u_d - u)
+        # border mu is border(div mu); the plane rows border^T xy + block mu are read off div_i
         res = max(
-            np.abs(self.apply_base(xy) + border_act @ mu_act - self.rhs0).max(initial=0.0),
-            np.abs(border_act.T @ xy + block_act @ mu_act - g[idx]).max(initial=0.0),
+            np.abs(self.apply_base(xy) + self._border(div_mu) - self.rhs0).max(initial=0.0),
+            np.abs(self._div_products([planes[i] for i in idx], shift) - g[idx]).max(initial=0.0),
         )
         bound = 1e-9 * (1.0 + np.abs(np.concatenate([self.rhs0, g[idx]])).max(initial=0.0))
         if not res <= bound:
@@ -229,8 +245,7 @@ class MasterOperator:
                 f"bordered solve residual {res:.3e} exceeds bound {bound:.3e}; "
                 f"cutting planes {idx.tolist()}"
             )
-        y_full, p_full = mesh.on_all_nodes(xy[:n_i]), mesh.on_all_nodes(xy[n_i:])
-        u = self._u_d - (mesh.cell_average(p_full) + mu @ div) / alpha
+        y_full, u = mesh.on_all_nodes(xy[:n_i]), self._u_d - shift / self.alpha
         return MasterSolution(
             u=u,
             y=y_full,

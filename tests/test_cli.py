@@ -232,10 +232,11 @@ def test_inner_solver_errors_share_one_base():
     # past the master (see the next test), the oracle stalls at k = 16
     pytest.param(["--n", "8", "--alpha", "1e-8"], id="small-alpha", marks=pytest.mark.xfail(
         strict=True, reason="the oracle does not converge from every start: ROADMAP item 13")),
-    # no plane yet, k = 0: the bordered residual check rejects the data's solve
+    # no plane yet, k = 0: the bordered residual check rejects the data's solve;
+    # past the master, with item 16's control-space base, the oracle fails (item 13)
     pytest.param(["--n", "4", "--alpha", "1e-10"], id="small-alpha-no-planes",
                  marks=pytest.mark.xfail(strict=True, reason="the data's base solve loses "
-                                         "accuracy as 1/alpha: ROADMAP item 20")),
+                                         "accuracy as 1/alpha: ROADMAP item 16")),
 ])
 def test_master_converges_on_valid_input(capsys, argv):
     code, _ = _run(capsys, argv)

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import re
 import subprocess
@@ -13,13 +12,14 @@ from oracles import (
     dense_master_base,
     dense_master_qp,
     dense_qp_active_set_enumeration,
+    interior_load,
     plane_slack,
     reduced_gradient,
     reduced_objective,
 )
 import tvcontrol
 from tvcontrol import master_problem
-from tvcontrol.instances import ProblemInstance, build_exact_instance
+from tvcontrol.instances import ProblemInstance, build_exact_instance, build_generic_instance
 from tvcontrol.master_problem import MasterOperator, SingularBorderError
 from tvcontrol.mesh_fem import build_friedrichs_keller
 from tvcontrol.tv_oracle import eval_tv_eps
@@ -214,7 +214,7 @@ def test_optimality_certificate(mesh):
         assert reduced_objective(candidate, inst, mesh) >= base - 1e-9
 
 
-def test_duplicate_planes_fail_loudly(mesh):
+def test_duplicate_planes_fail_loudly(mesh, monkeypatch):
     rng = np.random.default_rng(9)
     inst = _instance(mesh, 10.0 * rng.standard_normal(mesh.n_cells))
     eps = 1e-4
@@ -222,8 +222,10 @@ def test_duplicate_planes_fail_loudly(mesh):
     free = op.solve(eps)
     plane = _add_cut(op, free.u, eps)
     assert plane_slack(plane, free.u, eps, mesh) < 0
-    # add_plane would drop the twin; appended directly, it makes the border singular
-    op.planes.append(dataclasses.replace(plane))
+    # add_plane drops a twin; kept at a zero tolerance, it makes the Schur block singular
+    monkeypatch.setattr(master_problem, "DUPLICATE_TOL", 0.0)
+    twin = _add_cut(op, free.u, eps)
+    assert np.array_equal(twin.div_phi, plane.div_phi)
     with pytest.raises(SingularBorderError, match=r"\[0, 1\]"):
         op.solve(eps)
 
@@ -251,6 +253,49 @@ def test_active_set_cap_fails_loudly(mesh, monkeypatch):
     with pytest.raises(SingularBorderError, match=pattern + r"\[0\]$") as warm:
         op.solve(1e-2, warm_start=sol)
     assert float(re.search(pattern, str(warm.value)).group(1)) > 0.0
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_schur_complement_grown_per_plane_matches_the_dense_one(n):
+    # add_plane makes each plane's row of block - border^T base^-1 border once;
+    # the reference stacks the planes and solves the base as one dense matrix
+    mesh = build_friedrichs_keller(n)
+    rng = np.random.default_rng(11)
+    op = MasterOperator(_instance(mesh, 8.0 * rng.standard_normal(mesh.n_cells)))
+    for _ in range(3):
+        _add_cut(op, 8.0 * rng.standard_normal(mesh.n_cells), 1e-4)
+    div = np.array([p.div_phi for p in op.planes])
+    load = interior_load(mesh) @ div.T
+    border = np.vstack([np.zeros_like(load), -load / op.alpha])
+    block = -mesh.cell_area * div @ div.T / op.alpha
+    coupling = border.T @ np.linalg.solve(dense_master_base(mesh, op.alpha), border)
+    dense = block - coupling
+    assert op._schur.shape == (3, 3)
+    assert np.abs(op._schur - dense).max() <= 1e-12 * np.abs(dense).max()
+    # the block dominates; the base's share alone, 5e-4 of it, holds to 1e-9 of itself
+    assert np.abs(block - op._schur - coupling).max() <= 1e-9 * np.abs(coupling).max()
+
+
+def test_solve_memory_does_not_grow_with_the_planes(monkeypatch):
+    # a solve stacks no plane vectors: on a generic n = 50 run its traced
+    # peak with nine planes is within a tenth of its peak with none
+    peaks = {}
+    solve = MasterOperator.solve
+
+    def traced(op, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            return solve(op, *args, **kwargs)
+        finally:
+            k = len(op.planes)
+            peaks[k] = max(peaks.get(k, 0), tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(MasterOperator, "solve", traced)
+    instance = build_generic_instance(build_friedrichs_keller(50))
+    tvcontrol.run_outer_approximation(instance, tvcontrol.SolverConfig(n=50, eps_min=1.6e-7))
+    assert max(peaks) >= 9
+    assert peaks[9] <= 1.1 * peaks[0], peaks
 
 
 def _count_calls(op, attr):

@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import os
 import re
@@ -354,3 +355,10 @@ def test_loader_names_the_library_it_did_not_find(monkeypatch, tmp_path):
 def test_loader_names_the_routine_it_did_not_find():
     with pytest.raises(ImportError, match="scipy_dpbtrx_ in .*libscipy_openblas"):
         sparse_linalg._routine(sparse_linalg._lapack, "dpbtrx", 5)
+
+
+def test_loader_names_the_prefixed_symbol_a_library_lacks():
+    # a LAPACK without scipy-openblas's prefix, here the process's own
+    # symbols, fails at import, naming the LP64 symbol the binding needs
+    with pytest.raises(ImportError, match="no LAPACK routine scipy_dpbtrf_ in "):
+        sparse_linalg._routine(ctypes.CDLL(None), "dpbtrf", 5)
