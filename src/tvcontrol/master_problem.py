@@ -15,16 +15,16 @@ control's reduced Hessian I + G^T K^-1 M K^-1 G (alpha I plus a compact
 smoothing term, up to scale), in a number of steps that does not grow with
 the mesh; each step makes two Poisson solves, ``Mesh.stiffness_solve``,
 exact in the 5-point Laplacian's sine eigenbasis, with no band or factor.
-The operator owns the planes: ``add_plane`` makes each from the oracle's
-field and energy, drops it when its divergence repeats a stored one, and
-otherwise solves the base for its border column, once, and grows the k x k
-Schur complement of the planes by the plane's row and column. With the data's
-solve, made once per instance, a solve touches k x k data and the active planes
-only: the primal-dual active set reads the planes' slack off the Schur complement
-until the active set repeats, then one walk over the active planes forms the
-state, the adjoint, the control and the bordered system's residual. The
-eps-dependent bounds enter only the plane bounds, so shrinking eps tightens
-every stored plane without a new base solve.
+The operator owns the planes, one mesh vector each, the divergence: ``add_plane``
+makes each from the oracle's field and energy, drops it when its divergence
+repeats a stored one, and otherwise solves the base for its border column, once,
+to grow the k x k Schur complement of the planes by the plane's row and column.
+With the data's solve, made once per instance, the primal-dual active set reads the
+planes' slack off the Schur complement until the active set repeats; then
+div mu = sum_i mu_i div(phi_i) over the active planes and one base solve of its
+border column (none if no plane is active) give the state, the adjoint, the
+control and the bordered system's residual. The eps-dependent bounds enter only
+the plane bounds, so shrinking eps tightens every stored plane at no cost.
 """
 
 from __future__ import annotations
@@ -60,13 +60,13 @@ class SingularBorderError(InnerSolverError):
 class CuttingPlane:
     """One cut int u div_phi dx <= 1 + (eps/2) energy, with eps supplied at solve time.
 
-    ``div_phi`` holds one value per cell and ``base_solve`` is base^{-1} of the
-    plane's column of the bordered KKT system, ``MasterOperator._border``.
+    ``div_phi`` holds one value per cell, the one mesh vector a plane keeps: its
+    column of the bordered KKT system, ``MasterOperator._border``, is formed from it
+    where it is needed.
     """
 
     div_phi: np.ndarray
     energy: float
-    base_solve: np.ndarray
 
 
 @dataclass
@@ -110,7 +110,7 @@ class MasterOperator:
         Returns False, storing nothing, when the divergence is within
         DUPLICATE_TOL in L2 of a stored plane's; otherwise the plane is
         appended, its border column is solved with the base, once, and the
-        Schur complement gains the plane's row and column.
+        Schur complement gains the plane's row and column; the solve is not kept.
         """
         mesh = self.mesh
         div_phi = mesh.divergence(phi)
@@ -118,7 +118,7 @@ class MasterOperator:
             return False
         border = self._border(div_phi)
         xc = self._base_solve(border)
-        self.planes.append(CuttingPlane(div_phi, energy, xc))
+        self.planes.append(CuttingPlane(div_phi, energy))
         # the block's row less border_j.xc, both read off div_j (see _div_products)
         xc_average = mesh.cell_average(mesh.on_all_nodes(xc[mesh.n_interior:]))
         row = self._div_products(self.planes, div_phi - xc_average)
@@ -176,16 +176,16 @@ class MasterOperator:
     def solve(self, eps: float, warm_start: MasterSolution | None = None) -> MasterSolution:
         """Minimize the relaxation with ``self.planes`` by a primal-dual active-set method.
 
-        The base solves of the data and of each plane's border column, and
-        the planes' Schur complement S, row by row, are made once, in the
-        constructor and in :meth:`add_plane`, so a solve touches k x k data and
-        the active planes only. Each iteration solves S restricted to the
-        active planes, takes every plane's slack r - S mu and reclassifies a
-        plane as active iff mu_i - slack_i > 0. It stops at the first repeated
-        active set, the KKT point: every inactive slack is >= 0 and every active
-        multiplier exceeds its slack, that row's solve residual. Only then are
-        the state, the adjoint and the control formed, in one walk over the
-        active planes. Raises SingularBorderError, naming the active planes'
+        The data's base solve and the planes' Schur complement S, row by row, are
+        made once, in the constructor and in :meth:`add_plane`, so the active-set
+        loop touches k x k data only. Each iteration solves S restricted to the
+        active planes, takes every plane's slack r - S mu and reclassifies a plane
+        as active iff mu_i - slack_i > 0. It stops at the first repeated active set,
+        the KKT point: every inactive slack is >= 0 and every active multiplier
+        exceeds its slack, that row's solve residual. Only then is div mu =
+        sum_i mu_i div_i formed over the active planes, and the state and adjoint as
+        x0 less one base solve of its border column (none if no plane is active).
+        Raises SingularBorderError, naming the active planes'
         indices, when an iteration's Schur block is singular, when the active
         set has not repeated after MAX_ACTIVE_SET_ITERATIONS (with the last
         KKT residual), or when the returned solution's bordered residual
@@ -213,7 +213,7 @@ class MasterOperator:
                 raise SingularBorderError(f"cutting planes {idx.tolist()}") from exc
             mu = np.zeros(k)
             mu[idx] = mu_act
-            # the plane rows with xy = x0 - xc mu: g - border^T xy - block mu
+            # the plane rows with xy = x0 - base^{-1} border mu: g - border^T xy - block mu
             slack = r - schur @ mu
             active_next = (mu - slack) > 0.0
             if np.array_equal(active_next, active):
@@ -227,11 +227,11 @@ class MasterOperator:
                 f"{residual:.3e}; cutting planes {idx.tolist()}"
             )
 
-        # one walk over the active planes: xy = x0 - xc mu and the control's div mu
-        xy, div_mu = self._x0.copy(), np.zeros(mesh.n_cells)
+        # div mu in one walk over the active planes, then xy = x0 - base^{-1} border(div mu)
+        div_mu = np.zeros(mesh.n_cells)
         for i, m in zip(idx, mu_act):
-            xy -= m * planes[i].base_solve
             div_mu += m * planes[i].div_phi
+        xy = self._x0 - self._base_solve(self._border(div_mu)) if idx.size else self._x0
         p_full = mesh.on_all_nodes(xy[n_i:])
         shift = mesh.cell_average(p_full) + div_mu    # alpha (u_d - u)
         # border mu is border(div mu); the plane rows border^T xy + block mu are read off div_i
