@@ -11,7 +11,6 @@ constraint only admits 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,29 +121,36 @@ def exact_div_phi_bar(x1, x2, out=None):
     return result if out is not None else result[()]
 
 
-def _exact_projections(mesh: Mesh, subdivision_depth: int):
-    """Cell averages of u_bar, f and div phi_bar in one walk over the quadrature blocks.
+def _separable_means(f_x, g_y):
+    """Midpoint-rule cell means of f(x) g(y), (n, n, 2), from tables like ``_quadrature_blocks``' x and y.
 
-    Bitwise the midpoint rule of ``tests/oracles.py`` (``project_p0_by_einsum``)
-    on the disc indicator u_bar = 1/perimeter inside rho < 1/4, on
-    f = -Laplace exact_state - u_bar = LAPLACE_FACTOR sin(2 pi x1) sin(2 pi x2) - u_bar
-    and on :func:`exact_div_phi_bar`. The terms in one coordinate are built
-    once for the whole grid. Bounds on each cell's rho sort the cells into
-    those wholly inside the disc, wholly outside it and cut by its circle:
-    u_bar is the mean of 4^depth values 1/perimeter or 0 on the first two
-    kinds and the indicator is evaluated point by point on cut cells only,
-    and f subtracts u_bar's point values on inside and cut cells only
-    (x - 0.0 is x). The divergence is evaluated, in place, only on the
-    cells that may meet PSI_SUPPORT, one call per block; every other cell
-    takes the mean of 4^depth values -0.0, which is +0.0. Each block is
-    written into buffers allocated once per call.
+    One contraction per triangle kind, by einsum's own loops and no BLAS, so
+    the bytes depend on neither the BLAS library nor its threads.
+    """
+    return np.einsum("jtq,itq->jit", g_y, f_x) / f_x.shape[-1]
+
+
+def _exact_projections(mesh: Mesh, subdivision_depth: int):
+    """Cell averages of u_bar, f and div phi_bar: the midpoint rule of ``tests/oracles.py``.
+
+    That rule (``project_p0_by_einsum``) on the disc indicator u_bar =
+    1/perimeter inside rho < 1/4 and on :func:`exact_div_phi_bar` bitwise, and to
+    rounding on f = -Laplace exact_state - u_bar, :func:`_separable_means` of
+    LAPLACE_FACTOR sin(2 pi x1) sin(2 pi x2) less u_bar. The terms in one
+    coordinate are built once for the whole grid. Bounds on each cell's rho
+    sort the cells into those wholly inside the disc, wholly outside it and
+    cut by its circle: u_bar is the mean of 4^depth values 1/perimeter or 0
+    on the first two kinds and the indicator is evaluated point by point on
+    cut cells only, in a walk over the quadrature blocks. The divergence is
+    evaluated, in place, only on the cells that may meet PSI_SUPPORT, one
+    call per block, gathered into buffers allocated once per call; every
+    other cell takes the mean of 4^depth values -0.0, which is +0.0.
     """
     n = mesh.n
     x, y, blocks = _quadrature_blocks(mesh, subdivision_depth)
     q = x.shape[-1]
     dx, dy = x - BALL_CENTER[0], y - BALL_CENTER[1]
     dx2, dy2 = dx**2, dy**2
-    sin_x, sin_y = LAPLACE_FACTOR * np.sin(2 * np.pi * x), np.sin(2 * np.pi * y)
     # rho of a cell's points lies between the hypot of the least and of the
     # greatest |dx| and |dy| over them; the margin keeps a cell whose bound
     # rounds by an ulp the other way from a point's rho
@@ -157,28 +163,22 @@ def _exact_projections(mesh: Mesh, subdivision_depth: int):
     # the cell means of constant point values, summed as the midpoint rule sums them
     u_bar = np.where(inside, np.full(q, 1.0 / BALL_PERIMETER).mean(), 0.0)
     div_phi = np.full((n, n, 2), np.full(q, -0.0).mean())
-    f = np.empty((n, n, 2))
     rows, cols = blocks[0]
     size = (rows.stop - rows.start) * (cols.stop - cols.start) * 2 * q
-    f_buf, x_buf, y_buf, div_buf = np.empty(size), np.empty(size), np.empty(size), np.empty(size)
+    x_buf, y_buf, div_buf = np.empty(size), np.empty(size), np.empty(size)
     x_cells, y_cells = x.reshape(-1, q), y.reshape(-1, q)  # row 2k + t: triangle t of column or row k
     for rows, cols in blocks:
-        shape = (rows.stop - rows.start, cols.stop - cols.start, 2, q)
-        f_pts = f_buf[: math.prod(shape)].reshape(shape)
-        np.multiply(sin_x[None, cols], sin_y[rows, None], out=f_pts)
-        np.subtract(f_pts, 1.0 / BALL_PERIMETER, out=f_pts, where=inside[rows, cols, :, None])
         j, i, t = np.nonzero(cut[rows, cols])
         if j.size:
             u_pts = (dx2[cols.start + i, t] + dy2[rows.start + j, t] < BALL_RADIUS**2) / BALL_PERIMETER
-            f_pts[j, i, t] -= u_pts
             u_bar[rows, cols][j, i, t] = u_pts.mean(axis=-1)
-        f[rows, cols] = f_pts.mean(axis=-1)
         j, i, t = np.nonzero(annulus[rows, cols])
         if j.size:  # the gathered points; mode="clip" lets np.take write out unbuffered
             x_pts, y_pts, div_pts = (buf[: j.size * q].reshape(j.size, q) for buf in (x_buf, y_buf, div_buf))
             np.take(x_cells, 2 * (cols.start + i) + t, axis=0, out=x_pts, mode="clip")
             np.take(y_cells, 2 * (rows.start + j) + t, axis=0, out=y_pts, mode="clip")
             div_phi[rows, cols][j, i, t] = exact_div_phi_bar(x_pts, y_pts, out=div_pts).mean(axis=-1)
+    f = _separable_means(LAPLACE_FACTOR * np.sin(2 * np.pi * x), np.sin(2 * np.pi * y)) - u_bar
     return u_bar.ravel(), f.ravel(), div_phi.ravel()
 
 
@@ -237,17 +237,14 @@ def build_generic_instance(
     u_d = c * 2 pi^2 sin(pi x1) cos(pi x2) with c = GENERIC_SCALE chosen so
     that TV(u_d) = 2; y_d = c sin(pi x1) cos(pi x2) solves
     -Laplace y_d = u_d and is plain data (it does not vanish on the whole
-    boundary), f = 0. u_d is the midpoint rule's cell averages, bitwise
+    boundary), f = 0. u_d is the midpoint rule's cell averages, to rounding
     those of ``tests/oracles.py`` (``project_p0_by_einsum``) on the product
     of :func:`generic_u_d_x` and :func:`generic_u_d_y`: each factor is
     evaluated once on the quadrature points of its grid columns or rows,
-    and each block of cells takes the mean of their products.
+    and :func:`_separable_means` contracts them.
     """
-    x, y, blocks = _quadrature_blocks(mesh, subdivision_depth)
-    sin_x, cos_y = generic_u_d_x(x), generic_u_d_y(y)
-    u_d = np.empty((mesh.n, mesh.n, 2))
-    for rows, cols in blocks:
-        u_d[rows, cols] = (sin_x[None, cols] * cos_y[rows, None]).mean(axis=-1)
+    x, y, _ = _quadrature_blocks(mesh, subdivision_depth)
+    u_d = _separable_means(generic_u_d_x(x), generic_u_d_y(y))
     y_d = interpolate_p1(
         lambda x1, x2: GENERIC_SCALE * np.sin(np.pi * x1) * np.cos(np.pi * x2), mesh
     )

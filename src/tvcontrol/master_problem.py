@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh_fem import l2_error_p0
-from .sparse_linalg import InnerSolverError
+from .sparse_linalg import InnerSolverError, dgesv
 
 #: a master solve whose active set has not repeated after this many iterations fails
 MAX_ACTIVE_SET_ITERATIONS = 100
@@ -207,10 +207,9 @@ class MasterOperator:
 
         for iterations in range(1, MAX_ACTIVE_SET_ITERATIONS + 1):
             idx = np.flatnonzero(active)
-            try:
-                mu_act = np.linalg.solve(schur[np.ix_(idx, idx)], r[idx])
-            except np.linalg.LinAlgError as exc:
-                raise SingularBorderError(f"cutting planes {idx.tolist()}") from exc
+            mu_act, info = dgesv(schur[np.ix_(idx, idx)], r[idx])
+            if info != 0:  # an exactly zero pivot; LAPACK rejects no argument built here
+                raise SingularBorderError(f"cutting planes {idx.tolist()}")
             mu = np.zeros(k)
             mu[idx] = mu_act
             # the plane rows with xy = x0 - base^{-1} border mu: g - border^T xy - block mu

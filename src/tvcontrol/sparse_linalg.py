@@ -13,7 +13,9 @@ fail by raising an ``InnerSolverError``:
 the oracle's at its Newton cap.
 
 The wrappers :func:`dpbtrf` and :func:`dpbtrs`, kept apart so that a
-profile reads the factorizations' time and count off them, call LAPACK
+profile reads the factorizations' time and count off them, and
+:func:`dgesv`, which solves the master's k x k active-set systems without
+``np.linalg.solve`` and the 316 KiB its first call maps, call LAPACK
 through ``ctypes`` in the OpenBLAS that SciPy's wheel ships
 (``scipy.libs/libscipy_openblas*.so``), the library whose routines
 ``scipy.linalg.cholesky_banded`` and ``cho_solve_banded`` call, so factors
@@ -54,18 +56,19 @@ def _openblas() -> ctypes.CDLL:
     return ctypes.CDLL(found[0])
 
 
-def _routine(library: ctypes.CDLL, name: str, arguments: int):
-    """LAPACK routine ``name`` with ``uplo`` first and ``arguments`` pointers after it.
+def _routine(library: ctypes.CDLL, name: str, arguments: int, uplo: bool = True):
+    """LAPACK routine ``name`` with ``arguments`` pointers, after ``uplo`` if ``uplo``.
 
     An LP64 Fortran subroutine: every argument by reference, integers of
-    32 bits, and ``uplo``'s hidden length as a trailing ``size_t``.
+    32 bits, and ``uplo``'s hidden length, if any, as a trailing ``size_t``.
     """
     symbol = f"scipy_{name}_"
     try:
         routine = getattr(library, symbol)
     except AttributeError:
         raise ImportError(f"no LAPACK routine {symbol} in {library._name}") from None
-    routine.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * arguments + [ctypes.c_size_t]
+    char = [ctypes.c_char_p] if uplo else []
+    routine.argtypes = char + [ctypes.c_void_p] * arguments + [ctypes.c_size_t] * len(char)
     routine.restype = None
     return routine
 
@@ -73,6 +76,7 @@ def _routine(library: ctypes.CDLL, name: str, arguments: int):
 _lapack = _openblas()
 _dpbtrf = _routine(_lapack, "dpbtrf", 5)  # n, kd, ab, ldab, info
 _dpbtrs = _routine(_lapack, "dpbtrs", 8)  # n, kd, nrhs, ab, ldab, b, ldb, info
+_dgesv = _routine(_lapack, "dgesv", 8, uplo=False)  # n, nrhs, a, lda, ipiv, b, ldb, info
 
 
 def _int(value: int):
@@ -106,6 +110,26 @@ def dpbtrs(factor, b):
     info = ctypes.c_int()
     _dpbtrs(b"L", _int(size), _int(rows - 1), _int(x.size // ldb),
             factor.ctypes.data, _int(rows), x.ctypes.data, _int(ldb), ctypes.byref(info), 1)
+    return x, info.value
+
+
+def dgesv(a, b):
+    """LAPACK's dgesv, LU with partial pivoting: (x, info), x a new array with a x = b.
+
+    Each column of b along its first axis is a right-hand side, and a is
+    left as it is. Raises ValueError unless a is square with one column per
+    entry of that axis. An empty system never reaches LAPACK.
+    """
+    lu = np.array(a, dtype=np.float64, order="F")
+    x = np.array(b, dtype=np.float64, order="F")
+    size = len(x)
+    if lu.shape != (size, size):
+        raise ValueError(f"matrix of shape {lu.shape} with right-hand side of shape {x.shape}")
+    if size == 0:
+        return x, 0
+    pivots, info = np.empty(size, np.int32), ctypes.c_int()
+    _dgesv(_int(size), _int(x.size // size), lu.ctypes.data, _int(size), pivots.ctypes.data,
+           x.ctypes.data, _int(size), ctypes.byref(info))
     return x, info.value
 
 

@@ -113,7 +113,7 @@ def test_dump_fields(tmp_path, capsys):
     assert control.shape == reference.shape
     # the pinned bytes of both dumps at these settings
     pinned = {
-        "control.txt": "f824992cae97f10f8feaecf126307c45a87964d673386795afa837010212564d",
+        "control.txt": "9a1581ff3f7460feac396e6eeca1287ca45d1af1a9cc377cd67d234d7f564617",
         "reference_control.txt": "de9b8a48019a30399b026034c1426dd147def393337b9f0d5a29db741c178354",
     }
     for name, digest in pinned.items():

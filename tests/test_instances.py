@@ -1,6 +1,10 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -295,14 +299,15 @@ def test_indicator_profile():
 
 
 # sha256 of f, u_d, y_d[, reference_u] (concatenated tobytes(), default depth),
-# as built with the all-points projection of oracles.project_p0_by_einsum
+# as built by the code: f and the generic u_d agree with the all-points
+# projection of oracles.project_p0_by_einsum to rounding, the rest bitwise
 INSTANCE_SHA256 = {
-    (16, "exact"): "84cd8918b8d2d03ac91af6045ba1e7a74f2ad4e516cf4c150022a9f0c50e1c7b",
-    (16, "generic"): "20a3a17066ec3fa37a2badf319bbc37a4edbcee8f88c10b404acc28246042784",
-    (50, "exact"): "976a4b1681e479c6b7ab240bd6eba0c46becf7371e80d083aaf2c6d4f26fe506",
-    (50, "generic"): "67015661cdf0cdba593122d00386b353a4e9885ac12c41f7e9a2fa1dda96b274",
-    (100, "exact"): "df931e64d4b64135041d733dc22ac196e746f483adaf6d2c10d72819d7ffa7d7",
-    (100, "generic"): "6e4cb78a88f222ddc1c3570e6efdbb81b08880652091d49f42a958d10d0627ad",
+    (16, "exact"): "74f395604696abcedf5cd96b139900cda9898d1dfe27ba0758273613da16f5a4",
+    (16, "generic"): "f7e765f101aab6fc0d4977c8d669a84eaacdb51b2c2edd704705fb12c616b222",
+    (50, "exact"): "fcd48c7a08d6f39673f931f33f78b769c97220e375c6f19c057ee84da1cf357c",
+    (50, "generic"): "9ab75eaddb8e38bf88b11a1911563edc8608b559a260fcc3f140edf779d836ce",
+    (100, "exact"): "f554024b99f0d3637f561f068f2c765dcb9cb71b2af331668b1a6beb03dc9019",
+    (100, "generic"): "c3b2bf71dfbeebb350cc046c547faec51fc76778f198afded568b6f23bef45b3",
 }
 
 
@@ -310,8 +315,8 @@ INSTANCE_SHA256 = {
 INSTANCE_SHA256_BY_DEPTH = {
     (16, "exact", 0): "135ea469061af3fd2d7a66256025f057e345fa0f3dc9dbc3773186a1b6629168",
     (16, "generic", 0): "7f68dc364192ff55f54ce2c1384d4d7760d7deada6d28a8c843a77441f6d8a6e",
-    (16, "exact", 2): "778e82500858ffc5193dbb8784f5119620fd7db1a539eba9230ea8ce4ba9e022",
-    (16, "generic", 2): "415bfc5d9b4582dd2882274b6e460aec059df3ce621e0276b508747ac2accd94",
+    (16, "exact", 2): "dc09bd433f1d3d68d55df12a94742c563d10d94e9b0b94b0b89dab60faa274ad",
+    (16, "generic", 2): "70844553264028866635f98ee98b7ddd9307f78e25ab2999768320a314f7e7d4",
 }
 
 
@@ -354,10 +359,17 @@ def test_instance_rejects_a_non_integer_depth(build, depth):
 @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 12, 16, 50, 100])
 def test_one_pass_exact_projections_match_einsum_bitwise(n, depth):
+    # u_bar and the divergence bitwise; f sums its smooth part in einsum's
+    # order, not the pairwise mean's, so it agrees to rounding
     mesh = build_friedrichs_keller(n)
-    one_pass = instances._exact_projections(mesh, depth)
-    for values, integrand in zip(one_pass, [exact_u_bar, exact_f_integrand, exact_div_phi_bar]):
+    u_bar, f, div_phi = instances._exact_projections(mesh, depth)
+    for values, integrand in [(u_bar, exact_u_bar), (div_phi, exact_div_phi_bar)]:
         assert values.tobytes() == project_p0_by_einsum(integrand, mesh, depth).tobytes()
+    _assert_close_in_max_norm(f, project_p0_by_einsum(exact_f_integrand, mesh, depth))
+
+
+def _assert_close_in_max_norm(values, reference):
+    assert np.abs(values - reference).max() <= 4e-15 * np.abs(reference).max()
 
 
 def test_divergence_evaluated_near_its_annulus_only():
@@ -379,9 +391,39 @@ def test_divergence_evaluated_near_its_annulus_only():
 @pytest.mark.parametrize("depth", [0, 1, 4])
 @pytest.mark.parametrize("n", [1, 3, 16, 50, 100])
 def test_generic_u_d_matches_einsum_bitwise(n, depth):
+    # to rounding: the contraction sums in einsum's order
     mesh = build_friedrichs_keller(n)
     u_d = build_generic_instance(mesh, subdivision_depth=depth).u_d
-    assert u_d.tobytes() == project_p0_by_einsum(generic_u_d_integrand, mesh, depth).tobytes()
+    _assert_close_in_max_norm(u_d, project_p0_by_einsum(generic_u_d_integrand, mesh, depth))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 3, 16])
+def test_separable_means_are_the_means_of_the_products(n, depth):
+    rng = np.random.default_rng(16 * n + depth)
+    f_x, g_y = rng.standard_normal((2, n, 2, 4**depth))
+    products = f_x[None] * g_y[:, None]  # (row, column, triangle, point)
+    means = instances._separable_means(f_x, g_y)
+    assert means.shape == (n, n, 2)
+    # two orders of one sum: within 4 ulp of the largest term
+    assert np.abs(means - products.mean(axis=-1)).max() <= 4 * np.spacing(np.abs(products).max())
+
+
+def test_separable_means_independent_of_blas_threads():
+    # einsum's own loops make the contraction: no BLAS call, whose
+    # threading could change the order of the sums
+    script = ("import hashlib, numpy as np; from tvcontrol import instances; "
+              "f, g = np.random.default_rng(0).standard_normal((2, 50, 2, 256)); "
+              "print(hashlib.sha256(instances._separable_means(f, g).tobytes()).hexdigest())")
+    src = str(Path(instances.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        digests.append(subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                      check=True, env=env, text=True).stdout)
+    assert len(digests[0].strip()) == 64
+    assert digests[0] == digests[1]
 
 
 def test_generic_factors_evaluated_once_per_grid_line():

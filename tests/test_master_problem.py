@@ -20,6 +20,7 @@ from oracles import (
 )
 import tvcontrol
 from tvcontrol import master_problem
+from tvcontrol.driver import TOLERANCE_MET, SolverConfig, run_outer_approximation
 from tvcontrol.instances import ProblemInstance, build_exact_instance, build_generic_instance
 from tvcontrol.master_problem import MasterOperator, SingularBorderError
 from tvcontrol.mesh_fem import build_friedrichs_keller
@@ -351,6 +352,25 @@ def test_base_factor_solved_once_per_plane(mesh):
     assert len(base_solves) == 4
     assert op.solve(eps, warm_start=sol).active_planes.tolist() == [0, 1]
     assert len(base_solves) == 5
+
+
+def test_a_run_with_an_active_plane_makes_no_numpy_solve(monkeypatch):
+    # the k x k active-set systems go to LAPACK's dgesv in SciPy's OpenBLAS:
+    # np.linalg.solve's first call would map 316 KiB more
+    numpy_solves, active = [], []
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: numpy_solves.append(args))
+    solve = MasterOperator.solve
+
+    def recording(op, *args, **kwargs):
+        sol = solve(op, *args, **kwargs)
+        active.append(sol.active_planes.size)
+        return sol
+
+    monkeypatch.setattr(MasterOperator, "solve", recording)
+    report = run_outer_approximation(build_exact_instance(build_friedrichs_keller(8)), SolverConfig(n=8))
+    assert report.terminated == TOLERANCE_MET
+    assert max(active) >= 1
+    assert numpy_solves == []
 
 
 def test_state_and_bordered_check_formed_once_per_solve(mesh):

@@ -47,6 +47,24 @@ def test_random_spd_matches_dense_elimination():
     assert np.abs(x - dense_gaussian_solve(a, b)).max() < 1e-9
 
 
+@pytest.mark.parametrize("k", range(7))
+def test_dgesv_matches_numpy_solve(k):
+    rng = np.random.default_rng(k)
+    a, b = rng.standard_normal((k, k)) + k * np.eye(k), rng.standard_normal(k)
+    kept = a.copy()
+    x, info = sparse_linalg.dgesv(a, b)
+    assert info == 0 and x.shape == (k,)
+    assert np.abs(x - np.linalg.solve(a, b)).max(initial=0.0) <= 1e-12
+    assert np.array_equal(a, kept)
+
+
+def test_dgesv_reports_an_exactly_singular_matrix():
+    x, info = sparse_linalg.dgesv(np.ones((2, 2)), np.ones(2))
+    assert info == 2
+    with pytest.raises(ValueError, match=r"shape \(2, 3\)"):
+        sparse_linalg.dgesv(np.ones((2, 3)), np.ones(2))
+
+
 def test_solves_are_bitwise_deterministic():
     a = sp.csr_matrix(_random_spd(30, seed=1))
     b = np.random.default_rng(2).standard_normal(30)
