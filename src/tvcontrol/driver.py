@@ -16,13 +16,12 @@ start from zero, and the oracle solves directly at the current eps.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .master_problem import CuttingPlane, MasterOperator, MasterSolution
-from .mesh_fem import Mesh, _integer, l2_error_p0, l2_norm_p0
+from .mesh_fem import Mesh, _integer, _real, l2_error_p0, l2_norm_p0
 from .sparse_linalg import InnerSolverError
 from .tv_oracle import OracleResult, eval_tv_eps, tv_lower_bound
 
@@ -57,10 +56,7 @@ class SolverConfig:
         self.subdivision_depth = _integer(self.subdivision_depth, "subdivision_depth",
                                           "the quadrature depth")
         for name in ("eps_start", "eps_factor", "eps_min", "tol", "alpha"):
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{name} must be a real number, got {name}={value!r}")
-            setattr(self, name, float(value))
+            setattr(self, name, _real(getattr(self, name), name))
         if not isinstance(self.warm_start, (bool, np.bool_)):
             raise TypeError(f"warm_start must be a bool, got warm_start={self.warm_start!r}")
         self.warm_start = bool(self.warm_start)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_fem import Mesh, _integer, _quadrature_blocks, interpolate_p1
+from .mesh_fem import Mesh, _integer, _quadrature_points, _real, interpolate_p1
 
 BALL_RADIUS = 0.25
 BALL_CENTER = (0.5, 0.5)
@@ -29,6 +29,10 @@ PSI_SUPPORT = (3.0 / 16.0, 5.0 / 16.0)
 
 #: -Laplace exact_state = LAPLACE_FACTOR sin(2 pi x1) sin(2 pi x2)
 LAPLACE_FACTOR = 0.8 * np.pi**2
+
+#: Most quadrature points the exact projections gather and evaluate at once,
+#: unless one cell alone holds more
+P0_CHUNK_POINTS = 2**14
 
 
 @dataclass
@@ -58,6 +62,7 @@ class ProblemInstance:
             if values is not None and values.shape != (size,):
                 raise ValueError(f"{name} has shape {values.shape}, expected ({size},): "
                                  f"one value per mesh {kind}")
+        self.alpha = _real(self.alpha, "alpha")
         if not 0.0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         self.subdivision_depth = _integer(self.subdivision_depth, "subdivision_depth",
@@ -109,7 +114,8 @@ def exact_div_phi_bar(x1, x2, out=None):
     x1 and x2 broadcast against each other. With ``out``, a float array of
     their broadcast shape, the result is written there and ``out`` returned,
     bitwise the result without it; then the call allocates two more such
-    arrays (rho and psi) and the branch masks.
+    arrays (rho and psi) and the branch masks. ``out`` may be x1 or x2
+    itself: each input is read once, before the first write to ``out``.
     """
     x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
     result = np.empty(x1.shape) if out is None else out
@@ -122,12 +128,19 @@ def exact_div_phi_bar(x1, x2, out=None):
 
 
 def _separable_means(f_x, g_y):
-    """Midpoint-rule cell means of f(x) g(y), (n, n, 2), from tables like ``_quadrature_blocks``' x and y.
+    """Midpoint-rule cell means of f(x) g(y), (n, n, 2), from tables like ``_quadrature_points``' x and y.
 
     One contraction per triangle kind, by einsum's own loops and no BLAS, so
     the bytes depend on neither the BLAS library nor its threads.
     """
     return np.einsum("jtq,itq->jit", g_y, f_x) / f_x.shape[-1]
+
+
+def _in_chunks(mask, size):
+    """The indices (j, i, t) of mask's true cells, in runs of at most ``size`` cells in row-major order."""
+    cells = np.nonzero(mask)
+    for start in range(0, cells[0].size, size):
+        yield tuple(k[start:start + size] for k in cells)
 
 
 def _exact_projections(mesh: Mesh, subdivision_depth: int):
@@ -136,50 +149,41 @@ def _exact_projections(mesh: Mesh, subdivision_depth: int):
     That rule (``project_p0_by_einsum``) on the disc indicator u_bar =
     1/perimeter inside rho < 1/4 and on :func:`exact_div_phi_bar` bitwise, and to
     rounding on f = -Laplace exact_state - u_bar, :func:`_separable_means` of
-    LAPLACE_FACTOR sin(2 pi x1) sin(2 pi x2) less u_bar. The terms in one
-    coordinate are built once for the whole grid. Bounds on each cell's rho
-    sort the cells into those wholly inside the disc, wholly outside it and
-    cut by its circle: u_bar is the mean of 4^depth values 1/perimeter or 0
-    on the first two kinds and the indicator is evaluated point by point on
-    cut cells only, in a walk over the quadrature blocks. The divergence is
-    evaluated, in place, only on the cells that may meet PSI_SUPPORT, one
-    call per block, gathered into buffers allocated once per call; every
-    other cell takes the mean of 4^depth values -0.0, which is +0.0.
+    LAPLACE_FACTOR sin(2 pi x1) sin(2 pi x2) less u_bar. Bounds on each cell's
+    rho sort the cells into those wholly inside the disc, wholly outside it
+    and cut by its circle: u_bar is the mean of 4^depth values 1/perimeter or
+    0 on the first two kinds and the indicator is evaluated point by point
+    on the cut cells only. The divergence is evaluated, in place, only on
+    the cells that may meet PSI_SUPPORT; every other cell takes the mean of
+    4^depth values -0.0, which is +0.0. Each list of cells is walked in
+    chunks of at most P0_CHUNK_POINTS points (one cell if it holds more),
+    its points gathered from the tables of :func:`_quadrature_points`.
     """
-    n = mesh.n
-    x, y, blocks = _quadrature_blocks(mesh, subdivision_depth)
+    x, y = _quadrature_points(mesh, subdivision_depth)
     q = x.shape[-1]
-    dx, dy = x - BALL_CENTER[0], y - BALL_CENTER[1]
-    dx2, dy2 = dx**2, dy**2
+    smooth = _separable_means(LAPLACE_FACTOR * np.sin(2 * np.pi * x), np.sin(2 * np.pi * y))
     # rho of a cell's points lies between the hypot of the least and of the
-    # greatest |dx| and |dy| over them; the margin keeps a cell whose bound
-    # rounds by an ulp the other way from a point's rho
-    near = np.hypot(np.abs(dy).min(axis=-1)[:, None], np.abs(dx).min(axis=-1)[None])
-    far = np.hypot(np.abs(dy).max(axis=-1)[:, None], np.abs(dx).max(axis=-1)[None])
+    # greatest |x - 1/2| and |y - 1/2| over them; the margin keeps a cell
+    # whose bound rounds by an ulp the other way from a point's rho
+    near = np.hypot(np.abs(y - BALL_CENTER[1]).min(axis=-1)[:, None],
+                    np.abs(x - BALL_CENTER[0]).min(axis=-1)[None])
+    far = np.hypot(np.abs(y - BALL_CENTER[1]).max(axis=-1)[:, None],
+                   np.abs(x - BALL_CENTER[0]).max(axis=-1)[None])
     annulus = (far >= PSI_SUPPORT[0] - 1e-12) & (near <= PSI_SUPPORT[1] + 1e-12)
     inside = far < BALL_RADIUS - 1e-12
     cut = ~inside & (near <= BALL_RADIUS + 1e-12)
 
     # the cell means of constant point values, summed as the midpoint rule sums them
     u_bar = np.where(inside, np.full(q, 1.0 / BALL_PERIMETER).mean(), 0.0)
-    div_phi = np.full((n, n, 2), np.full(q, -0.0).mean())
-    rows, cols = blocks[0]
-    size = (rows.stop - rows.start) * (cols.stop - cols.start) * 2 * q
-    x_buf, y_buf, div_buf = np.empty(size), np.empty(size), np.empty(size)
-    x_cells, y_cells = x.reshape(-1, q), y.reshape(-1, q)  # row 2k + t: triangle t of column or row k
-    for rows, cols in blocks:
-        j, i, t = np.nonzero(cut[rows, cols])
-        if j.size:
-            u_pts = (dx2[cols.start + i, t] + dy2[rows.start + j, t] < BALL_RADIUS**2) / BALL_PERIMETER
-            u_bar[rows, cols][j, i, t] = u_pts.mean(axis=-1)
-        j, i, t = np.nonzero(annulus[rows, cols])
-        if j.size:  # the gathered points; mode="clip" lets np.take write out unbuffered
-            x_pts, y_pts, div_pts = (buf[: j.size * q].reshape(j.size, q) for buf in (x_buf, y_buf, div_buf))
-            np.take(x_cells, 2 * (cols.start + i) + t, axis=0, out=x_pts, mode="clip")
-            np.take(y_cells, 2 * (rows.start + j) + t, axis=0, out=y_pts, mode="clip")
-            div_phi[rows, cols][j, i, t] = exact_div_phi_bar(x_pts, y_pts, out=div_pts).mean(axis=-1)
-    f = _separable_means(LAPLACE_FACTOR * np.sin(2 * np.pi * x), np.sin(2 * np.pi * y)) - u_bar
-    return u_bar.ravel(), f.ravel(), div_phi.ravel()
+    div_phi = np.full(inside.shape, np.full(q, -0.0).mean())
+    chunk = max(1, P0_CHUNK_POINTS // q)
+    for j, i, t in _in_chunks(cut, chunk):
+        inner = (x[i, t] - BALL_CENTER[0]) ** 2 + (y[j, t] - BALL_CENTER[1]) ** 2 < BALL_RADIUS**2
+        u_bar[j, i, t] = (inner / BALL_PERIMETER).mean(axis=-1)
+    for j, i, t in _in_chunks(annulus, chunk):
+        x_pts = x[i, t]  # a fresh gather, so the divergence may overwrite it
+        div_phi[j, i, t] = exact_div_phi_bar(x_pts, y[j, t], out=x_pts).mean(axis=-1)
+    return u_bar.ravel(), (smooth - u_bar).ravel(), div_phi.ravel()
 
 
 def build_exact_instance(
@@ -191,6 +195,7 @@ def build_exact_instance(
     (cell-averaged adjoint, projected indicator and certificate divergence),
     so the discrete gradient equation holds to rounding.
     """
+    alpha = _real(alpha, "alpha")  # checked before u_d divides by it
     u_bar, f, div_phi = _exact_projections(mesh, subdivision_depth)
     p_bar = interpolate_p1(exact_state, mesh, dirichlet=True)
     y_d = interpolate_p1(
@@ -243,7 +248,7 @@ def build_generic_instance(
     evaluated once on the quadrature points of its grid columns or rows,
     and :func:`_separable_means` contracts them.
     """
-    x, y, _ = _quadrature_blocks(mesh, subdivision_depth)
+    x, y = _quadrature_points(mesh, subdivision_depth)
     u_d = _separable_means(generic_u_d_x(x), generic_u_d_y(y))
     y_d = interpolate_p1(
         lambda x1, x2: GENERIC_SCALE * np.sin(np.pi * x1) * np.cos(np.pi * x2), mesh

@@ -16,13 +16,14 @@ bands are written from the elasticity's four 2x2 node blocks, so this module
 alone numbers the interior nodes, and the master's Poisson solves are dense
 products in the 5-point Laplacian's sine eigenbasis. Discontinuous data is
 projected to P0 by midpoint quadrature on 4^depth subtriangles, on
-quadrature coordinates built once per grid column and once per grid row and
-walked in square blocks of cells (see :func:`_quadrature_blocks`).
+quadrature coordinates built once per grid column and once per grid row
+(see :func:`_quadrature_points`).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,10 +42,6 @@ LAME_LAMBDA = (YOUNGS_MODULUS * POISSON_RATIO
 #: The corners, as (column, row) steps from the lower-left corner a of a grid
 #: square, of its lower triangle (a, a+1, a+n+2) and its upper one (a, a+n+2, a+n+1)
 CELL_CORNERS = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
-
-#: Most quadrature points, after broadcasting x against y, in one block of
-#: :func:`_quadrature_blocks`: a square block of grid squares, or one square
-P0_CHUNK_POINTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -209,6 +206,13 @@ def _integer(value, name: str, meaning: str) -> int:
     return operator.index(value)
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a Python float; TypeError naming ``name`` for a bool or a non-real."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {name}={value!r}")
+    return float(value)
+
+
 def build_friedrichs_keller(n: int) -> Mesh:
     """Triangulate (0,1)^2 into 2*n^2 right triangles with legs 1/n (see :class:`Mesh`)."""
     return Mesh(n)
@@ -264,32 +268,25 @@ def _sine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
             1.0 / np.add.outer(eigenvalues, eigenvalues))
 
 
-def _quadrature_blocks(mesh: Mesh, subdivision_depth: int):
-    """The midpoint rule's points on 4^depth subtriangles and the square blocks that walk them.
+def _quadrature_points(mesh: Mesh, subdivision_depth: int):
+    """The midpoint rule's points on 4^depth subtriangles: x of the grid columns, y of the grid rows.
 
-    Returns x of the grid columns and y of the grid rows, each of shape
-    (n, 2, 4^depth) with axis 1 the lower and upper triangle of a grid
-    square, and the (row slice, column slice) of every block of ``side`` x
-    ``side`` grid squares in row-major order, fewer at the last columns and
-    rows. side^2 * 2 * 4^depth is at most ``P0_CHUNK_POINTS`` (side = 1 if
-    one grid square alone holds more). On the Friedrichs-Keller mesh a
-    quadrature point's x depends only on its column and y only on its row.
-    Raises TypeError for a bool or non-integer depth, ValueError for a
-    negative one.
+    Each of shape (n, 2, 4^depth) with axis 1 the lower and upper triangle
+    of a grid square: cell (j, i, t) has the points (x[i, t], y[j, t]). On
+    the Friedrichs-Keller mesh a quadrature point's x depends only on its
+    column and y only on its row. Raises TypeError for a bool or
+    non-integer depth, ValueError for a negative one.
     """
     subdivision_depth = _integer(subdivision_depth, "subdivision_depth", "the quadrature depth")
     if subdivision_depth < 0:
         raise ValueError(f"subdivision_depth must be nonnegative, got {subdivision_depth}")
-    n = mesh.n
     b0, b1, b2 = _subtriangle_centroids(subdivision_depth).T
     # the cells' corners in grid column (x) or grid row (y) k, (n, 2, 3, 2): k/n plus a step
-    corners = (np.arange(n)[:, None, None, None] + CELL_CORNERS) / n
+    corners = (np.arange(mesh.n)[:, None, None, None] + CELL_CORNERS) / mesh.n
     row, col = corners[..., 0, None], corners[..., 1, None]
     x = b0 * row[:, :, 0] + b1 * row[:, :, 1] + b2 * row[:, :, 2]
     y = b0 * col[:, :, 0] + b1 * col[:, :, 1] + b2 * col[:, :, 2]
-    side = max(1, min(n, math.isqrt(P0_CHUNK_POINTS // (2 * b0.size))))
-    spans = [slice(k, min(k + side, n)) for k in range(0, n, side)]
-    return x, y, [(rows, cols) for rows in spans for cols in spans]
+    return x, y
 
 
 def interpolate_p1(f, mesh: Mesh, dirichlet: bool = False) -> np.ndarray:

@@ -31,6 +31,7 @@ from tvcontrol.instances import (
     CERTIFICATE_SCALE,
     PSI_CUBICS,
     PSI_SLOPES,
+    P0_CHUNK_POINTS,
     REFERENCE_PROFILE_TV,
     ProblemInstance,
     build_exact_instance,
@@ -38,7 +39,7 @@ from tvcontrol.instances import (
     exact_div_phi_bar,
     exact_state,
 )
-from tvcontrol.mesh_fem import _quadrature_blocks, build_friedrichs_keller
+from tvcontrol.mesh_fem import _quadrature_points, build_friedrichs_keller
 from tvcontrol.tv_oracle import discrete_tv
 
 # total variation of 2 pi^2 sin(pi x1) cos(pi x2); adaptive quadrature against
@@ -73,7 +74,12 @@ def test_divergence_writes_into_out_bitwise():
     buf = np.full(x1.shape, np.nan)
     assert exact_div_phi_bar(x1, x2, out=buf) is buf
     assert buf.tobytes() == exact_div_phi_bar(x1, x2).tobytes() == expected.tobytes()
-    # x broadcast against y, as the quadrature blocks pass them
+    # out may be either input itself, as the exact projections pass their gathered x
+    for alias in (0, 1):
+        inputs = [x1.copy(), x2.copy()]
+        assert exact_div_phi_bar(*inputs, out=inputs[alias]) is inputs[alias]
+        assert inputs[alias].tobytes() == expected.tobytes()
+    # x broadcast against y
     grid = np.empty((x1.size, x1.size))
     assert exact_div_phi_bar(x1[None], x1[:, None], out=grid) is grid
     assert grid.tobytes() == branchwise_div_phi_bar(x1[None], x1[:, None]).tobytes()
@@ -281,6 +287,20 @@ def test_instance_rejects_a_field_of_the_wrong_length(field, shape, expected):
         ProblemInstance(mesh=mesh, alpha=1.0, subdivision_depth=4, **fields)
 
 
+@pytest.mark.parametrize("alpha", [True, np.bool_(True), "1.0", 1j, None])
+@pytest.mark.parametrize("build", [build_exact_instance, build_generic_instance])
+def test_instance_rejects_a_non_real_alpha(build, alpha):
+    # as SolverConfig does: a bool alpha would otherwise build and solve as 1.0
+    with pytest.raises(TypeError, match=f"must be a real number, got alpha={re.escape(repr(alpha))}"):
+        build(build_friedrichs_keller(2), alpha=alpha)
+
+
+@pytest.mark.parametrize("alpha", [2, np.int64(2), np.float32(2.0)])
+def test_instance_stores_alpha_as_a_python_float(alpha):
+    inst = build_exact_instance(build_friedrichs_keller(2), alpha=alpha)
+    assert type(inst.alpha) is float and inst.alpha == 2.0
+
+
 @pytest.mark.parametrize("alpha", [np.nan, np.inf])
 def test_instance_rejects_nonfinite_alpha(alpha):
     with pytest.raises(ValueError, match="alpha"):
@@ -356,11 +376,12 @@ def test_instance_rejects_a_non_integer_depth(build, depth):
         build(build_friedrichs_keller(2), subdivision_depth=depth)
 
 
-@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 12, 16, 50, 100])
+@pytest.mark.parametrize("n, depth", [(n, depth) for n in (1, 2, 3, 4, 8, 12, 16, 50, 100)
+                                      for depth in range(5)] + [(2, 8)])
 def test_one_pass_exact_projections_match_einsum_bitwise(n, depth):
     # u_bar and the divergence bitwise; f sums its smooth part in einsum's
-    # order, not the pairwise mean's, so it agrees to rounding
+    # order, not the pairwise mean's, so it agrees to rounding. At depth 8
+    # a cell holds more than P0_CHUNK_POINTS points, so each chunk is one cell
     mesh = build_friedrichs_keller(n)
     u_bar, f, div_phi = instances._exact_projections(mesh, depth)
     for values, integrand in [(u_bar, exact_u_bar), (div_phi, exact_div_phi_bar)]:
@@ -375,7 +396,7 @@ def _assert_close_in_max_norm(values, reference):
 def test_divergence_evaluated_near_its_annulus_only():
     # psi vanishes off 3/16 <= rho <= 5/16. The per-axis bounds on rho put
     # 1168 cells of the n = 50 mesh near it (1140 hold a point in it), and
-    # the divergence runs on their 4^depth points only, in one call per block
+    # the divergence runs on their 4^depth points only, one call per chunk
     points = []
 
     def counting(x1, x2, out=None):
@@ -385,7 +406,40 @@ def test_divergence_evaluated_near_its_annulus_only():
     with patch.object(instances, "exact_div_phi_bar", counting):
         build_exact_instance(build_friedrichs_keller(50), subdivision_depth=4)
     assert sum(points) == 1168 * 4**4 == 299_008
-    assert len(points) <= len(_quadrature_blocks(build_friedrichs_keller(50), 4)[2])
+    assert len(points) <= -(-1168 // (P0_CHUNK_POINTS // 4**4))
+
+
+@pytest.mark.parametrize("n, depth", [(50, 4), (100, 4), (3, 0), (2, 8)])
+def test_projection_evaluates_each_gathered_cell_once_in_chunks(n, depth):
+    # the cut cells, then the annulus' cells, each walked once in chunks of at
+    # most P0_CHUNK_POINTS points, or of one cell where a cell holds more
+    mesh, q, in_chunks = build_friedrichs_keller(n), 4**depth, instances._in_chunks
+    x, y = _quadrature_points(mesh, depth)
+    walks, calls = [], []
+
+    def recording(mask, size):
+        walks.append((mask.copy(), list(in_chunks(mask, size))))
+        return iter(walks[-1][1])
+
+    def counting(x1, x2, out=None):
+        j, i, t = walks[-1][1][len(calls)]  # the chunk's own points
+        assert (x1 == x[i, t]).all() and (x2 == y[j, t]).all()
+        calls.append(np.broadcast(x1, x2).size)
+        return exact_div_phi_bar(x1, x2, out=out)
+
+    with patch.object(instances, "_in_chunks", recording), \
+            patch.object(instances, "exact_div_phi_bar", counting):
+        instances._exact_projections(mesh, depth)
+    assert len(walks) == 2
+    for mask, chunks in walks:
+        visits = np.zeros(mask.shape, dtype=int)
+        for cells in chunks:
+            assert 0 < cells[0].size * q <= max(P0_CHUNK_POINTS, q)
+            np.add.at(visits, cells, 1)
+        assert (visits == mask).all()  # every gathered cell exactly once
+    annulus, chunks = walks[1]
+    assert calls == [cells[0].size * q for cells in chunks]
+    assert sum(calls) == annulus.sum() * q > 0
 
 
 @pytest.mark.parametrize("depth", [0, 1, 4])
@@ -428,7 +482,7 @@ def test_separable_means_independent_of_blas_threads():
 
 def test_generic_factors_evaluated_once_per_grid_line():
     # each factor runs once per build on the n x 2 x 4^depth = 25 600 points
-    # of its grid columns or rows, not once per block of cells (7 x 25 600)
+    # of its grid columns or rows
     points = {"x": [], "y": []}
 
     def counting(axis, factor):
@@ -458,3 +512,9 @@ def test_exact_build_memory_does_not_grow_with_quadrature_points():
     peak50, peak100 = _build_peak_bytes(50), _build_peak_bytes(100)
     assert peak100 < 16e6
     assert peak100 <= 2 * peak50
+
+
+def test_exact_build_memory_at_n100():
+    # 2.4 MB measured: the walk gathers one chunk of cells at a time, where
+    # gathering square blocks of cells into buffers kept per build took 5.2 MB
+    assert _build_peak_bytes(100) <= 3.0e6

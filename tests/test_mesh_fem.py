@@ -37,7 +37,6 @@ from tvcontrol import instances, mesh_fem
 from tvcontrol.mesh_fem import (
     LAME_LAMBDA,
     Mesh,
-    P0_CHUNK_POINTS,
     SHEAR_MODULUS,
     build_forms,
     build_friedrichs_keller,
@@ -622,7 +621,8 @@ def test_quadrature_points_match_einsum_bitwise(n, depth):
     # the instances evaluate every integrand on these tables: equal points
     # give every integrand the einsum rule's values
     mesh = build_friedrichs_keller(n)
-    x, y, _ = mesh_fem._quadrature_blocks(mesh, depth)
+    x, y = mesh_fem._quadrature_points(mesh, depth)
+    assert x.shape == y.shape == (n, 2, 4**depth)
     points = midpoint_points(mesh, depth).reshape(n, n, 2, 4**depth, 2)
     # every coordinate lies strictly inside the unit square, so == is bitwise
     assert (points[..., 0] == x[None]).all() and (points[..., 1] == y[:, None]).all()
@@ -632,45 +632,18 @@ def test_quadrature_points_match_einsum_bitwise(n, depth):
 @pytest.mark.parametrize("depth", [0, 1, 4])
 @pytest.mark.parametrize("n", [1, 3, 16, 50, 100])
 def test_projection_matches_einsum_bitwise(n, depth, integrand):
-    # an integrand on the tables of _quadrature_blocks, x broadcast against y
+    # an integrand on the tables of _quadrature_points, x broadcast against y
     # and averaged over the last axis as the instances average it
     mesh = build_friedrichs_keller(n)
-    x, y, _ = mesh_fem._quadrature_blocks(mesh, depth)
+    x, y = mesh_fem._quadrature_points(mesh, depth)
     f = PROJECTION_INTEGRANDS[integrand]
     values = np.broadcast_to(f(x[None], y[:, None]), (n, n, 2, 4**depth)).mean(axis=-1)
     assert values.tobytes() == project_p0_by_einsum(f, mesh, depth).tobytes()
 
 
-@pytest.mark.parametrize("n, depth, side", [(50, 4, 8), (100, 4, 8), (3, 0, 3), (2, 8, 1)])
-def test_projection_evaluates_square_blocks_of_whole_cells(n, depth, side):
-    # a grid square holds 2 * 4^depth points: 8 x 8 squares fit in P0_CHUNK_POINTS at
-    # depth 4; at depth 8 one square alone holds more, so each block is one square
-    assert side == max(1, min(n, int(np.sqrt(P0_CHUNK_POINTS // (2 * 4**depth)))))
-    x, y, blocks = mesh_fem._quadrature_blocks(build_friedrichs_keller(n), depth)
-    assert x.shape == y.shape == (n, 2, 4**depth)
-    assert blocks[0] == (slice(0, side), slice(0, side))
-    visits = np.zeros((n, n), dtype=int)
-    for rows, cols in blocks:
-        height, width = rows.stop - rows.start, cols.stop - cols.start
-        assert 0 < height <= side and 0 < width <= side
-        assert height * width * 2 * 4**depth <= max(P0_CHUNK_POINTS, 2 * 4**depth)
-        visits[rows, cols] += 1
-    assert (visits == 1).all()  # every grid square, both its cells, exactly once
-    assert blocks == sorted(blocks, key=lambda block: (block[0].start, block[1].start))
-
-
-def test_projection_evaluates_each_coordinate_once_per_block():
-    # n = 50, depth 4: 7 blocks of 8 (the last of 2) along each axis, 49 in all
-    _, _, blocks = mesh_fem._quadrature_blocks(build_friedrichs_keller(50), 4)
-    assert len(blocks) == 49
-    spans = [slice(k, min(k + 8, 50)) for k in range(0, 50, 8)]
-    assert [rows for rows, _ in blocks] == [rows for rows in spans for _ in spans]
-    assert [cols for _, cols in blocks] == spans * 7
-
-
 def test_projection_rejects_negative_depth():
     with pytest.raises(ValueError, match="subdivision_depth.*-1"):
-        mesh_fem._quadrature_blocks(build_friedrichs_keller(2), -1)
+        mesh_fem._quadrature_points(build_friedrichs_keller(2), -1)
 
 
 @pytest.mark.parametrize("depth", [2.0, 2.5, True])
@@ -678,9 +651,9 @@ def test_projection_rejects_a_non_integer_depth(depth):
     # as Mesh does for n; a NumPy integer passes, and a call with one first
     # must not let 2.0 through the centroids' cache afterwards
     mesh = build_friedrichs_keller(2)
-    mesh_fem._quadrature_blocks(mesh, np.int64(2))
+    mesh_fem._quadrature_points(mesh, np.int64(2))
     with pytest.raises(TypeError, match=f"must be an integer, got subdivision_depth={depth}"):
-        mesh_fem._quadrature_blocks(mesh, depth)
+        mesh_fem._quadrature_points(mesh, depth)
 
 
 def test_interpolation_dirichlet_forcing():
