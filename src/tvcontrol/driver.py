@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .master_problem import CuttingPlane, MasterOperator, MasterSolution
-from .mesh_fem import Mesh, _integer, _real, l2_error_p0, l2_norm_p0
+from .mesh_fem import Mesh, _depth, _integer, _positive_alpha, _real, l2_error_p0, l2_norm_p0
 from .sparse_linalg import InnerSolverError
 from .tv_oracle import OracleResult, eval_tv_eps, tv_lower_bound
 
@@ -53,10 +53,10 @@ class SolverConfig:
 
     def __post_init__(self):
         self.n = _integer(self.n, "n", "the number of subdivisions")
-        self.subdivision_depth = _integer(self.subdivision_depth, "subdivision_depth",
-                                          "the quadrature depth")
-        for name in ("eps_start", "eps_factor", "eps_min", "tol", "alpha"):
+        self.subdivision_depth = _depth(self.subdivision_depth)
+        for name in ("eps_start", "eps_factor", "eps_min", "tol"):
             setattr(self, name, _real(getattr(self, name), name))
+        self.alpha = _positive_alpha(self.alpha)
         if not isinstance(self.warm_start, (bool, np.bool_)):
             raise TypeError(f"warm_start must be a bool, got warm_start={self.warm_start!r}")
         self.warm_start = bool(self.warm_start)
@@ -67,12 +67,8 @@ class SolverConfig:
                              f"eps_start = {self.eps_start}")
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not self.n >= 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
-        if not self.subdivision_depth >= 0:
-            raise ValueError(f"subdivision_depth must be nonnegative, got {self.subdivision_depth}")
 
 
 @dataclass

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_fem import Mesh, _integer, _quadrature_points, _real, interpolate_p1
+from .mesh_fem import Mesh, _depth, _positive_alpha, _quadrature_points, interpolate_p1
 
 BALL_RADIUS = 0.25
 BALL_CENTER = (0.5, 0.5)
@@ -40,7 +40,8 @@ class ProblemInstance:
     """Data of one tracking-type control problem, as float arrays in the ``Mesh`` numbering.
 
     f, u_d and reference_u hold one value per cell, y_d one per node; a
-    field of any other shape raises ValueError naming it.
+    field of any other shape raises ValueError naming it, as do an alpha
+    that is not positive and finite and a negative subdivision_depth.
     """
 
     mesh: Mesh
@@ -62,11 +63,8 @@ class ProblemInstance:
             if values is not None and values.shape != (size,):
                 raise ValueError(f"{name} has shape {values.shape}, expected ({size},): "
                                  f"one value per mesh {kind}")
-        self.alpha = _real(self.alpha, "alpha")
-        if not 0.0 < self.alpha < np.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        self.subdivision_depth = _integer(self.subdivision_depth, "subdivision_depth",
-                                          "the quadrature depth")
+        self.alpha = _positive_alpha(self.alpha)
+        self.subdivision_depth = _depth(self.subdivision_depth)
 
 
 #: psi's cubics on 3/16 <= rho <= 1/4 and on 1/4 < rho <= 5/16, highest power first,
@@ -108,23 +106,20 @@ def exact_state(x1, x2):
     return 0.1 * np.sin(2.0 * np.pi * x1) * np.sin(2.0 * np.pi * x2)
 
 
-def exact_div_phi_bar(x1, x2, out=None):
+def exact_div_phi_bar(x1, x2):
     """Divergence -s (psi'(rho) + psi(rho)/rho) of the certificate -s psi(rho) e_rho, s = CERTIFICATE_SCALE.
 
-    x1 and x2 broadcast against each other. With ``out``, a float array of
-    their broadcast shape, the result is written there and ``out`` returned,
-    bitwise the result without it; then the call allocates two more such
-    arrays (rho and psi) and the branch masks. ``out`` may be x1 or x2
-    itself: each input is read once, before the first write to ``out``.
+    x1 and x2 broadcast against each other; the result has their broadcast
+    shape, a NumPy float for two scalars. It is evaluated in place in three
+    arrays of that shape (the result, rho and psi) and the branch masks.
     """
     x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
-    result = np.empty(x1.shape) if out is None else out
-    rho, value = np.empty(x1.shape), np.empty(x1.shape)
+    result, rho, value = np.empty(x1.shape), np.empty(x1.shape), np.empty(x1.shape)
     np.hypot(np.subtract(x1, BALL_CENTER[0], out=value), np.subtract(x2, BALL_CENTER[1], out=result), out=rho)
     _psi_and_prime(rho, value, result)
     np.divide(value, rho, out=value, where=rho > 0.0)  # psi = 0 at rho = 0, and 0 / 1 = 0
     np.multiply(-CERTIFICATE_SCALE, np.add(result, value, out=result), out=result)
-    return result if out is not None else result[()]
+    return result[()]
 
 
 def _separable_means(f_x, g_y):
@@ -136,13 +131,6 @@ def _separable_means(f_x, g_y):
     return np.einsum("jtq,itq->jit", g_y, f_x) / f_x.shape[-1]
 
 
-def _in_chunks(mask, size):
-    """The indices (j, i, t) of mask's true cells, in runs of at most ``size`` cells in row-major order."""
-    cells = np.nonzero(mask)
-    for start in range(0, cells[0].size, size):
-        yield tuple(k[start:start + size] for k in cells)
-
-
 def _exact_projections(mesh: Mesh, subdivision_depth: int):
     """Cell averages of u_bar, f and div phi_bar: the midpoint rule of ``tests/oracles.py``.
 
@@ -150,14 +138,14 @@ def _exact_projections(mesh: Mesh, subdivision_depth: int):
     1/perimeter inside rho < 1/4 and on :func:`exact_div_phi_bar` bitwise, and to
     rounding on f = -Laplace exact_state - u_bar, :func:`_separable_means` of
     LAPLACE_FACTOR sin(2 pi x1) sin(2 pi x2) less u_bar. Bounds on each cell's
-    rho sort the cells into those wholly inside the disc, wholly outside it
-    and cut by its circle: u_bar is the mean of 4^depth values 1/perimeter or
-    0 on the first two kinds and the indicator is evaluated point by point
-    on the cut cells only. The divergence is evaluated, in place, only on
-    the cells that may meet PSI_SUPPORT; every other cell takes the mean of
-    4^depth values -0.0, which is +0.0. Each list of cells is walked in
-    chunks of at most P0_CHUNK_POINTS points (one cell if it holds more),
-    its points gathered from the tables of :func:`_quadrature_points`.
+    rho pick the cells that may meet PSI_SUPPORT, which hold every cell cut by
+    the disc's circle (1/4 lies in the support). One walk over them, in
+    row-major order and in chunks of at most P0_CHUNK_POINTS points (one
+    cell if it holds more), gathers their points from the tables of
+    :func:`_quadrature_points` and evaluates both the indicator and the
+    divergence there. Every other cell lies wholly inside the disc or wholly
+    outside it: u_bar is the mean of 4^depth values 1/perimeter or 0, and the
+    divergence the mean of 4^depth values -0.0, which is +0.0.
     """
     x, y = _quadrature_points(mesh, subdivision_depth)
     q = x.shape[-1]
@@ -170,19 +158,17 @@ def _exact_projections(mesh: Mesh, subdivision_depth: int):
     far = np.hypot(np.abs(y - BALL_CENTER[1]).max(axis=-1)[:, None],
                    np.abs(x - BALL_CENTER[0]).max(axis=-1)[None])
     annulus = (far >= PSI_SUPPORT[0] - 1e-12) & (near <= PSI_SUPPORT[1] + 1e-12)
-    inside = far < BALL_RADIUS - 1e-12
-    cut = ~inside & (near <= BALL_RADIUS + 1e-12)
 
     # the cell means of constant point values, summed as the midpoint rule sums them
-    u_bar = np.where(inside, np.full(q, 1.0 / BALL_PERIMETER).mean(), 0.0)
-    div_phi = np.full(inside.shape, np.full(q, -0.0).mean())
-    chunk = max(1, P0_CHUNK_POINTS // q)
-    for j, i, t in _in_chunks(cut, chunk):
-        inner = (x[i, t] - BALL_CENTER[0]) ** 2 + (y[j, t] - BALL_CENTER[1]) ** 2 < BALL_RADIUS**2
+    u_bar = np.where(far < BALL_RADIUS - 1e-12, np.full(q, 1.0 / BALL_PERIMETER).mean(), 0.0)
+    div_phi = np.full(annulus.shape, np.full(q, -0.0).mean())
+    cells, chunk = np.nonzero(annulus), max(1, P0_CHUNK_POINTS // q)
+    for start in range(0, cells[0].size, chunk):
+        j, i, t = (k[start:start + chunk] for k in cells)
+        x_pts, y_pts = x[i, t], y[j, t]
+        inner = (x_pts - BALL_CENTER[0]) ** 2 + (y_pts - BALL_CENTER[1]) ** 2 < BALL_RADIUS**2
         u_bar[j, i, t] = (inner / BALL_PERIMETER).mean(axis=-1)
-    for j, i, t in _in_chunks(annulus, chunk):
-        x_pts = x[i, t]  # a fresh gather, so the divergence may overwrite it
-        div_phi[j, i, t] = exact_div_phi_bar(x_pts, y[j, t], out=x_pts).mean(axis=-1)
+        div_phi[j, i, t] = exact_div_phi_bar(x_pts, y_pts).mean(axis=-1)
     return u_bar.ravel(), (smooth - u_bar).ravel(), div_phi.ravel()
 
 
@@ -195,7 +181,7 @@ def build_exact_instance(
     (cell-averaged adjoint, projected indicator and certificate divergence),
     so the discrete gradient equation holds to rounding.
     """
-    alpha = _real(alpha, "alpha")  # checked before u_d divides by it
+    alpha = _positive_alpha(alpha)  # checked before u_d divides by it
     u_bar, f, div_phi = _exact_projections(mesh, subdivision_depth)
     p_bar = interpolate_p1(exact_state, mesh, dirichlet=True)
     y_d = interpolate_p1(

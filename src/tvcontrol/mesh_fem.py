@@ -206,11 +206,27 @@ def _integer(value, name: str, meaning: str) -> int:
     return operator.index(value)
 
 
+def _depth(value) -> int:
+    """A quadrature depth as a Python int: TypeError as :func:`_integer`, ValueError if negative."""
+    depth = _integer(value, "subdivision_depth", "the quadrature depth")
+    if depth < 0:
+        raise ValueError(f"subdivision_depth must be nonnegative, got {depth}")
+    return depth
+
+
 def _real(value, name: str) -> float:
     """``value`` as a Python float; TypeError naming ``name`` for a bool or a non-real."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {name}={value!r}")
     return float(value)
+
+
+def _positive_alpha(value) -> float:
+    """alpha as a Python float: TypeError as :func:`_real`, ValueError unless positive and finite."""
+    alpha = _real(value, "alpha")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    return alpha
 
 
 def build_friedrichs_keller(n: int) -> Mesh:
@@ -277,10 +293,7 @@ def _quadrature_points(mesh: Mesh, subdivision_depth: int):
     column and y only on its row. Raises TypeError for a bool or
     non-integer depth, ValueError for a negative one.
     """
-    subdivision_depth = _integer(subdivision_depth, "subdivision_depth", "the quadrature depth")
-    if subdivision_depth < 0:
-        raise ValueError(f"subdivision_depth must be nonnegative, got {subdivision_depth}")
-    b0, b1, b2 = _subtriangle_centroids(subdivision_depth).T
+    b0, b1, b2 = _subtriangle_centroids(_depth(subdivision_depth)).T
     # the cells' corners in grid column (x) or grid row (y) k, (n, 2, 3, 2): k/n plus a step
     corners = (np.arange(mesh.n)[:, None, None, None] + CELL_CORNERS) / mesh.n
     row, col = corners[..., 0, None], corners[..., 1, None]

@@ -63,25 +63,17 @@ def _divergence_probe_points():
     return x1, x2
 
 
-def test_divergence_writes_into_out_bitwise():
+def test_divergence_matches_branchwise_bitwise():
     x1, x2 = _divergence_probe_points()
     rho = np.hypot(x1 - 0.5, x2 - 0.5)
     for knot in KNOTS:  # on each knot and a hair either side
         assert (rho == knot).any() and (rho < knot).any() and (rho > knot).any()
         assert np.sort(np.abs(rho - knot))[2] < 1e-15
     assert (rho == 0.0).any() and (rho > KNOTS[2]).sum() >= 4
-    expected = branchwise_div_phi_bar(x1, x2)
-    buf = np.full(x1.shape, np.nan)
-    assert exact_div_phi_bar(x1, x2, out=buf) is buf
-    assert buf.tobytes() == exact_div_phi_bar(x1, x2).tobytes() == expected.tobytes()
-    # out may be either input itself, as the exact projections pass their gathered x
-    for alias in (0, 1):
-        inputs = [x1.copy(), x2.copy()]
-        assert exact_div_phi_bar(*inputs, out=inputs[alias]) is inputs[alias]
-        assert inputs[alias].tobytes() == expected.tobytes()
+    assert exact_div_phi_bar(x1, x2).tobytes() == branchwise_div_phi_bar(x1, x2).tobytes()
     # x broadcast against y
-    grid = np.empty((x1.size, x1.size))
-    assert exact_div_phi_bar(x1[None], x1[:, None], out=grid) is grid
+    grid = exact_div_phi_bar(x1[None], x1[:, None])
+    assert grid.shape == (x1.size, x1.size)
     assert grid.tobytes() == branchwise_div_phi_bar(x1[None], x1[:, None]).tobytes()
     assert isinstance(exact_div_phi_bar(0.75, 0.5), np.float64)
 
@@ -301,16 +293,28 @@ def test_instance_stores_alpha_as_a_python_float(alpha):
     assert type(inst.alpha) is float and inst.alpha == 2.0
 
 
-@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+@pytest.mark.parametrize("alpha", [0.0, -0.0, -1.0, np.nan, np.inf])
 def test_instance_rejects_nonfinite_alpha(alpha):
-    with pytest.raises(ValueError, match="alpha"):
-        build_generic_instance(build_friedrichs_keller(2), alpha=alpha)
+    # before u_d divides by it: a zero alpha would warn first, and under
+    # warnings as errors the warning would replace this ValueError
+    for build in (build_exact_instance, build_generic_instance):
+        with pytest.raises(ValueError, match=f"^alpha must be positive and finite, got {alpha}$"):
+            build(build_friedrichs_keller(2), alpha=alpha)
 
 
 @pytest.mark.parametrize("build", [build_exact_instance, build_generic_instance])
 def test_instance_rejects_negative_depth(build):
     with pytest.raises(ValueError, match="subdivision_depth.*-1"):
         build(build_friedrichs_keller(2), subdivision_depth=-1)
+
+
+def test_problem_instance_rejects_negative_depth():
+    # as SolverConfig and the quadrature do, with their message
+    mesh = build_friedrichs_keller(1)
+    fields = {"f": np.zeros(2), "u_d": np.zeros(2), "y_d": np.zeros(4), "reference_u": None}
+    assert ProblemInstance(mesh=mesh, alpha=1.0, subdivision_depth=0, **fields).subdivision_depth == 0
+    with pytest.raises(ValueError, match="^subdivision_depth must be nonnegative, got -1$"):
+        ProblemInstance(mesh=mesh, alpha=1.0, subdivision_depth=-1, **fields)
 
 
 def test_indicator_profile():
@@ -399,9 +403,9 @@ def test_divergence_evaluated_near_its_annulus_only():
     # the divergence runs on their 4^depth points only, one call per chunk
     points = []
 
-    def counting(x1, x2, out=None):
+    def counting(x1, x2):
         points.append(np.broadcast(x1, x2).size)
-        return exact_div_phi_bar(x1, x2, out=out)
+        return exact_div_phi_bar(x1, x2)
 
     with patch.object(instances, "exact_div_phi_bar", counting):
         build_exact_instance(build_friedrichs_keller(50), subdivision_depth=4)
@@ -411,35 +415,34 @@ def test_divergence_evaluated_near_its_annulus_only():
 
 @pytest.mark.parametrize("n, depth", [(50, 4), (100, 4), (3, 0), (2, 8)])
 def test_projection_evaluates_each_gathered_cell_once_in_chunks(n, depth):
-    # the cut cells, then the annulus' cells, each walked once in chunks of at
-    # most P0_CHUNK_POINTS points, or of one cell where a cell holds more
-    mesh, q, in_chunks = build_friedrichs_keller(n), 4**depth, instances._in_chunks
+    # one walk over the cells whose rho bounds (1e-12 margin) meet psi's
+    # support, in row-major order and in chunks of at most P0_CHUNK_POINTS
+    # points, or of one cell where a cell holds more. It must hold every
+    # cell whose points straddle the disc's circle, whose u_bar it also takes
+    mesh, q = build_friedrichs_keller(n), 4**depth
     x, y = _quadrature_points(mesh, depth)
-    walks, calls = [], []
+    dx, dy = np.abs(x - 0.5), np.abs(y - 0.5)
+    near = np.hypot(dy.min(axis=-1)[:, None], dx.min(axis=-1)[None])
+    far = np.hypot(dy.max(axis=-1)[:, None], dx.max(axis=-1)[None])
+    walked = (far >= 3 / 16 - 1e-12) & (near <= 5 / 16 + 1e-12)
+    j, i, t = np.nonzero(walked)
+    x_walked, y_walked, calls = x[i, t], y[j, t], []
 
-    def recording(mask, size):
-        walks.append((mask.copy(), list(in_chunks(mask, size))))
-        return iter(walks[-1][1])
+    def recording(x1, x2):
+        done, size = sum(calls), len(x1)
+        assert x1.shape == x2.shape == (size, q)
+        assert (x1 == x_walked[done:done + size]).all() and (x2 == y_walked[done:done + size]).all()
+        calls.append(size)
+        return exact_div_phi_bar(x1, x2)
 
-    def counting(x1, x2, out=None):
-        j, i, t = walks[-1][1][len(calls)]  # the chunk's own points
-        assert (x1 == x[i, t]).all() and (x2 == y[j, t]).all()
-        calls.append(np.broadcast(x1, x2).size)
-        return exact_div_phi_bar(x1, x2, out=out)
-
-    with patch.object(instances, "_in_chunks", recording), \
-            patch.object(instances, "exact_div_phi_bar", counting):
+    with patch.object(instances, "exact_div_phi_bar", recording):
         instances._exact_projections(mesh, depth)
-    assert len(walks) == 2
-    for mask, chunks in walks:
-        visits = np.zeros(mask.shape, dtype=int)
-        for cells in chunks:
-            assert 0 < cells[0].size * q <= max(P0_CHUNK_POINTS, q)
-            np.add.at(visits, cells, 1)
-        assert (visits == mask).all()  # every gathered cell exactly once
-    annulus, chunks = walks[1]
-    assert calls == [cells[0].size * q for cells in chunks]
-    assert sum(calls) == annulus.sum() * q > 0
+    assert sum(calls) == i.size > 0
+    assert all(0 < size * q <= max(P0_CHUNK_POINTS, q) for size in calls)
+    for row in range(n):  # a row of cells at a time: (n, 2, q) points
+        inner = (x - 0.5) ** 2 + (y[row] - 0.5) ** 2 < 0.25**2
+        straddles = inner.any(axis=-1) & ~inner.all(axis=-1)
+        assert (walked[row] | ~straddles).all()
 
 
 @pytest.mark.parametrize("depth", [0, 1, 4])

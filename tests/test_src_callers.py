@@ -16,7 +16,7 @@ import tvcontrol
 
 #: definitions no run calls, with the reason each stays
 EXEMPT = dict.fromkeys(["build_forms", "discrete_tv"],
-                       "called only by `perfbench/sample.py`; ROADMAP items 1 and 22")
+                       "called only by `perfbench/sample.py`; ROADMAP item 1")
 
 #: dataclass fields no run reads, with the reason each stays
 EXEMPT_FIELDS = {
